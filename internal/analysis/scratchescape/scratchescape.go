@@ -2,7 +2,7 @@
 // pooled or reusable scratch memory.
 //
 // The hot paths recycle aggressively: sim.Engine keeps per-run scratch
-// buffers, RunInto overwrites caller-owned Results, fleet accumulators
+// buffers, RunSourceInto overwrites caller-owned Results, fleet accumulators
 // recycle merged-out partials through a free list (Transient). A scratch
 // buffer that leaks through an exported return value becomes aliased state
 // the next Reset/Run silently clobbers — a classic heisenbug. Scratch

@@ -189,25 +189,32 @@ func FleetSchemes(burstGap time.Duration) []fleet.Scheme {
 // scheme-matrix cell, so relative metrics pair against it).
 func statusQuoScheme() fleet.Scheme { return fleet.StatusQuoScheme() }
 
+// sliceJob is a fleet job replaying the materialized trace tr under scheme
+// s: every pass opens a fresh cursor over the shared slice (replays only
+// read it), so a trace is generated once however many schemes replay it —
+// these experiment cohorts are small enough to hold, unlike the streamed
+// fleet cohorts.
+func sliceJob(tr trace.Trace, seed int64, prof power.Profile, s fleet.Scheme, opts *sim.Options) fleet.Job {
+	return fleet.Job{
+		Seed:     seed,
+		Source:   func(int64) trace.Source { return tr.Source() },
+		Profile:  prof,
+		Scheme:   s.Name,
+		Demote:   s.Demote,
+		Active:   s.Active,
+		FitTrace: s.FitTrace,
+		Opts:     opts,
+	}
+}
+
 // schemeMatrixJobs expands (traces × [statusquo + schemes]) into fleet jobs
 // in trace-major order: jobs[t*(1+len(schemes))] is trace t's status quo.
-// Traces are shared across a row's jobs (replays only read them), so each
-// is generated once however many schemes replay it — these experiment
-// cohorts are small enough to hold, unlike the Gen-per-job fleet path.
 func schemeMatrixJobs(traces []trace.Trace, seeds []int64, prof power.Profile, schemes []fleet.Scheme, opts *sim.Options) []fleet.Job {
 	rows := append([]fleet.Scheme{statusQuoScheme()}, schemes...)
 	jobs := make([]fleet.Job, 0, len(traces)*len(rows))
 	for t := range traces {
 		for _, s := range rows {
-			jobs = append(jobs, fleet.Job{
-				Seed:    seeds[t],
-				Trace:   traces[t],
-				Profile: prof,
-				Scheme:  s.Name,
-				Demote:  s.Demote,
-				Active:  s.Active,
-				Opts:    opts,
-			})
+			jobs = append(jobs, sliceJob(traces[t], seeds[t], prof, s, opts))
 		}
 	}
 	return jobs
@@ -247,14 +254,7 @@ func runSchemesFleet(tr trace.Trace, prof power.Profile, opts *sim.Options, fopt
 	rows := append([]fleet.Scheme{statusQuoScheme()}, schemes...)
 	jobs := make([]fleet.Job, 0, len(rows))
 	for _, s := range rows {
-		jobs = append(jobs, fleet.Job{
-			Trace:   tr,
-			Profile: prof,
-			Scheme:  s.Name,
-			Demote:  s.Demote,
-			Active:  s.Active,
-			Opts:    opts,
-		})
+		jobs = append(jobs, sliceJob(tr, 0, prof, s, opts))
 	}
 	cells, err := fleet.Run(jobs, fopts, fleet.Collect())
 	if err != nil {

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"strings"
 	"testing"
@@ -18,17 +20,61 @@ func quickCfg() Config {
 	return Config{Seed: 42, AppDuration: time.Hour, UserDuration: 2 * time.Hour}
 }
 
+// experimentDigests pins the sha256 of every All() rendering at
+// TestAllExperimentsRun's config with Workers: 1. A refactor that silently
+// moves a paper figure (e.g. a factory losing its fit trace) changes a
+// digest here even when every qualitative assertion still holds.
+var experimentDigests = map[string]string{
+	"tab1":  "e6390c50b850a11fcc4d50d699e48c7c3cadb2f49a5cef977d2a167b9d7cac1e",
+	"tab2":  "9ba0b06ef6ae421e7aa5885775697b4bff921b6852bace9fc85928010eaccbcc",
+	"fig1":  "b8efa6b7898b231f78dee0cbf48eb5d49e78b0431c41c8ccc0955b136a5bf8f7",
+	"fig3":  "a3d616381b41b780b0f01a3e28c755cbc1c332496b005b776a51660853889aa1",
+	"fig8":  "89cf8746ffb51a3fc216cc00580ee2eb6d4fc15627945ed6460875e07aad9ed9",
+	"fig9":  "d34a8eeed5845f5905df356b3f91c1cb908b45fe4adf06417ea91f089c91526e",
+	"fig10": "ab5bc7941dfcabdee6727a8f193ac47df0b94aa1b9840ba2bdeac5560e6671e6",
+	"fig11": "2a3c6f9a6551524182f8956ed61f1ea81341b0c2b3d14a414524b09e8d84ff56",
+	"fig12": "53b96cc662df00b2410f9b040a989751ed81e7e85cc84047303d30237cc43e5b",
+	"fig13": "46a9558e7ff88f9f7d09bf5abf1f8113203883571ca0d383a897daa418e1a065",
+	"fig14": "fe276ec40d50edba15bcade5ee5eafa8988be113349c2cfd2432129d7ffd6709",
+	"fig15": "c4d0d6007de7adf164b44a82ed6901513448b3ded3001a51344f36a56150e971",
+	"fig16": "ac8b672b79f08a2c10e8ded988735b2b399e0ced67dbd54ffd4501f1eebdfa0e",
+	"fig17": "f200ac52401f662b16453b6e75c2303bbd536f76ed7f1c4f31829f697402d476",
+	"fig18": "b4ebe6751f3737f63d71994e9981dfb957ca2cb6572f69b0df5d6ff197745682",
+	"tab3":  "248b2e95a20bc97f1695d7e8a3dadef8b4cbaa2f80cd52cbe023d5e96325c256",
+	"sens":  "dbe8742e4bf5a790c8a2219269fd44306d0368bc393f92c70850996c104ac968",
+	"bs":    "d00c3d8b51c78e01c4e4332543d176a92a7bc7f87186c85eba4941c17c1d5788",
+	"buf":   "2dacb62ffb79b790ac526e0967cb49b28bafc838b6ecd284c8848db8a132948b",
+	"life":  "a6344312dceb791ab2687a572249973ca65363c8e436ceecff820fc753a0c66f",
+	"fleet": "759ff27aed86469bf7ce179cdda124e6fe011142c2a2a556e517417ee144c6dc",
+	"sweep": "cd921c16cd67dd8fbe8d1135a6ddf190aa323576090b238219a3ad9a79968055",
+	"grid":  "1b558a37f7a2e8e46173dcf21070dfcf8faa5b417785e06810eda8c41e232f8b",
+}
+
+// TestAllExperimentsRun renders every experiment serially against its pinned
+// digest, then again on three workers: worker count never changes a
+// rendering, except the fleet header, which prints it.
 func TestAllExperimentsRun(t *testing.T) {
 	cfg := Config{Seed: 7, AppDuration: 20 * time.Minute, UserDuration: 30 * time.Minute}
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			out, err := e.Run(cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
-			if strings.TrimSpace(out) == "" {
-				t.Fatalf("%s: empty output", e.ID)
+			for _, workers := range []int{1, 3} {
+				c := cfg
+				c.Workers = workers
+				out, err := e.Run(c)
+				if err != nil {
+					t.Fatalf("%s (workers=%d): %v", e.ID, workers, err)
+				}
+				if strings.TrimSpace(out) == "" {
+					t.Fatalf("%s (workers=%d): empty output", e.ID, workers)
+				}
+				if workers > 1 && e.ID == "fleet" {
+					continue
+				}
+				sum := sha256.Sum256([]byte(out))
+				if got, want := hex.EncodeToString(sum[:]), experimentDigests[e.ID]; got != want {
+					t.Errorf("%s (workers=%d): rendering digest %s, want %s", e.ID, workers, got, want)
+				}
 			}
 		})
 	}

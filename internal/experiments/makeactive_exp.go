@@ -64,7 +64,7 @@ func delayTable(title string, users []workload.User, prof power.Profile, cfg Con
 			Active: func(trace.Trace, power.Profile) (policy.ActivePolicy, error) {
 				return policy.NewLearnedDelay(), nil
 			}},
-		{Name: "fixed", Demote: fleet.MakeIdleScheme().Demote,
+		{Name: "fixed", Demote: fleet.MakeIdleScheme().Demote, FitTrace: true,
 			Active: func(tr trace.Trace, prof power.Profile) (policy.ActivePolicy, error) {
 				return policy.NewFixedDelay(tr, &prof, time.Second), nil
 			}},
@@ -72,10 +72,7 @@ func delayTable(title string, users []workload.User, prof power.Profile, cfg Con
 	var jobs []fleet.Job
 	for t := range traces {
 		for _, v := range variants {
-			jobs = append(jobs, fleet.Job{
-				Seed: seeds[t], Trace: traces[t], Profile: prof,
-				Scheme: v.Name, Demote: v.Demote, Active: v.Active,
-			})
+			jobs = append(jobs, sliceJob(traces[t], seeds[t], prof, v, nil))
 		}
 	}
 	cells, err := fleet.Run(jobs, cfg.fleetOpts(), delayStatsAccumulator())
@@ -181,11 +178,9 @@ func Table3(cfg Config) (string, error) {
 	comb := fleet.CombinedScheme()
 	var jobs []fleet.Job
 	for _, prof := range carriers {
+		comb.Name = prof.Name // one aggregate row per carrier
 		for t := range traces {
-			jobs = append(jobs, fleet.Job{
-				Seed: seeds[t], Trace: traces[t], Profile: prof,
-				Scheme: prof.Name, Demote: comb.Demote, Active: comb.Active,
-			})
+			jobs = append(jobs, sliceJob(traces[t], seeds[t], prof, comb, nil))
 		}
 	}
 	sum, err := fleet.RunSummary(jobs, cfg.fleetOpts(),

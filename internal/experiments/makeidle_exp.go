@@ -42,14 +42,7 @@ func confusionTable(title string, users []workload.User, prof power.Profile, cfg
 	var jobs []fleet.Job
 	for t := range traces {
 		for _, s := range schemes {
-			jobs = append(jobs, fleet.Job{
-				Seed:    seeds[t],
-				Trace:   traces[t],
-				Profile: prof,
-				Scheme:  s.Name,
-				Demote:  s.Demote,
-				Opts:    opts,
-			})
+			jobs = append(jobs, sliceJob(traces[t], seeds[t], prof, s, opts))
 		}
 	}
 	th := energy.Threshold(&prof)

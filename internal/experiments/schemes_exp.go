@@ -205,13 +205,7 @@ func DormancySensitivity(cfg Config) (string, error) {
 	for _, f := range fractions {
 		prof := power.Verizon3G.WithDormancyFraction(f)
 		for _, s := range []fleet.Scheme{fleet.StatusQuoScheme(), mi} {
-			jobs = append(jobs, fleet.Job{
-				Trace:   tr,
-				Profile: prof,
-				Scheme:  s.Name,
-				Demote:  s.Demote,
-				Active:  s.Active,
-			})
+			jobs = append(jobs, sliceJob(tr, 0, prof, s, nil))
 		}
 	}
 	cells, err := fleet.Run(jobs, cfg.fleetOpts(), fleet.Collect())

@@ -12,11 +12,11 @@ import (
 )
 
 // Scheme couples a label with the policy factories that realize it. The
-// factories receive the job's trace and profile so trace-fitted baselines
-// (95% IAT, MakeActive-Fix) can be built inside the worker; FitTrace marks
-// schemes that actually need that trace, forcing streaming jobs to
-// materialize (see Job.FitTrace). Schemes whose policies learn online
-// leave it unset and replay in O(1) memory.
+// factories receive the profile, and factories get a nil trace unless
+// FitTrace is set: trace-fitted baselines (95% IAT, MakeActive-Fix) set it
+// so the worker materializes one fit pass for them (see Job.FitTrace).
+// Schemes whose policies learn online leave it unset and replay in O(1)
+// memory.
 type Scheme struct {
 	Name     string
 	Demote   func(tr trace.Trace, prof power.Profile) (policy.DemotePolicy, error)

@@ -98,58 +98,48 @@ func (o Options) shards(jobs int) int {
 // progress denominators up front.
 func (o Options) NumShards(n int) int { return o.shards(n) }
 
-// Job is one replay: a packet source (streamed from a constructor,
-// generated in-worker from the seed, or an explicit trace), a carrier
-// profile, and the policy pair to replay it under.
+// Job is one replay: a packet source constructor, a carrier profile, and
+// the policy pair to replay it under.
 type Job struct {
-	// Seed is passed to Source/Gen; it also identifies the job in reports.
+	// Seed is passed to Source; it also identifies the job in reports.
 	// Seeds are the caller's contract for determinism: same seed, same
 	// packets.
 	Seed int64
-	// Trace is a materialized packet trace to replay. Prefer Source at
-	// fleet scale.
-	Trace trace.Trace
-	// Gen builds the job's trace from Seed inside the worker (the trace
-	// lives only for the duration of the job).
-	Gen func(seed int64) trace.Trace
-	// Source constructs a streaming packet source from Seed. This is the
-	// preferred form at fleet scale: the worker pulls packets on demand,
-	// so per-worker memory is independent of trace duration. The
-	// constructor is invoked once per replay (twice with Baseline set), so
-	// it must be deterministic in Seed. At least one of Trace, Gen or
-	// Source must be set; when several are, Trace wins over Gen, which
-	// wins over Source (a materialized form always takes precedence).
+	// Source constructs the job's packet source from Seed; it is required.
+	// The worker pulls packets on demand, so per-worker memory is
+	// independent of trace duration. Without a trace cache the constructor
+	// is invoked once per pass (the replay, plus the baseline and the fit
+	// pass when those are set), so it must be deterministic in Seed. A
+	// materialized trace adapts by returning a fresh cursor over the slice
+	// (trace.Trace.Source) from every call.
 	Source func(seed int64) trace.Source
 	// Profile is the carrier power profile to replay against.
 	Profile power.Profile
 	// Scheme labels the policy pair in aggregates (e.g. "MakeIdle").
 	Scheme string
-	// Demote constructs the demote policy for this job. Called once per
-	// job with the job's trace, so trace-fitted baselines (95% IAT) work;
-	// must return a fresh policy (jobs share nothing). Streaming jobs
-	// call it with a nil trace unless FitTrace is set.
+	// Demote constructs the demote policy for this job; it must return a
+	// fresh policy (jobs share nothing). Factories get a nil trace unless
+	// FitTrace is set.
 	Demote func(tr trace.Trace, prof power.Profile) (policy.DemotePolicy, error)
 	// Active constructs the batching policy; a nil factory (or a nil
 	// policy from it) disables batching. Errors fail the job like Demote
 	// errors do.
 	Active func(tr trace.Trace, prof power.Profile) (policy.ActivePolicy, error)
 	// FitTrace marks policy factories that must see the materialized
-	// trace (95% IAT quantile fitting, MakeActive-Fix). A Source job with
-	// FitTrace set collects its source into a slice for one fit pass —
-	// the policy factories run against it — then frees the slice and
-	// replays streaming, so only the fit itself is O(trace) in memory and
-	// both replays stay O(1) like any other Source job.
+	// trace (95% IAT quantile fitting, MakeActive-Fix). The worker then
+	// collects one pass of the source into a slice, runs the factories
+	// against it and drops it before replaying, so only the fit itself is
+	// O(trace) in memory and both replays stay O(1).
 	FitTrace bool
 	// Opts are the simulation options for both the run and its baseline.
 	Opts *sim.Options
 	// Baseline also replays the trace under policy.StatusQuo so the fold
 	// can compute relative metrics (savings, switch ratio).
 	Baseline bool
-	// CacheKey, when non-empty on a Source job, lets Options.TraceCache
-	// memoize the materialized packets. The key must determine the packet
-	// stream completely (generator config plus Seed); Cohort.Jobs derives
-	// one from the cohort's canonical encoding. Empty disables caching for
-	// this job.
+	// CacheKey, when non-empty, lets Options.TraceCache memoize the job's
+	// packets. The key must determine the packet stream completely
+	// (generator config plus Seed); Cohort.Jobs derives one from the
+	// cohort's canonical encoding. Empty disables caching for this job.
 	CacheKey string
 	// PolicyKey, when non-empty, lets workers reuse one constructed policy
 	// pair across jobs, relying on the engine's per-run policy Reset. The
@@ -240,26 +230,31 @@ func (ws *workerState) slots(reuse bool) (base, main *sim.Result) {
 	return nil, nil
 }
 
-// runTrace replays a materialized trace on the worker's engine, into slot
-// when one is given.
-func (ws *workerState) runTrace(slot *sim.Result, tr trace.Trace, prof power.Profile,
-	demote policy.DemotePolicy, active policy.ActivePolicy, opts *sim.Options) (*sim.Result, error) {
-	if slot == nil {
-		return ws.engine.Run(tr, prof, demote, active, opts)
+// open starts one pass over the job's packets: the cached slab through the
+// worker's reusable decoder when slab is non-nil, otherwise a fresh source
+// from the job's constructor.
+func (ws *workerState) open(job *Job, slab []byte) (trace.Source, error) {
+	if slab == nil {
+		return job.Source(job.Seed), nil
 	}
-	if err := ws.engine.RunInto(slot, tr, prof, demote, active, opts); err != nil {
+	if err := ws.bytes.Reset(slab); err != nil {
 		return nil, err
 	}
-	return slot, nil
+	return &ws.bytes, nil
 }
 
-// runSrc is runTrace for a streaming source.
-func (ws *workerState) runSrc(slot *sim.Result, src trace.Source, prof power.Profile,
-	demote policy.DemotePolicy, active policy.ActivePolicy, opts *sim.Options) (*sim.Result, error) {
-	if slot == nil {
-		return ws.engine.RunSource(src, prof, demote, active, opts)
+// replay runs one pass of the job under the given policies on the worker's
+// engine, into slot when one is given.
+func (ws *workerState) replay(job *Job, slab []byte, slot *sim.Result,
+	demote policy.DemotePolicy, active policy.ActivePolicy) (*sim.Result, error) {
+	src, err := ws.open(job, slab)
+	if err != nil {
+		return nil, err
 	}
-	if err := ws.engine.RunSourceInto(slot, src, prof, demote, active, opts); err != nil {
+	if slot == nil {
+		return ws.engine.RunSource(src, job.Profile, demote, active, job.Opts)
+	}
+	if err := ws.engine.RunSourceInto(slot, src, job.Profile, demote, active, job.Opts); err != nil {
 		return nil, err
 	}
 	return slot, nil
@@ -299,10 +294,12 @@ var workerPool = sync.Pool{New: func() any {
 // policyPair returns the job's constructed policy pair, reusing the
 // worker's cache when the key is sound: PolicyKey set, and — for
 // trace-fitted schemes — a fit-trace identity (ck.fit) that pins which
-// trace the policies were fitted to. fit supplies the trace handed to
-// the factories and is invoked only on a cache miss (nil means no
-// trace), so a memoized fit skips even the trace materialization.
-func (ws *workerState) policyPair(job *Job, ck policyCacheKey, fit func() (trace.Trace, error)) (policy.DemotePolicy, policy.ActivePolicy, error) {
+// trace the policies were fitted to. On a cache miss a FitTrace job
+// collects one pass of its packets (from slab when non-nil) for the
+// factories; the slice is a local, collectable as soon as construction
+// returns and before any replay allocates its lookahead. A memoized fit
+// skips even that materialization.
+func (ws *workerState) policyPair(job *Job, ck policyCacheKey, slab []byte) (policy.DemotePolicy, policy.ActivePolicy, error) {
 	cacheable := ck.key != "" && (!job.FitTrace || ck.fit != "")
 	if cacheable {
 		if p, ok := ws.policies[ck]; ok {
@@ -310,10 +307,13 @@ func (ws *workerState) policyPair(job *Job, ck policyCacheKey, fit func() (trace
 		}
 	}
 	var ft trace.Trace
-	if fit != nil {
-		var err error
-		if ft, err = fit(); err != nil {
-			return nil, nil, err
+	if job.FitTrace {
+		src, err := ws.open(job, slab)
+		if err == nil {
+			ft, err = trace.Collect(src)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("collecting source for fit: %w", err)
 		}
 	}
 	demote, err := job.Demote(ft, job.Profile)
@@ -366,8 +366,8 @@ func Run[A any](jobs []Job, opts Options, acc Accumulator[A]) (A, error) {
 func runHooked[A any](jobs []Job, opts Options, acc Accumulator[A], hook func(snap func() A, p Progress)) (A, error) {
 	var zero A
 	for i := range jobs {
-		if jobs[i].Trace == nil && jobs[i].Gen == nil && jobs[i].Source == nil {
-			return zero, fmt.Errorf("fleet: job %d has no Trace, Gen or Source", i)
+		if jobs[i].Source == nil {
+			return zero, fmt.Errorf("fleet: job %d has no Source", i)
 		}
 		if jobs[i].Demote == nil {
 			return zero, fmt.Errorf("fleet: job %d has no Demote factory", i)
@@ -620,149 +620,46 @@ func runShard[A any](jobs []Job, s, nshards int, ws *workerState, acc Accumulato
 	return a, nil
 }
 
-// runJob replays the job (plus its baseline) on the worker's engine:
-// streaming straight from the source constructor when one is given,
-// falling back to a materialized trace for explicit traces and Gen jobs.
-// Cacheable Source jobs (CacheKey set, cache provided) replay the memoized
-// materialized trace instead — byte-identical to streaming the same seed,
-// but synthesized once per cache lifetime rather than per replay. reuse
-// (from Accumulator.Transient) routes both replays into the worker's
-// Result pair; the Outcome then aliases worker scratch and is valid only
-// during the fold, exactly what Outcome's contract already says.
+// runJob replays the job (plus its baseline) on the worker's engine. It
+// makes one choice — where packets come from — and then runs the same steps
+// for every job: build the policy pair, replay the baseline, replay the
+// scheme. Cacheable jobs (CacheKey set, cache provided) read the shared
+// slab: the first toucher of the key streams the generator through the
+// rrcstream codec into it (single-flight — concurrent cells wait rather than
+// duplicate the generation), and every pass decodes zero-copy through the
+// worker's cursor; trace-fitted pairs are then memoized per worker under
+// (scheme, trace, profile). Every other job opens a fresh source per pass,
+// so worker memory stays bounded by burst structure regardless of trace
+// duration. The codec round-trips exactly, so both choices are
+// byte-identical. reuse (from Accumulator.Transient) routes both replays
+// into the worker's Result pair; the Outcome then aliases worker scratch
+// and is valid only during the fold, exactly what Outcome's contract
+// already says.
 func runJob(job *Job, index int, ws *workerState, tc *TraceCache, reuse bool) (Outcome, error) {
-	if job.Source != nil && job.Trace == nil && job.Gen == nil {
-		if tc != nil && job.CacheKey != "" {
-			return runJobCached(job, index, ws, tc, reuse)
-		}
-		return runJobStreaming(job, index, ws, reuse)
-	}
-	tr := job.Trace
-	if tr == nil {
-		tr = job.Gen(job.Seed)
-	}
-	baseSlot, mainSlot := ws.slots(reuse)
 	out := Outcome{Index: index, Job: job}
-	if job.Baseline {
-		base, err := ws.runTrace(baseSlot, tr, job.Profile, policy.StatusQuo{}, nil, job.Opts)
-		if err != nil {
-			return out, fmt.Errorf("baseline: %w", err)
-		}
-		out.Baseline = base
-	}
-	demote, active, err := ws.policyPair(job,
-		policyCacheKey{key: job.PolicyKey, prof: job.Profile},
-		func() (trace.Trace, error) { return tr, nil })
-	if err != nil {
-		return out, err
-	}
-	res, err := ws.runTrace(mainSlot, tr, job.Profile, demote, active, job.Opts)
-	if err != nil {
-		return out, err
-	}
-	out.Result = res
-	return out, nil
-}
-
-// runJobCached replays a cacheable Source job from the trace cache: the
-// first toucher of the job's key streams the generator through the
-// rrcstream codec into a shared byte slab (single-flight — concurrent
-// cells wait rather than duplicate the generation) and every replay
-// decodes zero-copy out of those bytes. The codec round-trips exactly
-// and sim.Run(Source) is byte-identical on the same packets, so results
-// match the streaming path bit for bit. Policy factories keep the
-// streaming path's semantics — nil trace unless FitTrace, in which case
-// the fit trace materializes from the slab (not from a fresh generation)
-// and the fitted pair is memoized per worker under (scheme, trace,
-// profile).
-func runJobCached(job *Job, index int, ws *workerState, tc *TraceCache, reuse bool) (Outcome, error) {
-	out := Outcome{Index: index, Job: job}
-	slab, err := tc.Slab(job.CacheKey, func() trace.Source { return job.Source(job.Seed) })
-	if err != nil {
-		return out, fmt.Errorf("memoizing source: %w", err)
-	}
 	ck := policyCacheKey{key: job.PolicyKey, prof: job.Profile}
-	var fit func() (trace.Trace, error)
-	if job.FitTrace {
-		ck.fit = job.CacheKey
-		fit = func() (trace.Trace, error) {
-			if err := ws.bytes.Reset(slab); err != nil {
-				return nil, err
-			}
-			return trace.Collect(&ws.bytes)
+	var slab []byte
+	if tc != nil && job.CacheKey != "" {
+		var err error
+		if slab, err = tc.Slab(job.CacheKey, func() trace.Source { return job.Source(job.Seed) }); err != nil {
+			return out, fmt.Errorf("memoizing source: %w", err)
+		}
+		if job.FitTrace {
+			ck.fit = job.CacheKey
 		}
 	}
-	demote, active, err := ws.policyPair(job, ck, fit)
+	demote, active, err := ws.policyPair(job, ck, slab)
 	if err != nil {
 		return out, err
 	}
 	baseSlot, mainSlot := ws.slots(reuse)
 	if job.Baseline {
-		if err := ws.bytes.Reset(slab); err != nil {
-			return out, err
-		}
-		base, err := ws.runSrc(baseSlot, &ws.bytes, job.Profile, policy.StatusQuo{}, nil, job.Opts)
-		if err != nil {
+		if out.Baseline, err = ws.replay(job, slab, baseSlot, policy.StatusQuo{}, nil); err != nil {
 			return out, fmt.Errorf("baseline: %w", err)
 		}
-		out.Baseline = base
 	}
-	if err := ws.bytes.Reset(slab); err != nil {
+	if out.Result, err = ws.replay(job, slab, mainSlot, demote, active); err != nil {
 		return out, err
 	}
-	res, err := ws.runSrc(mainSlot, &ws.bytes, job.Profile, demote, active, job.Opts)
-	if err != nil {
-		return out, err
-	}
-	out.Result = res
 	return out, nil
-}
-
-// runJobStreaming replays a Source job without materializing: each replay
-// pulls a fresh source from the constructor, so worker memory stays
-// bounded by burst structure regardless of trace duration. Policy
-// factories receive a nil trace, unless FitTrace is set — then the source
-// is collected once for the fit pass, the factories run against the
-// materialized trace, and the slice is dropped before the replays start,
-// so only the fit is O(trace) and the replays stream like any other job
-// (sim.RunSource and sim.Run are byte-identical on the same packets, so
-// fitting materialized and replaying streamed changes nothing).
-func runJobStreaming(job *Job, index int, ws *workerState, reuse bool) (Outcome, error) {
-	out := Outcome{Index: index, Job: job}
-	demote, active, err := fitPolicies(job, ws)
-	if err != nil {
-		return out, err
-	}
-	baseSlot, mainSlot := ws.slots(reuse)
-	if job.Baseline {
-		base, err := ws.runSrc(baseSlot, job.Source(job.Seed), job.Profile, policy.StatusQuo{}, nil, job.Opts)
-		if err != nil {
-			return out, fmt.Errorf("baseline: %w", err)
-		}
-		out.Baseline = base
-	}
-	res, err := ws.runSrc(mainSlot, job.Source(job.Seed), job.Profile, demote, active, job.Opts)
-	if err != nil {
-		return out, err
-	}
-	out.Result = res
-	return out, nil
-}
-
-// fitPolicies constructs a streaming job's policy pair. For FitTrace jobs
-// the source is collected inside the fit supplier so the fit-pass trace
-// is a local that becomes unreachable — and collectable — as soon as
-// construction returns, before any replay allocates its lookahead.
-func fitPolicies(job *Job, ws *workerState) (policy.DemotePolicy, policy.ActivePolicy, error) {
-	ck := policyCacheKey{key: job.PolicyKey, prof: job.Profile}
-	var fit func() (trace.Trace, error)
-	if job.FitTrace {
-		fit = func() (trace.Trace, error) {
-			tr, err := trace.Collect(job.Source(job.Seed))
-			if err != nil {
-				return nil, fmt.Errorf("collecting source for fit: %w", err)
-			}
-			return tr, nil
-		}
-	}
-	return ws.policyPair(job, ck, fit)
 }

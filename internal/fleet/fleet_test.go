@@ -151,7 +151,7 @@ func TestRunPropagatesFirstErrorInJobOrder(t *testing.T) {
 // TestJobValidation rejects unusable jobs up front.
 func TestJobValidation(t *testing.T) {
 	if _, err := RunSummary([]Job{{Profile: power.Verizon3G}}, Options{}, SummaryConfig{}); err == nil {
-		t.Fatal("job without trace/gen accepted")
+		t.Fatal("job without source accepted")
 	}
 	jobs := testJobs(t, 1)
 	jobs[0].Demote = nil
@@ -171,8 +171,8 @@ func TestEmptyJobList(t *testing.T) {
 	}
 }
 
-// TestExplicitTraceJobs exercises the Trace (no Gen) path with a
-// trace-fitted baseline, as cmd/rrcsim submits them.
+// TestExplicitTraceJobs replays a materialized trace through a slice-backed
+// Source with a trace-fitted baseline, as the experiment drivers submit them.
 func TestExplicitTraceJobs(t *testing.T) {
 	base := Cohort{Users: 1, Seed: 3, Duration: 15 * time.Minute}
 	src := base.Jobs(power.Verizon3G, []Scheme{MakeIdleScheme()})[0].Source
@@ -182,12 +182,13 @@ func TestExplicitTraceJobs(t *testing.T) {
 	}
 	jobs := []Job{{
 		Seed:    1,
-		Trace:   fixed,
+		Source:  func(int64) trace.Source { return fixed.Source() },
 		Profile: power.Verizon3G,
 		Scheme:  "95% IAT",
 		Demote: func(tr trace.Trace, _ power.Profile) (policy.DemotePolicy, error) {
 			return policy.NewPercentileIAT(tr, 0.95), nil
 		},
+		FitTrace: true,
 		Baseline: true,
 	}}
 	s, err := RunSummary(jobs, Options{}, SummaryConfig{})

@@ -24,20 +24,17 @@ func summaryJSON(t *testing.T, s *fleet.Summary) []byte {
 	return b
 }
 
-// materialize converts Source jobs into Gen jobs (the pre-streaming form)
-// without changing anything else.
-func materialize(jobs []fleet.Job) []fleet.Job {
+// materialize collects each Source job's packets into a slice and rebinds
+// the job to a slice-backed source over it, without changing anything else.
+func materialize(t *testing.T, jobs []fleet.Job) []fleet.Job {
+	t.Helper()
 	out := make([]fleet.Job, len(jobs))
 	for i, j := range jobs {
-		src := j.Source
-		j.Source = nil
-		j.Gen = func(seed int64) trace.Trace {
-			tr, err := trace.Collect(src(seed))
-			if err != nil {
-				panic(err)
-			}
-			return tr
+		tr, err := trace.Collect(j.Source(j.Seed))
+		if err != nil {
+			t.Fatal(err)
 		}
+		j.Source = func(int64) trace.Source { return tr.Source() }
 		out[i] = j
 	}
 	return out
@@ -51,7 +48,7 @@ func TestStreamedCohortMatchesMaterialized(t *testing.T) {
 	cohort := fleet.Cohort{Users: 10, Seed: 5, Duration: 45 * time.Minute, Diurnal: true}
 	schemes := []fleet.Scheme{fleet.MakeIdleScheme(), fleet.CombinedScheme()}
 	streamed := cohort.Jobs(power.Verizon3G, schemes)
-	slices := materialize(cohort.Jobs(power.Verizon3G, schemes))
+	slices := materialize(t, cohort.Jobs(power.Verizon3G, schemes))
 
 	var want []byte
 	for _, workers := range []int{1, 3, 8} {
@@ -77,7 +74,7 @@ func TestStreamedCohortMatchesMaterialized(t *testing.T) {
 }
 
 // TestFitTraceSchemeStreams: a trace-fitted scheme (95% IAT) on Source
-// jobs materializes in-worker and still matches the Gen-backed run.
+// jobs materializes in-worker and still matches the slice-backed run.
 func TestFitTraceSchemeStreams(t *testing.T) {
 	scheme, err := fleet.NamedScheme(fleet.Policy95IAT, fleet.ActiveNone, time.Second)
 	if err != nil {
@@ -88,7 +85,7 @@ func TestFitTraceSchemeStreams(t *testing.T) {
 	}
 	cohort := fleet.Cohort{Users: 4, Seed: 9, Duration: 30 * time.Minute}
 	streamed := cohort.Jobs(power.Verizon3G, []fleet.Scheme{scheme})
-	slices := materialize(cohort.Jobs(power.Verizon3G, []fleet.Scheme{scheme}))
+	slices := materialize(t, cohort.Jobs(power.Verizon3G, []fleet.Scheme{scheme}))
 	s1, err := fleet.RunSummary(streamed, fleet.Options{Workers: 2, Shards: 2}, fleet.SummaryConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +131,7 @@ func TestFitPassSeesTraceThenReplayStreams(t *testing.T) {
 	if calls != 3 || fits != 3 {
 		t.Fatalf("factory saw %d/%d materialized traces, want 3/3", fits, calls)
 	}
-	slices := materialize(cohort.Jobs(power.Verizon3G, []fleet.Scheme{scheme}))
+	slices := materialize(t, cohort.Jobs(power.Verizon3G, []fleet.Scheme{scheme}))
 	s2, err := fleet.RunSummary(slices, fleet.Options{Workers: 1, Shards: 1}, fleet.SummaryConfig{})
 	if err != nil {
 		t.Fatal(err)

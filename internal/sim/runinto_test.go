@@ -9,7 +9,7 @@ import (
 	"repro/internal/workload"
 )
 
-// TestRunIntoMatchesRun is the reuse contract: RunInto writing over a
+// TestRunIntoMatchesRun is the reuse contract: RunSourceInto writing over a
 // dirty, previously-used Result must leave it deeply equal to what a
 // fresh Run returns — across traces of different shapes and durations, so
 // stale slice contents from a longer earlier run can never leak into a
@@ -29,11 +29,11 @@ func TestRunIntoMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.RunInto(&res, trace, prof(), &policy.FixedTail{Wait: 2 * time.Second}, nil, opts); err != nil {
+		if err := e.RunSourceInto(&res, trace.Source(), prof(), &policy.FixedTail{Wait: 2 * time.Second}, nil, opts); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(&res, want) {
-			t.Fatalf("case %d: RunInto result differs from Run", i)
+			t.Fatalf("case %d: RunSourceInto result differs from Run", i)
 		}
 	}
 }

@@ -244,23 +244,10 @@ func (e *Engine) Reset() {
 // through the same streaming path RunSource uses, so the two agree bit for
 // bit on identical packets.
 func (e *Engine) Run(tr trace.Trace, prof power.Profile, demote policy.DemotePolicy, active policy.ActivePolicy, opts *Options) (*Result, error) {
-	res := new(Result)
-	if err := e.RunInto(res, tr, prof, demote, active, opts); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// RunInto is Run writing into a caller-owned Result: res is overwritten
-// wholesale, reusing its slice capacity, so a caller replaying in a loop
-// allocates no Result (and, steady-state, no slices) per run. The fields
-// are byte-identical to what Run would have returned. On error res is left
-// in an unspecified state.
-func (e *Engine) RunInto(res *Result, tr trace.Trace, prof power.Profile, demote policy.DemotePolicy, active policy.ActivePolicy, opts *Options) error {
 	e.slice.Reset(tr)
-	err := e.RunSourceInto(res, &e.slice, prof, demote, active, opts)
+	res, err := e.RunSource(&e.slice, prof, demote, active, opts)
 	e.slice.Reset(nil) // drop the trace reference until the next run
-	return err
+	return res, err
 }
 
 // RunSource replays a streaming packet source on this engine. Semantics
@@ -276,8 +263,11 @@ func (e *Engine) RunSource(src trace.Source, prof power.Profile, demote policy.D
 	return res, nil
 }
 
-// RunSourceInto is RunSource writing into a caller-owned Result (see
-// RunInto for the reuse contract).
+// RunSourceInto is RunSource writing into a caller-owned Result: res is
+// overwritten wholesale, reusing its slice capacity, so a caller replaying
+// in a loop allocates no Result (and, steady-state, no slices) per run. The
+// fields are byte-identical to what RunSource would have returned. On error
+// res is left in an unspecified state.
 func (e *Engine) RunSourceInto(res *Result, src trace.Source, prof power.Profile, demote policy.DemotePolicy, active policy.ActivePolicy, opts *Options) error {
 	if err := prof.Validate(); err != nil {
 		return err

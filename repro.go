@@ -20,7 +20,6 @@
 //	internal/power      carrier power/timer profiles (Tables 1-2)
 //	internal/energy     E(t), tail energy, t_threshold (§4.1)
 //	internal/rrc        the RRC state machine (Fig. 2)
-//	internal/dist       sliding-window inter-arrival distributions
 //	internal/experts    fixed-share + Learn-alpha online learning
 //	internal/policy     MakeIdle, MakeActive and the baselines
 //	internal/core       the on-device control module (Fig. 4)

@@ -7,13 +7,14 @@
 #   3. rrclint      (the repo's determinism analyzers, via go vet -vettool;
 #                    see internal/analysis and docs/architecture.md)
 #   4. pkgdoc       (scripts/check_pkgdoc.sh: every internal package documented)
-#   5. staticcheck  (pinned)
-#   6. govulncheck  (pinned)
+#   5. importers    (scripts/check_importers.sh: every internal package imported)
+#   6. staticcheck  (pinned)
+#   7. govulncheck  (pinned)
 #
-# Steps 5 and 6 need the network (or a pre-installed binary) to fetch the
+# Steps 6 and 7 need the network (or a pre-installed binary) to fetch the
 # pinned tool. CI exports RRC_LINT_STRICT=1, which makes their absence a
 # failure; locally, an offline machine without the binaries skips them
-# with a warning so the deterministic gates (1-4) still run everywhere.
+# with a warning so the deterministic gates (1-5) still run everywhere.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -42,6 +43,9 @@ go vet -vettool="$tmpdir/rrclint" ./... || fail=1
 
 echo "==> package comments"
 sh scripts/check_pkgdoc.sh || fail=1
+
+echo "==> importers"
+sh scripts/check_importers.sh || fail=1
 
 # run_pinned NAME MODULE@VERSION ARGS... — uses an installed binary when
 # present (assumed compatible), otherwise `go run module@version` (exact
