@@ -31,8 +31,17 @@ import (
 //
 // Capacity is a byte budget over retained slabs, evicted LRU; an entry
 // mid-generation holds no budget and is never evicted. A slab larger than
-// the whole budget is returned to its generator but not retained. A nil
-// *TraceCache disables caching everywhere it is consulted.
+// the whole budget is returned to its generator but not retained, and a
+// retained slab is an exact-capacity copy, so Bytes is what the slabs
+// hold. A nil *TraceCache disables caching everywhere it is consulted.
+//
+// Retention also tolerates scans. A caller that runs independent units
+// of work (the jobs manager: one per job) calls AdvanceEpoch as each one
+// starts. A slab touched only in the epoch that generated it — a job
+// with fresh seeds, whose traffic no later job replays — is dropped once
+// two epochs have begun since, so its job and the next one can still
+// share it; a slab touched in any later epoch stays under the LRU budget.
+// Without AdvanceEpoch calls the cache is a plain LRU.
 type TraceCache struct {
 	mu     sync.Mutex
 	budget int64
@@ -41,19 +50,23 @@ type TraceCache struct {
 	// the ready ones (front = coldest).
 	entries map[string]*traceEntry
 	lru     *list.List
+	epoch   uint64
 
 	hits, misses, evictions uint64
 }
 
 // traceEntry is one cached (or generating) slab. done closes once slab
 // and err are final; both are immutable afterwards. elem is the entry's
-// LRU position, nil while generating or once dropped.
+// LRU position, nil while generating or once dropped. born is the epoch
+// whose caller started the generation and last the latest epoch in which
+// any caller touched the entry.
 type traceEntry struct {
-	key  string
-	done chan struct{}
-	slab []byte
-	err  error
-	elem *list.Element
+	key        string
+	done       chan struct{}
+	slab       []byte
+	err        error
+	elem       *list.Element
+	born, last uint64
 }
 
 // TraceCacheStats is a point-in-time snapshot of the cache gauges.
@@ -101,36 +114,69 @@ func (c *TraceCache) Slab(key string, gen func() trace.Source) ([]byte, error) {
 		if e.elem != nil {
 			c.lru.MoveToBack(e.elem)
 		}
+		e.last = c.epoch
 		c.hits++
 		c.mu.Unlock()
 		<-e.done
 		return e.slab, e.err
 	}
-	e := &traceEntry{key: key, done: make(chan struct{})}
+	e := &traceEntry{key: key, done: make(chan struct{}), born: c.epoch, last: c.epoch}
 	c.entries[key] = e
 	c.misses++
 	c.mu.Unlock()
 
 	slab, err := trace.EncodeStream(gen())
+	keep := err == nil && int64(len(slab)) <= c.budget
+	if keep && cap(slab) != len(slab) {
+		// EncodeStream hands back its grown buffer; retain only the bytes.
+		exact := make([]byte, len(slab))
+		copy(exact, slab)
+		slab = exact
+	}
 	e.slab, e.err = slab, err
 
 	c.mu.Lock()
-	if err != nil || int64(len(slab)) > c.budget {
+	if !keep {
 		delete(c.entries, key)
 	} else {
 		e.elem = c.lru.PushBack(e)
 		c.total += int64(len(slab))
 		for c.total > c.budget {
-			oldest := c.lru.Remove(c.lru.Front()).(*traceEntry)
-			oldest.elem = nil
-			delete(c.entries, oldest.key)
-			c.total -= int64(len(oldest.slab))
-			c.evictions++
+			c.evict(c.lru.Front().Value.(*traceEntry))
 		}
 	}
 	c.mu.Unlock()
 	close(e.done)
 	return slab, err
+}
+
+// AdvanceEpoch starts a new epoch and drops the ready slabs that no
+// caller touched after the epoch that generated them, once that epoch is
+// two or more behind (see TraceCache). Drops count as evictions; entries
+// still generating are never dropped. A nil cache does nothing.
+func (c *TraceCache) AdvanceEpoch() {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.epoch++
+	for el := c.lru.Front(); el != nil; {
+		e := el.Value.(*traceEntry)
+		el = el.Next()
+		if e.last == e.born && c.epoch-e.last >= 2 {
+			c.evict(e)
+		}
+	}
+}
+
+// evict drops a ready entry. Callers hold mu.
+func (c *TraceCache) evict(e *traceEntry) {
+	c.lru.Remove(e.elem)
+	e.elem = nil
+	delete(c.entries, e.key)
+	c.total -= int64(len(e.slab))
+	c.evictions++
 }
 
 // Stats snapshots the cache gauges. A nil cache reports zeros.

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -179,5 +180,119 @@ func TestTraceCacheDisabled(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Fatal("nil cache Len != 0")
+	}
+	c.AdvanceEpoch() // a no-op, not a panic
+}
+
+func TestTraceCacheEpochRetention(t *testing.T) {
+	c := NewTraceCache(1 << 20)
+	slab := func(key string) {
+		t.Helper()
+		if _, err := c.Slab(key, func() trace.Source { return cacheTestTrace(len(key)).Source() }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.AdvanceEpoch()
+	slab("once")
+	slab("reused")
+	c.AdvanceEpoch() // the next job: both survive one epoch
+	if st := c.Stats(); st.Entries != 2 || st.Evictions != 0 {
+		t.Fatalf("after one epoch: %+v", st)
+	}
+	slab("reused") // touched by a later epoch
+	c.AdvanceEpoch()
+	st := c.Stats()
+	if st.Entries != 1 || st.Evictions != 1 {
+		t.Fatalf("after two epochs, want only the reused slab kept and one eviction: %+v", st)
+	}
+	for i := 0; i < 3; i++ {
+		c.AdvanceEpoch()
+	}
+	slab("reused")
+	if got := c.Stats(); got.Misses != st.Misses || got.Evictions != 1 {
+		t.Fatalf("reused slab dropped by later epochs: %+v", got)
+	}
+	slab("once")
+	if got := c.Stats().Misses; got != st.Misses+1 {
+		t.Fatalf("dropped slab still served: misses %d -> %d", st.Misses, got)
+	}
+}
+
+// blockingSource waits for release before yielding its trace.
+type blockingSource struct {
+	started chan<- struct{}
+	release <-chan struct{}
+	src     trace.Source
+}
+
+func (b *blockingSource) Next() (trace.Packet, bool, error) {
+	if b.started != nil {
+		close(b.started)
+		b.started = nil
+		<-b.release
+	}
+	return b.src.Next()
+}
+
+func TestTraceCacheEpochSparesInFlight(t *testing.T) {
+	c := NewTraceCache(1 << 20)
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan []byte)
+	go func() {
+		slab, err := c.Slab("slow", func() trace.Source {
+			return &blockingSource{started: started, release: release, src: cacheTestTrace(0).Source()}
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		done <- slab
+	}()
+	<-started
+	for i := 0; i < 3; i++ {
+		c.AdvanceEpoch()
+	}
+	close(release)
+	if slab := <-done; !bytes.Equal(slab, slabFor(t, 0)) {
+		t.Fatal("in-flight generation returned a wrong slab")
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Evictions != 0 {
+		t.Fatalf("generation that outlived its epochs was not retained: %+v", st)
+	}
+	// Once ready, it is old scan traffic like any other.
+	c.AdvanceEpoch()
+	if st := c.Stats(); st.Entries != 0 || st.Evictions != 1 {
+		t.Fatalf("stale one-shot slab kept: %+v", st)
+	}
+}
+
+func TestTraceCacheRetainsExactCapacity(t *testing.T) {
+	big := make(trace.Trace, 30000)
+	for i := range big {
+		big[i] = trace.Packet{T: time.Duration(i) * 37 * time.Millisecond, Dir: trace.Direction(i % 2), Size: 40 + i%1400}
+	}
+	raw, err := trace.EncodeStream(big.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(raw) == len(raw) {
+		t.Fatal("fixture too small: the encoder's buffer has no slack to trim")
+	}
+	c := NewTraceCache(1 << 20)
+	for i := 0; i < 3; i++ {
+		if _, err := c.Slab(fmt.Sprint(i), func() trace.Source { return big.Source() }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*traceEntry)
+		if cap(e.slab) != len(e.slab) || !bytes.Equal(e.slab, raw) {
+			t.Fatalf("slab %q: len %d cap %d, want an exact copy of the %d encoded bytes",
+				e.key, len(e.slab), cap(e.slab), len(raw))
+		}
+	}
+	if c.total != int64(3*len(raw)) {
+		t.Fatalf("charged %d bytes, want %d", c.total, 3*len(raw))
 	}
 }

@@ -278,9 +278,12 @@ type Config struct {
 	// cohort traffic across cells, jobs and runners, so a sweep
 	// synthesizes each user's trace once — single-flight across
 	// concurrent cells — instead of once per replay (default 32 MiB,
-	// roughly 10M packets encoded; negative disables). Results are
-	// unchanged: the codec round-trips bit-exactly and replaying the
-	// slab is byte-identical to streaming the same seed.
+	// roughly 10M packets encoded; negative disables). Each job start
+	// also drops the slabs that only the job before last touched, so jobs
+	// with fresh seeds do not fill the budget with traffic nobody
+	// replays; a slab a later job touches stays under the LRU budget.
+	// Results are unchanged: the codec round-trips bit-exactly and
+	// replaying the slab is byte-identical to streaming the same seed.
 	TraceCacheBytes int64
 
 	// runFleet overrides the fleet call in tests; nil means the real one.
@@ -580,6 +583,7 @@ func (m *Manager) runJob(job *Job) {
 	spec := job.spec
 	cells := job.cells
 	job.mu.Unlock()
+	m.traces.AdvanceEpoch()
 	newCellExec(m, job, spec, cells).run()
 }
 

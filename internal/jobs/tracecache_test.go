@@ -151,3 +151,50 @@ func TestTraceCacheBudgetAdmission(t *testing.T) {
 	defer m.Close()
 	assertSameResult(t, want, runSpec(t, m, spec))
 }
+
+// TestTraceCacheJobRetention pins the cache's retention across jobs with
+// the result and cell caches out of the way, so every submission runs:
+// resubmitting one spec generates nothing after the first job (each job
+// touches the previous job's slabs, so they stay), and a run of
+// fresh-seed jobs holds at most two jobs' worth of users, because each
+// job start drops the slabs only the job before last touched.
+func TestTraceCacheJobRetention(t *testing.T) {
+	const users = 2 // study-3g fixture population
+	spec := func(seed int64) Spec {
+		return Spec{Seed: seed, Shards: 2,
+			Schemes:  traceCacheSchemes,
+			Profiles: resumeProfiles[:1],
+			Cohorts:  resumeCohorts[:1],
+		}
+	}
+	newManager := func() *Manager {
+		return NewManager(Config{Runners: 1, Workers: 2, CacheSize: -1, CellCacheSize: -1})
+	}
+
+	t.Run("resubmit", func(t *testing.T) {
+		m := newManager()
+		defer m.Close()
+		for i := 0; i < 4; i++ {
+			runSpec(t, m, spec(41))
+		}
+		if st := m.TraceCacheStats(); st.Misses != users || st.Evictions != 0 || st.Entries != users {
+			t.Fatalf("resubmitted spec regenerated or lost its traffic: %+v", st)
+		}
+	})
+
+	t.Run("fresh-seeds", func(t *testing.T) {
+		m := newManager()
+		defer m.Close()
+		const jobs = 5
+		for i := 1; i <= jobs; i++ {
+			runSpec(t, m, spec(int64(100+i)))
+			if st := m.TraceCacheStats(); st.Entries > 2*users {
+				t.Fatalf("after job %d the cache holds %d slabs, want at most %d: %+v", i, st.Entries, 2*users, st)
+			}
+		}
+		st := m.TraceCacheStats()
+		if st.Misses != jobs*users || st.Evictions != (jobs-2)*users {
+			t.Fatalf("want %d generations and %d drops: %+v", jobs*users, (jobs-2)*users, st)
+		}
+	})
+}

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"math"
+	"slices"
 	"time"
 
 	"repro/internal/energy"
@@ -30,11 +32,46 @@ import (
 //
 // Every energy term above is a pure function of the profile and either a
 // windowed gap or a fixed grid wait, so the implementation precomputes
-// them — per gap at Observe time, per candidate wait at construction —
-// and Decide reduces to compare-and-add over the window. The summation
-// order (window order, oldest gap first) and every individual term are
-// unchanged, so the chosen waits are bit-identical to evaluating the
-// energy functions inline.
+// them — per gap at Observe time, per candidate wait at construction.
+//
+// Decide returns exactly the wait of the direct evaluation, which sums
+// each candidate's expectation over the whole window (oldest gap first)
+// and keeps the first wait with the largest strictly positive gain. It
+// gets there in O(window + grid) per packet by filtering first:
+//
+//  1. Observe also stores each gap's grid bucket, found by binary search
+//     over the integer grid, so "gap <= grid[i]" is "bucket <= i".
+//  2. One pass over the window, in window order, computes E[E_no_switch]
+//     exactly as the direct evaluation does, plus per-bucket sample counts
+//     and TailJ sums.
+//  3. A prefix pass over the grid approximates each candidate's window
+//     sum as Σ_{b<=i} TailJ + (n - count_{<=i})·(TailJ(w)+Eswitch).
+//  4. Every term is >= 0, so both the direct left-to-right sum and this
+//     regrouped one lie within γ_K·S of the exact real sum S, where
+//     γ_K = K·u/(1-K·u), u = 2^-53 and K bounds the roundings any term
+//     passes through (n-1 for the direct sum, n + len(grid) + 2 for the
+//     regrouped one). Scaling the approximation by a rounded 1/n and
+//     widening it by ε = (2n + len(grid) + 8)·2^-52 — more than twice
+//     both bounds plus the roundings of that scaling and of the direct
+//     evaluation's division — and by 2^-1022 for underflow gives floats
+//     L <= E_wait <= H around the direct evaluation's E[E_wait_switch].
+//     Because rounding is monotone, eNoSwitch - L and eNoSwitch - H
+//     bound its computed gain from above and below.
+//  5. The candidates are the waits whose gain upper bound is > 0 and
+//     >= max(0, the largest lower bound). If there is just one and that
+//     largest lower bound is > 0, the candidate is the wait holding it,
+//     and it wins. Otherwise the candidates are evaluated directly, in
+//     grid order, with the direct loop's strict comparison from a zero
+//     best.
+//
+// A non-candidate either has gain <= 0, which the strict comparison never
+// accepts, or gain below another wait's lower bound, so it is not the
+// maximum; dropping such waits changes neither the maximum nor the first
+// wait attaining it. The chosen waits are therefore bit-identical to the
+// direct evaluation's (the summation order and every term are unchanged),
+// which internal/policy's differential tests check against a verbatim
+// copy of it. On real traffic one candidate survives nearly every packet,
+// so Decide seldom evaluates a wait directly.
 type MakeIdle struct {
 	profile   power.Profile
 	threshold time.Duration
@@ -60,14 +97,26 @@ type MakeIdle struct {
 	satGapJ float64
 	tail    time.Duration
 
+	// Decide's scratch: per-bucket sample counts and TailJ sums over the
+	// window (len(grid)+1 buckets), and each grid wait's approximate
+	// E[E_wait_switch].
+	bucketN []int
+	bucketJ []float64
+	approx  []float64
+	// evals counts the direct per-wait evaluations Decide has run.
+	evals uint64
+
 	lastWait time.Duration
 }
 
-// gapSample is one windowed inter-arrival with its memoized energy terms.
+// gapSample is one windowed inter-arrival with its memoized energy terms
+// and its grid bucket: the smallest i with grid[i] >= gap (len(grid) when
+// the gap exceeds every wait), so gap <= grid[i] exactly when bucket <= i.
 type gapSample struct {
-	gap   time.Duration
-	tailJ float64
-	gapJ  float64
+	gap    time.Duration
+	tailJ  float64
+	gapJ   float64
+	bucket int
 }
 
 // MakeIdleOption customizes construction.
@@ -144,6 +193,9 @@ func NewMakeIdle(p power.Profile, opts ...MakeIdleOption) (*MakeIdle, error) {
 		satGapJ:   energy.TailJ(&p, p.Tail()) + eswitch,
 		tail:      p.Tail(),
 		ring:      make([]gapSample, cfg.windowSize),
+		bucketN:   make([]int, cfg.gridSteps+1),
+		bucketJ:   make([]float64, cfg.gridSteps+1),
+		approx:    make([]float64, cfg.gridSteps),
 		minSample: cfg.minSample,
 		paperExp:  cfg.paperExp,
 		lastWait:  Never,
@@ -164,14 +216,15 @@ func (m *MakeIdle) WindowLen() int { return m.count }
 func (m *MakeIdle) LastWait() time.Duration { return m.lastWait }
 
 // Observe implements DemotePolicy: slide the window forward, memoizing the
-// gap's two energy terms so Decide never re-evaluates them.
+// gap's two energy terms and grid bucket so Decide never re-evaluates them.
 func (m *MakeIdle) Observe(gap time.Duration) {
 	tj := energy.TailJ(&m.profile, gap)
 	gj := tj
 	if gap > m.tail {
 		gj = m.satGapJ
 	}
-	m.ring[m.head] = gapSample{gap: gap, tailJ: tj, gapJ: gj}
+	b, _ := slices.BinarySearch(m.grid, gap) // smallest b with grid[b] >= gap
+	m.ring[m.head] = gapSample{gap: gap, tailJ: tj, gapJ: gj, bucket: b}
 	m.head = (m.head + 1) % len(m.ring)
 	if m.count < len(m.ring) {
 		m.count++
@@ -199,42 +252,98 @@ func (m *MakeIdle) Decide(time.Duration) time.Duration {
 		return Never
 	}
 	wa, wb := m.window()
-	// Expected status-quo energy for a gap drawn from the window.
+	// One pass in window order: the expected status-quo energy for a gap
+	// drawn from the window (summed in the order the chosen waits have
+	// always depended on) and the per-bucket statistics for the filter.
 	n := float64(m.count)
+	clear(m.bucketN)
+	clear(m.bucketJ)
 	var eNoSwitch float64
-	for i := range wa {
-		eNoSwitch += wa[i].gapJ
-	}
-	for i := range wb {
-		eNoSwitch += wb[i].gapJ
+	for _, span := range [2][]gapSample{wa, wb} {
+		for k := range span {
+			s := &span[k]
+			eNoSwitch += s.gapJ
+			m.bucketN[s.bucket]++
+			m.bucketJ[s.bucket] += s.tailJ
+		}
 	}
 	eNoSwitch /= n
 
 	bestWait := Never
 	bestGain := 0.0 // only accept strictly positive expected gain
-	for i, w := range m.grid {
-		var eWait float64
-		if m.paperExp {
-			// Paper's literal eq.: Eswitch + E(t_wait), unconditionally.
-			eWait = m.gridCost[i]
-		} else {
-			wcost := m.gridCost[i]
-			for k := range wa {
-				if wa[k].gap <= w {
-					eWait += wa[k].tailJ
-				} else {
-					eWait += wcost
-				}
+	if m.paperExp {
+		// Paper's literal eq.: Eswitch + E(t_wait), unconditionally.
+		for i, w := range m.grid {
+			if gain := eNoSwitch - m.gridCost[i]; gain > bestGain {
+				bestGain = gain
+				bestWait = w
 			}
-			for k := range wb {
-				if wb[k].gap <= w {
-					eWait += wb[k].tailJ
-				} else {
-					eWait += wcost
-				}
-			}
-			eWait /= n
 		}
+		m.lastWait = bestWait
+		return bestWait
+	}
+
+	// Prefix pass: approximate each grid wait's window sum, scaled to the
+	// expectation; the smallest one gives the largest gain lower bound.
+	eps := float64(2*m.count+len(m.grid)+8) * 0x1p-52
+	inv := 1 / n
+	minApprox := math.Inf(1)
+	var sumJ float64
+	sumN := 0
+	for i := range m.grid {
+		sumJ += m.bucketJ[i]
+		sumN += m.bucketN[i]
+		a := (sumJ + float64(m.count-sumN)*m.gridCost[i]) * inv
+		m.approx[i] = a
+		minApprox = min(minApprox, a)
+	}
+	maxLo := max(0, eNoSwitch-(minApprox*(1+eps)+0x1p-1022))
+
+	// Candidates: every wait that might win or tie (see the type comment).
+	// When only one remains and some wait's gain is surely positive, the
+	// candidate is that wait and it wins outright.
+	candidate := func(a float64) bool {
+		hi := eNoSwitch - (a*(1-eps) - 0x1p-1022)
+		return hi > 0 && hi >= maxLo
+	}
+	cands, first := 0, 0
+	for i, a := range m.approx {
+		if candidate(a) {
+			if cands == 0 {
+				first = i
+			}
+			cands++
+		}
+	}
+	if cands == 1 && maxLo > 0 {
+		m.lastWait = m.grid[first]
+		return m.grid[first]
+	}
+
+	// Exact fallback over the candidates, in grid order: the per-wait sum
+	// in window order, unchanged.
+	for i, w := range m.grid {
+		if !candidate(m.approx[i]) {
+			continue
+		}
+		m.evals++
+		var eWait float64
+		wcost := m.gridCost[i]
+		for k := range wa {
+			if wa[k].gap <= w {
+				eWait += wa[k].tailJ
+			} else {
+				eWait += wcost
+			}
+		}
+		for k := range wb {
+			if wb[k].gap <= w {
+				eWait += wb[k].tailJ
+			} else {
+				eWait += wcost
+			}
+		}
+		eWait /= n
 		if gain := eNoSwitch - eWait; gain > bestGain {
 			bestGain = gain
 			bestWait = w
