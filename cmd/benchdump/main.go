@@ -9,8 +9,7 @@
 //	go run ./cmd/benchdump -check BENCH_grid.json   # CI regression gate
 //
 // The baseline file is a JSON array with one record per registered
-// benchmark (a legacy single-object file still parses as a one-entry
-// baseline). -check validates every entry: it fails (exit 1) when any
+// benchmark. -check validates every entry: it fails (exit 1) when any
 // benchmark's throughput falls below -min-throughput times its baseline or
 // its allocations per cell exceed -max-allocs times it. A slow or noisy
 // machine can depress throughput without any code regression, so failed
@@ -22,7 +21,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -174,23 +172,16 @@ func checkBench(def benchDef, base baseline, measure time.Duration, warmup, retr
 	}
 }
 
-// readBaselines parses the baseline file: a JSON array of records, or the
-// legacy single-object format (treated as a one-entry baseline).
+// readBaselines parses the baseline file: a non-empty JSON array of
+// records.
 func readBaselines(path string) ([]baseline, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if bytes.HasPrefix(bytes.TrimSpace(raw), []byte("{")) {
-		var one baseline
-		if err := json.Unmarshal(raw, &one); err != nil {
-			return nil, fmt.Errorf("parse %s: %w", path, err)
-		}
-		return []baseline{one}, nil
-	}
 	var many []baseline
 	if err := json.Unmarshal(raw, &many); err != nil {
-		return nil, fmt.Errorf("parse %s: %w", path, err)
+		return nil, fmt.Errorf("parse %s: %w; the file must be a JSON array of records, refresh it with -out", path, err)
 	}
 	if len(many) == 0 {
 		return nil, fmt.Errorf("%s holds no baseline records; refresh it with -out", path)

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -45,7 +46,7 @@ func TestFlagStructCoversFlagSet(t *testing.T) {
 	registerFlags(fs)
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	const fields = 12 // fields of daemonFlags
+	fields := reflect.TypeOf(daemonFlags{}).NumField()
 	if n != fields {
 		t.Fatalf("registerFlags declared %d flags, daemonFlags has %d fields — keep them in one place",
 			n, fields)

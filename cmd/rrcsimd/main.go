@@ -16,7 +16,6 @@
 //	                                 # cells concurrently under one worker
 //	                                 # budget; results are byte-identical
 //	                                 # at any setting)
-//	rrcsimd -profile "att-hspa+"     # default profile for flat payloads
 //	rrcsimd -pprof localhost:6060    # profiling endpoints on a side listener
 //	rrcsimd -store-dir /var/lib/rrcsim/cells -store-max-bytes 1073741824
 //	                                 # durable cell store: finished grid
@@ -30,13 +29,11 @@
 //	                                 # replay (<= 0 disables; results are
 //	                                 # byte-identical either way)
 //
-// Then, from any HTTP client (the API is versioned under /v1; the
-// pre-versioning paths without the prefix remain as aliases):
+// Then, from any HTTP client (the API is versioned under /v1):
 //
 //	curl -s localhost:8080/v1/policies                 # discover policies + knobs
 //	curl -s localhost:8080/v1/profiles                 # discover carrier profiles + knobs
 //	curl -s localhost:8080/v1/workloads                # discover cohort families + knobs
-//	curl -s localhost:8080/v1/jobs -d '{"users": 1000, "seed": 1, "duration": "4h"}'
 //	curl -s localhost:8080/v1/jobs -d '{"seed": 1, "schemes": [
 //	  {"policy": {"name": "makeidle"}},
 //	  {"policy": {"name": "fixedtail", "params": {"wait": "2s"}}}],
@@ -68,7 +65,6 @@ import (
 	"time"
 
 	"repro/internal/jobs"
-	"repro/internal/power"
 	"repro/internal/server"
 	"repro/internal/store"
 )
@@ -92,7 +88,6 @@ type daemonFlags struct {
 	cellCache  *int
 	runners    *int
 	cellPar    *int
-	profile    *string
 	pprofAddr  *string
 	storeDir   *string
 	storeMax   *int64
@@ -109,7 +104,6 @@ func registerFlags(fs *flag.FlagSet) *daemonFlags {
 		cellCache:  fs.Int("cell-cache-size", 1024, "grid cell cache entries (LRU; negative disables)"),
 		runners:    fs.Int("runners", 1, "jobs executing concurrently (each parallelizes internally)"),
 		cellPar:    fs.Int("cell-parallel", 0, "grid cells in flight per job (0 = up to the worker budget, 1 = sequential; never changes results)"),
-		profile:    fs.String("profile", "", "default carrier profile for legacy flat payloads that name none (see GET /v1/profiles)"),
 		pprofAddr:  fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)"),
 		storeDir:   fs.String("store-dir", "", "directory for the durable cell store (empty disables; created if missing)"),
 		storeMax:   fs.Int64("store-max-bytes", 0, "cell store payload budget in bytes (LRU eviction; 0 = unbounded)"),
@@ -133,7 +127,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		cellCache  = f.cellCache
 		runners    = f.runners
 		cellPar    = f.cellPar
-		profile    = f.profile
 		pprofAddr  = f.pprofAddr
 		storeDir   = f.storeDir
 		storeMax   = f.storeMax
@@ -146,14 +139,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	traceCacheBytes := *f.traceCache
 	if traceCacheBytes <= 0 {
 		traceCacheBytes = -1
-	}
-	// A misconfigured default profile must fail at boot, not surface as a
-	// client-attributable 400 on every legacy submission.
-	if *profile != "" {
-		if _, ok := power.ByName(*profile); !ok {
-			return fmt.Errorf("unknown -profile %q\nvalid profiles:\n%s",
-				*profile, power.Default().Usage())
-		}
 	}
 
 	// The store opens before the manager and closes after it: the manager
@@ -179,7 +164,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		Runners:         *runners,
 		Workers:         *parallel,
 		CellParallel:    *cellPar,
-		DefaultProfile:  *profile,
 		Store:           cellStore,
 		TraceCacheBytes: traceCacheBytes,
 	})
@@ -216,7 +200,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: server.New(manager)}
+	srv := apiServer(server.New(manager))
 
 	errCh := make(chan error, 1)
 	go func() {
@@ -245,6 +229,21 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		defer pprofSrv.Shutdown(shutdownCtx)
 	}
 	return srv.Shutdown(shutdownCtx)
+}
+
+// API listener timeouts: a client that trickles its request headers, or
+// parks an idle keep-alive connection, is cut off instead of holding a
+// connection forever. There is deliberately no WriteTimeout, because
+// /v1/jobs/{id}/stream stays open for as long as the job runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// apiServer wraps the API handler in an http.Server with the listener
+// timeouts applied.
+func apiServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 func fatal(err error) {

@@ -72,7 +72,9 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 
 	resp, err := http.Post(base+"/v1/jobs", "application/json",
-		strings.NewReader(`{"users": 2, "seed": 9, "duration": "5m", "shards": 2}`))
+		strings.NewReader(`{"seed": 9, "shards": 2,
+			"schemes": [{"policy": {"name": "makeidle"}}], "profiles": [{"name": "verizon-3g"}],
+			"cohorts": [{"name": "study-3g", "params": {"users": 2, "duration": "5m"}}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,36 +179,14 @@ func TestDaemonPprofFlag(t *testing.T) {
 	}
 }
 
-// TestDaemonDefaultProfileFlag: -profile sets the default carrier for
-// legacy flat payloads that name none.
-func TestDaemonDefaultProfileFlag(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	base, errCh := startDaemon(t, ctx,
-		[]string{"-addr", "127.0.0.1:0", "-profile", "att-hspa+"})
-	resp, err := http.Post(base+"/v1/jobs", "application/json",
-		strings.NewReader(`{"users": 1, "seed": 3, "duration": "5m"}`))
-	if err != nil {
-		t.Fatal(err)
+// TestAPIServerTimeouts: the API listener bounds header reads and idle
+// keep-alives, and sets no WriteTimeout so /stream can outlive any bound.
+func TestAPIServerTimeouts(t *testing.T) {
+	srv := apiServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != 10*time.Second || srv.IdleTimeout != 120*time.Second {
+		t.Fatalf("ReadHeaderTimeout %v, IdleTimeout %v; want 10s, 2m0s", srv.ReadHeaderTimeout, srv.IdleTimeout)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit returned %d: %s", resp.StatusCode, body)
-	}
-	var st struct {
-		Spec struct {
-			Profile string `json:"profile"`
-		} `json:"spec"`
-	}
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Spec.Profile != "att-hspa+" {
-		t.Fatalf("default profile not applied: %q", st.Spec.Profile)
-	}
-	cancel()
-	if err := <-errCh; err != nil {
-		t.Fatalf("shutdown returned %v", err)
+	if srv.WriteTimeout != 0 || srv.ReadTimeout != 0 {
+		t.Fatalf("WriteTimeout %v, ReadTimeout %v; want none (streams are long-lived)", srv.WriteTimeout, srv.ReadTimeout)
 	}
 }

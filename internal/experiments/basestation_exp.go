@@ -124,7 +124,7 @@ func LifetimeEstimate(cfg Config) (string, error) {
 	// the radio's share to the 2G/14h vs 3G/6.7h gap.
 	totalMW := b.EnergyJ() / (6.7 * 3600) * 1000
 	const radioShare = 0.52
-	for _, prof := range power.Carriers() {
+	for _, prof := range carriers {
 		savings, _, err := CarrierResults(prof, cfg)
 		if err != nil {
 			return "", err

@@ -35,7 +35,7 @@ func Table2(Config) (string, error) {
 	t := report.NewTable("Table 2: power and inactivity timer values",
 		"Network", "Psnd(mW)", "Prcv(mW)", "Pt1(mW)", "Pt2(mW)", "t1(s)", "t2(s)",
 		"Eswitch(J)", "t_threshold(s)")
-	for _, p := range power.Carriers() {
+	for _, p := range carriers {
 		p := p
 		t.AddRowf(p.Name, p.SendMW, p.RecvMW, p.T1MW, p.T2MW,
 			p.T1.Seconds(), p.T2.Seconds(), p.SwitchJ(), energy.Threshold(&p).Seconds())

@@ -173,7 +173,6 @@ func Table3(cfg Config) (string, error) {
 	cfg = cfg.withDefaults()
 	users := workload.Verizon3GUsers()
 	traces, seeds := userTraces(users, cfg.Seed, cfg.UserDuration)
-	carriers := power.Carriers()
 
 	comb := fleet.CombinedScheme()
 	var jobs []fleet.Job

@@ -127,33 +127,16 @@ func CarrierResults(prof power.Profile, cfg Config) (map[string]float64, map[str
 	return savings, ratios, nil
 }
 
-// carrierProfiles returns the four Table 2 carriers as registry-resolved
-// profiles in figure order, keeping the paper display names as labels.
-func carrierProfiles() ([]power.Profile, error) {
-	reg := power.Default()
-	profs := make([]power.Profile, 0, len(reg.Aliases()))
-	for _, display := range []string{
-		power.TMobile3G.Name, power.ATTHSPAPlus.Name, power.Verizon3G.Name, power.VerizonLTE.Name,
-	} {
-		prof, err := power.ProfileSpec{Label: display, Name: display}.Profile(reg)
-		if err != nil {
-			return nil, err
-		}
-		profs = append(profs, prof)
-	}
-	return profs, nil
-}
+// carriers lists the four Table 2 profiles in the order the paper's
+// cross-carrier figures (17 and 18) use.
+var carriers = []power.Profile{power.TMobile3G, power.ATTHSPAPlus, power.Verizon3G, power.VerizonLTE}
 
 // Fig17 regenerates Figure 17: mean energy saved per carrier per scheme.
 func Fig17(cfg Config) (string, error) {
 	cfg = cfg.withDefaults()
 	headers := append([]string{"Carrier"}, SchemeNames()...)
 	t := report.NewTable("Figure 17: energy saved for different carrier parameters (%)", headers...)
-	profs, err := carrierProfiles()
-	if err != nil {
-		return "", err
-	}
-	for _, prof := range profs {
+	for _, prof := range carriers {
 		savings, _, err := CarrierResults(prof, cfg)
 		if err != nil {
 			return "", fmt.Errorf("fig17 %s: %w", prof.Name, err)
@@ -173,11 +156,7 @@ func Fig18(cfg Config) (string, error) {
 	cfg = cfg.withDefaults()
 	headers := append([]string{"Carrier"}, SchemeNames()...)
 	t := report.NewTable("Figure 18: state switches normalized by status quo", headers...)
-	profs, err := carrierProfiles()
-	if err != nil {
-		return "", err
-	}
-	for _, prof := range profs {
+	for _, prof := range carriers {
 		_, ratios, err := CarrierResults(prof, cfg)
 		if err != nil {
 			return "", fmt.Errorf("fig18 %s: %w", prof.Name, err)

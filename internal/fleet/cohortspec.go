@@ -113,19 +113,3 @@ func ResolveCohort(r *workload.CohortRegistry, cs CohortSpec, seed int64, opts *
 		Canonical: c.CacheKeyBase,
 	}, nil
 }
-
-// LegacyCohortSpec maps the flat legacy population fields (a bare Users
-// int plus job-level duration and diurnal flags) to a CohortSpec on the
-// historical default family — the Verizon 3G study mixes — so flat
-// payloads and their explicit cohort form resolve, encode and fingerprint
-// identically.
-func LegacyCohortSpec(users int, duration string, diurnal bool) CohortSpec {
-	return CohortSpec{
-		Name: "study-3g",
-		Params: map[string]any{
-			"users":    users,
-			"duration": duration,
-			"diurnal":  diurnal,
-		},
-	}
-}

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/policy"
@@ -9,20 +8,12 @@ import (
 	"repro/internal/trace"
 )
 
-// Legacy flat policy names, kept as the canonical spellings every
-// pre-registry surface accepted (CLI flags, flat job payloads). Each is
-// either a canonical schema name or a registered alias in
-// policy.Default(); LegacySchemeSpec maps them to parameterized specs.
+// Registered active-policy names the scheme helpers special-case: "none"
+// (no batching, the default) and "fix" (the trace-fitted MakeActive that
+// inherits the session burst gap).
 const (
-	PolicyStatusQuo = "statusquo"
-	PolicyFourFive  = "4.5s"
-	Policy95IAT     = "95iat"
-	PolicyOracle    = "oracle"
-	PolicyMakeIdle  = "makeidle"
-
-	ActiveNone  = "none"
-	ActiveLearn = "learn"
-	ActiveFix   = "fix"
+	ActiveNone = "none"
+	ActiveFix  = "fix"
 )
 
 // SchemeSpec is the declarative form of a Scheme: a demote policy spec,
@@ -75,7 +66,7 @@ func (ss SchemeSpec) ResolvedLabel(reg *policy.Registry) (string, error) {
 }
 
 // Canonical returns the byte-stable encoding of the scheme spec —
-// "label|demoteCanonical|activeCanonical" — which feeds the v3 job
+// "label|demoteCanonical|activeCanonical" — which feeds the v4 job
 // fingerprint: stable across param-map ordering, alias spelling and
 // omitted defaults; changed by any parameter value or label change.
 func (ss SchemeSpec) Canonical(reg *policy.Registry) (string, error) {
@@ -162,10 +153,9 @@ func SchemeFromSpec(reg *policy.Registry, ss SchemeSpec) (Scheme, error) {
 // WithFixBurstGap injects a session-level burst gap into an active spec
 // that names the trace-fitted "fix" policy without pinning its own
 // burstgap parameter. Every surface that carries a job/CLI burst-gap knob
-// (rrcsim's -burstgap flag, jobs.Spec.BurstGap, the legacy flat-name
-// mapping) threads it through this one helper, so the inheritance rule
-// cannot drift between surfaces. The caller's param map is copied, never
-// mutated.
+// (rrcsim's -burstgap flag, jobs.Spec.BurstGap) threads it through this
+// one helper, so the inheritance rule cannot drift between surfaces. The
+// caller's param map is copied, never mutated.
 func WithFixBurstGap(spec policy.Spec, burstGap time.Duration) policy.Spec {
 	if spec.Name != ActiveFix || burstGap <= 0 {
 		return spec
@@ -180,34 +170,4 @@ func WithFixBurstGap(spec policy.Spec, burstGap time.Duration) policy.Spec {
 	}
 	spec.Params = params
 	return spec
-}
-
-// LegacySchemeSpec maps flat legacy names (plus the shared burst-gap knob,
-// which pre-registry surfaces threaded into the trace-fitted MakeActive)
-// to a SchemeSpec with the legacy label "pol" or "pol+act" — so flat-name
-// payloads keep their historical summary keys, byte for byte. The names
-// are not validated here; resolution reports unknown ones with the
-// registry's accepted list.
-func LegacySchemeSpec(polName, actName string, burstGap time.Duration) SchemeSpec {
-	if actName == "" {
-		actName = ActiveNone
-	}
-	ss := SchemeSpec{Label: polName, Policy: policy.Spec{Name: polName}}
-	if actName != ActiveNone {
-		ss.Label = polName + "+" + actName
-		active := WithFixBurstGap(policy.Spec{Name: actName}, burstGap)
-		ss.Active = &active
-	}
-	return ss
-}
-
-// NamedScheme resolves a legacy flat name pair through the default
-// registry — the one-call form of
-// SchemeFromSpec(policy.Default(), LegacySchemeSpec(...)).
-func NamedScheme(polName, actName string, burstGap time.Duration) (Scheme, error) {
-	s, err := SchemeFromSpec(policy.Default(), LegacySchemeSpec(polName, actName, burstGap))
-	if err != nil {
-		return Scheme{}, fmt.Errorf("fleet: %w", err)
-	}
-	return s, nil
 }

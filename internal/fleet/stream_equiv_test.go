@@ -76,10 +76,7 @@ func TestStreamedCohortMatchesMaterialized(t *testing.T) {
 // TestFitTraceSchemeStreams: a trace-fitted scheme (95% IAT) on Source
 // jobs materializes in-worker and still matches the slice-backed run.
 func TestFitTraceSchemeStreams(t *testing.T) {
-	scheme, err := fleet.NamedScheme(fleet.Policy95IAT, fleet.ActiveNone, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scheme := registryScheme(t, "95iat", "")
 	if !scheme.FitTrace {
 		t.Fatal("95iat scheme not marked trace-fitted")
 	}
@@ -144,16 +141,27 @@ func TestFitPassSeesTraceThenReplayStreams(t *testing.T) {
 // TestOnlineSchemesNotMarkedFitted: the fleet-scale schemes stay
 // streaming-eligible.
 func TestOnlineSchemesNotMarkedFitted(t *testing.T) {
-	for _, name := range []string{fleet.PolicyStatusQuo, fleet.PolicyFourFive, fleet.PolicyOracle, fleet.PolicyMakeIdle} {
-		s, err := fleet.NamedScheme(name, fleet.ActiveLearn, time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.FitTrace {
+	for _, name := range []string{"statusquo", "4.5s", "oracle", "makeidle"} {
+		if registryScheme(t, name, "learn").FitTrace {
 			t.Errorf("%s+learn wrongly marked trace-fitted", name)
 		}
 	}
-	if s, _ := fleet.NamedScheme(fleet.PolicyMakeIdle, fleet.ActiveFix, time.Second); !s.FitTrace {
+	if !registryScheme(t, "makeidle", fleet.ActiveFix).FitTrace {
 		t.Error("active=fix not marked trace-fitted")
 	}
+}
+
+// registryScheme resolves a demote policy name plus an optional active
+// policy name through the default registry.
+func registryScheme(t *testing.T, demote, active string) fleet.Scheme {
+	t.Helper()
+	ss := fleet.SchemeSpec{Policy: policy.Spec{Name: demote}}
+	if active != "" {
+		ss.Active = &policy.Spec{Name: active}
+	}
+	s, err := fleet.SchemeFromSpec(policy.Default(), ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

@@ -18,15 +18,19 @@ import (
 // result cache, so this is the regression guard for axisCache.
 func TestPlanFingerprintMatchesFingerprint(t *testing.T) {
 	specs := map[string]Spec{
-		"legacy-flat": {Users: 5, Seed: 3, Duration: Duration(20 * time.Minute)},
+		"single": {Seed: 3,
+			Schemes:  []fleet.SchemeSpec{{Policy: policy.Spec{Name: "makeidle"}}},
+			Profiles: []power.ProfileSpec{{Name: "verizon-3g"}},
+			Cohorts:  []fleet.CohortSpec{{Name: "study-3g", Params: map[string]any{"users": 5, "duration": "20m"}}},
+		},
 		"grid": {
 			Seed:   1,
 			Shards: 4,
 			Schemes: []fleet.SchemeSpec{
-				{Policy: policy.Spec{Name: fleet.PolicyMakeIdle}},
+				{Policy: policy.Spec{Name: "makeidle"}},
 				{Label: "tail2s", Policy: policy.Spec{Name: "fixedtail",
 					Params: map[string]any{"wait": "2s"}}},
-				{Label: "batched", Policy: policy.Spec{Name: fleet.PolicyMakeIdle},
+				{Label: "batched", Policy: policy.Spec{Name: "makeidle"},
 					Active: &policy.Spec{Name: fleet.ActiveFix}},
 			},
 			Profiles: []power.ProfileSpec{
@@ -39,8 +43,10 @@ func TestPlanFingerprintMatchesFingerprint(t *testing.T) {
 		},
 		// Alias spelling must fingerprint as its canonical resolution.
 		"alias": {
-			Users: 2, Seed: 9,
-			Schemes: []fleet.SchemeSpec{{Policy: policy.Spec{Name: "4.5s"}}},
+			Seed:     9,
+			Schemes:  []fleet.SchemeSpec{{Policy: policy.Spec{Name: "4.5s"}}},
+			Profiles: []power.ProfileSpec{{Name: "Verizon 3G"}},
+			Cohorts:  []fleet.CohortSpec{{Name: "study-3g", Params: map[string]any{"users": 2}}},
 		},
 	}
 	for name, raw := range specs {

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/fleet"
@@ -61,47 +60,26 @@ func cohorts() *workload.CohortRegistry { return workload.Cohorts() }
 // axis encodings and equal scalar fields denote the same computation,
 // which is what makes the fingerprint a sound cache key.
 //
-// Each axis has a parameterized list form (Schemes, Profiles, Cohorts)
-// and a legacy flat form (Policy/Active, Profile, Users + Duration +
-// Diurnal). When a list is empty the flat fields are mapped through the
-// corresponding registry's aliases into an equivalent one-entry list with
-// the historical label, so pre-grid payloads keep their fingerprints and
-// summary keys. When a list is set, its flat fields are ignored.
+// Every axis value is a parameterized spec resolved against its registry;
+// alternate spellings ("95iat", "Verizon 3G") live there as aliases. Each
+// axis must hold at least one value.
 type Spec struct {
-	// Users is the legacy flat cohort size (required > 0 unless Cohorts is
-	// set). Ignored when Cohorts is set.
-	Users int `json:"users,omitempty"`
 	// Seed roots every per-user trace seed (fleet.UserSeed spacing). It is
 	// job-level state shared by every grid cell, so the same cohort axis
 	// value replays the identical population in every cell.
 	Seed int64 `json:"seed"`
-	// Duration is the legacy flat per-user trace length (default 4h).
-	// Ignored when Cohorts is set.
-	Duration Duration `json:"duration"`
-	// Diurnal is the legacy flat day/night-mask flag (default true).
-	// Ignored when Cohorts is set.
-	Diurnal *bool `json:"diurnal,omitempty"`
-	// Profile is the legacy flat carrier profile name (default
-	// "Verizon 3G"); see GET /v1/profiles for the accepted set. Ignored
-	// when Profiles is set.
-	Profile string `json:"profile,omitempty"`
-	// Schemes lists the scheme axis values. Empty means the legacy
-	// Policy/Active pair below.
-	Schemes []fleet.SchemeSpec `json:"schemes,omitempty"`
+	// Schemes lists the scheme axis values, e.g.
+	// {"policy": {"name": "makeidle"}, "active": {"name": "learn"}}; see
+	// GET /v1/policies.
+	Schemes []fleet.SchemeSpec `json:"schemes"`
 	// Profiles lists the carrier-profile axis values, e.g.
-	// {"name": "verizon-lte", "params": {"t1": "5s"}}. Empty means the
-	// flat Profile name above.
-	Profiles []power.ProfileSpec `json:"profiles,omitempty"`
+	// {"name": "verizon-lte", "params": {"t1": "5s"}}; see GET
+	// /v1/profiles.
+	Profiles []power.ProfileSpec `json:"profiles"`
 	// Cohorts lists the cohort axis values, e.g.
 	// {"name": "study-3g", "params": {"users": 1000}}; see GET
-	// /v1/workloads. Empty means the flat Users/Duration/Diurnal fields.
-	Cohorts []fleet.CohortSpec `json:"cohorts,omitempty"`
-	// Policy is the legacy flat demote-policy name (default "makeidle").
-	// Ignored when Schemes is set.
-	Policy string `json:"policy,omitempty"`
-	// Active is the legacy flat batching-policy name (default "none").
-	// Ignored when Schemes is set.
-	Active string `json:"active,omitempty"`
+	// /v1/workloads.
+	Cohorts []fleet.CohortSpec `json:"cohorts"`
 	// BurstGap is the session segmentation gap applied to every cell's
 	// replay (default 1s). It also seeds the "fix" active policy's
 	// burstgap parameter for schemes that do not set their own.
@@ -114,79 +92,26 @@ type Spec struct {
 	Shards int `json:"shards"`
 }
 
-// withDefaults returns the normalized spec: every optional field resolved
-// to its default and every legacy flat axis expanded into its list form,
-// so equal jobs normalize to equal specs.
+// withDefaults returns the normalized spec: every optional scalar
+// resolved to its default and the job burst gap threaded into the
+// schemes, so equal jobs normalize to equal specs.
 func (s Spec) withDefaults() Spec {
-	if s.Duration <= 0 {
-		s.Duration = Duration(4 * time.Hour)
-	}
-	if s.Diurnal == nil {
-		t := true
-		s.Diurnal = &t
-	}
 	if s.BurstGap <= 0 {
 		s.BurstGap = Duration(time.Second)
 	}
 	if s.Shards <= 0 {
 		s.Shards = fleet.DefaultShards
 	}
-	if len(s.Profiles) == 0 {
-		// Legacy flat profile: fill the flat field too (not just the list)
-		// so the normalized spec echoed in Status keeps the shape pre-grid
-		// clients parsed, and keep the historical display name as the axis
-		// label.
-		if s.Profile == "" {
-			s.Profile = power.Verizon3G.Name
-		}
-		s.Profiles = []power.ProfileSpec{{Label: s.Profile, Name: s.Profile}}
-	} else {
-		// Explicit profile axis: the flat field is documented as ignored;
-		// clear a stale value so the echoed normalized spec cannot suggest
-		// it applied.
-		s.Profile = ""
+	// The job's burst gap seeds the trace-fitted MakeActive bound for
+	// schemes that do not pin their own, exactly as the CLI does.
+	// Injection happens here, during normalization, so the canonical
+	// encodings the fingerprint hashes describe the computation that
+	// actually runs.
+	schemes := make([]fleet.SchemeSpec, len(s.Schemes))
+	for i, ss := range s.Schemes {
+		schemes[i] = withSchemeBurstGap(ss, time.Duration(s.BurstGap))
 	}
-	if len(s.Cohorts) == 0 {
-		// Legacy flat population: users, per-user duration and the diurnal
-		// mask map onto the historical default family (the Verizon 3G study
-		// mixes). Users <= 0 stays unmapped so validation reports it.
-		if s.Users > 0 {
-			s.Cohorts = []fleet.CohortSpec{fleet.LegacyCohortSpec(
-				s.Users, time.Duration(s.Duration).String(), *s.Diurnal)}
-		}
-	} else {
-		// Explicit cohort axis: the flat population fields are documented
-		// as ignored, so clear them — stale values must neither fail
-		// validation nor suggest in the echoed normalized spec that they
-		// applied. (They are not part of the fingerprint either way.)
-		s.Users = 0
-		s.Duration = 0
-		s.Diurnal = nil
-	}
-	if len(s.Schemes) == 0 {
-		// Legacy flat form: fill the flat fields too so the normalized spec
-		// echoed in Status keeps the shape pre-/v1 clients parsed.
-		if s.Policy == "" {
-			s.Policy = fleet.PolicyMakeIdle
-		}
-		if s.Active == "" {
-			s.Active = fleet.ActiveNone
-		}
-		s.Schemes = []fleet.SchemeSpec{
-			fleet.LegacySchemeSpec(s.Policy, s.Active, time.Duration(s.BurstGap)),
-		}
-	} else {
-		// The job's burst gap seeds the trace-fitted MakeActive bound for
-		// schemes that do not pin their own, exactly as the legacy flat form
-		// and the CLI do. Injection happens here, during normalization, so
-		// the canonical encodings the fingerprint hashes describe the
-		// computation that actually runs.
-		schemes := make([]fleet.SchemeSpec, len(s.Schemes))
-		for i, ss := range s.Schemes {
-			schemes[i] = withSchemeBurstGap(ss, time.Duration(s.BurstGap))
-		}
-		s.Schemes = schemes
-	}
+	s.Schemes = schemes
 	return s
 }
 
@@ -202,16 +127,12 @@ func withSchemeBurstGap(ss fleet.SchemeSpec, burstGap time.Duration) fleet.Schem
 }
 
 // Admission bounds on a single job: a spec is one HTTP request, so its
-// resource footprint must be bounded before it reaches a runner. MaxUsers
-// bounds each cohort's O(users) job-slice allocation (~150 MB at the
-// limit; the cohort schemas enforce the same cap on their users knob);
-// MaxDuration bounds per-user trace length; MaxShards bounds the partial
-// accumulator array (the fleet clamps shards to the job count anyway);
-// MaxSchemes/MaxProfiles/MaxCohorts bound each axis and MaxCells bounds
-// the grid's total replay multiplier.
+// resource footprint must be bounded before it reaches a runner. The
+// cohort schemas bound each cohort's users and duration; MaxShards bounds
+// the partial accumulator array (the fleet clamps shards to the job count
+// anyway); MaxSchemes/MaxProfiles/MaxCohorts bound each axis and MaxCells
+// bounds the grid's total replay multiplier.
 const (
-	MaxUsers    = 1_000_000
-	MaxDuration = Duration(30 * 24 * time.Hour)
 	MaxShards   = 1 << 16
 	MaxSchemes  = 64
 	MaxProfiles = 16
@@ -219,89 +140,29 @@ const (
 	MaxCells    = 512
 )
 
-// validate rejects unusable specs with a client-attributable error. The
-// spec must already be normalized. Submit does not call this — it derives
-// the same checks (same error shapes) from planFingerprint's single
-// resolution pass; validate stays as the standalone product.
-func (s Spec) validate() error {
-	if err := s.checkBounds(); err != nil {
-		return err
-	}
-	if err := validateAxis("scheme", s.Schemes, func(ss fleet.SchemeSpec) (string, error) {
-		if _, err := fleet.SchemeFromSpec(registry(), ss); err != nil {
-			return "", err
-		}
-		return ss.ResolvedLabel(registry())
-	}); err != nil {
-		return err
-	}
-	if err := validateAxis("profile", s.Profiles, func(ps power.ProfileSpec) (string, error) {
-		if _, err := ps.Profile(profiles()); err != nil {
-			return "", err
-		}
-		return ps.ResolvedLabel(profiles())
-	}); err != nil {
-		return err
-	}
-	return validateAxis("cohort", s.Cohorts, func(cs fleet.CohortSpec) (string, error) {
-		if _, err := fleet.CohortFromSpec(cohorts(), cs, s.Seed, nil); err != nil {
-			return "", err
-		}
-		return cs.ResolvedLabel(cohorts())
-	})
-}
-
-// checkBounds enforces the scalar admission bounds shared by validate and
-// planFingerprint.
+// checkBounds enforces the scalar admission bounds on a normalized spec:
+// every axis non-empty and within its limit, and the grid within MaxCells.
 func (s Spec) checkBounds() error {
-	if len(s.Cohorts) == 0 {
-		// Normalization maps every legal flat population; an empty cohort
-		// axis means the legacy users field was unusable.
-		return fmt.Errorf("jobs: users must be > 0")
-	}
-	if s.Users > MaxUsers {
-		return fmt.Errorf("jobs: users %d exceeds the limit of %d", s.Users, MaxUsers)
-	}
-	if s.Duration > MaxDuration {
-		return fmt.Errorf("jobs: duration %s exceeds the limit of %s",
-			time.Duration(s.Duration), time.Duration(MaxDuration))
+	for _, axis := range []struct {
+		name     string
+		len, max int
+	}{
+		{"schemes", len(s.Schemes), MaxSchemes},
+		{"profiles", len(s.Profiles), MaxProfiles},
+		{"cohorts", len(s.Cohorts), MaxCohorts},
+	} {
+		if axis.len == 0 {
+			return fmt.Errorf("jobs: %s must list at least one value", axis.name)
+		}
+		if axis.len > axis.max {
+			return fmt.Errorf("jobs: %d %s exceeds the limit of %d", axis.len, axis.name, axis.max)
+		}
 	}
 	if s.Shards > MaxShards {
 		return fmt.Errorf("jobs: shards %d exceeds the limit of %d", s.Shards, MaxShards)
 	}
-	if len(s.Schemes) > MaxSchemes {
-		return fmt.Errorf("jobs: %d schemes exceeds the limit of %d", len(s.Schemes), MaxSchemes)
-	}
-	if len(s.Profiles) > MaxProfiles {
-		return fmt.Errorf("jobs: %d profiles exceeds the limit of %d", len(s.Profiles), MaxProfiles)
-	}
-	if len(s.Cohorts) > MaxCohorts {
-		return fmt.Errorf("jobs: %d cohorts exceeds the limit of %d", len(s.Cohorts), MaxCohorts)
-	}
 	if cells := len(s.Schemes) * len(s.Profiles) * len(s.Cohorts); cells > MaxCells {
 		return fmt.Errorf("jobs: grid of %d cells exceeds the limit of %d", cells, MaxCells)
-	}
-	return nil
-}
-
-// validateAxis resolves every axis value eagerly (typos and out-of-range
-// parameters fail at admission, before a fleet spins up) and rejects
-// duplicate or reserved-character labels — labels key grid cells, so they
-// must be distinct within their axis.
-func validateAxis[T any](axis string, values []T, resolve func(T) (string, error)) error {
-	seen := make(map[string]bool, len(values))
-	for i, v := range values {
-		label, err := resolve(v)
-		if err != nil {
-			return fmt.Errorf("jobs: %s %d: %w", axis, i, err)
-		}
-		if strings.ContainsAny(label, "|\n") {
-			return fmt.Errorf("jobs: %s %d: label %q contains reserved characters", axis, i, label)
-		}
-		if seen[label] {
-			return fmt.Errorf("jobs: %s %d: duplicate label %q (label axis values explicitly)", axis, i, label)
-		}
-		seen[label] = true
 	}
 	return nil
 }

@@ -11,11 +11,15 @@ import (
 	"repro/internal/power"
 )
 
+// sweepSpec is a one-profile, one-cohort job over the given schemes.
 func sweepSpec(schemes ...fleet.SchemeSpec) Spec {
-	return Spec{Users: 5, Seed: 3, Duration: Duration(30 * time.Minute), Schemes: schemes}
+	return Spec{Seed: 3, Schemes: schemes,
+		Profiles: []power.ProfileSpec{{Name: "verizon-3g"}},
+		Cohorts:  []fleet.CohortSpec{{Name: "study-3g", Params: map[string]any{"users": 5, "duration": "30m"}}},
+	}
 }
 
-// TestFingerprintStableAcrossParamEncodings: the v3 fingerprint hashes
+// TestFingerprintStableAcrossParamEncodings: the fingerprint hashes
 // canonical scheme encodings, so every way of writing the same sweep —
 // alias vs canonical name, omitted vs explicit defaults, string vs
 // numeric parameter forms, any param-map construction order — produces
@@ -92,52 +96,59 @@ func TestFingerprintMovesWithAnyParamChange(t *testing.T) {
 	}
 }
 
-// TestLegacyNameAliasFingerprints: every legacy flat-name payload
-// fingerprints identically to its explicit spec form — the alias mapping
-// the /v1 back-compat path relies on — for every old flat name.
+// TestLegacyNameAliasFingerprints: the registries' alias spellings (the
+// pre-registry flat names such as "95iat" and "Verizon 3G") fingerprint
+// identically to their canonical specs, labeled or not, on the scheme and
+// profile axes — aliases are the one place alternate spellings live.
 func TestLegacyNameAliasFingerprints(t *testing.T) {
-	base := Spec{Users: 5, Seed: 3, Duration: Duration(30 * time.Minute)}
-	cases := []struct {
-		pol, act string
-		scheme   fleet.SchemeSpec
-	}{
-		{"statusquo", "", fleet.SchemeSpec{Label: "statusquo", Policy: policy.Spec{Name: "statusquo"}}},
-		{"4.5s", "", fleet.SchemeSpec{Label: "4.5s",
-			Policy: policy.Spec{Name: "fixedtail", Params: map[string]any{"wait": "4.5s"}}}},
-		{"95iat", "", fleet.SchemeSpec{Label: "95iat",
-			Policy: policy.Spec{Name: "pctiat", Params: map[string]any{"q": 0.95}}}},
-		{"oracle", "", fleet.SchemeSpec{Label: "oracle", Policy: policy.Spec{Name: "oracle"}}},
-		{"makeidle", "", fleet.SchemeSpec{Label: "makeidle", Policy: policy.Spec{Name: "makeidle"}}},
-		{"makeidle", "learn", fleet.SchemeSpec{Label: "makeidle+learn",
-			Policy: policy.Spec{Name: "makeidle"}, Active: &policy.Spec{Name: "learn"}}},
-		{"makeidle", "fix", fleet.SchemeSpec{Label: "makeidle+fix",
-			Policy: policy.Spec{Name: "makeidle"},
-			Active: &policy.Spec{Name: "fix", Params: map[string]any{"burstgap": "1s"}}}},
+	schemes := []struct{ alias, canon fleet.SchemeSpec }{
+		{fleet.SchemeSpec{Policy: policy.Spec{Name: "4.5s"}},
+			fleet.SchemeSpec{Policy: policy.Spec{Name: "fixedtail", Params: map[string]any{"wait": "4.5s"}}}},
+		{fleet.SchemeSpec{Policy: policy.Spec{Name: "95iat"}},
+			fleet.SchemeSpec{Policy: policy.Spec{Name: "pctiat", Params: map[string]any{"q": 0.95}}}},
+		{fleet.SchemeSpec{Policy: policy.Spec{Name: "makeidle"}, Active: &policy.Spec{Name: "fix"}},
+			fleet.SchemeSpec{Policy: policy.Spec{Name: "makeidle"},
+				Active: &policy.Spec{Name: "fix", Params: map[string]any{"burstgap": "1s"}}}},
 	}
-	for _, c := range cases {
-		legacy := base
-		legacy.Policy, legacy.Active = c.pol, c.act
-		speced := base
-		speced.Schemes = []fleet.SchemeSpec{c.scheme}
-		if legacy.Fingerprint() != speced.Fingerprint() {
-			t.Errorf("legacy %s/%s does not fingerprint like its spec form", c.pol, c.act)
+	for _, c := range schemes {
+		for _, label := range []string{"", "legacy"} {
+			alias, canon := c.alias, c.canon
+			alias.Label, canon.Label = label, label
+			if sweepSpec(alias).Fingerprint() != sweepSpec(canon).Fingerprint() {
+				t.Errorf("scheme alias %s (label %q) does not fingerprint like its canonical spec",
+					c.alias.Policy.Name, label)
+			}
+		}
+	}
+	for _, c := range []struct{ display, canon string }{
+		{power.TMobile3G.Name, "tmobile-3g"}, {power.ATTHSPAPlus.Name, "att-hspa+"},
+		{power.Verizon3G.Name, "verizon-3g"}, {power.VerizonLTE.Name, "verizon-lte"},
+	} {
+		for _, label := range []string{"", c.display} {
+			alias, canon := sweepSpec(), sweepSpec()
+			alias.Profiles = []power.ProfileSpec{{Label: label, Name: c.display}}
+			canon.Profiles = []power.ProfileSpec{{Label: label, Name: c.canon}}
+			if alias.Fingerprint() != canon.Fingerprint() {
+				t.Errorf("profile alias %q (label %q) does not fingerprint like %q", c.display, label, c.canon)
+			}
 		}
 	}
 }
 
 // TestBurstGapSeedsFixScheme: the job-level burst gap reaches a "fix"
-// active spec that does not pin its own, in both the legacy flat form
-// and the schemes form — the two spellings fingerprint (and therefore
-// compute) identically — while an explicit burstgap param wins.
+// active spec that does not pin its own — it fingerprints (and therefore
+// computes) identically to the spec that pins the same gap — while an
+// explicit burstgap param wins.
 func TestBurstGapSeedsFixScheme(t *testing.T) {
-	legacy := Spec{Users: 5, Seed: 3, Duration: Duration(30 * time.Minute),
-		Policy: "makeidle", Active: "fix", BurstGap: Duration(2 * time.Second)}
-	speced := Spec{Users: 5, Seed: 3, Duration: Duration(30 * time.Minute),
-		BurstGap: Duration(2 * time.Second),
-		Schemes: []fleet.SchemeSpec{{Label: "makeidle+fix",
-			Policy: policy.Spec{Name: "makeidle"}, Active: &policy.Spec{Name: "fix"}}}}
-	if legacy.Fingerprint() != speced.Fingerprint() {
-		t.Fatal("schemes form ignores the job burst gap the legacy form applies")
+	speced := sweepSpec(fleet.SchemeSpec{Label: "makeidle+fix",
+		Policy: policy.Spec{Name: "makeidle"}, Active: &policy.Spec{Name: "fix"}})
+	speced.BurstGap = Duration(2 * time.Second)
+	explicit := speced
+	explicit.Schemes = []fleet.SchemeSpec{{Label: "makeidle+fix",
+		Policy: policy.Spec{Name: "makeidle"},
+		Active: &policy.Spec{Name: "fix", Params: map[string]any{"burstgap": "2s"}}}}
+	if explicit.Fingerprint() != speced.Fingerprint() {
+		t.Fatal("a fix scheme ignores the job burst gap")
 	}
 	canon, err := speced.withDefaults().Schemes[0].Canonical(registry())
 	if err != nil {
@@ -161,8 +172,8 @@ func TestBurstGapSeedsFixScheme(t *testing.T) {
 // TestFingerprintV4StableAcrossAxisSpellings: the v4 fingerprint hashes
 // canonical encodings on all three axes, so every way of writing the same
 // grid — display-name vs canonical profile names, omitted vs explicit
-// defaults on any axis, flat legacy fields vs one-entry axis lists, any
-// param-map construction order — produces one fingerprint.
+// defaults on any axis, any param-map construction order — produces one
+// fingerprint.
 func TestFingerprintV4StableAcrossAxisSpellings(t *testing.T) {
 	base := Spec{Seed: 3, Shards: 8,
 		Schemes:  []fleet.SchemeSpec{{Policy: policy.Spec{Name: "makeidle"}}},
@@ -203,14 +214,12 @@ func TestFingerprintV4StableAcrossAxisSpellings(t *testing.T) {
 			t.Fatal("fingerprint depends on profile param map ordering")
 		}
 	}
-	// The flat legacy profile field and its labeled one-entry axis agree.
-	flat := Spec{Users: 5, Seed: 3, Duration: Duration(30 * time.Minute), Profile: "Verizon LTE"}
-	axis := Spec{Seed: 3,
-		Profiles: []power.ProfileSpec{{Label: "Verizon LTE", Name: "Verizon LTE"}},
-		Cohorts:  []fleet.CohortSpec{{Name: "study-3g", Params: map[string]any{"users": 5, "duration": "30m"}}},
-	}
-	if flat.Fingerprint() != axis.Fingerprint() {
-		t.Fatal("flat profile/users payload does not fingerprint like its axis form")
+	// A display-name profile and its canonical name agree under one label.
+	display, canonical := base, base
+	display.Profiles = []power.ProfileSpec{{Label: "Verizon LTE", Name: "Verizon LTE"}}
+	canonical.Profiles = []power.ProfileSpec{{Label: "Verizon LTE", Name: "verizon-lte"}}
+	if display.Fingerprint() != canonical.Fingerprint() {
+		t.Fatal("display-name profile does not fingerprint like its canonical name")
 	}
 }
 
@@ -263,8 +272,8 @@ func TestFingerprintV4MovesWithAnyAxisChange(t *testing.T) {
 	check("unknown profile", withProfiles(power.ProfileSpec{Name: "AT&T 3G"}))
 }
 
-// TestSpecValidateAxes: grid-specific admission rules on the profile and
-// cohort axes.
+// TestSpecValidateAxes: grid-specific admission rules on the three axes,
+// checked on the Submit path's planFingerprint.
 func TestSpecValidateAxes(t *testing.T) {
 	good := Spec{Seed: 1,
 		Schemes:  []fleet.SchemeSpec{{Policy: policy.Spec{Name: "makeidle"}}},
@@ -274,30 +283,30 @@ func TestSpecValidateAxes(t *testing.T) {
 			{Name: "mix", Params: map[string]any{"users": 2, "duration": "10m"}},
 		},
 	}.withDefaults()
-	if err := good.validate(); err != nil {
+	if err := validate(good); err != nil {
 		t.Fatalf("valid grid rejected: %v", err)
-	}
-	// Legacy payloads with sub-minute durations predate the cohort schema
-	// and must keep validating (the compat contract the flat→axis mapping
-	// promises).
-	if err := (Spec{Users: 2, Seed: 1, Duration: Duration(30 * time.Second)}).withDefaults().validate(); err != nil {
-		t.Fatalf("sub-minute legacy duration rejected: %v", err)
-	}
-	// Stale flat fields next to an explicit cohort axis are documented as
-	// ignored: they must neither fail validation nor survive normalization.
-	stale := Spec{Users: MaxUsers + 1, Duration: MaxDuration + 1, Seed: 1,
-		Cohorts: []fleet.CohortSpec{{Name: "study-3g", Params: map[string]any{"users": 2, "duration": "10m"}}},
-	}.withDefaults()
-	if err := stale.validate(); err != nil {
-		t.Fatalf("ignored flat fields rejected a valid explicit-cohort spec: %v", err)
-	}
-	if stale.Users != 0 || stale.Duration != 0 {
-		t.Fatalf("ignored flat fields survived normalization: %+v", stale)
 	}
 	mutate := func(f func(*Spec)) Spec {
 		s := good
 		f(&s)
 		return s
+	}
+	// Sub-minute cohorts are valid replays (the duration floor is 1 ns).
+	short := mutate(func(s *Spec) {
+		s.Cohorts = []fleet.CohortSpec{{Name: "study-3g", Params: map[string]any{"users": 2, "duration": "30s"}}}
+	})
+	if err := validate(short); err != nil {
+		t.Fatalf("sub-minute cohort duration rejected: %v", err)
+	}
+	// Each empty axis is rejected with an error naming it.
+	for axis, s := range map[string]Spec{
+		"schemes":  mutate(func(s *Spec) { s.Schemes = nil }),
+		"profiles": mutate(func(s *Spec) { s.Profiles = nil }),
+		"cohorts":  mutate(func(s *Spec) { s.Cohorts = []fleet.CohortSpec{} }),
+	} {
+		if err := validate(s); err == nil || !strings.Contains(err.Error(), axis) {
+			t.Errorf("empty %s axis: got %v, want an error naming it", axis, err)
+		}
 	}
 	bad := map[string]Spec{
 		"unknown profile": mutate(func(s *Spec) {
@@ -314,6 +323,12 @@ func TestSpecValidateAxes(t *testing.T) {
 		}),
 		"unknown cohort": mutate(func(s *Spec) {
 			s.Cohorts = []fleet.CohortSpec{{Name: "commuters"}}
+		}),
+		"cohort over the users cap": mutate(func(s *Spec) {
+			s.Cohorts = []fleet.CohortSpec{{Name: "study-3g", Params: map[string]any{"users": 1_000_001}}}
+		}),
+		"cohort over the duration cap": mutate(func(s *Spec) {
+			s.Cohorts = []fleet.CohortSpec{{Name: "study-3g", Params: map[string]any{"duration": "744h"}}}
 		}),
 		"degenerate mix cohort": mutate(func(s *Spec) {
 			s.Cohorts = []fleet.CohortSpec{{Name: "mix", Params: map[string]any{"im": 0, "email": 0, "news": 0}}}
@@ -338,10 +353,16 @@ func TestSpecValidateAxes(t *testing.T) {
 		}),
 	}
 	for name, s := range bad {
-		if err := s.validate(); err == nil {
+		if err := validate(s); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
+}
+
+// validate runs the Submit path's admission checks on a normalized spec.
+func validate(s Spec) error {
+	_, _, err := s.planFingerprint(fleet.Options{}, nil)
+	return err
 }
 
 // TestSpecValidateSchemes: sweep-specific admission rules.
@@ -350,7 +371,7 @@ func TestSpecValidateSchemes(t *testing.T) {
 		fleet.SchemeSpec{Policy: policy.Spec{Name: "fixedtail", Params: map[string]any{"wait": "2s"}}},
 		fleet.SchemeSpec{Policy: policy.Spec{Name: "fixedtail", Params: map[string]any{"wait": "8s"}}},
 	).withDefaults()
-	if err := good.validate(); err != nil {
+	if err := validate(good); err != nil {
 		t.Fatalf("valid sweep rejected: %v", err)
 	}
 	bad := []Spec{
@@ -372,7 +393,7 @@ func TestSpecValidateSchemes(t *testing.T) {
 		}(),
 	}
 	for i, s := range bad {
-		if err := s.withDefaults().validate(); err == nil {
+		if err := validate(s.withDefaults()); err == nil {
 			t.Errorf("bad spec %d accepted", i)
 		}
 	}

@@ -57,14 +57,11 @@ func (c *gridCell) Jobs() []fleet.Job {
 
 // planFingerprint validates the normalized spec's axes, computes its v4
 // fingerprint, and expands its grid cells — all from ONE registry
-// resolution per axis value. This is the Submit path: the legacy
-// three-pass pipeline (validate, Fingerprint, plan) re-resolved every axis
-// value once per product, which dominated admission cost on parameter
-// sweeps. validate and Fingerprint remain as standalone products with
-// byte-identical outputs (the fingerprint hashes the same canonical
-// encodings, the errors carry the same shapes); this path simply derives
-// all three from one resolution. Axis errors are reported in validate's
-// precedence order: schemes, then profiles, then cohorts.
+// resolution per axis value, which is what keeps admission cheap on
+// parameter sweeps. The fingerprint hashes the same canonical encodings
+// as Fingerprint. Axis errors are reported in axis order: schemes, then
+// profiles, then cohorts; within an axis, a value that fails to resolve
+// or whose label is reserved or duplicated is named by its index.
 //
 // axes, when non-nil, memoizes successful resolutions across Submits (see
 // axisCache); a nil cache resolves everything fresh.
@@ -220,8 +217,8 @@ func checkLabel(axis string, i int, label string, seen map[string]bool) error {
 }
 
 // singleAxis reports whether the normalized spec's profile and cohort axes
-// are both single-valued — the shape whose job-level result keeps the
-// legacy flat rendering (one merged summary keyed by scheme label). Wider
+// are both single-valued — the shape whose job-level result renders flat
+// (one merged summary keyed by scheme label). Wider
 // grids render per cell, because the same scheme label legitimately
 // repeats across profile/cohort cells.
 func (s Spec) singleAxis() bool {

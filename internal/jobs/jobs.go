@@ -237,10 +237,6 @@ type Config struct {
 	// cross-job reuse: a grid overlapping an earlier grid (or an earlier
 	// single-axis job) replays only its novel cells.
 	CellCacheSize int
-	// DefaultProfile, when set, substitutes for an empty legacy flat
-	// Profile field at submission (rrcsimd's -profile flag). It does not
-	// touch explicit Profiles axes.
-	DefaultProfile string
 	// Runners is the number of jobs executing concurrently (default 1;
 	// each job already parallelizes internally across Workers).
 	Runners int
@@ -428,9 +424,6 @@ func (m *Manager) Close() {
 // (planFingerprint); the runner executes the stored plan without
 // re-resolving.
 func (m *Manager) Submit(spec Spec) (*Job, error) {
-	if spec.Profile == "" && len(spec.Profiles) == 0 && m.cfg.DefaultProfile != "" {
-		spec.Profile = m.cfg.DefaultProfile
-	}
 	spec = spec.withDefaults()
 	cells, fp, err := spec.planFingerprint(fleet.Options{Shards: spec.Shards}, m.axes)
 	if err != nil {

@@ -4,13 +4,24 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/policy"
+	"repro/internal/power"
+	"repro/internal/workload"
 )
 
-func testSpec(users int) Spec {
-	return Spec{Users: users, Seed: 7, Duration: Duration(15 * time.Minute)}
+func testSpec(users int) Spec { return cellSpec(users, 7, "15m") }
+
+// cellSpec is a one-cell job: MakeIdle on Verizon 3G over a study-3g
+// cohort of users traces of the given duration.
+func cellSpec(users int, seed int64, duration string) Spec {
+	return Spec{Seed: seed,
+		Schemes:  []fleet.SchemeSpec{{Policy: policy.Spec{Name: "makeidle"}}},
+		Profiles: []power.ProfileSpec{{Name: "verizon-3g"}},
+		Cohorts: []fleet.CohortSpec{{Name: "study-3g",
+			Params: map[string]any{"users": users, "duration": duration}}},
+	}
 }
 
 // blockingRunner returns a fake fleet runner that reports one partial,
@@ -203,10 +214,12 @@ func TestRegistryRetention(t *testing.T) {
 func TestSpecLimits(t *testing.T) {
 	m := NewManager(Config{})
 	defer m.Close()
+	shards := testSpec(1)
+	shards.Shards = MaxShards + 1
 	for _, spec := range []Spec{
-		{Users: MaxUsers + 1},
-		{Users: 1, Duration: MaxDuration + 1},
-		{Users: 1, Shards: MaxShards + 1},
+		testSpec(workload.MaxCohortUsers + 1),
+		cellSpec(1, 7, "744h"),
+		shards,
 	} {
 		if _, err := m.Submit(spec); err == nil {
 			t.Fatalf("oversized spec %+v accepted", spec)
@@ -220,7 +233,8 @@ func TestSpecLimits(t *testing.T) {
 func TestCacheHitIsByteIdentical(t *testing.T) {
 	m := NewManager(Config{Runners: 1})
 	defer m.Close()
-	spec := Spec{Users: 3, Seed: 11, Duration: Duration(10 * time.Minute), Shards: 4}
+	spec := cellSpec(3, 11, "10m")
+	spec.Shards = 4
 
 	cold, err := m.Submit(spec)
 	if err != nil {
@@ -272,7 +286,9 @@ func TestCacheHitIsByteIdentical(t *testing.T) {
 		t.Fatalf("implausible result: %d JSON bytes, %d jobs", len(crJSON), cr.Stats().Jobs)
 	}
 	// A different spec must not hit the cache.
-	other, err := m.Submit(Spec{Users: 3, Seed: 12, Duration: Duration(10 * time.Minute), Shards: 4})
+	otherSpec := spec
+	otherSpec.Seed = 12
+	other, err := m.Submit(otherSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,22 +301,28 @@ func TestCacheHitIsByteIdentical(t *testing.T) {
 // TestFingerprintSensitivity checks every cache-key component moves the
 // fingerprint, and that normalization (defaults) does not.
 func TestFingerprintSensitivity(t *testing.T) {
-	base := Spec{Users: 10, Seed: 1}.withDefaults()
+	raw := cellSpec(10, 1, "4h")
+	base := raw.withDefaults()
 	fp := base.Fingerprint()
 	if explicit := base.Fingerprint(); explicit != fp {
 		t.Fatal("fingerprint not stable")
 	}
-	if (Spec{Users: 10, Seed: 1}).Fingerprint() != fp {
+	if raw.Fingerprint() != fp {
 		t.Fatal("normalization changed the fingerprint")
 	}
+	with := func(f func(*Spec)) Spec {
+		s := cellSpec(10, 1, "4h")
+		f(&s)
+		return s
+	}
 	mutate := []Spec{
-		{Users: 11, Seed: 1},
-		{Users: 10, Seed: 2},
-		{Users: 10, Seed: 1, Duration: Duration(time.Hour)},
-		{Users: 10, Seed: 1, Profile: "AT&T 3G"},
-		{Users: 10, Seed: 1, Policy: fleet.PolicyOracle},
-		{Users: 10, Seed: 1, Active: fleet.ActiveLearn},
-		{Users: 10, Seed: 1, Shards: 7},
+		cellSpec(11, 1, "4h"),
+		cellSpec(10, 2, "4h"),
+		cellSpec(10, 1, "1h"),
+		with(func(s *Spec) { s.Profiles[0].Name = "att-hspa+" }),
+		with(func(s *Spec) { s.Schemes[0].Policy.Name = "oracle" }),
+		with(func(s *Spec) { s.Schemes[0].Active = &policy.Spec{Name: "learn"} }),
+		with(func(s *Spec) { s.Shards = 7 }),
 	}
 	seen := map[string]bool{fp: true}
 	for i, s := range mutate {
@@ -316,11 +338,16 @@ func TestFingerprintSensitivity(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	m := NewManager(Config{})
 	defer m.Close()
+	unknown := func(f func(*Spec)) Spec {
+		s := testSpec(1)
+		f(&s)
+		return s
+	}
 	for _, spec := range []Spec{
-		{},                                   // no users
-		{Users: 1, Profile: "Nokia 1G"},      // unknown profile
-		{Users: 1, Policy: "extra-fast"},     // unknown policy
-		{Users: 1, Active: "procrastinator"}, // unknown active policy
+		{}, // no axes
+		unknown(func(s *Spec) { s.Profiles[0].Name = "Nokia 1G" }),
+		unknown(func(s *Spec) { s.Schemes[0].Policy.Name = "extra-fast" }),
+		unknown(func(s *Spec) { s.Schemes[0].Active = &policy.Spec{Name: "procrastinator"} }),
 	} {
 		if _, err := m.Submit(spec); err == nil {
 			t.Fatalf("spec %+v accepted", spec)

@@ -74,11 +74,11 @@ func (c *CellResult) JSON() ([]byte, error) {
 // immutable. All stats shapes live in internal/report so the HTTP service
 // and the CLIs render fleet summaries through one implementation.
 //
-// Single-axis jobs (one profile, one cohort — every pre-grid job) keep
-// the legacy flat rendering: one summary merged across the scheme sweep,
-// keyed by scheme label. Wider grids render per cell (Cells carries every
-// cell either way), because a scheme label legitimately repeats across
-// profile/cohort cells and a flat merge would conflate them.
+// Single-axis jobs (one profile, one cohort) render flat: one summary
+// merged across the scheme sweep, keyed by scheme label. Wider grids
+// render per cell (Cells carries every cell either way), because a scheme
+// label legitimately repeats across profile/cohort cells and a flat merge
+// would conflate them.
 type Result struct {
 	// Summary is the merged fleet aggregate (single-axis jobs only; nil
 	// for wider grids — the axis shape selects every rendering below).

@@ -9,8 +9,7 @@ import (
 )
 
 func TestPredefinedProfilesValid(t *testing.T) {
-	for _, p := range Carriers() {
-		p := p
+	for _, p := range []Profile{TMobile3G, ATTHSPAPlus, Verizon3G, VerizonLTE} {
 		if err := p.Validate(); err != nil {
 			t.Errorf("profile %q invalid: %v", p.Name, err)
 		}
@@ -137,16 +136,6 @@ func TestWithDormancyFraction(t *testing.T) {
 	}
 	if err := mod.Validate(); err != nil {
 		t.Fatalf("modified profile invalid: %v", err)
-	}
-}
-
-func TestByName(t *testing.T) {
-	p, ok := ByName("Verizon LTE")
-	if !ok || p.Tech != TechLTE {
-		t.Fatalf("ByName failed: %v %v", p, ok)
-	}
-	if _, ok := ByName("Sprint 5G"); ok {
-		t.Fatal("unknown name found")
 	}
 }
 

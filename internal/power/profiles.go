@@ -1,10 +1,6 @@
 package power
 
-import (
-	"time"
-
-	"repro/internal/spec"
-)
+import "time"
 
 // This file carries the paper's measured carrier parameters.
 //
@@ -89,36 +85,4 @@ var VerizonLTE = Profile{
 	DormancyFraction: 0.5,
 	UplinkMbps:       8.0,
 	DownlinkMbps:     20.0,
-}
-
-// Carriers lists the four Table 2 profiles in the order the paper's
-// cross-carrier figures (17 and 18) use. It is a compatibility shim over
-// the profile registry: each entry is the registry's base schema built at
-// its measured defaults, carrying the legacy display name.
-func Carriers() []Profile {
-	r := Default()
-	out := make([]Profile, 0, len(carrierOrder))
-	for _, name := range carrierOrder {
-		display, _ := r.display(name)
-		p, err := r.NamedProfile(spec.Spec{Name: name}, display)
-		if err != nil {
-			panic(err) // impossible: the built-in registry builds its own defaults
-		}
-		out = append(out, p)
-	}
-	return out
-}
-
-// ByName returns the profile registered under the given name — a legacy
-// display name ("Verizon 3G") or a canonical schema name ("verizon-3g") —
-// if any. It is a compatibility shim over registry alias lookup: the
-// returned profile keeps the requested spelling as its Name, exactly as
-// the pre-registry closed set did. Parameterized lookups go through the
-// registry directly (or ProfileSpec).
-func ByName(name string) (Profile, bool) {
-	p, err := Default().NamedProfile(spec.Spec{Name: name}, name)
-	if err != nil {
-		return Profile{}, false
-	}
-	return p, true
 }

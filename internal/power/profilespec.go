@@ -9,8 +9,7 @@ import "repro/internal/spec"
 type ProfileSpec struct {
 	// Label keys the profile in grid cells and reports; empty derives the
 	// registry label (canonical name plus non-default parameters, e.g.
-	// "verizon-lte(t1=5s)"). Legacy flat payloads set it to the historical
-	// display name so their labels stay byte-identical.
+	// "verizon-lte(t1=5s)").
 	Label string `json:"label,omitempty"`
 	// Name is the schema or alias name.
 	Name string `json:"name"`

@@ -13,10 +13,8 @@ import (
 // dormancy fraction, link rates — is an overridable, bounds-checked knob.
 // "verizon-lte(t1=5s)" is the paper's LTE profile with a 5-second
 // inactivity timer, and the cross-carrier experiments (Figs. 17-18) are a
-// list of profile specs instead of a closed slice. The legacy display
-// names ("Verizon 3G") are registered as aliases, so every pre-registry
-// surface keeps resolving — ByName and Carriers are thin shims over this
-// registry.
+// list of profile specs instead of a closed slice. The paper's display
+// names ("Verizon 3G") are registered as aliases.
 
 // profileMeta is the domain payload of a profile schema: the RRC machine
 // shape (not a knob — it decides which timers exist at all) and the
@@ -200,7 +198,7 @@ func (r *Registry) Register(name string, base Profile, summary string) error {
 	})
 }
 
-// Alias maps a legacy flat name (the Table 2 display names, spaces and
+// Alias maps an alternate spelling (the Table 2 display names, spaces and
 // all) to a profile spec.
 func (r *Registry) Alias(name string, s spec.Spec) error { return r.reg.Alias(name, s) }
 

@@ -89,30 +89,36 @@ func TestRegistryDefaultsMatchTable2Vars(t *testing.T) {
 	}
 }
 
-// TestByNameShimAcceptsBothSpellings: the compatibility shim resolves
-// legacy display names (keeping their spelling) and canonical names, and
-// still rejects unknowns.
+// TestByName: a profile resolves by its Table 2 display name through the
+// registry, and an unknown name is rejected.
+func TestByName(t *testing.T) {
+	p, err := ProfileSpec{Name: "Verizon LTE"}.Profile(Default())
+	if err != nil || p.Tech != TechLTE {
+		t.Fatalf("display-name lookup failed: %v %+v", err, p)
+	}
+	if _, err := (ProfileSpec{Name: "Sprint 5G"}).Profile(Default()); err == nil {
+		t.Fatal("unknown name found")
+	}
+}
+
+// TestByNameShimAcceptsBothSpellings: the Table 2 display names resolve as
+// registry aliases (a display-name label keeps the paper's spelling and
+// rebuilds the exact var), canonical names resolve too, and unknowns are
+// rejected.
 func TestByNameShimAcceptsBothSpellings(t *testing.T) {
-	p, ok := ByName("Verizon 3G")
-	if !ok || p.Name != "Verizon 3G" || p != Verizon3G {
-		t.Fatalf("display-name lookup broke: ok=%v %+v", ok, p)
-	}
-	p, ok = ByName("verizon-lte")
-	if !ok || p.Name != "verizon-lte" || p.T1 != VerizonLTE.T1 {
-		t.Fatalf("canonical lookup broke: ok=%v %+v", ok, p)
-	}
-	if _, ok := ByName("Nokia 1G"); ok {
-		t.Fatal("unknown profile resolved")
-	}
-	carriers := Carriers()
-	want := []Profile{TMobile3G, ATTHSPAPlus, Verizon3G, VerizonLTE}
-	if len(carriers) != len(want) {
-		t.Fatalf("Carriers() returned %d profiles", len(carriers))
-	}
-	for i := range want {
-		if carriers[i] != want[i] {
-			t.Errorf("Carriers()[%d] = %+v, want %+v", i, carriers[i], want[i])
+	r := Default()
+	for _, want := range []Profile{TMobile3G, ATTHSPAPlus, Verizon3G, VerizonLTE} {
+		p, err := ProfileSpec{Label: want.Name, Name: want.Name}.Profile(r)
+		if err != nil || p != want {
+			t.Fatalf("display-name lookup of %q broke: %v %+v", want.Name, err, p)
 		}
+	}
+	p, err := ProfileSpec{Name: "verizon-lte"}.Profile(r)
+	if err != nil || p.Name != "verizon-lte" || p.Tech != TechLTE || p.T1 != VerizonLTE.T1 {
+		t.Fatalf("canonical lookup broke: %v %+v", err, p)
+	}
+	if _, err := (ProfileSpec{Name: "Nokia 1G"}).Profile(r); err == nil {
+		t.Fatal("unknown profile resolved")
 	}
 }
 

@@ -232,26 +232,29 @@ func assertCatalogMatches(t *testing.T, noun string, got []spec.SchemaInfo, sche
 	}
 }
 
-// TestLegacyAxisPayloadsShareFingerprints: flat profile/users payloads and
-// their explicit axis forms share a fingerprint, so the second submission
-// is a cache hit with byte-identical results (the axis analogue of
-// TestLegacyFlatPayloadOnV1).
+// TestLegacyAxisPayloadsShareFingerprints: a profile axis value spelled
+// with its Table 2 display name (a registry alias) and the same value
+// spelled canonically share a fingerprint, so the second submission is a
+// cache hit with byte-identical results (the profile analogue of the
+// scheme alias in TestLegacyFlatPayloadOnV1).
 func TestLegacyAxisPayloadsShareFingerprints(t *testing.T) {
 	ts, m := newTestServer(t)
-	flat, code := postJob(t, ts,
-		`{"users": 3, "seed": 63, "duration": "10m", "shards": 4, "profile": "Verizon LTE"}`)
+	cohorts := `"cohorts": [{"name": "study-3g", "params": {"users": 3, "duration": "10m"}}]`
+	display, code := postJob(t, ts, `{"seed": 63, "shards": 4,
+		"schemes": [{"policy": {"name": "makeidle"}}],
+		"profiles": [{"label": "Verizon LTE", "name": "Verizon LTE"}], `+cohorts+`}`)
 	if code != http.StatusAccepted {
-		t.Fatalf("flat submit returned %d", code)
+		t.Fatalf("display-name submit returned %d", code)
 	}
-	waitDone(t, m, flat.ID)
-	explicit, code := postJob(t, ts, `{"seed": 63, "shards": 4,
-		"profiles": [{"label": "Verizon LTE", "name": "Verizon LTE"}],
-		"cohorts": [{"name": "study-3g", "params": {"users": 3, "duration": "10m"}}]}`)
+	waitDone(t, m, display.ID)
+	canonical, code := postJob(t, ts, `{"seed": 63, "shards": 4,
+		"schemes": [{"policy": {"name": "makeidle"}}],
+		"profiles": [{"label": "Verizon LTE", "name": "verizon-lte"}], `+cohorts+`}`)
 	if code != http.StatusOK {
-		t.Fatalf("explicit submit returned %d, want 200 (cache hit)", code)
+		t.Fatalf("canonical submit returned %d, want 200 (cache hit)", code)
 	}
-	if !explicit.CacheHit || explicit.Fingerprint != flat.Fingerprint {
-		t.Fatalf("explicit axis form did not hit the flat form's cache entry: %+v", explicit)
+	if !canonical.CacheHit || canonical.Fingerprint != display.Fingerprint {
+		t.Fatalf("canonical profile did not hit the display-name form's cache entry: %+v", canonical)
 	}
 }
 

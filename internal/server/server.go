@@ -4,16 +4,14 @@
 //
 //	POST   /v1/jobs              submit a replay spec → 202 + job status
 //	                             (200 when served from the fingerprint
-//	                             cache). The spec is a sweep grid: up to
-//	                             three axis lists — "schemes", "profiles"
-//	                             and "cohorts", each an array of
-//	                             parameterized specs resolved against its
-//	                             registry — whose cross product runs as
-//	                             one deterministic fleet run per cell.
-//	                             Legacy flat payloads ("policy"/"active"
-//	                             names, a "profile" name, a bare "users"
-//	                             count) map onto one-entry axes via
-//	                             registry aliases with unchanged labels.
+//	                             cache). The spec is a sweep grid: three
+//	                             non-empty axis lists — "schemes",
+//	                             "profiles" and "cohorts", each an array
+//	                             of parameterized specs resolved against
+//	                             its registry — whose cross product runs
+//	                             as one deterministic fleet run per cell.
+//	                             Unknown fields, an empty axis and bodies
+//	                             over 1 MiB are rejected (400, 400, 413).
 //	GET    /v1/policies          discovery: every registered policy with
 //	                             its parameter schema (kind, default,
 //	                             bounds), capabilities (trace-fitted,
@@ -47,9 +45,6 @@
 //	                             durable-store gauges when a store is
 //	                             configured)
 //
-// The pre-versioning /jobs... routes remain mounted as aliases of the
-// /v1 handlers, so existing clients keep working unchanged.
-//
 // Result bytes are rendered once per fingerprint by the jobs layer, so a
 // cache-hit response is byte-identical to the cold run that populated it.
 package server
@@ -79,20 +74,16 @@ type Server struct {
 	mux     *http.ServeMux
 }
 
-// New builds the HTTP handler over a running manager. Every job route is
-// mounted twice — under /v1 (the versioned surface) and at the legacy
-// root paths — sharing one handler, so the two surfaces cannot drift.
+// New builds the HTTP handler over a running manager.
 func New(m *jobs.Manager) *Server {
 	s := &Server{manager: m, mux: http.NewServeMux()}
 	s.mux.HandleFunc("GET /healthz", s.health)
-	for _, prefix := range []string{"", "/v1"} {
-		s.mux.HandleFunc("POST "+prefix+"/jobs", s.submit)
-		s.mux.HandleFunc("GET "+prefix+"/jobs", s.list)
-		s.mux.HandleFunc("GET "+prefix+"/jobs/{id}", s.get)
-		s.mux.HandleFunc("DELETE "+prefix+"/jobs/{id}", s.cancel)
-		s.mux.HandleFunc("GET "+prefix+"/jobs/{id}/result", s.result)
-		s.mux.HandleFunc("GET "+prefix+"/jobs/{id}/stream", s.stream)
-	}
+	s.mux.HandleFunc("POST /v1/jobs", s.submit)
+	s.mux.HandleFunc("GET /v1/jobs", s.list)
+	s.mux.HandleFunc("GET /v1/jobs/{id}", s.get)
+	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.cancel)
+	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.result)
+	s.mux.HandleFunc("GET /v1/jobs/{id}/stream", s.stream)
 	s.mux.HandleFunc("GET /v1/cells/{fingerprint}", s.cell)
 	s.mux.HandleFunc("GET /v1/policies", s.policies)
 	s.mux.HandleFunc("GET /v1/profiles", s.profiles)
@@ -205,12 +196,22 @@ func (s *Server) cell(w http.ResponseWriter, r *http.Request) {
 	w.Write(body)
 }
 
+// maxSpecBytes bounds a submitted spec's body. A spec within the jobs
+// admission limits (at most 96 axis values) is kilobytes of JSON, so
+// 1 MiB leaves ample room while a hostile body is cut off unread.
+const maxSpecBytes = 1 << 20
+
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	var spec jobs.Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad spec: %w", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, fmt.Errorf("bad spec: %w", err))
 		return
 	}
 	job, err := s.manager.Submit(spec)

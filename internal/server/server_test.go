@@ -29,13 +29,20 @@ func newTestServer(t *testing.T) (*httptest.Server, *jobs.Manager) {
 	return ts, m
 }
 
-func testSpecJSON(seed int64) string {
-	return fmt.Sprintf(`{"users": 3, "seed": %d, "duration": "10m", "shards": 4}`, seed)
+func testSpecJSON(seed int64) string { return oneCellJSON(3, seed, "10m", 4) }
+
+// oneCellJSON is a one-cell spec: MakeIdle on Verizon 3G over a study-3g
+// cohort of users traces of the given duration.
+func oneCellJSON(users int, seed int64, duration string, shards int) string {
+	return fmt.Sprintf(`{"seed": %d, "shards": %d,
+		"schemes": [{"policy": {"name": "makeidle"}}], "profiles": [{"name": "Verizon 3G"}],
+		"cohorts": [{"name": "study-3g", "params": {"users": %d, "duration": %q}}]}`,
+		seed, shards, users, duration)
 }
 
 func postJob(t *testing.T, ts *httptest.Server, body string) (jobs.Status, int) {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +54,24 @@ func postJob(t *testing.T, ts *httptest.Server, body string) (jobs.Status, int) 
 		}
 	}
 	return st, resp.StatusCode
+}
+
+// postError submits a spec expected to fail and returns the status code
+// and the error message of the JSON error body.
+func postError(t *testing.T, ts *httptest.Server, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatalf("error body: %v", err)
+	}
+	return resp.StatusCode, e.Error
 }
 
 func getBody(t *testing.T, url string) ([]byte, int) {
@@ -89,7 +114,7 @@ func TestSubmitPollResult(t *testing.T) {
 	}
 	waitDone(t, m, st.ID)
 
-	body, code := getBody(t, ts.URL+"/jobs/"+st.ID)
+	body, code := getBody(t, ts.URL+"/v1/jobs/"+st.ID)
 	if code != http.StatusOK {
 		t.Fatalf("status returned %d: %s", code, body)
 	}
@@ -101,15 +126,15 @@ func TestSubmitPollResult(t *testing.T) {
 		t.Fatalf("status after done: %+v", got)
 	}
 
-	js, code := getBody(t, ts.URL+"/jobs/"+st.ID+"/result")
+	js, code := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result")
 	if code != http.StatusOK || !json.Valid(js) {
 		t.Fatalf("JSON result: code %d, valid=%v", code, json.Valid(js))
 	}
-	csv, code := getBody(t, ts.URL+"/jobs/"+st.ID+"/result?format=csv")
+	csv, code := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result?format=csv")
 	if code != http.StatusOK || !strings.HasPrefix(string(csv), "scheme,") {
 		t.Fatalf("CSV result: code %d, body %q", code, csv)
 	}
-	text, code := getBody(t, ts.URL+"/jobs/"+st.ID+"/result?format=text")
+	text, code := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result?format=text")
 	if code != http.StatusOK || !strings.Contains(string(text), "fleet summary") {
 		t.Fatalf("text result: code %d, body %q", code, text)
 	}
@@ -125,7 +150,7 @@ func TestCacheHitIsByteIdenticalOverHTTP(t *testing.T) {
 		t.Fatalf("cold submit returned %d", code)
 	}
 	waitDone(t, m, cold.ID)
-	coldJSON, code := getBody(t, ts.URL+"/jobs/"+cold.ID+"/result")
+	coldJSON, code := getBody(t, ts.URL+"/v1/jobs/"+cold.ID+"/result")
 	if code != http.StatusOK {
 		t.Fatalf("cold result returned %d", code)
 	}
@@ -140,7 +165,7 @@ func TestCacheHitIsByteIdenticalOverHTTP(t *testing.T) {
 	if warm.Fingerprint != cold.Fingerprint {
 		t.Fatal("fingerprint changed between identical submissions")
 	}
-	warmJSON, code := getBody(t, ts.URL+"/jobs/"+warm.ID+"/result")
+	warmJSON, code := getBody(t, ts.URL+"/v1/jobs/"+warm.ID+"/result")
 	if code != http.StatusOK {
 		t.Fatalf("warm result returned %d", code)
 	}
@@ -154,11 +179,11 @@ func TestCacheHitIsByteIdenticalOverHTTP(t *testing.T) {
 // last line must carry the terminal state.
 func TestStreamDeliversProgressAndTerminates(t *testing.T) {
 	ts, _ := newTestServer(t)
-	st, code := postJob(t, ts, `{"users": 4, "seed": 23, "duration": "10m", "shards": 8}`)
+	st, code := postJob(t, ts, oneCellJSON(4, 23, "10m", 8))
 	if code != http.StatusAccepted {
 		t.Fatalf("submit returned %d", code)
 	}
-	resp, err := http.Get(ts.URL + "/jobs/" + st.ID + "/stream")
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/stream")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,11 +227,11 @@ func TestCancelOverHTTP(t *testing.T) {
 	ts, m := newTestServer(t)
 	// A bigger cohort so cancellation lands before completion most runs;
 	// either way the lifecycle must stay coherent.
-	st, code := postJob(t, ts, `{"users": 64, "seed": 24, "duration": "2h", "shards": 64}`)
+	st, code := postJob(t, ts, oneCellJSON(64, 24, "2h", 64))
 	if code != http.StatusAccepted {
 		t.Fatalf("submit returned %d", code)
 	}
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+st.ID, nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +241,7 @@ func TestCancelOverHTTP(t *testing.T) {
 		t.Fatalf("cancel returned %d", resp.StatusCode)
 	}
 	waitDone(t, m, st.ID)
-	body, _ := getBody(t, ts.URL+"/jobs/"+st.ID)
+	body, _ := getBody(t, ts.URL+"/v1/jobs/"+st.ID)
 	var got jobs.Status
 	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatal(err)
@@ -225,7 +250,7 @@ func TestCancelOverHTTP(t *testing.T) {
 		t.Fatalf("after cancel: %+v", got)
 	}
 	if got.State == jobs.StateCanceled {
-		if _, code := getBody(t, ts.URL+"/jobs/"+st.ID+"/result"); code != http.StatusGone {
+		if _, code := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result"); code != http.StatusGone {
 			t.Fatalf("result of canceled job returned %d, want 410", code)
 		}
 	}
@@ -235,21 +260,40 @@ func TestCancelOverHTTP(t *testing.T) {
 // unknown jobs, unknown formats, result-before-done.
 func TestErrorsAndValidation(t *testing.T) {
 	ts, m := newTestServer(t)
+	// Each empty axis is rejected with an error naming it.
+	for _, axis := range []string{"schemes", "profiles", "cohorts"} {
+		var spec map[string]any
+		if err := json.Unmarshal([]byte(testSpecJSON(25)), &spec); err != nil {
+			t.Fatal(err)
+		}
+		delete(spec, axis)
+		body, _ := json.Marshal(spec)
+		if code, msg := postError(t, ts, string(body)); code != http.StatusBadRequest || !strings.Contains(msg, axis) {
+			t.Errorf("spec without %s: %d %q, want 400 naming the axis", axis, code, msg)
+		}
+	}
+	// Cohort schema bounds: users <= 1,000,000 and duration <= 30 days.
+	for _, bad := range []string{`"users": 1000001`, `"users": 1, "duration": "744h"`} {
+		body := strings.Replace(testSpecJSON(25), `"users": 3, "duration": "10m"`, bad, 1)
+		if code, msg := postError(t, ts, body); code != http.StatusBadRequest {
+			t.Errorf("cohort {%s}: %d %q, want 400", bad, code, msg)
+		}
+	}
 	for _, body := range []string{
-		`{"users": 0}`,
-		`{"users": 2, "profile": "Nokia 1G"}`,
-		`{"users": 2, "policy": "warp-speed"}`,
-		`{"users": 2, "bogus_field": 1}`,
+		`{"seed": 1}`,
+		strings.Replace(testSpecJSON(25), `"Verizon 3G"`, `"Nokia 1G"`, 1),
+		strings.Replace(testSpecJSON(25), `"makeidle"`, `"warp-speed"`, 1),
+		strings.Replace(testSpecJSON(25), `"seed"`, `"bogus_field": 1, "seed"`, 1),
 		`not json at all`,
 	} {
 		if _, code := postJob(t, ts, body); code != http.StatusBadRequest {
 			t.Fatalf("spec %q returned %d, want 400", body, code)
 		}
 	}
-	if _, code := getBody(t, ts.URL+"/jobs/job-999999"); code != http.StatusNotFound {
+	if _, code := getBody(t, ts.URL+"/v1/jobs/job-999999"); code != http.StatusNotFound {
 		t.Fatalf("unknown job status returned %d", code)
 	}
-	if _, code := getBody(t, ts.URL+"/jobs/job-999999/result"); code != http.StatusNotFound {
+	if _, code := getBody(t, ts.URL+"/v1/jobs/job-999999/result"); code != http.StatusNotFound {
 		t.Fatalf("unknown job result returned %d", code)
 	}
 
@@ -258,7 +302,7 @@ func TestErrorsAndValidation(t *testing.T) {
 		t.Fatalf("submit returned %d", code)
 	}
 	waitDone(t, m, st.ID)
-	if _, code := getBody(t, ts.URL+"/jobs/"+st.ID+"/result?format=yaml"); code != http.StatusBadRequest {
+	if _, code := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result?format=yaml"); code != http.StatusBadRequest {
 		t.Fatalf("unknown format returned %d", code)
 	}
 
@@ -268,13 +312,32 @@ func TestErrorsAndValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyLimit: a spec body over 1 MiB is cut off with 413 and
+// registers no job; the same spec padded to just under the limit is
+// served.
+func TestSubmitBodyLimit(t *testing.T) {
+	ts, m := newTestServer(t)
+	// Leading whitespace pads the body to n bytes; the decoder must read
+	// through all of it to reach the spec.
+	pad := func(n int) string { return strings.Repeat(" ", n-len(testSpecJSON(26))) + testSpecJSON(26) }
+	if code, msg := postError(t, ts, pad(maxSpecBytes+1)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: %d %q, want 413", code, msg)
+	}
+	if n := m.Len(); n != 0 {
+		t.Fatalf("oversized body registered %d jobs", n)
+	}
+	if _, code := postJob(t, ts, pad(maxSpecBytes)); code != http.StatusAccepted {
+		t.Fatalf("body at the limit returned %d, want 202", code)
+	}
+}
+
 // TestHealthzTraceCacheGauges pins the trace-cache health gauges: after a
 // grid whose cells share a cohort, /healthz must report the cache's
 // generations (misses), replays served from slabs (hits) and retained
 // bytes — nonzero each — plus the eviction counter.
 func TestHealthzTraceCacheGauges(t *testing.T) {
 	ts, m := newTestServer(t)
-	spec := `{"seed": 31, "duration": "2m", "shards": 2,
+	spec := `{"seed": 31, "shards": 2,
 		"schemes": [{"policy": {"name": "makeidle"}},
 		            {"policy": {"name": "fixedtail", "params": {"wait": "2s"}}}],
 		"profiles": [{"name": "verizon-3g"}],

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -12,35 +13,48 @@ import (
 	"repro/internal/policy"
 )
 
-// TestV1RoutesAliasLegacyRoutes: the /v1 surface serves the same handlers
-// as the legacy root paths — a job submitted on one is visible on the
-// other, with identical result bytes.
-func TestV1RoutesAliasLegacyRoutes(t *testing.T) {
+// TestLegacyRootRoutesGone: the job API lives only under /v1 — every
+// pre-versioning root route answers 404 (and registers no job), while the
+// same request under /v1 is served.
+func TestLegacyRootRoutesGone(t *testing.T) {
 	ts, m := newTestServer(t)
 	st, code := postJob(t, ts, testSpecJSON(31))
 	if code != http.StatusAccepted {
-		t.Fatalf("submit returned %d", code)
+		t.Fatalf("/v1 submit returned %d", code)
 	}
 	waitDone(t, m, st.ID)
-	v1, code := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result")
-	if code != http.StatusOK {
-		t.Fatalf("/v1 result returned %d", code)
+	for _, r := range []struct{ method, path string }{
+		{http.MethodPost, "/jobs"},
+		{http.MethodGet, "/jobs"},
+		{http.MethodGet, "/jobs/" + st.ID},
+		{http.MethodDelete, "/jobs/" + st.ID},
+		{http.MethodGet, "/jobs/" + st.ID + "/result"},
+		{http.MethodGet, "/jobs/" + st.ID + "/stream"},
+	} {
+		var body io.Reader
+		if r.method == http.MethodPost {
+			body = strings.NewReader(testSpecJSON(32))
+		}
+		req, err := http.NewRequest(r.method, ts.URL+r.path, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s returned %d, want 404", r.method, r.path, resp.StatusCode)
+		}
+		if r.method == http.MethodGet {
+			if _, code := getBody(t, ts.URL+"/v1"+r.path); code != http.StatusOK {
+				t.Errorf("GET /v1%s returned %d, want 200", r.path, code)
+			}
+		}
 	}
-	legacy, code := getBody(t, ts.URL+"/jobs/"+st.ID+"/result")
-	if code != http.StatusOK {
-		t.Fatalf("legacy result returned %d", code)
-	}
-	if !bytes.Equal(v1, legacy) {
-		t.Fatal("/v1 and legacy result bytes differ")
-	}
-	// And submission works on /v1 directly.
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(testSpecJSON(32)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("/v1 submit returned %d", resp.StatusCode)
+	if n := m.Len(); n != 1 {
+		t.Fatalf("manager holds %d jobs, want only the /v1 submission", n)
 	}
 }
 
@@ -110,7 +124,8 @@ func TestPoliciesEndpointMatchesRegistry(t *testing.T) {
 // jobs on the same seed.
 func TestSweepMatchesSeparateJobs(t *testing.T) {
 	ts, m := newTestServer(t)
-	cohort := `"users": 4, "seed": 51, "duration": "15m", "shards": 4`
+	cohort := `"seed": 51, "shards": 4, "profiles": [{"name": "Verizon 3G"}],
+		"cohorts": [{"name": "study-3g", "params": {"users": 4, "duration": "15m"}}]`
 	schemes := []string{
 		`{"policy": {"name": "fixedtail", "params": {"wait": "2s"}}}`,
 		`{"policy": {"name": "fixedtail"}}`,
@@ -172,23 +187,43 @@ func TestSweepMatchesSeparateJobs(t *testing.T) {
 	}
 }
 
-// TestLegacyFlatPayloadOnV1: the back-compat mapping — a flat-name
-// payload and its explicit spec form share a fingerprint, so the second
+// TestLegacyFlatPayloadOnV1: the pre-grid flat fields are not part of
+// the spec — each is rejected with a 400 naming it and registers no job —
+// while the flat policy name lives on as a registry alias: the list-form
+// alias and its canonical spec share a fingerprint, so the second
 // submission is a cache hit with byte-identical results.
 func TestLegacyFlatPayloadOnV1(t *testing.T) {
 	ts, m := newTestServer(t)
-	flat, code := postJob(t, ts, `{"users": 3, "seed": 52, "duration": "10m", "shards": 4, "policy": "4.5s"}`)
+	for field, body := range map[string]string{
+		"users":    `{"users": 3, "seed": 1}`,
+		"duration": `{"seed": 1, "duration": "10m"}`,
+		"diurnal":  `{"seed": 1, "diurnal": false}`,
+		"profile":  `{"seed": 1, "profile": "Verizon LTE"}`,
+		"policy":   `{"seed": 1, "policy": "4.5s"}`,
+		"active":   `{"seed": 1, "active": "learn"}`,
+	} {
+		code, msg := postError(t, ts, body)
+		if code != http.StatusBadRequest || !strings.Contains(msg, `"`+field+`"`) {
+			t.Errorf("flat %s payload: %d %q, want 400 naming %q", field, code, msg, field)
+		}
+	}
+	if n := m.Len(); n != 0 {
+		t.Fatalf("rejected payloads registered %d jobs", n)
+	}
+
+	alias, code := postJob(t, ts, strings.Replace(testSpecJSON(52),
+		`{"policy": {"name": "makeidle"}}`, `{"label": "4.5s", "policy": {"name": "4.5s"}}`, 1))
 	if code != http.StatusAccepted {
-		t.Fatalf("flat submit returned %d", code)
+		t.Fatalf("alias submit returned %d", code)
 	}
-	waitDone(t, m, flat.ID)
-	speced, code := postJob(t, ts, `{"users": 3, "seed": 52, "duration": "10m", "shards": 4,
-		"schemes": [{"label": "4.5s", "policy": {"name": "fixedtail", "params": {"wait": 4500000000}}}]}`)
+	waitDone(t, m, alias.ID)
+	speced, code := postJob(t, ts, strings.Replace(testSpecJSON(52), `{"policy": {"name": "makeidle"}}`,
+		`{"label": "4.5s", "policy": {"name": "fixedtail", "params": {"wait": 4500000000}}}`, 1))
 	if code != http.StatusOK {
-		t.Fatalf("spec-form submit returned %d, want 200 (cache hit)", code)
+		t.Fatalf("canonical submit returned %d, want 200 (cache hit)", code)
 	}
-	if !speced.CacheHit || speced.Fingerprint != flat.Fingerprint {
-		t.Fatalf("spec form did not hit the flat form's cache entry: %+v", speced)
+	if !speced.CacheHit || speced.Fingerprint != alias.Fingerprint {
+		t.Fatalf("canonical form did not hit the alias form's cache entry: %+v", speced)
 	}
 }
 

@@ -141,9 +141,9 @@ func (r *CohortRegistry) Resolution(s spec.Spec) (CohortResolution, error) {
 	return CohortResolution{Plan: plan, Canonical: res.Canonical, Label: res.Label}, nil
 }
 
-// MaxCohortUsers bounds a single cohort's population (the fleet's
-// O(users) job-slice allocation is the admission concern; this matches
-// the job layer's historical cap).
+// MaxCohortUsers bounds a single cohort's population: the fleet's
+// O(users) job-slice allocation is the admission concern, and this schema
+// bound is the job layer's only cap on it.
 const MaxCohortUsers = 1_000_000
 
 // CohortParams returns the population knobs every cohort family shares.
@@ -152,9 +152,10 @@ func CohortParams() []spec.ParamSpec {
 	return []spec.ParamSpec{
 		{Name: "users", Kind: spec.KindInt, Default: 100, Min: 1, Max: MaxCohortUsers,
 			Help: "population size (mixes cycle through the family's blends)"},
-		// Min is 1 ns, not something "sensible": the pre-grid job layer
-		// accepted any positive duration, and the legacy flat payloads that
-		// map onto this schema must keep resolving.
+		// Min is 1 ns, not something "sensible": any positive trace length
+		// is a well-defined replay (short cohorts are cheap probes and test
+		// inputs), so a larger floor would only reject valid work. The Max
+		// bounds per-user trace length at admission.
 		{Name: "duration", Kind: spec.KindDuration, Default: 4 * time.Hour,
 			Min: time.Nanosecond, Max: 30 * 24 * time.Hour,
 			Help: "per-user trace length"},

@@ -82,9 +82,6 @@ func ATTHSPAPlus() Profile { return power.ATTHSPAPlus }
 func Verizon3G() Profile   { return power.Verizon3G }
 func VerizonLTE() Profile  { return power.VerizonLTE }
 
-// Carriers returns all four Table 2 profiles.
-func Carriers() []Profile { return power.Carriers() }
-
 // Threshold computes t_threshold for a profile (§4.1): the gap length
 // beyond which fast dormancy beats riding the inactivity timers.
 func Threshold(p Profile) time.Duration { return energy.Threshold(&p) }

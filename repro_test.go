@@ -28,8 +28,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 func TestFacadeProfilesAndApps(t *testing.T) {
-	if len(Carriers()) != 4 {
-		t.Fatalf("carriers = %d", len(Carriers()))
+	for _, p := range []Profile{TMobile3G(), ATTHSPAPlus(), Verizon3G(), VerizonLTE()} {
+		if err := p.Validate(); err != nil {
+			t.Fatalf("carrier %q: %v", p.Name, err)
+		}
 	}
 	if len(Apps()) != 7 {
 		t.Fatalf("apps = %d", len(Apps()))
