@@ -109,7 +109,8 @@ type Job struct {
 	// The worker pulls packets on demand, so per-worker memory is
 	// independent of trace duration. Without a trace cache the constructor
 	// is invoked once per pass (the replay, plus the baseline and the fit
-	// pass when those are set), so it must be deterministic in Seed. A
+	// pass when those are set), so it must be deterministic in Seed; with
+	// one, every pass reads the slab it generated once per CacheKey. A
 	// materialized trace adapts by returning a fresh cursor over the slice
 	// (trace.Trace.Source) from every call.
 	Source func(seed int64) trace.Source
@@ -134,7 +135,10 @@ type Job struct {
 	// Opts are the simulation options for both the run and its baseline.
 	Opts *sim.Options
 	// Baseline also replays the trace under policy.StatusQuo so the fold
-	// can compute relative metrics (savings, switch ratio).
+	// can compute relative metrics (savings, switch ratio). The baseline
+	// depends only on the packets, Profile and Opts, so when the job's
+	// slab is retained by Options.TraceCache the replay runs once per
+	// (slab, Profile, Opts) and every other job sharing them reuses it.
 	Baseline bool
 	// CacheKey, when non-empty, lets Options.TraceCache memoize the job's
 	// packets. The key must determine the packet stream completely
@@ -152,9 +156,9 @@ type Job struct {
 	PolicyKey string
 }
 
-// Outcome hands one finished job to the fold. Result and Baseline are only
-// valid during the Fold call for jobs the accumulator does not retain; the
-// standard aggregates copy the scalars they need and drop the rest.
+// Outcome hands one finished job to the fold. Result is only valid during
+// the Fold call for jobs the accumulator does not retain; the standard
+// aggregates copy the scalars they need and drop the rest.
 type Outcome struct {
 	// Index is the job's position in the submitted slice.
 	Index int
@@ -162,8 +166,19 @@ type Outcome struct {
 	Job *Job
 	// Result is the replay outcome under the job's policy pair.
 	Result *sim.Result
-	// Baseline is the StatusQuo outcome, nil unless Job.Baseline.
-	Baseline *sim.Result
+	// Baseline holds the StatusQuo replay's scalars when Job.Baseline is
+	// set, and is zero otherwise.
+	Baseline Baseline
+}
+
+// Baseline is all the fold reads of a job's StatusQuo replay: the total
+// energy and the promotion count, the denominators of the savings and
+// switch-ratio metrics. Holding just these two scalars is what lets the
+// trace cache share one baseline replay between every job of a (user,
+// profile, options).
+type Baseline struct {
+	TotalJ     float64
+	Promotions int
 }
 
 // Accumulator reduces outcomes. New creates an empty (per-shard)
@@ -182,9 +197,9 @@ type Outcome struct {
 //     original never show through the copy. Required for progress
 //     snapshots (runHooked), because the reuse machinery recycles shard
 //     partials as soon as they merge.
-//   - Transient declares that Fold never retains Outcome.Result or
-//     Outcome.Baseline past the call; the run then reuses one Result pair
-//     per worker across every replay instead of allocating two per job.
+//   - Transient declares that Fold never retains Outcome.Result past the
+//     call; the run then reuses one Result per worker across every replay
+//     instead of allocating one per job.
 type Accumulator[A any] struct {
 	New   func() A
 	Fold  func(A, Outcome) A
@@ -206,12 +221,12 @@ type workerState struct {
 	engine   *sim.Engine
 	policies map[policyCacheKey]cachedPolicies
 
-	// base and main are the worker's reusable Result pair, used when the
-	// run's accumulator is Transient (Fold copies what it needs and retains
-	// nothing): each replay overwrites a slot in place, reusing its slice
-	// capacity, so a shard of N jobs allocates zero Results instead of
-	// 2N. Two slots because a job's baseline and policy outcomes are alive
-	// simultaneously during the fold.
+	// base is the worker's scratch Result for baseline replays, whose
+	// scalars are copied out before the next replay; main is the reusable
+	// Result for scheme replays, used when the run's accumulator is
+	// Transient (Fold copies what it needs and retains nothing). Each
+	// replay overwrites its slot in place, reusing its slice capacity, so
+	// a shard of N jobs allocates zero Results instead of 2N.
 	base, main sim.Result
 
 	// bytes is the worker's reusable slab decoder: cached-trace replays
@@ -219,15 +234,6 @@ type workerState struct {
 	// replay. Each replay finishes before the next Reset, so one cursor
 	// per worker suffices.
 	bytes trace.BytesSource
-}
-
-// slots returns the Result pair replays should write into, or nils when
-// the accumulator may retain results (each replay then allocates fresh).
-func (ws *workerState) slots(reuse bool) (base, main *sim.Result) {
-	if reuse {
-		return &ws.base, &ws.main
-	}
-	return nil, nil
 }
 
 // open starts one pass over the job's packets: the cached slab through the
@@ -622,19 +628,22 @@ func runShard[A any](jobs []Job, s, nshards int, ws *workerState, acc Accumulato
 
 // runJob replays the job (plus its baseline) on the worker's engine. It
 // makes one choice — where packets come from — and then runs the same steps
-// for every job: build the policy pair, replay the baseline, replay the
+// for every job: build the policy pair, obtain the baseline, replay the
 // scheme. Cacheable jobs (CacheKey set, cache provided) read the shared
 // slab: the first toucher of the key streams the generator through the
 // rrcstream codec into it (single-flight — concurrent cells wait rather than
 // duplicate the generation), and every pass decodes zero-copy through the
 // worker's cursor; trace-fitted pairs are then memoized per worker under
-// (scheme, trace, profile). Every other job opens a fresh source per pass,
-// so worker memory stays bounded by burst structure regardless of trace
-// duration. The codec round-trips exactly, so both choices are
-// byte-identical. reuse (from Accumulator.Transient) routes both replays
-// into the worker's Result pair; the Outcome then aliases worker scratch
-// and is valid only during the fold, exactly what Outcome's contract
-// already says.
+// (scheme, trace, profile), and the baseline's scalars are memoized on the
+// retained slab's cache entry under (profile, options), so one StatusQuo
+// replay serves every scheme of the user. Every other job opens a fresh
+// source per pass and replays its own baseline, so worker memory stays
+// bounded by burst structure regardless of trace duration. The codec
+// round-trips exactly and the same replay yields the same two scalars, so
+// every choice is byte-identical. reuse (from Accumulator.Transient)
+// routes the scheme replay into the worker's Result slot; the Outcome then
+// aliases worker scratch and is valid only during the fold, exactly what
+// Outcome's contract already says.
 func runJob(job *Job, index int, ws *workerState, tc *TraceCache, reuse bool) (Outcome, error) {
 	out := Outcome{Index: index, Job: job}
 	ck := policyCacheKey{key: job.PolicyKey, prof: job.Profile}
@@ -652,11 +661,20 @@ func runJob(job *Job, index int, ws *workerState, tc *TraceCache, reuse bool) (O
 	if err != nil {
 		return out, err
 	}
-	baseSlot, mainSlot := ws.slots(reuse)
 	if job.Baseline {
-		if out.Baseline, err = ws.replay(job, slab, baseSlot, policy.StatusQuo{}, nil); err != nil {
+		if out.Baseline, err = tc.baseline(job.CacheKey, job.Profile, job.Opts, func() (Baseline, error) {
+			r, err := ws.replay(job, slab, &ws.base, policy.StatusQuo{}, nil)
+			if err != nil {
+				return Baseline{}, err
+			}
+			return Baseline{TotalJ: r.TotalJ(), Promotions: r.Promotions}, nil
+		}); err != nil {
 			return out, fmt.Errorf("baseline: %w", err)
 		}
+	}
+	var mainSlot *sim.Result
+	if reuse {
+		mainSlot = &ws.main
 	}
 	if out.Result, err = ws.replay(job, slab, mainSlot, demote, active); err != nil {
 		return out, err

@@ -86,9 +86,9 @@ func (s *SchemeSummary) fold(out Outcome) {
 		s.BurstDelay.AddDuration(d)
 		s.DelayHist.Add(d.Seconds())
 	}
-	if out.Baseline != nil {
-		s.SavingsPct.Add(metrics.SavingsPercent(out.Baseline, r))
-		s.SwitchRatio.Add(metrics.SwitchRatio(out.Baseline, r))
+	if out.Job.Baseline {
+		s.SavingsPct.Add(metrics.SavingsPercentJ(out.Baseline.TotalJ, r.TotalJ()))
+		s.SwitchRatio.Add(metrics.SwitchRatioN(out.Baseline.Promotions, r.Promotions))
 	}
 }
 
@@ -280,7 +280,7 @@ func (s *Summary) String() string {
 // path is unreachable and swallowed. It opts into every reuse path: Reset
 // and Clone let the runtime recycle shard accumulators (O(workers) summary
 // allocations per run) while keeping snapshots deterministic, and Transient
-// is safe because Fold copies scalars out of the Results and retains
+// is safe because Fold copies scalars out of the Result and retains
 // nothing.
 func SummaryAccumulator(cfg SummaryConfig) Accumulator[*Summary] {
 	cfg = cfg.withDefaults()

@@ -4,6 +4,8 @@ import (
 	"container/list"
 	"sync"
 
+	"repro/internal/power"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -42,6 +44,16 @@ import (
 // two epochs have begun since, so its job and the next one can still
 // share it; a slab touched in any later epoch stays under the LRU budget.
 // Without AdvanceEpoch calls the cache is a plain LRU.
+//
+// A retained slab's entry also memoizes the StatusQuo baselines replayed
+// from it, one per (profile, sim.Options): a grid replays every user
+// against S schemes per profile, and the baseline depends on neither the
+// scheme nor the cell, so S-1 of every S baseline replays would repeat
+// earlier work. A memo is two scalars (Baseline) and lives and dies with
+// its slab: it is retained, evicted and epoch-dropped with it and charges
+// nothing to the byte budget. Baselines are single-flight per key the
+// same way generation is, and replays of slabs the cache did not retain
+// are not memoized.
 type TraceCache struct {
 	mu     sync.Mutex
 	budget int64
@@ -53,13 +65,15 @@ type TraceCache struct {
 	epoch   uint64
 
 	hits, misses, evictions uint64
+	baseHits, baseMisses    uint64
 }
 
 // traceEntry is one cached (or generating) slab. done closes once slab
 // and err are final; both are immutable afterwards. elem is the entry's
 // LRU position, nil while generating or once dropped. born is the epoch
 // whose caller started the generation and last the latest epoch in which
-// any caller touched the entry.
+// any caller touched the entry. baselines is the entry's baseline memo,
+// guarded by the cache's mu.
 type traceEntry struct {
 	key        string
 	done       chan struct{}
@@ -67,18 +81,40 @@ type traceEntry struct {
 	err        error
 	elem       *list.Element
 	born, last uint64
+	baselines  map[baselineKey]*baselineMemo
+}
+
+// baselineKey identifies one baseline replay of an entry's slab: the
+// profile and the dereferenced simulation options (nil counts as the zero
+// value, which the engine treats identically).
+type baselineKey struct {
+	prof power.Profile
+	opts sim.Options
+}
+
+// baselineMemo is one memoized (or replaying) baseline. done closes once
+// val and err are final; both are immutable afterwards.
+type baselineMemo struct {
+	done chan struct{}
+	val  Baseline
+	err  error
 }
 
 // TraceCacheStats is a point-in-time snapshot of the cache gauges.
 // Misses count generations actually run (single-flight waiters count as
 // hits: they reused another caller's generation); Bytes and Entries
-// cover retained slabs only.
+// cover retained slabs only. BaselineMisses likewise counts memoized
+// baseline replays actually run and BaselineHits the baselines served
+// from a memo; replays of slabs the cache did not retain count in
+// neither.
 type TraceCacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
-	Bytes     int64  `json:"bytes"`
+	Hits           uint64 `json:"hits"`
+	Misses         uint64 `json:"misses"`
+	Evictions      uint64 `json:"evictions"`
+	Entries        int    `json:"entries"`
+	Bytes          int64  `json:"bytes"`
+	BaselineHits   uint64 `json:"baseline_hits"`
+	BaselineMisses uint64 `json:"baseline_misses"`
 }
 
 // NewTraceCache returns a cache bounded to maxBytes of retained slab
@@ -150,6 +186,53 @@ func (c *TraceCache) Slab(key string, gen func() trace.Source) ([]byte, error) {
 	return slab, err
 }
 
+// baseline returns the StatusQuo baseline of key's slab under (prof,
+// opts), calling run to replay it at most once for as long as the cache
+// retains the slab. Concurrent callers of one (key, prof, opts) wait for
+// the first caller's replay; the wait is deadlock-free for the same
+// reason Slab's is: run replays on the calling goroutine and acquires
+// nothing. A replay error is returned to every waiter but not memoized,
+// so a later caller retries. With a nil cache, an empty key, or a slab
+// the cache does not hold (never retained, or dropped since), baseline
+// just calls run.
+func (c *TraceCache) baseline(key string, prof power.Profile, opts *sim.Options, run func() (Baseline, error)) (Baseline, error) {
+	if c == nil || key == "" {
+		return run()
+	}
+	k := baselineKey{prof: prof}
+	if opts != nil {
+		k.opts = *opts
+	}
+	c.mu.Lock()
+	e := c.entries[key]
+	if e == nil || e.elem == nil {
+		c.mu.Unlock()
+		return run()
+	}
+	if m, ok := e.baselines[k]; ok {
+		c.baseHits++
+		c.mu.Unlock()
+		<-m.done
+		return m.val, m.err
+	}
+	m := &baselineMemo{done: make(chan struct{})}
+	if e.baselines == nil {
+		e.baselines = map[baselineKey]*baselineMemo{}
+	}
+	e.baselines[k] = m
+	c.baseMisses++
+	c.mu.Unlock()
+
+	m.val, m.err = run()
+	if m.err != nil {
+		c.mu.Lock()
+		delete(e.baselines, k)
+		c.mu.Unlock()
+	}
+	close(m.done)
+	return m.val, m.err
+}
+
 // AdvanceEpoch starts a new epoch and drops the ready slabs that no
 // caller touched after the epoch that generated them, once that epoch is
 // two or more behind (see TraceCache). Drops count as evictions; entries
@@ -192,6 +275,9 @@ func (c *TraceCache) Stats() TraceCacheStats {
 		Evictions: c.evictions,
 		Entries:   c.lru.Len(),
 		Bytes:     c.total,
+
+		BaselineHits:   c.baseHits,
+		BaselineMisses: c.baseMisses,
 	}
 }
 

@@ -14,9 +14,13 @@ import (
 // slots than cells — produces byte-identical output to the strictly
 // sequential CellParallel=1 run. Every rendered form is compared (job
 // JSON/CSV/text, per-cell JSON, per-cell fingerprints, via
-// assertSameResult) plus the durable store contents record by record, so
-// a scheduling-dependent byte anywhere in the pipeline fails loudly.
-// Run under -race this also exercises the executor's synchronization.
+// assertSameResult), the summaries deeply, plus the durable store
+// contents record by record, so a scheduling-dependent byte anywhere in
+// the pipeline fails loudly. The reference runs with the trace cache off,
+// and every level runs with it on and off: with it on, which cell
+// replays a (user, profile) baseline first and which reuse it from the
+// memo is decided by scheduling. Run under -race this also exercises the
+// executor's synchronization.
 func TestCellParallelDeterminism(t *testing.T) {
 	spec := Spec{Seed: 11, Shards: 2,
 		Schemes:  resumeSchemes,  // 3
@@ -32,7 +36,7 @@ func TestCellParallelDeterminism(t *testing.T) {
 	}
 	defer refStore.Close()
 	ref := NewManager(Config{Runners: 1, Workers: 2, CellParallel: 1,
-		CacheSize: -1, CellCacheSize: -1, Store: refStore})
+		CacheSize: -1, CellCacheSize: -1, TraceCacheBytes: -1, Store: refStore})
 	want := runSpec(t, ref, spec)
 	if got := ref.CellsExecuted(); got != uint64(len(want.Cells)) {
 		t.Fatalf("reference executed %d cells, want %d", got, len(want.Cells))
@@ -41,35 +45,54 @@ func TestCellParallelDeterminism(t *testing.T) {
 
 	for _, par := range []int{2, runtime.GOMAXPROCS(0), len(want.Cells) + 8} {
 		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
-			st, err := store.Open(store.Config{Dir: t.TempDir()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer st.Close()
-			m := NewManager(Config{Runners: 1, Workers: 4, CellParallel: par,
-				CacheSize: -1, CellCacheSize: -1, Store: st})
-			defer m.Close()
-			got := runSpec(t, m, spec)
-			if n := m.CellsExecuted(); n != uint64(len(want.Cells)) {
-				t.Fatalf("executed %d cells, want %d", n, len(want.Cells))
-			}
-			assertSameResult(t, want, got)
-			// The store must hold the same records the sequential run wrote:
-			// same keys, same bytes — completion-order writes are invisible.
-			if st.Len() != refStore.Len() {
-				t.Fatalf("store holds %d cells, reference %d", st.Len(), refStore.Len())
-			}
-			for _, c := range want.Cells {
-				wantRec, ok1 := refStore.Get(c.Key)
-				gotRec, ok2 := st.Get(c.Key)
-				if !ok1 || !ok2 {
-					t.Fatalf("cell %s missing from a store (ref=%v cur=%v)", c.Key, ok1, ok2)
-				}
-				if !bytes.Equal(wantRec, gotRec) {
-					t.Fatalf("cell %s store record differs from sequential run", c.Key)
-				}
+			for _, memo := range []bool{true, false} {
+				t.Run(fmt.Sprintf("memo=%v", memo), func(t *testing.T) {
+					cellParallelRun(t, par, memo, spec, want, refStore)
+				})
 			}
 		})
+	}
+}
+
+// cellParallelRun is one TestCellParallelDeterminism level: the spec run
+// at CellParallel par, with the baseline memo on or off, against the
+// sequential reference's result and store.
+func cellParallelRun(t *testing.T, par int, memo bool, spec Spec, want *Result, refStore *store.Store) {
+	st, err := store.Open(store.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	cfg := Config{Runners: 1, Workers: 4, CellParallel: par,
+		CacheSize: -1, CellCacheSize: -1, Store: st}
+	if !memo {
+		cfg.TraceCacheBytes = -1
+	}
+	m := NewManager(cfg)
+	defer m.Close()
+	got := runSpec(t, m, spec)
+	if n := m.CellsExecuted(); n != uint64(len(want.Cells)) {
+		t.Fatalf("executed %d cells, want %d", n, len(want.Cells))
+	}
+	assertSameResult(t, want, got)
+	assertSameSummaries(t, want, got)
+	if hits := m.TraceCacheStats().BaselineHits; (hits > 0) != memo {
+		t.Fatalf("memo=%v but %d baselines were served from it", memo, hits)
+	}
+	// The store must hold the same records the sequential run wrote: same
+	// keys, same bytes — completion-order writes are invisible.
+	if st.Len() != refStore.Len() {
+		t.Fatalf("store holds %d cells, reference %d", st.Len(), refStore.Len())
+	}
+	for _, c := range want.Cells {
+		wantRec, ok1 := refStore.Get(c.Key)
+		gotRec, ok2 := st.Get(c.Key)
+		if !ok1 || !ok2 {
+			t.Fatalf("cell %s missing from a store (ref=%v cur=%v)", c.Key, ok1, ok2)
+		}
+		if !bytes.Equal(wantRec, gotRec) {
+			t.Fatalf("cell %s store record differs from sequential run", c.Key)
+		}
 	}
 }
 

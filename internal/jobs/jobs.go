@@ -278,8 +278,13 @@ type Config struct {
 	// also drops the slabs that only the job before last touched, so jobs
 	// with fresh seeds do not fill the budget with traffic nobody
 	// replays; a slab a later job touches stays under the LRU budget.
-	// Results are unchanged: the codec round-trips bit-exactly and
-	// replaying the slab is byte-identical to streaming the same seed.
+	// Each retained slab also carries its user's StatusQuo baselines, one
+	// per (profile, simulation options), so a grid replays a baseline once
+	// per (cohort, profile, user) rather than once per cell; they cost no
+	// budget and go when the slab goes. Results are unchanged: the codec
+	// round-trips bit-exactly, replaying the slab is byte-identical to
+	// streaming the same seed, and a memoized baseline holds the same two
+	// scalars its replay produces.
 	TraceCacheBytes int64
 
 	// runFleet overrides the fleet call in tests; nil means the real one.
@@ -664,8 +669,8 @@ func (m *Manager) Cell(key string) (*CellResult, bool) {
 func (m *Manager) CellsExecuted() uint64 { return m.cellsRun.Load() }
 
 // TraceCacheStats snapshots the trace cache's gauges (zeros when the
-// cache is disabled) — hit/miss/eviction counters and retained slab
-// bytes for the health endpoint.
+// cache is disabled) — hit/miss/eviction counters, retained slab bytes
+// and the baseline memo's hits and misses, for the health endpoint.
 func (m *Manager) TraceCacheStats() fleet.TraceCacheStats { return m.traces.Stats() }
 
 // StoreStats snapshots the durable store's gauges; ok is false when the

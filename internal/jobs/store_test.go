@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/fleet"
@@ -15,6 +16,8 @@ import (
 // Axis pools the resume tests draw random small grids from. Every value
 // resolves against the real registries, so the cells replay real fleet
 // runs — byte-identity claims are only meaningful against real output.
+// The cohorts are awake all day: a diurnal cohort's first minutes are
+// night, and its users would replay few or no packets.
 var (
 	resumeSchemes = []fleet.SchemeSpec{
 		{Policy: policy.Spec{Name: "makeidle"}},
@@ -26,8 +29,8 @@ var (
 		{Name: "verizon-lte"},
 	}
 	resumeCohorts = []fleet.CohortSpec{
-		{Name: "study-3g", Params: map[string]any{"users": 2, "duration": "2m"}},
-		{Name: "study-lte", Params: map[string]any{"users": 2, "duration": "2m"}},
+		{Name: "study-3g", Params: map[string]any{"users": 2, "duration": "2m", "diurnal": false}},
+		{Name: "study-lte", Params: map[string]any{"users": 2, "duration": "2m", "diurnal": false}},
 	}
 )
 
@@ -97,6 +100,26 @@ func assertSameResult(t *testing.T, want, got *Result) {
 	}
 }
 
+// assertSameSummaries proves two results hold deeply equal summaries, cell
+// for cell and (for single-axis jobs) merged: equal bytes could in
+// principle hide a difference the renderings round away, equal summaries
+// cannot.
+func assertSameSummaries(t *testing.T, want, got *Result) {
+	t.Helper()
+	if !reflect.DeepEqual(want.Summary, got.Summary) {
+		t.Fatal("merged summaries differ")
+	}
+	if len(want.Cells) != len(got.Cells) {
+		t.Fatalf("cell count %d vs %d", len(got.Cells), len(want.Cells))
+	}
+	for i := range want.Cells {
+		if !reflect.DeepEqual(want.Cells[i].Summary, got.Cells[i].Summary) {
+			t.Fatalf("cell %d (%s/%s/%s) summary differs", i,
+				want.Cells[i].Scheme, want.Cells[i].Profile, want.Cells[i].Cohort)
+		}
+	}
+}
+
 // TestResumeEquivalence is the resume property over random small grids:
 // run a grid cold against a store, tear the manager down (a clean proxy
 // for the crash the store tests cover at the file layer — the store's
@@ -122,8 +145,10 @@ func TestResumeEquivalence(t *testing.T) {
 			superset := base
 			superset.Schemes = resumeSchemes[:nsch+1]
 
-			// Reference: an uninterrupted manager with no store at all.
-			ref := NewManager(Config{Runners: 1, Workers: 2})
+			// Reference: an uninterrupted manager with no store at all, and
+			// with the trace cache (and so the baseline memo) off, so every
+			// resumed run below also compares memo on against memo off.
+			ref := NewManager(Config{Runners: 1, Workers: 2, TraceCacheBytes: -1})
 			refBase := runSpec(t, ref, base)
 			refSuper := runSpec(t, ref, superset)
 			ref.Close()
@@ -136,6 +161,10 @@ func TestResumeEquivalence(t *testing.T) {
 				t.Fatalf("cold run executed %d cells, want %d", got, want)
 			}
 			assertSameResult(t, refBase, cold)
+			assertSameSummaries(t, refBase, cold)
+			if st := m1.TraceCacheStats(); st.BaselineMisses == 0 {
+				t.Fatalf("cold run never memoized a baseline: %+v", st)
+			}
 			m1.Close()
 			if err := st1.Close(); err != nil {
 				t.Fatal(err)
@@ -153,6 +182,7 @@ func TestResumeEquivalence(t *testing.T) {
 				t.Fatalf("resumed superset executed %d cells, want frontier %d", got, frontier)
 			}
 			assertSameResult(t, refSuper, super)
+			assertSameSummaries(t, refSuper, super)
 
 			// The original grid is now fully covered: zero executions.
 			resumedBase := runSpec(t, m2, base)
@@ -160,6 +190,7 @@ func TestResumeEquivalence(t *testing.T) {
 				t.Fatalf("resubmitted base executed %d extra cells, want 0", got-frontier)
 			}
 			assertSameResult(t, refBase, resumedBase)
+			assertSameSummaries(t, refBase, resumedBase)
 
 			stats, ok := m2.StoreStats()
 			if !ok || stats.Hits < uint64(len(cold.Cells)) {

@@ -3,7 +3,9 @@ package jobs
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/fleet"
@@ -25,10 +27,13 @@ var traceCacheSchemes = []fleet.SchemeSpec{
 // grid run with the cohort trace cache enabled produces byte-identical
 // output to the same grid with the cache disabled, at every cell
 // concurrency level. Every rendered form is compared (job JSON/CSV/text,
-// per-cell JSON, per-cell fingerprints) plus the durable store contents
-// record by record — and the enabled runs must actually hit the cache,
-// so the equality is between a replayed slab and a regenerated stream,
-// not between two identical code paths.
+// per-cell JSON, per-cell fingerprints), the summaries deeply, plus the
+// durable store contents record by record — and the enabled runs must
+// actually hit the cache, so the equality is between a replayed slab and
+// a regenerated stream, not between two identical code paths. The same
+// holds for the baseline memo the cache carries: the enabled runs must
+// serve baselines from it, and a cache too small to retain any slab (so
+// no memo either) must match too.
 func TestTraceCacheEquivalence(t *testing.T) {
 	spec := Spec{Seed: 17, Shards: 2,
 		Schemes:  traceCacheSchemes, // 3, one trace-fitted
@@ -36,6 +41,7 @@ func TestTraceCacheEquivalence(t *testing.T) {
 		Cohorts:  resumeCohorts[:1], // x1 = 6 cells, one shared cohort
 	}
 	const users = 2 // study-3g fixture population
+	memoKeys := uint64(users * len(spec.Profiles))
 
 	refStore, err := store.Open(store.Config{Dir: t.TempDir()})
 	if err != nil {
@@ -62,6 +68,7 @@ func TestTraceCacheEquivalence(t *testing.T) {
 			defer m.Close()
 			got := runSpec(t, m, spec)
 			assertSameResult(t, want, got)
+			assertSameSummaries(t, want, got)
 
 			stats := m.TraceCacheStats()
 			if stats.Misses != users {
@@ -70,6 +77,11 @@ func TestTraceCacheEquivalence(t *testing.T) {
 			}
 			if stats.Hits == 0 {
 				t.Fatalf("cached run never hit the trace cache: %+v", stats)
+			}
+			wantHits := memoKeys * uint64(len(spec.Schemes)-1)
+			if stats.BaselineMisses != memoKeys || stats.BaselineHits != wantHits {
+				t.Fatalf("baseline memo: want %d replays and %d reuses: %+v",
+					memoKeys, wantHits, stats)
 			}
 
 			if st.Len() != refStore.Len() {
@@ -84,6 +96,112 @@ func TestTraceCacheEquivalence(t *testing.T) {
 				if !bytes.Equal(wantRec, gotRec) {
 					t.Fatalf("cell %s store record differs from uncached run", c.Key)
 				}
+			}
+		})
+	}
+
+	// A one-byte budget generates every slab and retains none, so every
+	// job replays its own baseline: the memo is off with the cache on.
+	t.Run("slab-over-budget", func(t *testing.T) {
+		m := NewManager(Config{Runners: 1, Workers: 4, CellParallel: 2,
+			CacheSize: -1, CellCacheSize: -1, TraceCacheBytes: 1})
+		defer m.Close()
+		got := runSpec(t, m, spec)
+		assertSameResult(t, want, got)
+		assertSameSummaries(t, want, got)
+		if st := m.TraceCacheStats(); st.Entries != 0 || st.BaselineHits != 0 || st.BaselineMisses != 0 {
+			t.Fatalf("over-budget slabs were retained or memoized: %+v", st)
+		}
+	})
+}
+
+// TestBaselineMemoExactCounts pins how often a grid replays baselines: a
+// fresh-seed grid of C cohorts x P profiles x S schemes x U users replays
+// one StatusQuo baseline per (cohort, profile, user), C·P·U memo misses,
+// and every other cell of the same (cohort, profile) reuses it, C·P·U·(S-1)
+// hits, at every cell concurrency level. A resubmission served from the
+// cell cache replays nothing, and a second fresh-seed grid adds the same
+// counts again.
+func TestBaselineMemoExactCounts(t *testing.T) {
+	const users = 2 // each fixture cohort's population
+	spec := func(seed int64) Spec {
+		return Spec{Seed: seed, Shards: 2,
+			Schemes:  traceCacheSchemes, // 3, one trace-fitted
+			Profiles: resumeProfiles,    // x2
+			Cohorts:  resumeCohorts,     // x2 = 12 cells
+		}
+	}
+	keys := uint64(len(resumeCohorts) * len(resumeProfiles) * users)
+	wantMisses, wantHits := keys, keys*uint64(len(traceCacheSchemes)-1)
+
+	for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
+			m := NewManager(Config{Runners: 1, Workers: 4, CellParallel: par, CacheSize: -1})
+			defer m.Close()
+			var last fleet.TraceCacheStats
+			step := func(label string, seed int64, misses, hits uint64) {
+				t.Helper()
+				runSpec(t, m, spec(seed))
+				st := m.TraceCacheStats()
+				if dm, dh := st.BaselineMisses-last.BaselineMisses, st.BaselineHits-last.BaselineHits; dm != misses || dh != hits {
+					t.Fatalf("%s: +%d misses and +%d hits, want +%d and +%d: %+v",
+						label, dm, dh, misses, hits, st)
+				}
+				last = st
+			}
+			step("fresh grid", 61, wantMisses, wantHits)
+			step("resubmission", 61, 0, 0)
+			step("second fresh grid", 62, wantMisses, wantHits)
+		})
+	}
+}
+
+// TestBaselineMemoOrderIndependence is the who-computes-first property: at
+// CellParallel=1 the first scheme in plan order replays every (user,
+// profile) baseline and the later schemes reuse it, so reordering the
+// scheme axis changes which scheme's cell computes each baseline. Every
+// cell must come out the same, matched by label, as in a memo-off run.
+func TestBaselineMemoOrderIndependence(t *testing.T) {
+	base := Spec{Seed: 67, Shards: 2,
+		Schemes:  traceCacheSchemes,
+		Profiles: resumeProfiles,
+		Cohorts:  resumeCohorts[:1],
+	}
+	label := func(c *CellResult) string { return c.Scheme + "|" + c.Profile + "|" + c.Cohort }
+	ref := NewManager(Config{Runners: 1, Workers: 2, CellParallel: 1, TraceCacheBytes: -1})
+	want := map[string]*CellResult{}
+	for _, c := range runSpec(t, ref, base).Cells {
+		want[label(c)] = c
+	}
+	ref.Close()
+
+	// Every scheme leads once: the rotations of the axis.
+	for rot := range traceCacheSchemes {
+		t.Run(fmt.Sprintf("rot%d", rot), func(t *testing.T) {
+			spec := base
+			spec.Schemes = append(slices.Clone(traceCacheSchemes[rot:]), traceCacheSchemes[:rot]...)
+			m := NewManager(Config{Runners: 1, Workers: 2, CellParallel: 1, CacheSize: -1, CellCacheSize: -1})
+			defer m.Close()
+			got := runSpec(t, m, spec)
+			if len(got.Cells) != len(want) {
+				t.Fatalf("%d cells, want %d", len(got.Cells), len(want))
+			}
+			for _, c := range got.Cells {
+				w := want[label(c)]
+				if w == nil {
+					t.Fatalf("cell %s missing from the reference", label(c))
+				}
+				wj, err1 := w.JSON()
+				gj, err2 := c.JSON()
+				if err1 != nil || err2 != nil {
+					t.Fatal(err1, err2)
+				}
+				if c.Key != w.Key || !bytes.Equal(wj, gj) || !reflect.DeepEqual(w.Summary, c.Summary) {
+					t.Fatalf("cell %s differs when %s computes the baselines", label(c), got.Cells[0].Scheme)
+				}
+			}
+			if st := m.TraceCacheStats(); st.BaselineHits == 0 {
+				t.Fatalf("no baseline was served from the memo: %+v", st)
 			}
 		})
 	}

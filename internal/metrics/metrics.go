@@ -13,20 +13,30 @@ import (
 // status-quo run, in percent (negative when the policy uses more energy).
 // A zero-energy baseline yields 0.
 func SavingsPercent(statusQuo, candidate *sim.Result) float64 {
-	base := statusQuo.TotalJ()
-	if base == 0 {
+	return SavingsPercentJ(statusQuo.TotalJ(), candidate.TotalJ())
+}
+
+// SavingsPercentJ is SavingsPercent over the two runs' total energies, for
+// callers that keep only the baseline's scalars.
+func SavingsPercentJ(statusQuoJ, candidateJ float64) float64 {
+	if statusQuoJ == 0 {
 		return 0
 	}
-	return 100 * (base - candidate.TotalJ()) / base
+	return 100 * (statusQuoJ - candidateJ) / statusQuoJ
 }
 
 // SwitchRatio returns the candidate's Idle->Active switch count divided by
 // the status quo's (Figs. 10b, 11b, 18). A zero baseline yields 0.
 func SwitchRatio(statusQuo, candidate *sim.Result) float64 {
-	if statusQuo.Promotions == 0 {
+	return SwitchRatioN(statusQuo.Promotions, candidate.Promotions)
+}
+
+// SwitchRatioN is SwitchRatio over the two runs' promotion counts.
+func SwitchRatioN(statusQuo, candidate int) float64 {
+	if statusQuo == 0 {
 		return 0
 	}
-	return float64(candidate.Promotions) / float64(statusQuo.Promotions)
+	return float64(candidate) / float64(statusQuo)
 }
 
 // EnergySavedPerSwitchJ returns joules saved per state switch performed

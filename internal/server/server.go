@@ -169,6 +169,8 @@ func (s *Server) health(w http.ResponseWriter, r *http.Request) {
 		"trace_cache_misses":    traces.Misses,
 		"trace_cache_bytes":     traces.Bytes,
 		"trace_cache_evictions": traces.Evictions,
+		"baseline_memo_hits":    traces.BaselineHits,
+		"baseline_memo_misses":  traces.BaselineMisses,
 	}
 	if stats, ok := s.manager.StoreStats(); ok {
 		body["store"] = stats

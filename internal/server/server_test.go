@@ -334,7 +334,8 @@ func TestSubmitBodyLimit(t *testing.T) {
 // TestHealthzTraceCacheGauges pins the trace-cache health gauges: after a
 // grid whose cells share a cohort, /healthz must report the cache's
 // generations (misses), replays served from slabs (hits) and retained
-// bytes — nonzero each — plus the eviction counter.
+// bytes — nonzero each — plus the eviction counter and the baseline
+// memo's replays (misses) and reuses (hits).
 func TestHealthzTraceCacheGauges(t *testing.T) {
 	ts, m := newTestServer(t)
 	spec := `{"seed": 31, "shards": 2,
@@ -377,5 +378,13 @@ func TestHealthzTraceCacheGauges(t *testing.T) {
 	}
 	if got := num("trace_cache_evictions"); got != 0 {
 		t.Fatalf("trace_cache_evictions = %v, want 0", got)
+	}
+	// Both schemes share one profile: one baseline replay per user, which
+	// the other scheme's cell reuses.
+	if got := num("baseline_memo_misses"); got != 2 {
+		t.Fatalf("baseline_memo_misses = %v, want 2 (one baseline per user)", got)
+	}
+	if got := num("baseline_memo_hits"); got != 2 {
+		t.Fatalf("baseline_memo_hits = %v, want 2", got)
 	}
 }
