@@ -24,11 +24,16 @@ type Scheme struct {
 	FitTrace bool
 	// PolicyKey, when non-empty, marks the factories as pure functions of
 	// (key, fit trace, profile), letting workers reuse constructed
-	// policies across jobs (see Job.PolicyKey; trace-fitted schemes also
-	// need a trace cache key before workers memoize their fits).
-	// SchemeFromSpec derives it from the registry's canonical encoding;
-	// hand-built schemes may leave it empty to always construct fresh.
+	// policies across jobs (see Job.PolicyKey). SchemeFromSpec derives it
+	// from the registry's canonical encoding; hand-built schemes may
+	// leave it empty to always construct fresh.
 	PolicyKey string
+	// DemoteFit and ActiveFit name the trace-fitted halves for the trace
+	// cache's fit memo (see Job.DemoteFit and FitKey). ResolveScheme
+	// derives them from the registry's capabilities; a hand-built
+	// FitTrace scheme may leave both zero, and then fits both factories
+	// per job.
+	DemoteFit, ActiveFit FitKey
 }
 
 // Cohort describes a synthetic multi-user population to fan out.
@@ -124,8 +129,9 @@ func (c *Cohort) buildSources() []func(int64) trace.Source {
 // profile. Jobs carry source constructors, not traces: each worker streams
 // its user's packets from the seed on demand, replays them once per
 // scheme, and never holds the trace — per-worker memory is independent of
-// c.Duration (except under FitTrace schemes, which materialize). Baselines
-// are enabled so summaries get relative metrics.
+// c.Duration (except under FitTrace schemes, which materialize one pass to
+// fit, once per user and fitted half while the trace cache retains the
+// user's slab). Baselines are enabled so summaries get relative metrics.
 func (c Cohort) Jobs(prof power.Profile, schemes []Scheme) []Job {
 	stride := c.SeedStride
 	if stride < 1 {
@@ -162,6 +168,8 @@ func (c Cohort) Jobs(prof power.Profile, schemes []Scheme) []Job {
 				Baseline:  true,
 				CacheKey:  cacheKey,
 				PolicyKey: s.PolicyKey,
+				DemoteFit: s.DemoteFit,
+				ActiveFit: s.ActiveFit,
 			})
 		}
 	}

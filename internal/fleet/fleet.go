@@ -130,7 +130,11 @@ type Job struct {
 	// trace (95% IAT quantile fitting, MakeActive-Fix). The worker then
 	// collects one pass of the source into a slice, runs the factories
 	// against it and drops it before replaying, so only the fit itself is
-	// O(trace) in memory and both replays stay O(1).
+	// O(trace) in memory and both replays stay O(1). When DemoteFit or
+	// ActiveFit names the fitted halves, only those see the trace, and
+	// the fit of a slab Options.TraceCache retains runs once per (half,
+	// slab) for every job sharing it; otherwise both factories fit per
+	// job.
 	FitTrace bool
 	// Opts are the simulation options for both the run and its baseline.
 	Opts *sim.Options
@@ -149,11 +153,30 @@ type Job struct {
 	// pair across jobs, relying on the engine's per-run policy Reset. The
 	// key must determine the factories' output completely up to the trace
 	// and profile (the registry's canonical spec encoding qualifies).
-	// Non-FitTrace jobs reuse per (PolicyKey, Profile); FitTrace jobs
-	// additionally need a CacheKey pinning the fit trace's identity and
-	// then reuse per (PolicyKey, CacheKey, Profile) — the fit-output
-	// memoization. Empty constructs fresh policies per job.
+	// Workers reuse per (PolicyKey, Profile) the halves that are not
+	// trace-fitted: the whole pair of a non-FitTrace job, and the half
+	// DemoteFit/ActiveFit leave unnamed in a mixed pair. Fitted halves
+	// are shared through the trace cache's fit memo instead, and the
+	// pairs of FitTrace jobs naming neither half are never reused. Empty
+	// constructs fresh policies per job.
 	PolicyKey string
+	// DemoteFit and ActiveFit name the trace-fitted halves of a FitTrace
+	// job's pair for the trace cache's fit memo (see FitKey); a zero
+	// FitKey marks a half that is not fitted. Cohort.Jobs copies them
+	// from the Scheme, which ResolveScheme derives from the registry.
+	DemoteFit, ActiveFit FitKey
+}
+
+// FitKey names one trace-fitted half of a policy pair. Spec must
+// determine the half's factory output completely up to the trace and, unless
+// ProfileFree is set, the profile; the registry's canonical spec encoding
+// qualifies. ProfileFree marks factories that ignore the profile, whose
+// one fit per trace then serves every profile. The factory must return a
+// policy that is immutable after construction (the registry's TraceFitted
+// contract), because the memo hands that one value to concurrent jobs.
+type FitKey struct {
+	Spec        string
+	ProfileFree bool
 }
 
 // Outcome hands one finished job to the fold. Result is only valid during
@@ -214,9 +237,11 @@ type Accumulator[A any] struct {
 // reusable engine plus a cache of constructed policies keyed by
 // (Job.PolicyKey, profile). Both live across runs via workerPool, so a
 // sweep of N cells allocates O(workers) engines and policy sets, not
-// O(cells). The policy cache relies on the engine's contract of Resetting
-// policies at the start of every run; each state is owned by exactly one
-// goroutine at a time, so no locking.
+// O(cells). The policy cache holds only halves that are not trace-fitted
+// (fits are shared across workers by the trace cache's fit memo) and
+// relies on the engine's contract of Resetting policies at the start of
+// every run; each state is owned by exactly one goroutine at a time, so
+// no locking.
 type workerState struct {
 	engine   *sim.Engine
 	policies map[policyCacheKey]cachedPolicies
@@ -268,15 +293,9 @@ func (ws *workerState) replay(job *Job, slab []byte, slot *sim.Result,
 
 // policyCacheKey identifies a reusable policy pair. The profile is part of
 // the key (not just its name) because factories close over profile values
-// and callers may sweep parameterized profiles sharing a name. fit is the
-// job's trace cache key for trace-fitted schemes (empty otherwise): a
-// fitted policy is a pure function of (scheme, trace, profile), so adding
-// the trace's identity to the key lets workers memoize fit outputs —
-// each worker fits a (scheme, user) pair once per sweep instead of once
-// per cell.
+// and callers may sweep parameterized profiles sharing a name.
 type policyCacheKey struct {
 	key  string
-	fit  string
 	prof power.Profile
 }
 
@@ -297,48 +316,99 @@ var workerPool = sync.Pool{New: func() any {
 	}
 }}
 
-// policyPair returns the job's constructed policy pair, reusing the
-// worker's cache when the key is sound: PolicyKey set, and — for
-// trace-fitted schemes — a fit-trace identity (ck.fit) that pins which
-// trace the policies were fitted to. On a cache miss a FitTrace job
-// collects one pass of its packets (from slab when non-nil) for the
-// factories; the slice is a local, collectable as soon as construction
-// returns and before any replay allocates its lookahead. A memoized fit
-// skips even that materialization.
-func (ws *workerState) policyPair(job *Job, ck policyCacheKey, slab []byte) (policy.DemotePolicy, policy.ActivePolicy, error) {
-	cacheable := ck.key != "" && (!job.FitTrace || ck.fit != "")
-	if cacheable {
-		if p, ok := ws.policies[ck]; ok {
-			return p.demote, p.active, nil
-		}
-	}
-	var ft trace.Trace
-	if job.FitTrace {
-		src, err := ws.open(job, slab)
-		if err == nil {
-			ft, err = trace.Collect(src)
-		}
+// policyPair returns the job's constructed policy pair. The halves that
+// are not trace-fitted come from the worker's cache when PolicyKey is
+// set; the fitted halves named by DemoteFit/ActiveFit come from tc's fit
+// memo on the job's slab, or are fitted here when tc does not retain it.
+// A FitTrace job naming neither half fits both factories per job. A fit
+// collects one pass of the packets (from slab when non-nil), shared by
+// the pair's fitted halves; the slice is a local, collectable as soon as
+// construction returns and before any replay allocates its lookahead.
+func (ws *workerState) policyPair(job *Job, slab []byte, tc *TraceCache) (policy.DemotePolicy, policy.ActivePolicy, error) {
+	fitD := job.FitTrace && job.DemoteFit.Spec != ""
+	fitA := job.FitTrace && job.ActiveFit.Spec != "" && job.Active != nil
+	if job.FitTrace && !fitD && !fitA {
+		tr, err := ws.collect(job, slab)
 		if err != nil {
-			return nil, nil, fmt.Errorf("collecting source for fit: %w", err)
+			return nil, nil, err
+		}
+		return buildPair(job, tr, true, true)
+	}
+
+	ck := policyCacheKey{key: job.PolicyKey, prof: job.Profile}
+	p, ok := ws.policies[ck]
+	if !ok || ck.key == "" {
+		var err error
+		if p.demote, p.active, err = buildPair(job, nil, !fitD, !fitA); err != nil {
+			return nil, nil, err
+		}
+		if ck.key != "" {
+			if len(ws.policies) >= maxPolicyCache {
+				clear(ws.policies)
+			}
+			ws.policies[ck] = p
 		}
 	}
-	demote, err := job.Demote(ft, job.Profile)
-	if err != nil {
-		return nil, nil, err
+	if !fitD && !fitA {
+		return p.demote, p.active, nil
 	}
-	var active policy.ActivePolicy
-	if job.Active != nil {
-		if active, err = job.Active(ft, job.Profile); err != nil {
+
+	var ft trace.Trace // collected by the first fitted half that misses
+	fit := func(role policy.Role, fk FitKey, build func(trace.Trace) (any, error)) (any, error) {
+		return tc.fit(job.CacheKey, role, fk, job.Profile, func() (any, error) {
+			var err error
+			if ft == nil {
+				ft, err = ws.collect(job, slab)
+			}
+			if err != nil {
+				return nil, err
+			}
+			return build(ft)
+		})
+	}
+	if fitD {
+		v, err := fit(policy.RoleDemote, job.DemoteFit, func(tr trace.Trace) (any, error) { return job.Demote(tr, job.Profile) })
+		if err != nil {
+			return nil, nil, err
+		}
+		p.demote, _ = v.(policy.DemotePolicy)
+	}
+	if fitA {
+		v, err := fit(policy.RoleActive, job.ActiveFit, func(tr trace.Trace) (any, error) { return job.Active(tr, job.Profile) })
+		if err != nil {
+			return nil, nil, err
+		}
+		p.active, _ = v.(policy.ActivePolicy)
+	}
+	return p.demote, p.active, nil
+}
+
+// collect materializes one pass of the job's packets for a fit.
+func (ws *workerState) collect(job *Job, slab []byte) (trace.Trace, error) {
+	src, err := ws.open(job, slab)
+	if err == nil {
+		var tr trace.Trace
+		if tr, err = trace.Collect(src); err == nil {
+			return tr, nil
+		}
+	}
+	return nil, fmt.Errorf("collecting source for fit: %w", err)
+}
+
+// buildPair runs the job's factories for the requested halves against tr
+// (nil unless fitting), leaving the other halves nil.
+func buildPair(job *Job, tr trace.Trace, demote, active bool) (d policy.DemotePolicy, a policy.ActivePolicy, err error) {
+	if demote {
+		if d, err = job.Demote(tr, job.Profile); err != nil {
 			return nil, nil, err
 		}
 	}
-	if cacheable {
-		if len(ws.policies) >= maxPolicyCache {
-			clear(ws.policies)
+	if active && job.Active != nil {
+		if a, err = job.Active(tr, job.Profile); err != nil {
+			return nil, nil, err
 		}
-		ws.policies[ck] = cachedPolicies{demote: demote, active: active}
 	}
-	return demote, active, nil
+	return d, a, nil
 }
 
 // Run executes every job across the worker pool and returns the merged
@@ -633,31 +703,28 @@ func runShard[A any](jobs []Job, s, nshards int, ws *workerState, acc Accumulato
 // slab: the first toucher of the key streams the generator through the
 // rrcstream codec into it (single-flight — concurrent cells wait rather than
 // duplicate the generation), and every pass decodes zero-copy through the
-// worker's cursor; trace-fitted pairs are then memoized per worker under
-// (scheme, trace, profile), and the baseline's scalars are memoized on the
-// retained slab's cache entry under (profile, options), so one StatusQuo
-// replay serves every scheme of the user. Every other job opens a fresh
-// source per pass and replays its own baseline, so worker memory stays
-// bounded by burst structure regardless of trace duration. The codec
-// round-trips exactly and the same replay yields the same two scalars, so
+// worker's cursor. The retained slab's cache entry memoizes the user's
+// fitted policy halves under (spec, plus the profile when the fit reads
+// it) and the baseline's scalars under (profile, options), so one fit and
+// one StatusQuo replay serve every scheme and cell of the user. Every
+// other job opens a fresh source per pass, fits and replays its own
+// baseline, so worker memory stays bounded by burst structure regardless
+// of trace duration. The codec round-trips exactly, a fit is a pure
+// function of its key and the same replay yields the same two scalars, so
 // every choice is byte-identical. reuse (from Accumulator.Transient)
 // routes the scheme replay into the worker's Result slot; the Outcome then
 // aliases worker scratch and is valid only during the fold, exactly what
 // Outcome's contract already says.
 func runJob(job *Job, index int, ws *workerState, tc *TraceCache, reuse bool) (Outcome, error) {
 	out := Outcome{Index: index, Job: job}
-	ck := policyCacheKey{key: job.PolicyKey, prof: job.Profile}
 	var slab []byte
 	if tc != nil && job.CacheKey != "" {
 		var err error
 		if slab, err = tc.Slab(job.CacheKey, func() trace.Source { return job.Source(job.Seed) }); err != nil {
 			return out, fmt.Errorf("memoizing source: %w", err)
 		}
-		if job.FitTrace {
-			ck.fit = job.CacheKey
-		}
 	}
-	demote, active, err := ws.policyPair(job, ck, slab)
+	demote, active, err := ws.policyPair(job, slab, tc)
 	if err != nil {
 		return out, err
 	}

@@ -130,10 +130,16 @@ func ResolveScheme(reg *policy.Registry, ss SchemeSpec) (ResolvedScheme, error) 
 	}
 	// Registry-built factories are pure functions of the canonical spec,
 	// the fit trace and the profile, so every registry scheme advertises a
-	// policy reuse key: non-fitted schemes reuse per (key, profile),
-	// trace-fitted ones per (key, trace cache key, profile) — the workers'
-	// fit-output memoization.
+	// policy reuse key for its non-fitted halves, and each trace-fitted
+	// half its own fit key: the role's canonical spec, profile-free when
+	// the schema says its builder ignores the profile.
 	s.PolicyKey = d.Canonical + "|" + a.Canonical
+	if d.Schema.TraceFitted {
+		s.DemoteFit = FitKey{Spec: d.Canonical, ProfileFree: d.Schema.FitIgnoresProfile}
+	}
+	if a.Schema.TraceFitted {
+		s.ActiveFit = FitKey{Spec: a.Canonical, ProfileFree: a.Schema.FitIgnoresProfile}
+	}
 	return ResolvedScheme{
 		Scheme:    s,
 		Label:     label,

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sync"
 
+	"repro/internal/policy"
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -54,6 +55,14 @@ import (
 // nothing to the byte budget. Baselines are single-flight per key the
 // same way generation is, and replays of slabs the cache did not retain
 // are not memoized.
+//
+// The entry memoizes trace-fitted policies the same way, one per fitted
+// half of a scheme (FitKey): a fit reads the whole trace, so without the
+// memo every cell of a grid would materialize and fit the user again. The
+// memo shares one policy between concurrent jobs, which the policy
+// registry's TraceFitted contract makes safe (a fitted policy is
+// immutable after construction). A fit whose builder ignores the profile
+// is keyed without it and serves every profile of the grid.
 type TraceCache struct {
 	mu     sync.Mutex
 	budget int64
@@ -66,14 +75,15 @@ type TraceCache struct {
 
 	hits, misses, evictions uint64
 	baseHits, baseMisses    uint64
+	fitHits, fitMisses      uint64
 }
 
 // traceEntry is one cached (or generating) slab. done closes once slab
 // and err are final; both are immutable afterwards. elem is the entry's
 // LRU position, nil while generating or once dropped. born is the epoch
 // whose caller started the generation and last the latest epoch in which
-// any caller touched the entry. baselines is the entry's baseline memo,
-// guarded by the cache's mu.
+// any caller touched the entry. baselines and fits are the entry's
+// baseline and fit memos, guarded by the cache's mu.
 type traceEntry struct {
 	key        string
 	done       chan struct{}
@@ -81,7 +91,8 @@ type traceEntry struct {
 	err        error
 	elem       *list.Element
 	born, last uint64
-	baselines  map[baselineKey]*baselineMemo
+	baselines  map[baselineKey]*memo[Baseline]
+	fits       map[fitKey]*memo[any]
 }
 
 // baselineKey identifies one baseline replay of an entry's slab: the
@@ -92,11 +103,20 @@ type baselineKey struct {
 	opts sim.Options
 }
 
-// baselineMemo is one memoized (or replaying) baseline. done closes once
-// val and err are final; both are immutable afterwards.
-type baselineMemo struct {
+// fitKey identifies one fitted policy of an entry's slab: the half's
+// role and canonical spec, plus the profile when the builder reads it
+// (zero otherwise, so every profile shares the fit).
+type fitKey struct {
+	role policy.Role
+	spec string
+	prof power.Profile
+}
+
+// memo is one memoized (or still computing) value on an entry. done
+// closes once val and err are final; both are immutable afterwards.
+type memo[V any] struct {
 	done chan struct{}
-	val  Baseline
+	val  V
 	err  error
 }
 
@@ -105,8 +125,8 @@ type baselineMemo struct {
 // hits: they reused another caller's generation); Bytes and Entries
 // cover retained slabs only. BaselineMisses likewise counts memoized
 // baseline replays actually run and BaselineHits the baselines served
-// from a memo; replays of slabs the cache did not retain count in
-// neither.
+// from a memo; FitMisses and FitHits count fits the same way. Replays and
+// fits of slabs the cache did not retain count in neither.
 type TraceCacheStats struct {
 	Hits           uint64 `json:"hits"`
 	Misses         uint64 `json:"misses"`
@@ -115,6 +135,8 @@ type TraceCacheStats struct {
 	Bytes          int64  `json:"bytes"`
 	BaselineHits   uint64 `json:"baseline_hits"`
 	BaselineMisses uint64 `json:"baseline_misses"`
+	FitHits        uint64 `json:"fit_hits"`
+	FitMisses      uint64 `json:"fit_misses"`
 }
 
 // NewTraceCache returns a cache bounded to maxBytes of retained slab
@@ -196,12 +218,40 @@ func (c *TraceCache) Slab(key string, gen func() trace.Source) ([]byte, error) {
 // the cache does not hold (never retained, or dropped since), baseline
 // just calls run.
 func (c *TraceCache) baseline(key string, prof power.Profile, opts *sim.Options, run func() (Baseline, error)) (Baseline, error) {
-	if c == nil || key == "" {
+	if c == nil {
 		return run()
 	}
 	k := baselineKey{prof: prof}
 	if opts != nil {
 		k.opts = *opts
+	}
+	return memoize(c, key, func(e *traceEntry) *map[baselineKey]*memo[Baseline] { return &e.baselines },
+		k, &c.baseHits, &c.baseMisses, run)
+}
+
+// fit returns the policy half fitted to key's slab under fk, calling
+// build to fit it at most once for as long as the cache retains the slab,
+// under baseline's single-flight, error and no-slab rules. prof joins the
+// key only when the builder reads it.
+func (c *TraceCache) fit(key string, role policy.Role, fk FitKey, prof power.Profile, build func() (any, error)) (any, error) {
+	if c == nil {
+		return build()
+	}
+	k := fitKey{role: role, spec: fk.Spec}
+	if !fk.ProfileFree {
+		k.prof = prof
+	}
+	return memoize(c, key, func(e *traceEntry) *map[fitKey]*memo[any] { return &e.fits },
+		k, &c.fitHits, &c.fitMisses, build)
+}
+
+// memoize is the single-flight memo behind baseline and fit: table picks
+// the entry's memo map, and hits and misses are its counters. c must be
+// non-nil.
+func memoize[K comparable, V any](c *TraceCache, key string, table func(*traceEntry) *map[K]*memo[V],
+	k K, hits, misses *uint64, run func() (V, error)) (V, error) {
+	if key == "" {
+		return run()
 	}
 	c.mu.Lock()
 	e := c.entries[key]
@@ -209,24 +259,25 @@ func (c *TraceCache) baseline(key string, prof power.Profile, opts *sim.Options,
 		c.mu.Unlock()
 		return run()
 	}
-	if m, ok := e.baselines[k]; ok {
-		c.baseHits++
+	tab := table(e)
+	if m, ok := (*tab)[k]; ok {
+		*hits++
 		c.mu.Unlock()
 		<-m.done
 		return m.val, m.err
 	}
-	m := &baselineMemo{done: make(chan struct{})}
-	if e.baselines == nil {
-		e.baselines = map[baselineKey]*baselineMemo{}
+	m := &memo[V]{done: make(chan struct{})}
+	if *tab == nil {
+		*tab = map[K]*memo[V]{}
 	}
-	e.baselines[k] = m
-	c.baseMisses++
+	(*tab)[k] = m
+	*misses++
 	c.mu.Unlock()
 
 	m.val, m.err = run()
 	if m.err != nil {
 		c.mu.Lock()
-		delete(e.baselines, k)
+		delete(*tab, k)
 		c.mu.Unlock()
 	}
 	close(m.done)
@@ -278,6 +329,8 @@ func (c *TraceCache) Stats() TraceCacheStats {
 
 		BaselineHits:   c.baseHits,
 		BaselineMisses: c.baseMisses,
+		FitHits:        c.fitHits,
+		FitMisses:      c.fitMisses,
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/policy"
+	"repro/internal/power"
 	"repro/internal/store"
 )
 
@@ -202,6 +203,92 @@ func TestBaselineMemoOrderIndependence(t *testing.T) {
 			}
 			if st := m.TraceCacheStats(); st.BaselineHits == 0 {
 				t.Fatalf("no baseline was served from the memo: %+v", st)
+			}
+		})
+	}
+}
+
+// fitProfiles is the four-carrier profile axis of the fit-memo tests, so
+// a profile-free fit is reused by three profiles per user.
+var fitProfiles = []power.ProfileSpec{
+	{Name: "tmobile-3g"}, {Name: "att-hspa+"}, {Name: "verizon-3g"}, {Name: "verizon-lte"},
+}
+
+// TestFitMemoExactCounts pins how often a grid fits trace-fitted
+// policies: the 95% IAT fit ignores the profile, so a fresh-seed 95iat
+// grid of C cohorts x P profiles x U users fits once per (cohort, user),
+// C·U fit-memo misses, and the user's other profiles reuse it, C·U·(P-1)
+// hits; MakeActive-Fix reads the profile, so makeidle+fix fits once per
+// (cohort, profile, user), C·P·U misses and no hits. A resubmission
+// served from the cell cache fits nothing. The counts hold at every cell
+// concurrency level and worker count.
+func TestFitMemoExactCounts(t *testing.T) {
+	const users = 2 // each fixture cohort's population
+	cu := uint64(len(resumeCohorts) * users)
+	p := uint64(len(fitProfiles))
+	spec := func(seed int64, ss fleet.SchemeSpec) Spec {
+		return Spec{Seed: seed, Shards: 2, Schemes: []fleet.SchemeSpec{ss},
+			Profiles: fitProfiles, Cohorts: resumeCohorts}
+	}
+	iat := fleet.SchemeSpec{Policy: policy.Spec{Name: "95iat"}}
+	fix := fleet.SchemeSpec{Policy: policy.Spec{Name: "makeidle"}, Active: &policy.Spec{Name: fleet.ActiveFix}}
+
+	for _, workers := range []int{1, 4} {
+		for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+			t.Run(fmt.Sprintf("workers%d-par%d", workers, par), func(t *testing.T) {
+				m := NewManager(Config{Runners: 1, Workers: workers, CellParallel: par, CacheSize: -1})
+				defer m.Close()
+				var last fleet.TraceCacheStats
+				step := func(label string, s Spec, misses, hits uint64) {
+					t.Helper()
+					runSpec(t, m, s)
+					st := m.TraceCacheStats()
+					if dm, dh := st.FitMisses-last.FitMisses, st.FitHits-last.FitHits; dm != misses || dh != hits {
+						t.Fatalf("%s: +%d fit misses and +%d hits, want +%d and +%d: %+v",
+							label, dm, dh, misses, hits, st)
+					}
+					last = st
+				}
+				step("95iat grid", spec(71, iat), cu, cu*(p-1))
+				step("95iat resubmission", spec(71, iat), 0, 0)
+				step("makeidle+fix grid", spec(72, fix), cu*p, 0)
+				step("makeidle+fix resubmission", spec(72, fix), 0, 0)
+			})
+		}
+	}
+}
+
+// TestFitMemoMixedPairsConcurrent: grids of mixed pairs — a shared
+// profile-free fit beside an online MakeActive (pctiat+learn), and an
+// online MakeIdle beside a profile-reading fit (makeidle+fix) — run with
+// cells in flight concurrently over the fit memo come out byte-identical
+// to a sequential run that fits every job itself. Under -race this is
+// also the test that sharing one fitted policy between concurrent replays
+// is safe.
+func TestFitMemoMixedPairsConcurrent(t *testing.T) {
+	spec := Spec{Seed: 73, Shards: 2,
+		Schemes: []fleet.SchemeSpec{
+			{Policy: policy.Spec{Name: "pctiat", Params: map[string]any{"q": 0.9}}, Active: &policy.Spec{Name: "learn"}},
+			{Policy: policy.Spec{Name: "makeidle"}, Active: &policy.Spec{Name: fleet.ActiveFix}},
+			{Policy: policy.Spec{Name: "95iat"}},
+		},
+		Profiles: fitProfiles,
+		Cohorts:  resumeCohorts,
+	}
+	ref := NewManager(Config{Runners: 1, Workers: 1, CellParallel: 1,
+		CacheSize: -1, CellCacheSize: -1, TraceCacheBytes: -1})
+	want := runSpec(t, ref, spec)
+	ref.Close()
+
+	for _, par := range []int{2, runtime.GOMAXPROCS(0) + 1} {
+		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
+			m := NewManager(Config{Runners: 1, Workers: 4, CellParallel: par, CacheSize: -1, CellCacheSize: -1})
+			defer m.Close()
+			got := runSpec(t, m, spec)
+			assertSameResult(t, want, got)
+			assertSameSummaries(t, want, got)
+			if st := m.TraceCacheStats(); st.FitHits == 0 {
+				t.Fatalf("no fit was served from the memo: %+v", st)
 			}
 		})
 	}

@@ -36,7 +36,21 @@ type Schema struct {
 	// TraceFitted marks policies whose builder must see the materialized
 	// trace (the 95% IAT quantile fit, the MakeActive-Fix bound). The
 	// fleet uses this capability to decide which jobs need a fit pass.
+	//
+	// A trace-fitted builder must return a policy that is immutable after
+	// construction: Reset, Observe and ObserveEpisode do nothing, and
+	// Decide and Delay read only state fixed at fit time. That contract is
+	// what lets the fleet fit once per (spec, trace) and share the one
+	// policy between every job replaying that trace, concurrently.
+	// PercentileIAT and FixedDelay meet it.
 	TraceFitted bool
+	// FitIgnoresProfile declares that a TraceFitted builder does not read
+	// its profile argument, so one fit serves every profile (pctiat: the
+	// quantile depends only on the trace). The zero value means the
+	// builder reads the profile, which is always safe: a fitted schema
+	// that leaves it unset is just fitted once per profile (fix reads
+	// Tail()).
+	FitIgnoresProfile bool
 	// GapLookahead marks clairvoyant policies (the Oracle): the simulator
 	// feeds them the next inter-arrival gap before each decision.
 	GapLookahead bool
@@ -293,8 +307,9 @@ func buildDefaultRegistry() *Registry {
 	})
 	mustRegister(&Schema{
 		Name: "pctiat", Role: RoleDemote,
-		Summary:     "fast dormancy after a whole-trace inter-arrival percentile (§6.2's 95% IAT)",
-		TraceFitted: true,
+		Summary:           "fast dormancy after a whole-trace inter-arrival percentile (§6.2's 95% IAT)",
+		TraceFitted:       true,
+		FitIgnoresProfile: true,
 		Params: []ParamSpec{{
 			Name: "q", Kind: KindFloat, Default: 0.95, Min: 0.01, Max: 0.999,
 			Help: "inter-arrival quantile the timer is fitted to",

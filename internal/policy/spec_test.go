@@ -2,6 +2,7 @@ package policy
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -290,6 +291,65 @@ func TestCapabilities(t *testing.T) {
 	}
 	if _, ok := built.(GapLookahead); !ok {
 		t.Error("built oracle does not implement GapLookahead")
+	}
+}
+
+// TestFitIgnoresProfileHonest holds the FitIgnoresProfile capability to
+// the builders: every trace-fitted schema declaring it must build
+// DeepEqual policies from one trace under all four carrier profiles (the
+// fleet shares that one fit across profiles), and fix, which leaves it
+// unset, must build different ones — the bit is not vacuous.
+func TestFitIgnoresProfileHonest(t *testing.T) {
+	reg := Default()
+	tr := workload.Generate(workload.Email(), 1, time.Hour)
+	profiles := []power.Profile{power.TMobile3G, power.ATTHSPAPlus, power.Verizon3G, power.VerizonLTE}
+	build := func(s *Schema, prof power.Profile) any {
+		t.Helper()
+		_, params, err := reg.Resolve(s.Role, Spec{Name: s.Name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p any
+		if s.Role == RoleDemote {
+			p, err = s.NewDemote(params, tr, prof)
+		} else {
+			p, err = s.NewActive(params, tr, prof)
+		}
+		if err != nil {
+			t.Fatalf("%s under %s: %v", s.Name, prof.Name, err)
+		}
+		return p
+	}
+	varies := func(s *Schema) bool {
+		first := build(s, profiles[0])
+		for _, prof := range profiles[1:] {
+			if !reflect.DeepEqual(first, build(s, prof)) {
+				return true
+			}
+		}
+		return false
+	}
+	declared := 0
+	for _, role := range []Role{RoleDemote, RoleActive} {
+		for _, s := range reg.Schemas(role) {
+			if s.FitIgnoresProfile && !s.TraceFitted {
+				t.Errorf("%s declares FitIgnoresProfile but is not trace-fitted", s.Name)
+			}
+			if !s.TraceFitted || !s.FitIgnoresProfile {
+				continue
+			}
+			declared++
+			if varies(s) {
+				t.Errorf("%s declares FitIgnoresProfile but builds different policies across profiles", s.Name)
+			}
+		}
+	}
+	if declared == 0 {
+		t.Fatal("no trace-fitted schema declares FitIgnoresProfile")
+	}
+	fix, _ := reg.Lookup(RoleActive, "fix")
+	if fix.FitIgnoresProfile || !varies(fix) {
+		t.Fatalf("fix (FitIgnoresProfile=%v) builds the same policy under every profile", fix.FitIgnoresProfile)
 	}
 }
 

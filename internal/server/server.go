@@ -171,6 +171,8 @@ func (s *Server) health(w http.ResponseWriter, r *http.Request) {
 		"trace_cache_evictions": traces.Evictions,
 		"baseline_memo_hits":    traces.BaselineHits,
 		"baseline_memo_misses":  traces.BaselineMisses,
+		"fit_memo_hits":         traces.FitHits,
+		"fit_memo_misses":       traces.FitMisses,
 	}
 	if stats, ok := s.manager.StoreStats(); ok {
 		body["store"] = stats

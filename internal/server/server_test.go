@@ -335,7 +335,10 @@ func TestSubmitBodyLimit(t *testing.T) {
 // grid whose cells share a cohort, /healthz must report the cache's
 // generations (misses), replays served from slabs (hits) and retained
 // bytes — nonzero each — plus the eviction counter and the baseline
-// memo's replays (misses) and reuses (hits).
+// memo's replays (misses) and reuses (hits). A second grid over the same
+// users adds the 95% IAT scheme on two profiles, and the fit memo must
+// report one fit per user (misses) and its reuse by the other profile
+// (hits).
 func TestHealthzTraceCacheGauges(t *testing.T) {
 	ts, m := newTestServer(t)
 	spec := `{"seed": 31, "shards": 2,
@@ -386,5 +389,33 @@ func TestHealthzTraceCacheGauges(t *testing.T) {
 	}
 	if got := num("baseline_memo_hits"); got != 2 {
 		t.Fatalf("baseline_memo_hits = %v, want 2", got)
+	}
+	if got, got2 := num("fit_memo_misses"), num("fit_memo_hits"); got != 0 || got2 != 0 {
+		t.Fatalf("fit memo = %v misses, %v hits before any trace-fitted scheme ran", got, got2)
+	}
+
+	spec = `{"seed": 31, "shards": 2,
+		"schemes": [{"policy": {"name": "95iat"}}],
+		"profiles": [{"name": "verizon-3g"}, {"name": "verizon-lte"}],
+		"cohorts": [{"name": "study-3g", "params": {"users": 2, "duration": "2m"}}]}`
+	st, code = postJob(t, ts, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("second submit returned %d", code)
+	}
+	waitDone(t, m, st.ID)
+	if hb, code = getBody(t, ts.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz: %d %s", code, hb)
+	}
+	health = nil
+	if err := json.Unmarshal(hb, &health); err != nil {
+		t.Fatalf("healthz body: %v\n%s", err, hb)
+	}
+	// 95iat ignores the profile: one fit per user, reused by the user's
+	// other profile.
+	if got := num("fit_memo_misses"); got != 2 {
+		t.Fatalf("fit_memo_misses = %v, want 2 (one fit per user)", got)
+	}
+	if got := num("fit_memo_hits"); got != 2 {
+		t.Fatalf("fit_memo_hits = %v, want 2 (the second profile reuses each fit)", got)
 	}
 }

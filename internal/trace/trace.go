@@ -299,16 +299,68 @@ func (tr Trace) QuantileGap(q float64) time.Duration {
 	if len(gaps) == 0 {
 		return 0
 	}
-	sort.Slice(gaps, func(i, j int) bool { return gaps[i] < gaps[j] })
 	if len(gaps) == 1 {
 		return gaps[0]
 	}
 	pos := q * float64(len(gaps)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
+	// Only the lo-th and hi-th order statistics are read, so select them
+	// instead of sorting: after selectGap every gap past lo is >= gaps[lo],
+	// and hi = lo+1 is the smallest of those, moved into place.
+	selectGap(gaps, lo)
 	if lo == hi {
 		return gaps[lo]
 	}
+	m := hi
+	for i := hi + 1; i < len(gaps); i++ {
+		if gaps[i] < gaps[m] {
+			m = i
+		}
+	}
+	gaps[hi], gaps[m] = gaps[m], gaps[hi]
 	frac := pos - float64(lo)
 	return gaps[lo] + time.Duration(frac*float64(gaps[hi]-gaps[lo]))
+}
+
+// selectGap reorders gaps in place so that gaps[k] is the k-th smallest
+// (0-based), every gap before it is <= gaps[k] and every gap after it is
+// >= gaps[k]. It is a quickselect with a three-way partition (below, equal
+// to, above the pivot): heartbeat traffic repeats the same gap thousands
+// of times, and a run of equal gaps then ends the search in one pass
+// instead of peeling one element per pass. Pivots come from a fixed
+// xorshift sequence, so the expected time is linear on any input and the
+// reordering is the same on every run.
+func selectGap(gaps []time.Duration, k int) {
+	lo, hi := 0, len(gaps) // the window [lo, hi) still holds the k-th gap
+	rng := uint64(len(gaps))*0x9E3779B97F4A7C15 | 1
+	for hi-lo > 1 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		pivot := gaps[lo+int(rng%uint64(hi-lo))]
+		// [lo, lt) < pivot, [lt, i) == pivot, [gt, hi) > pivot.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch g := gaps[i]; {
+			case g < pivot:
+				gaps[i], gaps[lt] = gaps[lt], g
+				lt++
+				i++
+			case g > pivot:
+				gt--
+				gaps[i], gaps[gt] = gaps[gt], g
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return
+		}
+	}
 }
