@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/energy"
 	"repro/internal/policy"
 	"repro/internal/power"
 	"repro/internal/sim"
@@ -22,6 +23,22 @@ func slabUnder(t *testing.T, c *TraceCache, key string) {
 	}
 }
 
+// asPass adapts a baseline stub to the constant-wait memo's pass: every
+// wait of the pass gets the stub's baseline, its total as data energy.
+func asPass(run func() (Baseline, error)) waitPass {
+	return func(_ time.Duration, more []time.Duration) ([]sim.Result, error) {
+		b, err := run()
+		if err != nil {
+			return nil, err
+		}
+		res := make([]sim.Result, 1+len(more))
+		for i := range res {
+			res[i] = sim.Result{Breakdown: energy.Breakdown{DataJ: b.TotalJ}, Promotions: b.Promotions}
+		}
+		return res, nil
+	}
+}
+
 // TestBaselineMemoSingleFlight pins the memo's key and its single flight:
 // concurrent callers of one (profile, options) share one replay, nil and
 // zero options are one key, and another profile or other options are
@@ -30,10 +47,10 @@ func TestBaselineMemoSingleFlight(t *testing.T) {
 	c := NewTraceCache(1 << 20)
 	slabUnder(t, c, "k")
 	var runs atomic.Int64
-	run := func() (Baseline, error) {
+	run := asPass(func() (Baseline, error) {
 		runs.Add(1)
 		return Baseline{TotalJ: 12.5, Promotions: 3}, nil
-	}
+	})
 	const callers = 16
 	var start, done sync.WaitGroup
 	start.Add(1)
@@ -46,7 +63,7 @@ func TestBaselineMemoSingleFlight(t *testing.T) {
 			if i%2 == 0 {
 				opts = nil
 			}
-			b, err := c.baseline("k", power.Verizon3G, opts, run)
+			b, err := c.baseline("k", power.Verizon3G, opts, nil, run)
 			if err != nil || b != (Baseline{TotalJ: 12.5, Promotions: 3}) {
 				t.Errorf("caller %d: %+v, %v", i, b, err)
 			}
@@ -61,8 +78,8 @@ func TestBaselineMemoSingleFlight(t *testing.T) {
 		t.Fatalf("stats after single flight: %+v", st)
 	}
 
-	c.baseline("k", power.VerizonLTE, nil, run)
-	c.baseline("k", power.Verizon3G, &sim.Options{BurstGap: 2 * time.Second}, run)
+	c.baseline("k", power.VerizonLTE, nil, nil, run)
+	c.baseline("k", power.Verizon3G, &sim.Options{BurstGap: 2 * time.Second}, nil, run)
 	if n := runs.Load(); n != 3 {
 		t.Fatalf("other profile and options replayed %d times in all, want 3", n)
 	}
@@ -74,14 +91,14 @@ func TestBaselineMemoErrorNotMemoized(t *testing.T) {
 	c := NewTraceCache(1 << 20)
 	slabUnder(t, c, "k")
 	boom := errors.New("synthetic replay failure")
-	if _, err := c.baseline("k", power.Verizon3G, nil, func() (Baseline, error) {
+	if _, err := c.baseline("k", power.Verizon3G, nil, nil, asPass(func() (Baseline, error) {
 		return Baseline{}, boom
-	}); !errors.Is(err, boom) {
+	})); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the replay's error", err)
 	}
-	b, err := c.baseline("k", power.Verizon3G, nil, func() (Baseline, error) {
+	b, err := c.baseline("k", power.Verizon3G, nil, nil, asPass(func() (Baseline, error) {
 		return Baseline{TotalJ: 1}, nil
-	})
+	}))
 	if err != nil || b.TotalJ != 1 {
 		t.Fatalf("retry: %+v, %v", b, err)
 	}
@@ -95,16 +112,16 @@ func TestBaselineMemoErrorNotMemoized(t *testing.T) {
 // dropped slab takes its memo with it.
 func TestBaselineMemoLivesWithSlab(t *testing.T) {
 	var runs int
-	run := func() (Baseline, error) { runs++; return Baseline{}, nil }
+	run := asPass(func() (Baseline, error) { runs++; return Baseline{}, nil })
 
 	var off *TraceCache
-	off.baseline("k", power.Verizon3G, nil, run)
+	off.baseline("k", power.Verizon3G, nil, nil, run)
 	small := NewTraceCache(4)
-	small.baseline("", power.Verizon3G, nil, run)
-	small.baseline("never", power.Verizon3G, nil, run)
+	small.baseline("", power.Verizon3G, nil, nil, run)
+	small.baseline("never", power.Verizon3G, nil, nil, run)
 	slabUnder(t, small, "big")
-	small.baseline("big", power.Verizon3G, nil, run)
-	small.baseline("big", power.Verizon3G, nil, run)
+	small.baseline("big", power.Verizon3G, nil, nil, run)
+	small.baseline("big", power.Verizon3G, nil, nil, run)
 	if runs != 5 {
 		t.Fatalf("unretained baselines replayed %d times, want 5", runs)
 	}
@@ -116,13 +133,13 @@ func TestBaselineMemoLivesWithSlab(t *testing.T) {
 	c := NewTraceCache(1 << 20)
 	for i := 0; i < 2; i++ {
 		slabUnder(t, c, "k")
-		c.baseline("k", power.Verizon3G, nil, run)
+		c.baseline("k", power.Verizon3G, nil, nil, run)
 	}
 	c.AdvanceEpoch()
 	c.AdvanceEpoch() // "k" was touched only in epoch 0: dropped
-	c.baseline("k", power.Verizon3G, nil, run)
+	c.baseline("k", power.Verizon3G, nil, nil, run)
 	slabUnder(t, c, "k")
-	c.baseline("k", power.Verizon3G, nil, run)
+	c.baseline("k", power.Verizon3G, nil, nil, run)
 	if runs != 3 {
 		t.Fatalf("replayed %d times, want 3 (one before the drop, one with no slab, one after)", runs)
 	}
@@ -175,9 +192,9 @@ func TestBaselineMemoMatchesReplay(t *testing.T) {
 func TestBaselineMemoWarmHitAllocs(t *testing.T) {
 	tc := NewTraceCache(1 << 20)
 	slabUnder(t, tc, "k")
-	run := func() (Baseline, error) { return Baseline{TotalJ: 1, Promotions: 1}, nil }
-	tc.baseline("k", power.Verizon3G, nil, run)
-	if n := testing.AllocsPerRun(100, func() { tc.baseline("k", power.Verizon3G, nil, run) }); n != 0 {
+	run := asPass(func() (Baseline, error) { return Baseline{TotalJ: 1, Promotions: 1}, nil })
+	tc.baseline("k", power.Verizon3G, nil, nil, run)
+	if n := testing.AllocsPerRun(100, func() { tc.baseline("k", power.Verizon3G, nil, nil, run) }); n != 0 {
 		t.Fatalf("warm memo hit allocates %v times, want 0", n)
 	}
 

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"time"
 
 	"repro/internal/policy"
 	"repro/internal/power"
@@ -140,10 +142,24 @@ type Job struct {
 	Opts *sim.Options
 	// Baseline also replays the trace under policy.StatusQuo so the fold
 	// can compute relative metrics (savings, switch ratio). The baseline
-	// depends only on the packets, Profile and Opts, so when the job's
-	// slab is retained by Options.TraceCache the replay runs once per
-	// (slab, Profile, Opts) and every other job sharing them reuses it.
+	// depends only on the packets, Profile and Opts: it is the replay
+	// under the tail-clamped constant wait, so when the job's slab is
+	// retained by Options.TraceCache it comes from the slab's
+	// constant-wait memo, replayed once per (slab, Profile, Opts) and
+	// reused by every other job sharing them. runJob looks the baseline up
+	// before the job's own replay, so in a grid it is the baseline lookup
+	// that claims the Waits batch.
 	Baseline bool
+	// Waits lists constant dormancy waits (clamped to [0, Profile.Tail()])
+	// that other jobs over the same packets, Profile and Opts replay, such
+	// as a grid's fixedtail axis. The first memo lookup of a retained
+	// slab under (Profile, Opts) claims every wait listed here that no
+	// one has claimed yet, with its own, and replays them all in one
+	// sim.Engine.RunWaits pass, so the later jobs find their replay done.
+	// It is purely a schedule: any list, nil included, yields the same
+	// bytes. Jobs sharing one (cohort, profile) may share one slice, which
+	// the runtime only reads.
+	Waits []time.Duration
 	// CacheKey, when non-empty, lets Options.TraceCache memoize the job's
 	// packets. The key must determine the packet stream completely
 	// (generator config plus Seed); Cohort.Jobs derives one from the
@@ -246,19 +262,24 @@ type workerState struct {
 	engine   *sim.Engine
 	policies map[policyCacheKey]cachedPolicies
 
-	// base is the worker's scratch Result for baseline replays, whose
-	// scalars are copied out before the next replay; main is the reusable
-	// Result for scheme replays, used when the run's accumulator is
-	// Transient (Fold copies what it needs and retains nothing). Each
-	// replay overwrites its slot in place, reusing its slice capacity, so
-	// a shard of N jobs allocates zero Results instead of 2N.
-	base, main sim.Result
+	// main is the reusable Result for scheme replays, used when the run's
+	// accumulator is Transient (Fold copies what it needs and retains
+	// nothing). Each replay overwrites it in place, reusing its slice
+	// capacity, so a shard of N jobs allocates no Result per job.
+	main sim.Result
 
 	// bytes is the worker's reusable slab decoder: cached-trace replays
 	// Reset it onto the shared slab instead of allocating a source per
 	// replay. Each replay finishes before the next Reset, so one cursor
 	// per worker suffices.
 	bytes trace.BytesSource
+
+	// batch, waits and results are the constant-wait passes' scratch: the
+	// waits a memo lookup offers to claim, the waits of a pass and the
+	// pass's Results (baselines included), which the memo copies out
+	// before the worker's next pass.
+	batch, waits []time.Duration
+	results      []sim.Result
 }
 
 // open starts one pass over the job's packets: the cached slab through the
@@ -289,6 +310,33 @@ func (ws *workerState) replay(job *Job, slab []byte, slot *sim.Result,
 		return nil, err
 	}
 	return slot, nil
+}
+
+// waitPass replays one pass of the job's packets under the constant waits
+// [w, more...] into the worker's wait results. Only a baseline replays
+// under options that ask for decision or episode logs, and it reads two
+// scalars, which the logs do not change, so the pass drops them.
+func (ws *workerState) waitPass(job *Job, slab []byte, w time.Duration, more []time.Duration) ([]sim.Result, error) {
+	src, err := ws.open(job, slab)
+	if err != nil {
+		return nil, err
+	}
+	ws.waits = append(append(ws.waits[:0], w), more...)
+	ws.results = slices.Grow(ws.results[:0], len(ws.waits))[:len(ws.waits)]
+	opts := job.Opts
+	if records(opts) {
+		plain := sim.Options{BurstGap: opts.BurstGap}
+		opts = &plain
+	}
+	if err := ws.engine.RunWaits(src, job.Profile, ws.waits, opts, ws.results); err != nil {
+		return nil, err
+	}
+	return ws.results, nil
+}
+
+// records reports whether opts ask the engine for per-policy logs.
+func records(opts *sim.Options) bool {
+	return opts != nil && (opts.RecordDecisions || opts.RecordEpisodes)
 }
 
 // policyCacheKey identifies a reusable policy pair. The profile is part of
@@ -705,16 +753,22 @@ func runShard[A any](jobs []Job, s, nshards int, ws *workerState, acc Accumulato
 // duplicate the generation), and every pass decodes zero-copy through the
 // worker's cursor. The retained slab's cache entry memoizes the user's
 // fitted policy halves under (spec, plus the profile when the fit reads
-// it) and the baseline's scalars under (profile, options), so one fit and
-// one StatusQuo replay serve every scheme and cell of the user. Every
-// other job opens a fresh source per pass, fits and replays its own
-// baseline, so worker memory stays bounded by burst structure regardless
-// of trace duration. The codec round-trips exactly, a fit is a pure
-// function of its key and the same replay yields the same two scalars, so
-// every choice is byte-identical. reuse (from Accumulator.Transient)
-// routes the scheme replay into the worker's Result slot; the Outcome then
-// aliases worker scratch and is valid only during the fold, exactly what
-// Outcome's contract already says.
+// it) and its constant-wait replays under (profile, options, clamped
+// wait). The baseline is the tail-clamped replay, looked up first, and a
+// job whose demote policy sim.ConstWait recognizes, with no batching
+// policy and no logs asked for, takes its own replay from the same memo,
+// stamped with the policy's name exactly as the engine stamps it. A miss
+// claims the job's Waits with its own wait and replays them in one
+// sim.Engine.RunWaits pass, so one decode serves a grid's whole wait axis
+// for the user. Every other job opens a fresh source per pass, fits and
+// replays its own baseline, so worker memory stays bounded by burst
+// structure regardless of trace duration. The codec round-trips exactly,
+// a fit is a pure function of its key and RunWaits yields each wait the
+// scalars of its own replay bit for bit, so every choice is
+// byte-identical. reuse (from Accumulator.Transient) routes the scheme
+// replay into the worker's Result slot; the Outcome then aliases worker
+// scratch and is valid only during the fold, exactly what Outcome's
+// contract already says.
 func runJob(job *Job, index int, ws *workerState, tc *TraceCache, reuse bool) (Outcome, error) {
 	out := Outcome{Index: index, Job: job}
 	var slab []byte
@@ -728,14 +782,22 @@ func runJob(job *Job, index int, ws *workerState, tc *TraceCache, reuse bool) (O
 	if err != nil {
 		return out, err
 	}
+	wait, memo := sim.ConstWait(demote)
+	memo = memo && active == nil && !records(job.Opts) && slab != nil
+	pass := func(w time.Duration, more []time.Duration) ([]sim.Result, error) {
+		return ws.waitPass(job, slab, w, more)
+	}
 	if job.Baseline {
-		if out.Baseline, err = tc.baseline(job.CacheKey, job.Profile, job.Opts, func() (Baseline, error) {
-			r, err := ws.replay(job, slab, &ws.base, policy.StatusQuo{}, nil)
-			if err != nil {
-				return Baseline{}, err
-			}
-			return Baseline{TotalJ: r.TotalJ(), Promotions: r.Promotions}, nil
-		}); err != nil {
+		// A job that logs replays no memoized scheme, so its baseline
+		// claims nothing for the others.
+		ws.batch = ws.batch[:0]
+		if memo {
+			ws.batch = append(ws.batch, wait)
+		}
+		if !records(job.Opts) {
+			ws.batch = append(ws.batch, job.Waits...)
+		}
+		if out.Baseline, err = tc.baseline(job.CacheKey, job.Profile, job.Opts, ws.batch, pass); err != nil {
 			return out, fmt.Errorf("baseline: %w", err)
 		}
 	}
@@ -743,8 +805,22 @@ func runJob(job *Job, index int, ws *workerState, tc *TraceCache, reuse bool) (O
 	if reuse {
 		mainSlot = &ws.main
 	}
-	if out.Result, err = ws.replay(job, slab, mainSlot, demote, active); err != nil {
+	if !memo {
+		if out.Result, err = ws.replay(job, slab, mainSlot, demote, active); err != nil {
+			return out, err
+		}
+		return out, nil
+	}
+	ws.batch = append(append(ws.batch[:0], policy.Never), job.Waits...)
+	r, err := tc.constWait(job.CacheKey, job.Profile, job.Opts, wait, ws.batch, pass)
+	if err != nil {
 		return out, err
 	}
+	if mainSlot == nil {
+		mainSlot = new(sim.Result)
+	}
+	*mainSlot = r
+	mainSlot.Policy = demote.Name()
+	out.Result = mainSlot
 	return out, nil
 }

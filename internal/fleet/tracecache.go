@@ -2,7 +2,9 @@ package fleet
 
 import (
 	"container/list"
+	"slices"
 	"sync"
+	"time"
 
 	"repro/internal/policy"
 	"repro/internal/power"
@@ -46,15 +48,19 @@ import (
 // share it; a slab touched in any later epoch stays under the LRU budget.
 // Without AdvanceEpoch calls the cache is a plain LRU.
 //
-// A retained slab's entry also memoizes the StatusQuo baselines replayed
-// from it, one per (profile, sim.Options): a grid replays every user
-// against S schemes per profile, and the baseline depends on neither the
-// scheme nor the cell, so S-1 of every S baseline replays would repeat
-// earlier work. A memo is two scalars (Baseline) and lives and dies with
-// its slab: it is retained, evicted and epoch-dropped with it and charges
-// nothing to the byte budget. Baselines are single-flight per key the
-// same way generation is, and replays of slabs the cache did not retain
-// are not memoized.
+// A retained slab's entry also carries its constant-wait replays: the
+// scalar Result of the slab replayed under one constant dormancy wait,
+// one per (profile, sim.Options, wait clamped to [0, tail]). The StatusQuo
+// baseline every job divides by is the tail-clamped entry, and the
+// fixedtail, statusquo and fitted 95% IAT schemes are the others. A miss
+// claims, with its own wait, every wait of the caller's batch no one has
+// claimed yet and replays them all in one sim.Engine.RunWaits pass over
+// the slab, so a grid decodes each user once per (profile, options) for
+// its whole wait axis instead of once per cell. A memo is a few scalars
+// and lives and dies with its slab: it is retained, evicted and
+// epoch-dropped with it and charges nothing to the byte budget. Replays
+// are single-flight per key the same way generation is, and replays of
+// slabs the cache did not retain are not memoized.
 //
 // The entry memoizes trace-fitted policies the same way, one per fitted
 // half of a scheme (FitKey): a fit reads the whole trace, so without the
@@ -73,17 +79,19 @@ type TraceCache struct {
 	lru     *list.List
 	epoch   uint64
 
-	hits, misses, evictions uint64
-	baseHits, baseMisses    uint64
-	fitHits, fitMisses      uint64
+	hits, misses, evictions  uint64
+	baseHits, baseMisses     uint64
+	replayHits, replayMisses uint64
+	replayPasses             uint64
+	fitHits, fitMisses       uint64
 }
 
 // traceEntry is one cached (or generating) slab. done closes once slab
 // and err are final; both are immutable afterwards. elem is the entry's
 // LRU position, nil while generating or once dropped. born is the epoch
 // whose caller started the generation and last the latest epoch in which
-// any caller touched the entry. baselines and fits are the entry's
-// baseline and fit memos, guarded by the cache's mu.
+// any caller touched the entry. replays and fits are the entry's
+// constant-wait replay and fit memos, guarded by the cache's mu.
 type traceEntry struct {
 	key        string
 	done       chan struct{}
@@ -91,17 +99,40 @@ type traceEntry struct {
 	err        error
 	elem       *list.Element
 	born, last uint64
-	baselines  map[baselineKey]*memo[Baseline]
-	fits       map[fitKey]*memo[any]
+	replays    map[replayKey][]*waitMemo
+	fits       map[fitKey]*fitMemo
 }
 
-// baselineKey identifies one baseline replay of an entry's slab: the
-// profile and the dereferenced simulation options (nil counts as the zero
-// value, which the engine treats identically).
-type baselineKey struct {
+// replayKey identifies the constant-wait replays of an entry's slab under
+// one profile and the dereferenced simulation options (nil counts as the
+// zero value, which the engine treats identically). Its waits are a short
+// list, not part of the key, so the map holds one profile-sized key per
+// (profile, options) rather than one per wait.
+type replayKey struct {
 	prof power.Profile
 	opts sim.Options
 }
+
+// waitMemo is one memoized (or still replaying) constant-wait replay.
+// wait is clamped to [0, prof.Tail()], the range over which waits replay
+// differently; val is final once its claim's done closes.
+type waitMemo struct {
+	wait  time.Duration
+	claim *claim
+	val   sim.Result
+}
+
+// claim is one pass's hold on the waits it replays: done closes once
+// every claimed memo is final, and err is the pass's error.
+type claim struct {
+	done chan struct{}
+	err  error
+}
+
+// waitPass replays a slab once under the wait w and every wait in more
+// and returns one Result per wait, w's first and the others in order.
+// The slice may be the caller's scratch: it is read before the next pass.
+type waitPass func(w time.Duration, more []time.Duration) ([]sim.Result, error)
 
 // fitKey identifies one fitted policy of an entry's slab: the half's
 // role and canonical spec, plus the profile when the builder reads it
@@ -112,21 +143,26 @@ type fitKey struct {
 	prof power.Profile
 }
 
-// memo is one memoized (or still computing) value on an entry. done
-// closes once val and err are final; both are immutable afterwards.
-type memo[V any] struct {
+// fitMemo is one memoized (or still fitting) policy half. done closes
+// once val and err are final; both are immutable afterwards.
+type fitMemo struct {
 	done chan struct{}
-	val  V
+	val  any
 	err  error
 }
 
 // TraceCacheStats is a point-in-time snapshot of the cache gauges.
 // Misses count generations actually run (single-flight waiters count as
 // hits: they reused another caller's generation); Bytes and Entries
-// cover retained slabs only. BaselineMisses likewise counts memoized
-// baseline replays actually run and BaselineHits the baselines served
-// from a memo; FitMisses and FitHits count fits the same way. Replays and
-// fits of slabs the cache did not retain count in neither.
+// cover retained slabs only. BaselineMisses counts baseline lookups that
+// found their replay unclaimed and BaselineHits those served from (or
+// waiting on) another lookup's replay; ReplayMisses and ReplayHits count
+// the scheme replays looked up in the constant-wait memo the same way.
+// Every miss runs one pass over the slab, which replays its own wait and
+// the unclaimed rest of its batch together, so ReplayPasses, the passes
+// actually run, is BaselineMisses + ReplayMisses. FitMisses and FitHits
+// count fits the same way. Replays and fits of slabs the cache did not
+// retain count in none of them.
 type TraceCacheStats struct {
 	Hits           uint64 `json:"hits"`
 	Misses         uint64 `json:"misses"`
@@ -135,6 +171,9 @@ type TraceCacheStats struct {
 	Bytes          int64  `json:"bytes"`
 	BaselineHits   uint64 `json:"baseline_hits"`
 	BaselineMisses uint64 `json:"baseline_misses"`
+	ReplayHits     uint64 `json:"replay_hits"`
+	ReplayMisses   uint64 `json:"replay_misses"`
+	ReplayPasses   uint64 `json:"replay_passes"`
 	FitHits        uint64 `json:"fit_hits"`
 	FitMisses      uint64 `json:"fit_misses"`
 }
@@ -209,29 +248,127 @@ func (c *TraceCache) Slab(key string, gen func() trace.Source) ([]byte, error) {
 }
 
 // baseline returns the StatusQuo baseline of key's slab under (prof,
-// opts), calling run to replay it at most once for as long as the cache
-// retains the slab. Concurrent callers of one (key, prof, opts) wait for
-// the first caller's replay; the wait is deadlock-free for the same
-// reason Slab's is: run replays on the calling goroutine and acquires
-// nothing. A replay error is returned to every waiter but not memoized,
-// so a later caller retries. With a nil cache, an empty key, or a slab
-// the cache does not hold (never retained, or dropped since), baseline
-// just calls run.
-func (c *TraceCache) baseline(key string, prof power.Profile, opts *sim.Options, run func() (Baseline, error)) (Baseline, error) {
-	if c == nil {
-		return run()
+// opts): the scalars of its replay under the tail-clamped wait, looked up
+// through replay (the baseline's own wait is policy.Never, which clamps to
+// the tail). A miss claims batch's unclaimed waits with it.
+func (c *TraceCache) baseline(key string, prof power.Profile, opts *sim.Options, batch []time.Duration, pass waitPass) (Baseline, error) {
+	r, err := c.replay(key, prof, opts, policy.Never, batch, true, pass)
+	if err != nil {
+		return Baseline{}, err
 	}
-	k := baselineKey{prof: prof}
+	return Baseline{TotalJ: r.TotalJ(), Promotions: r.Promotions}, nil
+}
+
+// constWait returns key's slab replayed under the constant wait w, looked
+// up through replay. A miss claims batch's unclaimed waits with it.
+func (c *TraceCache) constWait(key string, prof power.Profile, opts *sim.Options, w time.Duration, batch []time.Duration, pass waitPass) (sim.Result, error) {
+	return c.replay(key, prof, opts, w, batch, false, pass)
+}
+
+// replay returns the scalar Result of key's slab replayed under (prof,
+// opts) and the constant wait w, calling pass at most once per clamped
+// wait for as long as the cache retains the slab. The first lookup of a
+// wait claims it, plus every wait in batch that no lookup has claimed
+// yet, all under mu, and replays them in one pass; a lookup whose wait
+// is already claimed waits for that claimer's pass instead. Waiting is
+// deadlock-free for the same reason Slab's is: pass replays on the
+// calling goroutine and acquires nothing. A pass error is returned to
+// every waiter of every wait it claimed but not memoized, so a later
+// caller retries. With a nil cache, an empty key, or a slab the cache
+// does not hold (never retained, or dropped since), replay just runs
+// pass(w, nil) for the one (clamped) wait. base picks the baseline
+// counters over the scheme-replay ones.
+func (c *TraceCache) replay(key string, prof power.Profile, opts *sim.Options, w time.Duration, batch []time.Duration,
+	base bool, pass waitPass) (sim.Result, error) {
+	tail := prof.Tail()
+	w = clampWait(w, tail)
+	if c == nil || key == "" {
+		return firstResult(pass(w, nil))
+	}
+	k := replayKey{prof: prof}
 	if opts != nil {
 		k.opts = *opts
 	}
-	return memoize(c, key, func(e *traceEntry) *map[baselineKey]*memo[Baseline] { return &e.baselines },
-		k, &c.baseHits, &c.baseMisses, run)
+	c.mu.Lock()
+	e := c.entries[key]
+	if e == nil || e.elem == nil {
+		c.mu.Unlock()
+		return firstResult(pass(w, nil))
+	}
+	waits := e.replays[k]
+	if m := findWait(waits, w); m != nil {
+		if base {
+			c.baseHits++
+		} else {
+			c.replayHits++
+		}
+		c.mu.Unlock()
+		<-m.claim.done
+		return m.val, m.claim.err
+	}
+	cl := &claim{done: make(chan struct{})}
+	claimed := []*waitMemo{{wait: w, claim: cl}}
+	waits = append(waits, claimed[0])
+	var more []time.Duration
+	for _, b := range batch {
+		if b = clampWait(b, tail); findWait(waits, b) == nil {
+			m := &waitMemo{wait: b, claim: cl}
+			claimed, waits = append(claimed, m), append(waits, m)
+			more = append(more, b)
+		}
+	}
+	if e.replays == nil {
+		e.replays = map[replayKey][]*waitMemo{}
+	}
+	e.replays[k] = waits
+	if base {
+		c.baseMisses++
+	} else {
+		c.replayMisses++
+	}
+	c.replayPasses++
+	c.mu.Unlock()
+
+	res, err := pass(w, more)
+	if err != nil {
+		c.mu.Lock()
+		e.replays[k] = slices.DeleteFunc(e.replays[k], func(m *waitMemo) bool { return m.claim == cl })
+		c.mu.Unlock()
+	} else {
+		for i, m := range claimed {
+			m.val = res[i]
+		}
+	}
+	cl.err = err
+	close(cl.done)
+	return claimed[0].val, err
+}
+
+// findWait returns the memo of the clamped wait w, or nil.
+func findWait(waits []*waitMemo, w time.Duration) *waitMemo {
+	for _, m := range waits {
+		if m.wait == w {
+			return m
+		}
+	}
+	return nil
+}
+
+// clampWait maps a dormancy wait onto [0, tail]: the engine treats a
+// negative wait as 0 and demotes at the tail end whatever the wait.
+func clampWait(w, tail time.Duration) time.Duration { return min(max(w, 0), tail) }
+
+// firstResult is the unmemoized lookup's answer: the pass's first Result.
+func firstResult(res []sim.Result, err error) (sim.Result, error) {
+	if err != nil {
+		return sim.Result{}, err
+	}
+	return res[0], nil
 }
 
 // fit returns the policy half fitted to key's slab under fk, calling
 // build to fit it at most once for as long as the cache retains the slab,
-// under baseline's single-flight, error and no-slab rules. prof joins the
+// under replay's single-flight, error and no-slab rules. prof joins the
 // key only when the builder reads it.
 func (c *TraceCache) fit(key string, role policy.Role, fk FitKey, prof power.Profile, build func() (any, error)) (any, error) {
 	if c == nil {
@@ -241,43 +378,33 @@ func (c *TraceCache) fit(key string, role policy.Role, fk FitKey, prof power.Pro
 	if !fk.ProfileFree {
 		k.prof = prof
 	}
-	return memoize(c, key, func(e *traceEntry) *map[fitKey]*memo[any] { return &e.fits },
-		k, &c.fitHits, &c.fitMisses, build)
-}
-
-// memoize is the single-flight memo behind baseline and fit: table picks
-// the entry's memo map, and hits and misses are its counters. c must be
-// non-nil.
-func memoize[K comparable, V any](c *TraceCache, key string, table func(*traceEntry) *map[K]*memo[V],
-	k K, hits, misses *uint64, run func() (V, error)) (V, error) {
 	if key == "" {
-		return run()
+		return build()
 	}
 	c.mu.Lock()
 	e := c.entries[key]
 	if e == nil || e.elem == nil {
 		c.mu.Unlock()
-		return run()
+		return build()
 	}
-	tab := table(e)
-	if m, ok := (*tab)[k]; ok {
-		*hits++
+	if m, ok := e.fits[k]; ok {
+		c.fitHits++
 		c.mu.Unlock()
 		<-m.done
 		return m.val, m.err
 	}
-	m := &memo[V]{done: make(chan struct{})}
-	if *tab == nil {
-		*tab = map[K]*memo[V]{}
+	m := &fitMemo{done: make(chan struct{})}
+	if e.fits == nil {
+		e.fits = map[fitKey]*fitMemo{}
 	}
-	(*tab)[k] = m
-	*misses++
+	e.fits[k] = m
+	c.fitMisses++
 	c.mu.Unlock()
 
-	m.val, m.err = run()
+	m.val, m.err = build()
 	if m.err != nil {
 		c.mu.Lock()
-		delete(*tab, k)
+		delete(e.fits, k)
 		c.mu.Unlock()
 	}
 	close(m.done)
@@ -329,6 +456,9 @@ func (c *TraceCache) Stats() TraceCacheStats {
 
 		BaselineHits:   c.baseHits,
 		BaselineMisses: c.baseMisses,
+		ReplayHits:     c.replayHits,
+		ReplayMisses:   c.replayMisses,
+		ReplayPasses:   c.replayPasses,
 		FitHits:        c.fitHits,
 		FitMisses:      c.fitMisses,
 	}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -42,6 +43,10 @@ type gridCell struct {
 	cohort  fleet.Cohort
 	profile power.Profile
 	scheme  fleet.Scheme
+	// waits are the constant waits of the grid's schemes under profile
+	// (constWaits), shared by every cell of the profile and stamped into
+	// each job's Waits.
+	waits []time.Duration
 
 	// NumJobs and Shards are the cell's progress denominators: the fleet
 	// run's job count (one per user — each cell is a single scheme) and
@@ -50,9 +55,41 @@ type gridCell struct {
 	NumJobs, Shards int
 }
 
-// Jobs materializes the cell's fleet run.
+// Jobs materializes the cell's fleet run. Every job carries the
+// profile's constant waits, so whichever cell of a (cohort, profile)
+// first misses the trace cache's constant-wait memo for a user replays
+// the whole wait axis in one pass.
 func (c *gridCell) Jobs() []fleet.Job {
-	return c.cohort.Jobs(c.profile, []fleet.Scheme{c.scheme})
+	jobs := c.cohort.Jobs(c.profile, []fleet.Scheme{c.scheme})
+	for i := range jobs {
+		jobs[i].Waits = c.waits
+	}
+	return jobs
+}
+
+// constWaits returns the distinct constant dormancy waits, clamped to
+// [0, prof.Tail()], that the schemes replay under prof: each scheme with
+// no trace-fitted and no batching half builds its demote policy once
+// with a nil trace, and sim.ConstWait says whether it is a constant
+// wait. A scheme whose factory fails contributes nothing; its cells fail
+// on their own.
+func constWaits(schemes []fleet.ResolvedScheme, prof power.Profile) []time.Duration {
+	var waits []time.Duration
+	for _, rs := range schemes {
+		if rs.Scheme.FitTrace || rs.Scheme.Active != nil {
+			continue
+		}
+		d, err := rs.Scheme.Demote(nil, prof)
+		if err != nil {
+			continue
+		}
+		if w, ok := sim.ConstWait(d); ok {
+			if w = min(w, prof.Tail()); !slices.Contains(waits, w) {
+				waits = append(waits, w)
+			}
+		}
+	}
+	return waits
 }
 
 // planFingerprint validates the normalized spec's axes, computes its v4
@@ -182,9 +219,13 @@ func (s Spec) planFingerprint(opts fleet.Options, axes *axisCache) ([]gridCell, 
 	sum := sha256.Sum256(b)
 	fp := hex.EncodeToString(sum[:])
 
+	waits := make([][]time.Duration, len(pas))
+	for i, pa := range pas {
+		waits[i] = constWaits(sas, pa.Profile)
+	}
 	cells := make([]gridCell, 0, len(s.Schemes)*len(s.Profiles)*len(s.Cohorts))
 	for _, ca := range cas {
-		for _, pa := range pas {
+		for pi, pa := range pas {
 			for _, sa := range sas {
 				cells = append(cells, gridCell{
 					Scheme:  sa.Scheme.Name,
@@ -194,6 +235,7 @@ func (s Spec) planFingerprint(opts fleet.Options, axes *axisCache) ([]gridCell, 
 					cohort:  ca.Cohort,
 					profile: pa.Profile,
 					scheme:  sa.Scheme,
+					waits:   waits[pi],
 					NumJobs: ca.Cohort.Users,
 					Shards:  opts.NumShards(ca.Cohort.Users),
 				})

@@ -670,7 +670,7 @@ func (m *Manager) CellsExecuted() uint64 { return m.cellsRun.Load() }
 
 // TraceCacheStats snapshots the trace cache's gauges (zeros when the
 // cache is disabled) — hit/miss/eviction counters, retained slab bytes
-// and the baseline memo's hits and misses, for the health endpoint.
+// and the constant-wait and fit memos' counters, for the health endpoint.
 func (m *Manager) TraceCacheStats() fleet.TraceCacheStats { return m.traces.Stats() }
 
 // StoreStats snapshots the durable store's gauges; ok is false when the

@@ -26,10 +26,11 @@ type CellResult struct {
 	// Summary is the cell's fleet aggregate.
 	Summary *fleet.Summary
 
-	renderOnce sync.Once
-	stats      report.SummaryStats
-	json       []byte
-	renderErr  error
+	statsOnce sync.Once
+	stats     report.SummaryStats
+	jsonOnce  sync.Once
+	json      []byte
+	jsonErr   error
 
 	// shards/jobs are the cell's progress contribution, replayed when the
 	// cell is served from the cell cache.
@@ -47,24 +48,19 @@ func newCellResult(cell gridCell, sum *fleet.Summary) *CellResult {
 	}
 }
 
-func (c *CellResult) render() {
-	c.renderOnce.Do(func() {
-		c.stats = report.SummaryStatsOf(c.Summary)
-		c.json, c.renderErr = report.JSON(c.stats)
-	})
-}
-
-// Stats returns the serializable view of Summary.
+// Stats returns the serializable view of Summary. It does not render the
+// cell's JSON: a grid's job rendering reads every cell's stats, and the
+// cell's own bytes are only needed when the cell is served or stored.
 func (c *CellResult) Stats() report.SummaryStats {
-	c.render()
+	c.statsOnce.Do(func() { c.stats = report.SummaryStatsOf(c.Summary) })
 	return c.stats
 }
 
 // JSON returns the indented JSON rendering of Stats. The returned bytes
 // are memoized and shared; callers must treat them as immutable.
 func (c *CellResult) JSON() ([]byte, error) {
-	c.render()
-	return c.json, c.renderErr
+	c.jsonOnce.Do(func() { c.json, c.jsonErr = report.JSON(c.Stats()) })
+	return c.json, c.jsonErr
 }
 
 // Result is a finished job's output. Rendered forms (JSON, CSV, text) are

@@ -1,0 +1,194 @@
+package jobs
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/fleet"
+	"repro/internal/policy"
+)
+
+// The constant-wait memo: each retained slab replays a grid's whole wait
+// axis (the fixedtail and statusquo schemes, the fitted 95iat timer and
+// the StatusQuo baseline) in one pass per (profile, options). These tests
+// pin its counts and that it never changes a byte.
+
+func fixedTailSpec(wait string) fleet.SchemeSpec {
+	return fleet.SchemeSpec{Policy: policy.Spec{Name: "fixedtail", Params: map[string]any{"wait": wait}}}
+}
+
+// paperShapedSchemes is the paper grid's scheme axis plus a fixed tail
+// beyond every carrier's tail: the statusquo scheme, the 30s tail and the
+// baseline all replay the tail-clamped wait, so they share one memo.
+var paperShapedSchemes = []fleet.SchemeSpec{
+	{Policy: policy.Spec{Name: "statusquo"}},
+	fixedTailSpec("4.5s"),
+	{Policy: policy.Spec{Name: "95iat"}},
+	{Policy: policy.Spec{Name: "makeidle"}},
+	{Policy: policy.Spec{Name: "makeidle"}, Active: &policy.Spec{Name: "learn"}},
+	fixedTailSpec("30s"),
+}
+
+// TestReplayMemoExactCounts pins how often a constant-wait grid replays:
+// over S fixed tails plus statusquo on C cohorts x P profiles x U users, a
+// fresh-seed grid runs exactly one pass per (cohort, profile, user),
+// C·P·U, claimed by the first baseline lookup, and every scheme replay is
+// a memo hit, C·P·U·(S+1). A resubmission served from the cell cache runs
+// nothing, and a second fresh-seed grid adds the same counts again, at
+// every worker count and cell concurrency level.
+func TestReplayMemoExactCounts(t *testing.T) {
+	const users = 2 // each fixture cohort's population
+	schemes := []fleet.SchemeSpec{fixedTailSpec("1s"), fixedTailSpec("3s"), fixedTailSpec("8s"),
+		{Policy: policy.Spec{Name: "statusquo"}}}
+	spec := func(seed int64) Spec {
+		return Spec{Seed: seed, Shards: 2, Schemes: schemes, Profiles: fitProfiles, Cohorts: resumeCohorts}
+	}
+	keys := uint64(len(resumeCohorts) * len(fitProfiles) * users)
+	want := fleet.TraceCacheStats{ReplayPasses: keys, ReplayHits: keys * uint64(len(schemes)),
+		BaselineMisses: keys, BaselineHits: keys * uint64(len(schemes)-1)}
+
+	for _, workers := range []int{1, 4} {
+		for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+			t.Run(fmt.Sprintf("workers%d-par%d", workers, par), func(t *testing.T) {
+				m := NewManager(Config{Runners: 1, Workers: workers, CellParallel: par, CacheSize: -1})
+				defer m.Close()
+				var last fleet.TraceCacheStats
+				step := func(label string, seed int64, want fleet.TraceCacheStats) {
+					t.Helper()
+					runSpec(t, m, spec(seed))
+					st := m.TraceCacheStats()
+					got := fleet.TraceCacheStats{
+						ReplayPasses: st.ReplayPasses - last.ReplayPasses,
+						ReplayHits:   st.ReplayHits - last.ReplayHits, ReplayMisses: st.ReplayMisses - last.ReplayMisses,
+						BaselineHits: st.BaselineHits - last.BaselineHits, BaselineMisses: st.BaselineMisses - last.BaselineMisses,
+					}
+					if got != want {
+						t.Fatalf("%s: added %+v, want %+v", label, got, want)
+					}
+					last = st
+				}
+				step("fresh grid", 81, want)
+				step("resubmission", 81, fleet.TraceCacheStats{})
+				step("second fresh grid", 82, want)
+			})
+		}
+	}
+}
+
+// TestReplayMemoEquivalence: memo on and memo off render the same bytes
+// and DeepEqual summaries, on a paper-grid-shaped grid (where statusquo,
+// the 30s tail and the baseline share one memo) and on a grid partly
+// served from the cell cache, whose fresh cells replay against memos the
+// earlier grid left on the slabs.
+func TestReplayMemoEquivalence(t *testing.T) {
+	paper := Spec{Seed: 83, Shards: 2, Schemes: paperShapedSchemes, Profiles: resumeProfiles, Cohorts: resumeCohorts[:1]}
+	wider := paper
+	wider.Schemes = append(slices.Clone(paperShapedSchemes), fixedTailSpec("2s"), fixedTailSpec("9s"))
+	wider.Profiles = fitProfiles
+
+	off := NewManager(Config{Runners: 1, Workers: 2, CellParallel: 1,
+		CacheSize: -1, CellCacheSize: -1, TraceCacheBytes: -1})
+	wantPaper, wantWider := runSpec(t, off, paper), runSpec(t, off, wider)
+	off.Close()
+
+	for _, par := range []int{1, runtime.GOMAXPROCS(0) + 1} {
+		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
+			m := NewManager(Config{Runners: 1, Workers: 4, CellParallel: par, CacheSize: -1})
+			defer m.Close()
+			got := runSpec(t, m, paper)
+			assertSameResult(t, wantPaper, got)
+			assertSameSummaries(t, wantPaper, got)
+			const users = 2
+			keys := uint64(users * len(paper.Profiles))
+			// statusquo, 4.5s and 30s hit the baseline's pass; 95iat hits it
+			// too or runs its own one-wait pass.
+			if st := m.TraceCacheStats(); st.ReplayHits < 3*keys || st.ReplayPasses != st.BaselineMisses+st.ReplayMisses ||
+				st.BaselineMisses != keys {
+				t.Fatalf("paper-shaped grid: %+v", st)
+			}
+
+			before := m.CellsExecuted()
+			got = runSpec(t, m, wider)
+			assertSameResult(t, wantWider, got)
+			assertSameSummaries(t, wantWider, got)
+			if served := uint64(len(got.Cells)) - (m.CellsExecuted() - before); served != uint64(len(wantPaper.Cells)) {
+				t.Fatalf("%d cells served from the cell cache, want %d", served, len(wantPaper.Cells))
+			}
+		})
+	}
+}
+
+// TestReplayMemoOrderIndependence is the who-claims-first property for
+// the constant-wait memo: at CellParallel=1 the first scheme in plan
+// order claims every (user, profile)'s batch, so each rotation of the
+// scheme axis hands the claim to another scheme — a constant wait, a
+// fitted one, or a MakeIdle cell that replays none itself. Every cell
+// must come out the same, matched by label, as in a memo-off run.
+func TestReplayMemoOrderIndependence(t *testing.T) {
+	base := Spec{Seed: 89, Shards: 2, Schemes: paperShapedSchemes, Profiles: resumeProfiles, Cohorts: resumeCohorts[:1]}
+	label := func(c *CellResult) string { return c.Scheme + "|" + c.Profile + "|" + c.Cohort }
+	ref := NewManager(Config{Runners: 1, Workers: 2, CellParallel: 1, TraceCacheBytes: -1})
+	want := map[string]*CellResult{}
+	for _, c := range runSpec(t, ref, base).Cells {
+		want[label(c)] = c
+	}
+	ref.Close()
+
+	for rot := range paperShapedSchemes {
+		t.Run(fmt.Sprintf("rot%d", rot), func(t *testing.T) {
+			spec := base
+			spec.Schemes = append(slices.Clone(paperShapedSchemes[rot:]), paperShapedSchemes[:rot]...)
+			m := NewManager(Config{Runners: 1, Workers: 2, CellParallel: 1, CacheSize: -1, CellCacheSize: -1})
+			defer m.Close()
+			got := runSpec(t, m, spec)
+			if len(got.Cells) != len(want) {
+				t.Fatalf("%d cells, want %d", len(got.Cells), len(want))
+			}
+			for _, c := range got.Cells {
+				w := want[label(c)]
+				if w == nil {
+					t.Fatalf("cell %s missing from the reference", label(c))
+				}
+				wj, err1 := w.JSON()
+				gj, err2 := c.JSON()
+				if err1 != nil || err2 != nil {
+					t.Fatal(err1, err2)
+				}
+				if c.Key != w.Key || !bytes.Equal(wj, gj) || !reflect.DeepEqual(w.Summary, c.Summary) {
+					t.Fatalf("cell %s differs when %s claims the batches", label(c), got.Cells[0].Scheme)
+				}
+			}
+			if st := m.TraceCacheStats(); st.ReplayHits == 0 {
+				t.Fatalf("no replay was served from the memo: %+v", st)
+			}
+		})
+	}
+}
+
+// TestPlanConstWaits pins the plan-time wait axis: one shared, clamped,
+// deduplicated list per profile, from the schemes with neither a fitted
+// nor a batching half — here the statusquo scheme and the 30s tail both
+// clamp to the tail, and 95iat, makeidle and makeidle+learn add nothing.
+func TestPlanConstWaits(t *testing.T) {
+	spec := Spec{Seed: 1, Shards: 2, Schemes: paperShapedSchemes, Profiles: fitProfiles, Cohorts: resumeCohorts}.withDefaults()
+	cells, _, err := spec.planFingerprint(fleet.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cells {
+		tail := c.profile.Tail()
+		if want := []time.Duration{tail, 4500 * time.Millisecond}; !slices.Equal(c.waits, want) {
+			t.Fatalf("cell %s/%s: waits %v, want %v", c.Scheme, c.Profile, c.waits, want)
+		}
+		for _, j := range c.Jobs() {
+			if &j.Waits[0] != &c.waits[0] {
+				t.Fatalf("cell %s/%s: job does not share the profile's wait list", c.Scheme, c.Profile)
+			}
+		}
+	}
+}

@@ -136,7 +136,13 @@ func JSON(v any) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return append(b, '\n'), nil
+	// MarshalIndent's buffer carries up to twice the rendering's length in
+	// spare capacity; callers memoize these bytes for as long as they keep
+	// the result, so hand back an exact-size copy.
+	out := make([]byte, len(b)+1)
+	copy(out, b)
+	out[len(b)] = '\n'
+	return out, nil
 }
 
 // CSVBytes renders the table via WriteCSV into a byte slice.

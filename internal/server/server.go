@@ -171,6 +171,9 @@ func (s *Server) health(w http.ResponseWriter, r *http.Request) {
 		"trace_cache_evictions": traces.Evictions,
 		"baseline_memo_hits":    traces.BaselineHits,
 		"baseline_memo_misses":  traces.BaselineMisses,
+		"replay_memo_hits":      traces.ReplayHits,
+		"replay_memo_misses":    traces.ReplayMisses,
+		"replay_passes":         traces.ReplayPasses,
 		"fit_memo_hits":         traces.FitHits,
 		"fit_memo_misses":       traces.FitMisses,
 	}

@@ -334,8 +334,9 @@ func TestSubmitBodyLimit(t *testing.T) {
 // TestHealthzTraceCacheGauges pins the trace-cache health gauges: after a
 // grid whose cells share a cohort, /healthz must report the cache's
 // generations (misses), replays served from slabs (hits) and retained
-// bytes — nonzero each — plus the eviction counter and the baseline
-// memo's replays (misses) and reuses (hits). A second grid over the same
+// bytes — nonzero each — plus the eviction counter, the baseline memo's
+// replays (misses) and reuses (hits), and the constant-wait memo's passes
+// and scheme-replay hits and misses. A second grid over the same
 // users adds the 95% IAT scheme on two profiles, and the fit memo must
 // report one fit per user (misses) and its reuse by the other profile
 // (hits).
@@ -393,6 +394,15 @@ func TestHealthzTraceCacheGauges(t *testing.T) {
 	if got, got2 := num("fit_memo_misses"), num("fit_memo_hits"); got != 0 || got2 != 0 {
 		t.Fatalf("fit memo = %v misses, %v hits before any trace-fitted scheme ran", got, got2)
 	}
+	// Whichever cell reaches a user first, its baseline lookup claims the
+	// baseline and the grid's one constant wait (fixedtail 2s) together:
+	// one pass per user, and the fixedtail cell's replay is a memo hit.
+	if got := num("replay_passes"); got != 2 {
+		t.Fatalf("replay_passes = %v, want 2 (one pass per user)", got)
+	}
+	if got, got2 := num("replay_memo_misses"), num("replay_memo_hits"); got != 0 || got2 != 2 {
+		t.Fatalf("replay memo = %v misses, %v hits, want 0 and 2", got, got2)
+	}
 
 	spec = `{"seed": 31, "shards": 2,
 		"schemes": [{"policy": {"name": "95iat"}}],
@@ -417,5 +427,9 @@ func TestHealthzTraceCacheGauges(t *testing.T) {
 	}
 	if got := num("fit_memo_hits"); got != 2 {
 		t.Fatalf("fit_memo_hits = %v, want 2 (the second profile reuses each fit)", got)
+	}
+	// Every miss, of a baseline or of a scheme replay, runs one pass.
+	if passes, misses := num("replay_passes"), num("baseline_memo_misses")+num("replay_memo_misses"); passes != misses {
+		t.Fatalf("replay_passes = %v, want baseline plus replay misses (%v)", passes, misses)
 	}
 }

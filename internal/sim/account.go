@@ -1,0 +1,123 @@
+package sim
+
+import (
+	"math"
+	"time"
+
+	"repro/internal/power"
+)
+
+// rates are a replay's accounting coefficients, precomputed once per run
+// so the per-gap hot path does no profile-method calls. The tail-stage
+// values keep the exact operand order of energy.TailBreakdown (only the
+// Duration->seconds conversions are hoisted, which is the same float), so
+// the accounting is bit-identical to the generic helpers.
+type rates struct {
+	tail       time.Duration // T1+T2: the timers demote here regardless
+	t1s, t2s   float64       // T1/T2 timer lengths in seconds
+	t1MW, t2MW float64       // tail-stage powers
+	dormJ      float64       // fast-dormancy demotion energy
+	promJ      float64       // promotion energy
+	promDelay  time.Duration
+}
+
+func newRates(p *power.Profile) rates {
+	return rates{
+		tail: p.Tail(),
+		t1s:  p.T1.Seconds(), t2s: p.T2.Seconds(),
+		t1MW: p.T1MW, t2MW: p.T2MW,
+		dormJ: p.DormancyJ(), promJ: p.PromotionJ(),
+		promDelay: p.PromotionDelay,
+	}
+}
+
+// tailBreakdown is energy.TailBreakdown against the precomputed
+// coefficients: the operand order matches the generic helper exactly, so
+// the energies are the same floats bit for bit.
+func (r *rates) tailBreakdown(d time.Duration) (t1J, t2J float64) {
+	if d <= 0 {
+		return 0, 0
+	}
+	t := d.Seconds()
+	t1J = math.Min(t, r.t1s) * r.t1MW / 1000
+	if t > r.t1s {
+		t2J = math.Min(t-r.t1s, r.t2s) * r.t2MW / 1000
+	}
+	return t1J, t2J
+}
+
+// tally is one replay's scalar accounting: what a sequence of dormancy
+// waits costs in tail and switch energy, state switches and promotion
+// delay. The data energy is not part of it, because it depends on the
+// packets alone. The engine drives one tally per replay; RunWaits drives
+// one per wait over a single pull of the packets. Both make the same
+// calls in the same order, so every field is the same float or count.
+type tally struct {
+	t1J, t2J, switchJ float64
+	promotions        int
+	demotions         int
+	promotedPackets   int
+	promDelay         time.Duration
+}
+
+// promote charges one Idle->Active promotion and its packet delay.
+func (a *tally) promote(r *rates) {
+	a.switchJ += r.promJ
+	a.promotions++
+	a.promotedPackets++
+	a.promDelay += r.promDelay
+}
+
+// accountGap charges the gap that just closed under dormancy wait w and
+// reports whether the radio demoted in it.
+func (a *tally) accountGap(r *rates, w, gap, lastTx time.Duration) bool {
+	if w > r.tail {
+		w = r.tail // the timers demote at the tail end regardless
+	}
+	demoted := gap > w
+	stay := gap
+	if demoted {
+		stay = w
+	}
+	// The first lastTx of the gap is transmission time, already charged at
+	// full power as data energy; only the remainder idles in the tail.
+	stay -= lastTx
+	if stay < 0 {
+		stay = 0
+	}
+	t1J, t2J := r.tailBreakdown(stay)
+	a.t1J += t1J
+	a.t2J += t2J
+	if demoted {
+		a.switchJ += r.dormJ
+		a.demotions++
+		a.promote(r)
+	}
+	return demoted
+}
+
+// finish settles the trailing tail after the last packet: the radio rides
+// out min(w, tail) and demotes (no promotion follows).
+func (a *tally) finish(r *rates, w, lastTx time.Duration) {
+	w = min(w, r.tail) - lastTx
+	if w < 0 {
+		w = 0
+	}
+	t1J, t2J := r.tailBreakdown(w)
+	a.t1J += t1J
+	a.t2J += t2J
+	a.switchJ += r.dormJ
+	a.demotions++
+}
+
+// settle writes the tally and the run's data energy into res.
+func (a *tally) settle(res *Result, dataJ float64) {
+	res.Breakdown.DataJ = dataJ
+	res.Breakdown.T1TailJ = a.t1J
+	res.Breakdown.T2TailJ = a.t2J
+	res.Breakdown.SwitchJ = a.switchJ
+	res.Promotions = a.promotions
+	res.Demotions = a.demotions
+	res.PromotedPackets = a.promotedPackets
+	res.PromotionDelayTotal = a.promDelay
+}

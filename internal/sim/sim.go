@@ -40,7 +40,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -172,25 +171,21 @@ type Engine struct {
 	lookahead policy.GapLookahead
 	opts      *Options
 	res       *Result
-	tail      time.Duration
 
-	// Per-run accounting coefficients, precomputed once in RunSource so the
-	// per-gap hot path does no profile-method calls. The tail-stage values
-	// keep the exact operand order of energy.TailBreakdown (only the
-	// Duration->seconds conversions are hoisted, which is the same float),
-	// so the fast accounting is bit-identical to the generic helpers.
-	t1s, t2s   float64 // T1/T2 timer lengths in seconds
-	t1MW, t2MW float64 // tail-stage powers
-	dormJ      float64 // fast-dormancy demotion energy
-	promJ      float64 // promotion energy
-	promDelay  time.Duration
-	recDec     bool // opts.recordDecisions(), hoisted out of the gap loop
+	// rates are the run's accounting coefficients and acct its scalar
+	// accounting; dataJ accumulates the data energy, which depends on the
+	// packets alone. All three are copied into the Result once the replay
+	// ends.
+	rates  rates
+	acct   tally
+	dataJ  float64
+	recDec bool // opts.recordDecisions(), hoisted out of the gap loop
 
 	// Devirtualized decision fast path: the built-in constant-wait demote
-	// policies (StatusQuo, FixedTail, PercentileIAT) are recognized by a
-	// single type switch per run; every per-packet Decide/Observe interface
-	// call is then skipped, with pending pinned to constVal. forceGeneric
-	// (a test knob) disables this and the direct no-batching loop so
+	// policies (StatusQuo, FixedTail, PercentileIAT) are recognized once
+	// per run by ConstWait; every per-packet Decide/Observe interface call
+	// is then skipped, with pending pinned to constVal. forceGeneric (a
+	// test knob) disables this and the direct no-batching loop so
 	// equivalence tests can drive the generic interface path on demand.
 	constWait    bool
 	constVal     time.Duration
@@ -212,6 +207,8 @@ type Engine struct {
 	arrivals []time.Duration   //rrclint:scratch
 	window   burstWindow       //rrclint:scratch
 	slice    trace.SliceSource //rrclint:scratch
+	tallies  []tally           //rrclint:scratch
+	waits    []time.Duration   //rrclint:scratch
 }
 
 // NewEngine returns a reusable replay engine.
@@ -236,7 +233,7 @@ func (e *Engine) Reset() {
 	slice := e.slice
 	*e = Engine{group: group, merged: merged, arrivals: arrivals, window: window, slice: slice,
 		mergeTmp: e.mergeTmp[:0], runs: e.runs[:0], runsTmp: e.runsTmp[:0],
-		forceGeneric: e.forceGeneric}
+		tallies: e.tallies[:0], waits: e.waits[:0], forceGeneric: e.forceGeneric}
 }
 
 // Run replays one materialized trace on this engine. Semantics are
@@ -303,31 +300,14 @@ func (e *Engine) RunSourceInto(res *Result, src trace.Source, prof power.Profile
 	e.active = active
 	e.opts = opts
 	e.res = res
-	e.tail = prof.Tail()
 	e.lookahead, _ = demote.(policy.GapLookahead)
-	e.t1s, e.t2s = prof.T1.Seconds(), prof.T2.Seconds()
-	e.t1MW, e.t2MW = prof.T1MW, prof.T2MW
-	e.dormJ, e.promJ = prof.DormancyJ(), prof.PromotionJ()
-	e.promDelay = prof.PromotionDelay
+	e.rates = newRates(&prof)
 	e.recDec = opts.recordDecisions()
 	// Devirtualize constant-wait built-ins: one type switch here replaces
-	// an interface Decide/Observe pair per packet. The recognized policies
-	// are stateless (Observe is a no-op, Decide a constant), so skipping
-	// their calls is behaviour-preserving; the clamp matches
-	// ensureDecision's. Clairvoyant policies keep the generic path — they
-	// need the per-gap lookahead feed.
+	// an interface Decide/Observe pair per packet. Clairvoyant policies
+	// keep the generic path — they need the per-gap lookahead feed.
 	if !e.forceGeneric && e.lookahead == nil {
-		switch d := demote.(type) {
-		case policy.StatusQuo:
-			e.constWait, e.constVal = true, policy.Never
-		case *policy.FixedTail:
-			e.constWait, e.constVal = true, d.Wait
-		case *policy.PercentileIAT:
-			e.constWait, e.constVal = true, d.Wait()
-		}
-		if e.constWait && e.constVal < 0 {
-			e.constVal = 0
-		}
+		e.constVal, e.constWait = ConstWait(demote)
 	}
 	e.window.reset(src, opts.burstGap())
 	if err := e.run(); err != nil {
@@ -335,6 +315,7 @@ func (e *Engine) RunSourceInto(res *Result, src trace.Source, prof power.Profile
 		return err
 	}
 
+	e.acct.settle(res, e.dataJ)
 	res.Packets = e.packets
 	res.Duration = e.lastT
 	// Byte-identity with Run: a run that recorded nothing into a reused
@@ -384,11 +365,7 @@ func (e *Engine) ensureDecision(nextAt time.Duration) {
 // idleAt returns the absolute time the radio reaches Idle after the last
 // packet, given the pending decision (which must have been ensured).
 func (e *Engine) idleAt() time.Duration {
-	w := e.pending
-	if w > e.tail {
-		w = e.tail
-	}
-	return e.lastT + w
+	return e.lastT + min(e.pending, e.rates.tail)
 }
 
 // horizon returns the learning horizon for episode observations: the
@@ -592,19 +569,24 @@ func (e *Engine) processPackets(pkts trace.Trace) {
 func (e *Engine) step(t time.Duration, p trace.Packet) {
 	if !e.started {
 		// The radio begins Idle: the first packet pays a promotion.
-		e.promote()
+		e.acct.promote(&e.rates)
 		e.started = true
 	} else {
 		e.ensureDecision(t)
 		gap := t - e.lastT
-		e.accountGap(gap)
+		demoted := e.acct.accountGap(&e.rates, e.pending, gap, e.lastTx)
+		if e.recDec {
+			e.res.Decisions = append(e.res.Decisions, GapDecision{
+				At: e.lastT, Gap: gap, Wait: e.pending, Demoted: demoted,
+			})
+		}
 		if !e.constWait {
 			// The recognized constant-wait policies' Observe is a no-op;
 			// everything else gets the gap feed the interface promises.
 			e.demote.Observe(gap)
 		}
 	}
-	e.res.Breakdown.DataJ += energy.TxJ(&e.prof, p.Size, p.Dir == trace.Out)
+	e.dataJ += energy.TxJ(&e.prof, p.Size, p.Dir == trace.Out)
 
 	e.lastT = t
 	e.lastTx = e.prof.TxTime(p.Size, p.Dir == trace.Out)
@@ -612,81 +594,11 @@ func (e *Engine) step(t time.Duration, p trace.Packet) {
 	e.decided = false // the decision for this packet's gap is made lazily
 }
 
-// accountGap charges the energy of the gap that just closed, under the
-// pending dormancy wait.
-func (e *Engine) accountGap(gap time.Duration) {
-	w := e.pending
-	if w > e.tail {
-		w = e.tail // the timers demote at the tail end regardless
-	}
-	demoted := gap > w
-	stay := gap
-	if demoted {
-		stay = w
-	}
-	// The first lastTx of the gap is transmission time, already charged at
-	// full power as data energy; only the remainder idles in the tail.
-	stay -= e.lastTx
-	if stay < 0 {
-		stay = 0
-	}
-	t1J, t2J := e.tailBreakdown(stay)
-	e.res.Breakdown.T1TailJ += t1J
-	e.res.Breakdown.T2TailJ += t2J
-	if demoted {
-		e.res.Breakdown.SwitchJ += e.dormJ
-		e.res.Demotions++
-		e.promote()
-	}
-	if e.recDec {
-		e.res.Decisions = append(e.res.Decisions, GapDecision{
-			At: e.lastT, Gap: gap, Wait: e.pending, Demoted: demoted,
-		})
-	}
-}
-
-// tailBreakdown is energy.TailBreakdown against the run's precomputed
-// coefficients: the operand order matches the generic helper exactly (only
-// the Duration.Seconds conversions are hoisted), so the energies are the
-// same floats bit for bit.
-func (e *Engine) tailBreakdown(d time.Duration) (t1J, t2J float64) {
-	if d <= 0 {
-		return 0, 0
-	}
-	t := d.Seconds()
-	t1J = math.Min(t, e.t1s) * e.t1MW / 1000
-	if t > e.t1s {
-		t2J = math.Min(t-e.t1s, e.t2s) * e.t2MW / 1000
-	}
-	return t1J, t2J
-}
-
-// promote charges one Idle->Active promotion and its packet delay.
-func (e *Engine) promote() {
-	e.res.Breakdown.SwitchJ += e.promJ
-	e.res.Promotions++
-	e.res.PromotedPackets++
-	e.res.PromotionDelayTotal += e.promDelay
-}
-
-// finish settles the trailing tail after the last packet: the radio rides
-// out min(pending, tail) and demotes (no promotion follows).
+// finish settles the trailing tail after the last packet.
 func (e *Engine) finish() {
 	if !e.started {
 		return
 	}
 	e.ensureDecision(policy.Never)
-	w := e.pending
-	if w > e.tail {
-		w = e.tail
-	}
-	w -= e.lastTx
-	if w < 0 {
-		w = 0
-	}
-	t1J, t2J := e.tailBreakdown(w)
-	e.res.Breakdown.T1TailJ += t1J
-	e.res.Breakdown.T2TailJ += t2J
-	e.res.Breakdown.SwitchJ += e.dormJ
-	e.res.Demotions++
+	e.acct.finish(&e.rates, e.pending, e.lastTx)
 }
