@@ -107,7 +107,7 @@ func registerFlags(fs *flag.FlagSet) *daemonFlags {
 		pprofAddr:  fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)"),
 		storeDir:   fs.String("store-dir", "", "directory for the durable cell store (empty disables; created if missing)"),
 		storeMax:   fs.Int64("store-max-bytes", 0, "cell store payload budget in bytes (LRU eviction; 0 = unbounded)"),
-		traceCache: fs.Int64("trace-cache-bytes", 32<<20, "cohort trace cache budget in bytes of encoded slab (LRU; memoizes generated traffic, its constant-wait replays — status-quo baselines, fixed tails, 95% IAT timers, one pass per user and profile — and its trace-fitted policies across grid cells; <= 0 disables; never changes results)"),
+		traceCache: fs.Int64("trace-cache-bytes", 32<<20, "cohort trace cache budget in bytes of encoded slab (LRU; memoizes generated traffic, its wait-rule replays — status-quo baselines, fixed tails, Oracles, 95% IAT timers, one pass per user and profile — and its trace-fitted policies across grid cells; <= 0 disables; never changes results)"),
 	}
 }
 

@@ -23,10 +23,10 @@ func slabUnder(t *testing.T, c *TraceCache, key string) {
 	}
 }
 
-// asPass adapts a baseline stub to the constant-wait memo's pass: every
-// wait of the pass gets the stub's baseline, its total as data energy.
+// asPass adapts a baseline stub to the wait-rule memo's pass: every rule
+// of the pass gets the stub's baseline, its total as data energy.
 func asPass(run func() (Baseline, error)) waitPass {
-	return func(_ time.Duration, more []time.Duration) ([]sim.Result, error) {
+	return func(_ sim.Wait, more []sim.Wait) ([]sim.Result, error) {
 		b, err := run()
 		if err != nil {
 			return nil, err
@@ -63,7 +63,7 @@ func TestBaselineMemoSingleFlight(t *testing.T) {
 			if i%2 == 0 {
 				opts = nil
 			}
-			b, err := c.baseline("k", power.Verizon3G, opts, nil, run)
+			b, err := c.baseline("k", power.Verizon3G, opts, waitBatch{}, run)
 			if err != nil || b != (Baseline{TotalJ: 12.5, Promotions: 3}) {
 				t.Errorf("caller %d: %+v, %v", i, b, err)
 			}
@@ -78,8 +78,8 @@ func TestBaselineMemoSingleFlight(t *testing.T) {
 		t.Fatalf("stats after single flight: %+v", st)
 	}
 
-	c.baseline("k", power.VerizonLTE, nil, nil, run)
-	c.baseline("k", power.Verizon3G, &sim.Options{BurstGap: 2 * time.Second}, nil, run)
+	c.baseline("k", power.VerizonLTE, nil, waitBatch{}, run)
+	c.baseline("k", power.Verizon3G, &sim.Options{BurstGap: 2 * time.Second}, waitBatch{}, run)
 	if n := runs.Load(); n != 3 {
 		t.Fatalf("other profile and options replayed %d times in all, want 3", n)
 	}
@@ -91,12 +91,12 @@ func TestBaselineMemoErrorNotMemoized(t *testing.T) {
 	c := NewTraceCache(1 << 20)
 	slabUnder(t, c, "k")
 	boom := errors.New("synthetic replay failure")
-	if _, err := c.baseline("k", power.Verizon3G, nil, nil, asPass(func() (Baseline, error) {
+	if _, err := c.baseline("k", power.Verizon3G, nil, waitBatch{}, asPass(func() (Baseline, error) {
 		return Baseline{}, boom
 	})); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the replay's error", err)
 	}
-	b, err := c.baseline("k", power.Verizon3G, nil, nil, asPass(func() (Baseline, error) {
+	b, err := c.baseline("k", power.Verizon3G, nil, waitBatch{}, asPass(func() (Baseline, error) {
 		return Baseline{TotalJ: 1}, nil
 	}))
 	if err != nil || b.TotalJ != 1 {
@@ -115,13 +115,13 @@ func TestBaselineMemoLivesWithSlab(t *testing.T) {
 	run := asPass(func() (Baseline, error) { runs++; return Baseline{}, nil })
 
 	var off *TraceCache
-	off.baseline("k", power.Verizon3G, nil, nil, run)
+	off.baseline("k", power.Verizon3G, nil, waitBatch{}, run)
 	small := NewTraceCache(4)
-	small.baseline("", power.Verizon3G, nil, nil, run)
-	small.baseline("never", power.Verizon3G, nil, nil, run)
+	small.baseline("", power.Verizon3G, nil, waitBatch{}, run)
+	small.baseline("never", power.Verizon3G, nil, waitBatch{}, run)
 	slabUnder(t, small, "big")
-	small.baseline("big", power.Verizon3G, nil, nil, run)
-	small.baseline("big", power.Verizon3G, nil, nil, run)
+	small.baseline("big", power.Verizon3G, nil, waitBatch{}, run)
+	small.baseline("big", power.Verizon3G, nil, waitBatch{}, run)
 	if runs != 5 {
 		t.Fatalf("unretained baselines replayed %d times, want 5", runs)
 	}
@@ -133,13 +133,13 @@ func TestBaselineMemoLivesWithSlab(t *testing.T) {
 	c := NewTraceCache(1 << 20)
 	for i := 0; i < 2; i++ {
 		slabUnder(t, c, "k")
-		c.baseline("k", power.Verizon3G, nil, nil, run)
+		c.baseline("k", power.Verizon3G, nil, waitBatch{}, run)
 	}
 	c.AdvanceEpoch()
 	c.AdvanceEpoch() // "k" was touched only in epoch 0: dropped
-	c.baseline("k", power.Verizon3G, nil, nil, run)
+	c.baseline("k", power.Verizon3G, nil, waitBatch{}, run)
 	slabUnder(t, c, "k")
-	c.baseline("k", power.Verizon3G, nil, nil, run)
+	c.baseline("k", power.Verizon3G, nil, waitBatch{}, run)
 	if runs != 3 {
 		t.Fatalf("replayed %d times, want 3 (one before the drop, one with no slab, one after)", runs)
 	}
@@ -193,8 +193,8 @@ func TestBaselineMemoWarmHitAllocs(t *testing.T) {
 	tc := NewTraceCache(1 << 20)
 	slabUnder(t, tc, "k")
 	run := asPass(func() (Baseline, error) { return Baseline{TotalJ: 1, Promotions: 1}, nil })
-	tc.baseline("k", power.Verizon3G, nil, nil, run)
-	if n := testing.AllocsPerRun(100, func() { tc.baseline("k", power.Verizon3G, nil, nil, run) }); n != 0 {
+	tc.baseline("k", power.Verizon3G, nil, waitBatch{}, run)
+	if n := testing.AllocsPerRun(100, func() { tc.baseline("k", power.Verizon3G, nil, waitBatch{}, run) }); n != 0 {
 		t.Fatalf("warm memo hit allocates %v times, want 0", n)
 	}
 

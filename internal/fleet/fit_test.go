@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/policy"
 	"repro/internal/power"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -254,5 +255,78 @@ func TestFitMemoSharesOnePolicy(t *testing.T) {
 		if n := fits.Load(); n != wantFits {
 			t.Errorf("profileFree=%v: factory ran %d times, want %d", profileFree, n, wantFits)
 		}
+	}
+}
+
+// TestFitScratchNotRetained: a worker collects every fit into one reusable
+// trace, so a memoized fitted policy must not depend on it after the fit.
+// Overwriting the scratch in place, and then fitting another user into it,
+// leaves every memoized half of every fit shape as it was, and the run
+// folds the same summary as one that fits every job on a fresh trace.
+func TestFitScratchNotRetained(t *testing.T) {
+	const users = 2
+	jobs := fitJobs(t, users, power.Verizon3G)
+	want, err := RunSummary(jobs, Options{Workers: 1, Shards: 1}, SummaryConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := NewTraceCache(1 << 24)
+	ws := &workerState{engine: sim.NewEngine(), policies: map[policyCacheKey]cachedPolicies{}}
+	first := jobs[:len(jobs)/users] // the first user's jobs, one per fit shape
+	type half struct {
+		job *Job
+		d   policy.DemotePolicy
+		a   policy.ActivePolicy
+		was [2]any // the policies' fields right after the fit
+	}
+	var halves []half
+	fields := func(p any) any {
+		if p == nil || reflect.ValueOf(p).IsNil() {
+			return nil
+		}
+		return reflect.ValueOf(p).Elem().Interface()
+	}
+	for i := range first {
+		job := &first[i]
+		slab, err := tc.Slab(job.CacheKey, func() trace.Source { return job.Source(job.Seed) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, a, err := ws.policyPair(job, slab, tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		halves = append(halves, half{job: job, d: d, a: a, was: [2]any{fields(d), fields(a)}})
+	}
+	if len(ws.fitTrace) == 0 {
+		t.Fatal("the fits collected nothing into the worker's scratch")
+	}
+	for i := range ws.fitTrace {
+		ws.fitTrace[i] = trace.Packet{T: time.Duration(i) * time.Hour, Dir: trace.Out, Size: 1 << 20}
+	}
+	other := &jobs[len(first)] // the second user's first job refits into the scratch
+	slab, err := tc.Slab(other.CacheKey, func() trace.Source { return other.Source(other.Seed) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ws.policyPair(other, slab, tc); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range halves {
+		d, a, err := ws.policyPair(h.job, nil, tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if now := [2]any{fields(d), fields(a)}; !reflect.DeepEqual(now, h.was) {
+			t.Fatalf("%s: memoized halves changed after the scratch was overwritten:\nfitted: %+v\nnow:    %+v",
+				h.job.Scheme, h.was, now)
+		}
+	}
+	got, err := RunSummary(jobs, Options{Workers: 1, Shards: 1, TraceCache: tc}, SummaryConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("fits on the reused scratch changed the summary")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/policy"
 	"repro/internal/power"
@@ -130,13 +129,14 @@ type Job struct {
 	Active func(tr trace.Trace, prof power.Profile) (policy.ActivePolicy, error)
 	// FitTrace marks policy factories that must see the materialized
 	// trace (95% IAT quantile fitting, MakeActive-Fix). The worker then
-	// collects one pass of the source into a slice, runs the factories
-	// against it and drops it before replaying, so only the fit itself is
-	// O(trace) in memory and both replays stay O(1). When DemoteFit or
-	// ActiveFit names the fitted halves, only those see the trace, and
-	// the fit of a slab Options.TraceCache retains runs once per (half,
-	// slab) for every job sharing it; otherwise both factories fit per
-	// job.
+	// collects one pass of the source into its reusable fit slice and runs
+	// the factories against it before replaying, so only the fit itself is
+	// O(trace) in memory and both replays stay O(1). The factories must
+	// not retain the trace: the worker's next fit overwrites it. When
+	// DemoteFit or ActiveFit names the fitted halves, only those see the
+	// trace, and the fit of a slab Options.TraceCache retains runs once
+	// per (half, slab) for every job sharing it; otherwise both factories
+	// fit per job.
 	FitTrace bool
 	// Opts are the simulation options for both the run and its baseline.
 	Opts *sim.Options
@@ -144,22 +144,29 @@ type Job struct {
 	// can compute relative metrics (savings, switch ratio). The baseline
 	// depends only on the packets, Profile and Opts: it is the replay
 	// under the tail-clamped constant wait, so when the job's slab is
-	// retained by Options.TraceCache it comes from the slab's
-	// constant-wait memo, replayed once per (slab, Profile, Opts) and
-	// reused by every other job sharing them. runJob looks the baseline up
-	// before the job's own replay, so in a grid it is the baseline lookup
-	// that claims the Waits batch.
+	// retained by Options.TraceCache it comes from the slab's wait-rule
+	// memo, replayed once per (slab, Profile, Opts) and reused by every
+	// other job sharing them. runJob looks the baseline up before the
+	// job's own replay, so in a grid it is the baseline lookup that claims
+	// the Waits and FitWaits batch.
 	Baseline bool
-	// Waits lists constant dormancy waits (clamped to [0, Profile.Tail()])
-	// that other jobs over the same packets, Profile and Opts replay, such
-	// as a grid's fixedtail axis. The first memo lookup of a retained
-	// slab under (Profile, Opts) claims every wait listed here that no
-	// one has claimed yet, with its own, and replays them all in one
+	// Waits lists the wait rules (sim.Wait: constant waits and Oracle
+	// thresholds) that other jobs over the same packets, Profile and Opts
+	// replay, such as a grid's fixedtail axis and its Oracle. The first
+	// memo lookup of a retained slab under (Profile, Opts) claims every
+	// rule listed here, and every rule FitWaits fits to, that no one has
+	// claimed yet, with its own, and replays them all in one
 	// sim.Engine.RunWaits pass, so the later jobs find their replay done.
-	// It is purely a schedule: any list, nil included, yields the same
-	// bytes. Jobs sharing one (cohort, profile) may share one slice, which
-	// the runtime only reads.
-	Waits []time.Duration
+	// Both are purely a schedule: any lists, nil included, yield the same
+	// bytes. Jobs sharing one (cohort, profile) may share the slices,
+	// which the runtime only reads.
+	Waits []sim.Wait
+	// FitWaits lists trace-fitted demote halves of other jobs over the
+	// same packets whose fitted policy is a wait rule, such as a grid's
+	// 95% IAT timer. The claiming lookup fits them through the trace
+	// cache's fit memo (so each is fitted once per slab, whoever asks
+	// first) and adds their rules to its pass.
+	FitWaits []FitWait
 	// CacheKey, when non-empty, lets Options.TraceCache memoize the job's
 	// packets. The key must determine the packet stream completely
 	// (generator config plus Seed); Cohort.Jobs derives one from the
@@ -193,6 +200,13 @@ type Job struct {
 type FitKey struct {
 	Spec        string
 	ProfileFree bool
+}
+
+// FitWait is one trace-fitted demote half: its fit memo key and its
+// factory, which must meet FitKey's contract.
+type FitWait struct {
+	Key    FitKey
+	Demote func(tr trace.Trace, prof power.Profile) (policy.DemotePolicy, error)
 }
 
 // Outcome hands one finished job to the fold. Result is only valid during
@@ -274,12 +288,18 @@ type workerState struct {
 	// per worker suffices.
 	bytes trace.BytesSource
 
-	// batch, waits and results are the constant-wait passes' scratch: the
-	// waits a memo lookup offers to claim, the waits of a pass and the
-	// pass's Results (baselines included), which the memo copies out
-	// before the worker's next pass.
-	batch, waits []time.Duration
-	results      []sim.Result
+	// fitTrace is the worker's reusable fit input: each fit collects the
+	// job's packets into it, and the TraceFitted contract forbids a
+	// fitted policy to retain it, so the next fit may overwrite it.
+	fitTrace trace.Trace
+
+	// batch, fitted, rules and results are the wait-rule passes' scratch:
+	// the rules a memo lookup offers to claim, the rules its fitted
+	// halves resolve to, the rules of a pass and the pass's Results
+	// (baselines included), which the memo copies out before the worker's
+	// next pass.
+	batch, fitted, rules []sim.Wait
+	results              []sim.Result
 }
 
 // open starts one pass over the job's packets: the cached slab through the
@@ -312,26 +332,54 @@ func (ws *workerState) replay(job *Job, slab []byte, slot *sim.Result,
 	return slot, nil
 }
 
-// waitPass replays one pass of the job's packets under the constant waits
-// [w, more...] into the worker's wait results. Only a baseline replays
+// waitPass replays one pass of the job's packets under the wait rules
+// [r, more...] into the worker's wait results. Only a baseline replays
 // under options that ask for decision or episode logs, and it reads two
 // scalars, which the logs do not change, so the pass drops them.
-func (ws *workerState) waitPass(job *Job, slab []byte, w time.Duration, more []time.Duration) ([]sim.Result, error) {
+func (ws *workerState) waitPass(job *Job, slab []byte, r sim.Wait, more []sim.Wait) ([]sim.Result, error) {
 	src, err := ws.open(job, slab)
 	if err != nil {
 		return nil, err
 	}
-	ws.waits = append(append(ws.waits[:0], w), more...)
-	ws.results = slices.Grow(ws.results[:0], len(ws.waits))[:len(ws.waits)]
+	ws.rules = append(append(ws.rules[:0], r), more...)
+	ws.results = slices.Grow(ws.results[:0], len(ws.rules))[:len(ws.rules)]
 	opts := job.Opts
 	if records(opts) {
 		plain := sim.Options{BurstGap: opts.BurstGap}
 		opts = &plain
 	}
-	if err := ws.engine.RunWaits(src, job.Profile, ws.waits, opts, ws.results); err != nil {
+	if err := ws.engine.RunWaits(src, job.Profile, ws.rules, opts, ws.results); err != nil {
 		return nil, err
 	}
 	return ws.results, nil
+}
+
+// fitWaits resolves the job's FitWaits to their wait rules through tc's
+// fit memo, fitting on the worker's scratch trace where the memo misses.
+// A half whose fit fails or whose policy is no wait rule adds nothing:
+// its own job replays it, and reports the error, as it would without the
+// batch. The slice is the worker's scratch.
+func (ws *workerState) fitWaits(job *Job, slab []byte, tc *TraceCache) []sim.Wait {
+	ws.fitted = ws.fitted[:0]
+	for i := range job.FitWaits {
+		fw := &job.FitWaits[i]
+		v, err := tc.fit(job.CacheKey, policy.RoleDemote, fw.Key, job.Profile, func() (any, error) {
+			tr, err := ws.collect(job, slab)
+			if err != nil {
+				return nil, err
+			}
+			return fw.Demote(tr, job.Profile)
+		})
+		if err != nil {
+			continue
+		}
+		if d, ok := v.(policy.DemotePolicy); ok {
+			if r, ok := sim.WaitOf(d); ok {
+				ws.fitted = append(ws.fitted, r)
+			}
+		}
+	}
+	return ws.fitted
 }
 
 // records reports whether opts ask the engine for per-policy logs.
@@ -431,13 +479,14 @@ func (ws *workerState) policyPair(job *Job, slab []byte, tc *TraceCache) (policy
 	return p.demote, p.active, nil
 }
 
-// collect materializes one pass of the job's packets for a fit.
+// collect materializes one pass of the job's packets for a fit into the
+// worker's scratch trace, which the next collect overwrites.
 func (ws *workerState) collect(job *Job, slab []byte) (trace.Trace, error) {
 	src, err := ws.open(job, slab)
 	if err == nil {
-		var tr trace.Trace
-		if tr, err = trace.Collect(src); err == nil {
-			return tr, nil
+		ws.fitTrace, err = trace.AppendSource(ws.fitTrace[:0], src)
+		if err == nil {
+			return ws.fitTrace, nil
 		}
 	}
 	return nil, fmt.Errorf("collecting source for fit: %w", err)
@@ -753,17 +802,18 @@ func runShard[A any](jobs []Job, s, nshards int, ws *workerState, acc Accumulato
 // duplicate the generation), and every pass decodes zero-copy through the
 // worker's cursor. The retained slab's cache entry memoizes the user's
 // fitted policy halves under (spec, plus the profile when the fit reads
-// it) and its constant-wait replays under (profile, options, clamped
-// wait). The baseline is the tail-clamped replay, looked up first, and a
-// job whose demote policy sim.ConstWait recognizes, with no batching
-// policy and no logs asked for, takes its own replay from the same memo,
-// stamped with the policy's name exactly as the engine stamps it. A miss
-// claims the job's Waits with its own wait and replays them in one
+// it) and its wait-rule replays under (profile, options, clamped rule).
+// The baseline is the tail-clamped replay, looked up first, and a job
+// whose demote policy sim.WaitOf recognizes (a constant wait or the
+// Oracle), with no batching policy and no logs asked for, takes its own
+// replay from the same memo, stamped with the policy's name exactly as
+// the engine stamps it. A miss claims the job's Waits, and the rules its
+// FitWaits fit to, with its own rule and replays them in one
 // sim.Engine.RunWaits pass, so one decode serves a grid's whole wait axis
 // for the user. Every other job opens a fresh source per pass, fits and
 // replays its own baseline, so worker memory stays bounded by burst
 // structure regardless of trace duration. The codec round-trips exactly,
-// a fit is a pure function of its key and RunWaits yields each wait the
+// a fit is a pure function of its key and RunWaits yields each rule the
 // scalars of its own replay bit for bit, so every choice is
 // byte-identical. reuse (from Accumulator.Transient) routes the scheme
 // replay into the worker's Result slot; the Outcome then aliases worker
@@ -782,22 +832,27 @@ func runJob(job *Job, index int, ws *workerState, tc *TraceCache, reuse bool) (O
 	if err != nil {
 		return out, err
 	}
-	wait, memo := sim.ConstWait(demote)
+	rule, memo := sim.WaitOf(demote)
 	memo = memo && active == nil && !records(job.Opts) && slab != nil
-	pass := func(w time.Duration, more []time.Duration) ([]sim.Result, error) {
-		return ws.waitPass(job, slab, w, more)
+	pass := func(r sim.Wait, more []sim.Wait) ([]sim.Result, error) {
+		return ws.waitPass(job, slab, r, more)
+	}
+	// A job that logs replays no memoized scheme, so its baseline claims
+	// nothing for the others.
+	var batch waitBatch
+	if !records(job.Opts) && len(job.FitWaits) > 0 {
+		batch.fitted = func() []sim.Wait { return ws.fitWaits(job, slab, tc) }
 	}
 	if job.Baseline {
-		// A job that logs replays no memoized scheme, so its baseline
-		// claims nothing for the others.
 		ws.batch = ws.batch[:0]
 		if memo {
-			ws.batch = append(ws.batch, wait)
+			ws.batch = append(ws.batch, rule)
 		}
 		if !records(job.Opts) {
 			ws.batch = append(ws.batch, job.Waits...)
 		}
-		if out.Baseline, err = tc.baseline(job.CacheKey, job.Profile, job.Opts, ws.batch, pass); err != nil {
+		batch.rules = ws.batch
+		if out.Baseline, err = tc.baseline(job.CacheKey, job.Profile, job.Opts, batch, pass); err != nil {
 			return out, fmt.Errorf("baseline: %w", err)
 		}
 	}
@@ -811,8 +866,9 @@ func runJob(job *Job, index int, ws *workerState, tc *TraceCache, reuse bool) (O
 		}
 		return out, nil
 	}
-	ws.batch = append(append(ws.batch[:0], policy.Never), job.Waits...)
-	r, err := tc.constWait(job.CacheKey, job.Profile, job.Opts, wait, ws.batch, pass)
+	ws.batch = append(append(ws.batch[:0], sim.Wait{D: policy.Never}), job.Waits...)
+	batch.rules = ws.batch
+	r, err := tc.ruleReplay(job.CacheKey, job.Profile, job.Opts, rule, batch, pass)
 	if err != nil {
 		return out, err
 	}

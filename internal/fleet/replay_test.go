@@ -17,23 +17,50 @@ import (
 )
 
 // passLog is a stub wait pass that records what it was asked to replay
-// and answers each wait with its own length as data energy.
+// and answers each rule with its duration as data energy (negated for
+// Oracle rules).
 type passLog struct {
 	mu    sync.Mutex
-	calls [][]time.Duration // [w, more...] per call
+	calls [][]sim.Wait // [r, more...] per call
 }
 
-func (p *passLog) pass(w time.Duration, more []time.Duration) ([]sim.Result, error) {
-	waits := append([]time.Duration{w}, more...)
+func (p *passLog) pass(r sim.Wait, more []sim.Wait) ([]sim.Result, error) {
+	rules := append([]sim.Wait{r}, more...)
 	p.mu.Lock()
-	p.calls = append(p.calls, waits)
+	p.calls = append(p.calls, rules)
 	p.mu.Unlock()
-	res := make([]sim.Result, len(waits))
-	for i, w := range waits {
-		res[i] = sim.Result{Breakdown: energy.Breakdown{DataJ: float64(w)}}
+	res := make([]sim.Result, len(rules))
+	for i, r := range rules {
+		res[i] = sim.Result{Breakdown: energy.Breakdown{DataJ: ruleJ(r)}}
 	}
 	return res, nil
 }
+
+// ruleJ is the data energy passLog answers r with.
+func ruleJ(r sim.Wait) float64 {
+	if r.Oracle {
+		return -float64(r.D)
+	}
+	return float64(r.D)
+}
+
+// consts are constant-wait rules.
+func consts(ws ...time.Duration) []sim.Wait {
+	rules := make([]sim.Wait, len(ws))
+	for i, w := range ws {
+		rules[i] = sim.Wait{D: w}
+	}
+	return rules
+}
+
+// constWait looks the constant wait w up in c, offering the constant
+// waits of batch.
+func constWait(c *TraceCache, key string, prof power.Profile, opts *sim.Options, w time.Duration, batch []time.Duration, pass waitPass) (sim.Result, error) {
+	return c.ruleReplay(key, prof, opts, sim.Wait{D: w}, waitBatch{rules: consts(batch...)}, pass)
+}
+
+// clampWait is the clamped constant wait w.
+func clampWait(w, tail time.Duration) time.Duration { return sim.Wait{D: w}.Clamped(tail).D }
 
 func (p *passLog) count() int {
 	p.mu.Lock()
@@ -59,31 +86,31 @@ func TestReplayMemoClaimsBatch(t *testing.T) {
 		}
 	}
 
-	r, err := c.constWait("k", prof, nil, 2*time.Second,
+	r, err := constWait(c, "k", prof, nil, 2*time.Second,
 		[]time.Duration{policy.Never, time.Second, 2 * time.Second, time.Second, tail + 5*time.Second, -time.Second}, p.pass)
 	check(r, err, 2*time.Second)
-	if want := [][]time.Duration{{2 * time.Second, tail, time.Second, 0}}; !reflect.DeepEqual(p.calls, want) {
+	if want := [][]sim.Wait{consts(2*time.Second, tail, time.Second, 0)}; !reflect.DeepEqual(p.calls, want) {
 		t.Fatalf("passes %v, want %v", p.calls, want)
 	}
-	b, err := c.baseline("k", prof, &sim.Options{}, nil, p.pass)
+	b, err := c.baseline("k", prof, &sim.Options{}, waitBatch{}, p.pass)
 	if err != nil || b.TotalJ != float64(tail) {
 		t.Fatalf("baseline %+v (%v), want the tail's replay", b, err)
 	}
 	for _, w := range []time.Duration{time.Second, 0, -3 * time.Second, tail + time.Hour} {
-		r, err := c.constWait("k", prof, nil, w, nil, p.pass)
+		r, err := constWait(c, "k", prof, nil, w, nil, p.pass)
 		check(r, err, clampWait(w, tail))
 	}
 	if p.count() != 1 {
 		t.Fatalf("claimed waits replayed again: %v", p.calls)
 	}
 
-	r, err = c.constWait("k", prof, nil, 3*time.Second, []time.Duration{time.Second, 4 * time.Second, policy.Never}, p.pass)
+	r, err = constWait(c, "k", prof, nil, 3*time.Second, []time.Duration{time.Second, 4 * time.Second, policy.Never}, p.pass)
 	check(r, err, 3*time.Second)
-	if got := p.calls[1]; !slices.Equal(got, []time.Duration{3 * time.Second, 4 * time.Second}) {
+	if got := p.calls[1]; !slices.Equal(got, consts(3*time.Second, 4*time.Second)) {
 		t.Fatalf("second pass replayed %v, want only the unclaimed 3s and 4s", got)
 	}
-	c.constWait("k", power.VerizonLTE, nil, 3*time.Second, nil, p.pass)
-	c.constWait("k", prof, &sim.Options{BurstGap: 2 * time.Second}, 3*time.Second, nil, p.pass)
+	constWait(c, "k", power.VerizonLTE, nil, 3*time.Second, nil, p.pass)
+	constWait(c, "k", prof, &sim.Options{BurstGap: 2 * time.Second}, 3*time.Second, nil, p.pass)
 	if p.count() != 4 {
 		t.Fatalf("another profile and other options replayed %d passes in all, want 4", p.count())
 	}
@@ -104,15 +131,15 @@ func TestReplayMemoSingleFlight(t *testing.T) {
 	var passes atomic.Int64
 	entered, release := make(chan struct{}), make(chan struct{})
 	var p passLog
-	blocking := func(w time.Duration, more []time.Duration) ([]sim.Result, error) {
+	blocking := func(r sim.Wait, more []sim.Wait) ([]sim.Result, error) {
 		passes.Add(1)
 		close(entered)
 		<-release
-		return p.pass(w, more)
+		return p.pass(r, more)
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.constWait("k", power.VerizonLTE, nil, waits[0], waits[1:], blocking)
+		_, err := constWait(c, "k", power.VerizonLTE, nil, waits[0], waits[1:], blocking)
 		done <- err
 	}()
 	<-entered
@@ -123,7 +150,7 @@ func TestReplayMemoSingleFlight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			w := waits[i%len(waits)]
-			r, err := c.constWait("k", power.VerizonLTE, nil, w, waits, blocking)
+			r, err := constWait(c, "k", power.VerizonLTE, nil, w, waits, blocking)
 			if want := float64(clampWait(w, power.VerizonLTE.Tail())); err != nil || r.Breakdown.DataJ != want {
 				t.Errorf("caller %d: %v (%v), want %v", i, r.Breakdown.DataJ, err, want)
 			}
@@ -150,20 +177,20 @@ func TestReplayMemoErrorReleasesClaims(t *testing.T) {
 	slabUnder(t, c, "k")
 	boom := errors.New("synthetic replay failure")
 	entered, release := make(chan struct{}), make(chan struct{})
-	failing := func(time.Duration, []time.Duration) ([]sim.Result, error) {
+	failing := func(sim.Wait, []sim.Wait) ([]sim.Result, error) {
 		close(entered)
 		<-release
 		return nil, boom
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.baseline("k", power.Verizon3G, nil, []time.Duration{2 * time.Second}, failing)
+		_, err := c.baseline("k", power.Verizon3G, nil, waitBatch{rules: consts(2 * time.Second)}, failing)
 		done <- err
 	}()
 	<-entered
 	waiter := make(chan error, 1)
 	go func() {
-		_, err := c.constWait("k", power.Verizon3G, nil, 2*time.Second, nil, failing)
+		_, err := constWait(c, "k", power.Verizon3G, nil, 2*time.Second, nil, failing)
 		waiter <- err
 	}()
 	for c.Stats().ReplayHits == 0 { // the waiter has found the claim
@@ -177,8 +204,8 @@ func TestReplayMemoErrorReleasesClaims(t *testing.T) {
 		t.Fatalf("waiter: %v, want the pass's error", err)
 	}
 	var p passLog
-	c.constWait("k", power.Verizon3G, nil, 2*time.Second, nil, p.pass)
-	c.baseline("k", power.Verizon3G, nil, nil, p.pass)
+	constWait(c, "k", power.Verizon3G, nil, 2*time.Second, nil, p.pass)
+	c.baseline("k", power.Verizon3G, nil, waitBatch{}, p.pass)
 	if p.count() != 2 {
 		t.Fatalf("failed claims were memoized: %d retries replayed", p.count())
 	}
@@ -191,14 +218,15 @@ func TestReplayMemoLivesWithSlab(t *testing.T) {
 	var p passLog
 	batch := []time.Duration{time.Second, 3 * time.Second}
 	var off *TraceCache
-	off.constWait("k", power.Verizon3G, nil, 2*time.Second, batch, p.pass)
+	constWait(off, "k", power.Verizon3G, nil, 2*time.Second, batch, p.pass)
 	small := NewTraceCache(4)
-	small.constWait("", power.Verizon3G, nil, 2*time.Second, batch, p.pass)
-	small.constWait("never", power.Verizon3G, nil, 2*time.Second, batch, p.pass)
+	constWait(small, "", power.Verizon3G, nil, 2*time.Second, batch, p.pass)
+	constWait(small, "never", power.Verizon3G, nil, 2*time.Second, batch, p.pass)
 	slabUnder(t, small, "big")
-	small.constWait("big", power.Verizon3G, nil, 2*time.Second, batch, p.pass)
-	small.baseline("big", power.Verizon3G, nil, batch, p.pass)
-	want := [][]time.Duration{{2 * time.Second}, {2 * time.Second}, {2 * time.Second}, {2 * time.Second}, {power.Verizon3G.Tail()}}
+	constWait(small, "big", power.Verizon3G, nil, 2*time.Second, batch, p.pass)
+	small.baseline("big", power.Verizon3G, nil, waitBatch{rules: consts(batch...)}, p.pass)
+	want := [][]sim.Wait{consts(2 * time.Second), consts(2 * time.Second), consts(2 * time.Second), consts(2 * time.Second),
+		consts(power.Verizon3G.Tail())}
 	if !reflect.DeepEqual(p.calls, want) {
 		t.Fatalf("unretained lookups ran %v, want %v", p.calls, want)
 	}
@@ -207,10 +235,12 @@ func TestReplayMemoLivesWithSlab(t *testing.T) {
 	}
 }
 
-// waitJobs is a cohort's jobs under the constant-wait schemes a grid
-// would sweep (fixed tails below, at and above the tail, the deployed
-// timers), each job carrying the axis's waits as a planned grid's do.
-func waitJobs(users int, prof power.Profile, opts *sim.Options) []Job {
+// waitJobs is a cohort's jobs under the wait-rule schemes a grid would
+// sweep (fixed tails below, at and above the tail, the deployed timers,
+// the Oracle and the fitted 95% IAT timer) and MakeIdle, each job
+// carrying the axis's rules and fitted halves as a planned grid's do.
+func waitJobs(t *testing.T, users int, prof power.Profile, opts *sim.Options) []Job {
+	t.Helper()
 	fixed := func(wait time.Duration) Scheme {
 		name := "fixed-" + wait.String()
 		return Scheme{Name: name, PolicyKey: name,
@@ -218,13 +248,24 @@ func waitJobs(users int, prof power.Profile, opts *sim.Options) []Job {
 				return &policy.FixedTail{Wait: wait}, nil
 			}}
 	}
-	waits := []time.Duration{time.Second, 4500 * time.Millisecond, prof.Tail()}
+	schemes := []Scheme{fixed(time.Second), fixed(4500 * time.Millisecond), fixed(time.Hour), StatusQuoScheme(), MakeIdleScheme()}
+	for _, name := range []string{"oracle", "95iat"} {
+		s, err := SchemeFromSpec(policy.Default(), SchemeSpec{Policy: policy.Spec{Name: name}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		schemes = append(schemes, s)
+	}
+	iat := schemes[len(schemes)-1]
+	waits := []sim.Wait{{D: time.Second}, {D: 4500 * time.Millisecond}, {D: prof.Tail()},
+		{Oracle: true, D: energy.Threshold(&prof)}}
+	fitted := []FitWait{{Key: iat.DemoteFit, Demote: iat.Demote}}
 	c := testCohort(users)
 	c.CacheKeyBase = "wait-test"
 	c.Opts = opts
-	jobs := c.Jobs(prof, []Scheme{fixed(time.Second), fixed(4500 * time.Millisecond), fixed(time.Hour), StatusQuoScheme(), MakeIdleScheme()})
+	jobs := c.Jobs(prof, schemes)
 	for i := range jobs {
-		jobs[i].Waits = waits
+		jobs[i].Waits, jobs[i].FitWaits = waits, fitted
 	}
 	return jobs
 }
@@ -244,14 +285,14 @@ func collectResults(t *testing.T, jobs []Job, tc *TraceCache) []Outcome {
 	return outs
 }
 
-// TestReplayMemoMatchesReplay: every job of a constant-wait grid served
+// TestReplayMemoMatchesReplay: every job of a wait-rule grid served
 // through the memo — fresh Results under a retaining accumulator — is
 // DeepEqual to its own engine replay, Policy and Profile names included,
 // with one pass per user; a Transient summary run matches too.
 func TestReplayMemoMatchesReplay(t *testing.T) {
 	const users = 3
 	for _, prof := range []power.Profile{power.Verizon3G, power.TMobile3G} {
-		jobs := waitJobs(users, prof, nil)
+		jobs := waitJobs(t, users, prof, nil)
 		want := collectResults(t, jobs, nil)
 		tc := NewTraceCache(1 << 20)
 		got := collectResults(t, jobs, tc)
@@ -261,8 +302,10 @@ func TestReplayMemoMatchesReplay(t *testing.T) {
 					prof.Name, i, jobs[i].Scheme, want[i].Result, got[i].Result)
 			}
 		}
-		// The baseline claims the batch; four of the five schemes then hit.
-		if st := tc.Stats(); st.ReplayPasses != users || st.ReplayMisses != 0 || st.ReplayHits != 4*users {
+		// The baseline claims the batch, the fitted timer's rule included;
+		// every scheme but MakeIdle then hits, the Oracle too, so no
+		// rule's replay reaches the engine.
+		if st := tc.Stats(); st.ReplayPasses != users || st.ReplayMisses != 0 || st.ReplayHits != 6*users {
 			t.Fatalf("%s: %+v", prof.Name, st)
 		}
 
@@ -285,7 +328,7 @@ func TestReplayMemoMatchesReplay(t *testing.T) {
 // their baselines still come from the memo, and claim nothing else.
 func TestReplayMemoBypassedWhenRecording(t *testing.T) {
 	const users = 2
-	jobs := waitJobs(users, power.Verizon3G, &sim.Options{RecordDecisions: true})
+	jobs := waitJobs(t, users, power.Verizon3G, &sim.Options{RecordDecisions: true})
 	want := collectResults(t, jobs, nil)
 	tc := NewTraceCache(1 << 20)
 	got := collectResults(t, jobs, tc)
@@ -313,13 +356,13 @@ func TestReplayMemoWarmHitAllocs(t *testing.T) {
 	tc := NewTraceCache(1 << 20)
 	slabUnder(t, tc, "k")
 	var p passLog
-	batch := []time.Duration{time.Second}
-	tc.constWait("k", power.Verizon3G, nil, 2*time.Second, batch, p.pass)
-	if n := testing.AllocsPerRun(100, func() { tc.constWait("k", power.Verizon3G, nil, time.Second, batch, p.pass) }); n != 0 {
+	batch := waitBatch{rules: consts(time.Second)}
+	tc.ruleReplay("k", power.Verizon3G, nil, sim.Wait{D: 2 * time.Second}, batch, p.pass)
+	if n := testing.AllocsPerRun(100, func() { tc.ruleReplay("k", power.Verizon3G, nil, sim.Wait{D: time.Second}, batch, p.pass) }); n != 0 {
 		t.Fatalf("warm memo hit allocates %v times, want 0", n)
 	}
 
-	job := waitJobs(1, power.Verizon3G, nil)[3] // the StatusQuo scheme: its name is a constant
+	job := waitJobs(t, 1, power.Verizon3G, nil)[3] // the StatusQuo scheme: its name is a constant
 	ws := workerPool.Get().(*workerState)
 	defer workerPool.Put(ws)
 	if _, err := runJob(&job, 0, ws, tc, true); err != nil { // warm the slab, policy and memo
@@ -331,5 +374,76 @@ func TestReplayMemoWarmHitAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("warm memoized job allocates %v times, want 0", n)
+	}
+}
+
+// TestReplayMemoResolvesFittedRules pins the claim rule for fitted
+// halves: the claimer resolves its batch's fitted rules once, outside the
+// lock, and claims them into its own pass, so concurrent lookups of a
+// fitted rule — arriving while it resolves or after — never run a pass
+// of their own. A lookup of a rule neither list names runs one pass
+// after the resolution, however many ask for it.
+func TestReplayMemoResolvesFittedRules(t *testing.T) {
+	c := NewTraceCache(1 << 20)
+	slabUnder(t, c, "k")
+	prof := power.Verizon3G
+	fitted := sim.Wait{D: 1700 * time.Millisecond}
+	other := sim.Wait{D: 2500 * time.Millisecond}
+	var resolutions atomic.Int64
+	entered, release := make(chan struct{}), make(chan struct{})
+	batch := waitBatch{rules: consts(time.Second), fitted: func() []sim.Wait {
+		if resolutions.Add(1) == 1 {
+			close(entered)
+		}
+		<-release
+		return []sim.Wait{fitted, {D: time.Second}, {Oracle: true, D: time.Second}}
+	}}
+	var p passLog
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.baseline("k", prof, nil, batch, p.pass)
+		done <- err
+	}()
+	<-entered
+
+	const callers = 8
+	var started, finished sync.WaitGroup
+	started.Add(callers)
+	finished.Add(callers)
+	for i := 0; i < callers; i++ {
+		go func(i int) {
+			defer finished.Done()
+			r := fitted
+			if i%2 == 1 {
+				r = other
+			}
+			started.Done()
+			got, err := c.ruleReplay("k", prof, nil, r, batch, p.pass)
+			if err != nil || got.Breakdown.DataJ != ruleJ(r) {
+				t.Errorf("caller %d: %v (%v), want the replay of %+v", i, got.Breakdown.DataJ, err, r)
+			}
+		}(i)
+	}
+	started.Wait()
+	close(release)
+	finished.Wait()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	tail := prof.Tail()
+	want := []sim.Wait{{D: tail}, {D: time.Second}, fitted, {Oracle: true, D: time.Second}}
+	if len(p.calls) == 2 && len(p.calls[0]) == 1 { // the two passes run in either order
+		p.calls[0], p.calls[1] = p.calls[1], p.calls[0]
+	}
+	if p.count() != 2 || !slices.Equal(p.calls[0], want) || !slices.Equal(p.calls[1], []sim.Wait{other}) {
+		t.Fatalf("passes %v, want %v and %v alone", p.calls, want, other)
+	}
+	// The claimer resolved once; the pass that claimed the other rule
+	// found every fitted rule claimed but still looked them up.
+	if n := resolutions.Load(); n != 2 {
+		t.Fatalf("%d resolutions, want 2 (one per pass)", n)
+	}
+	if st := c.Stats(); st.ReplayPasses != 2 || st.BaselineMisses != 1 || st.ReplayMisses != 1 || st.ReplayHits != callers-1 {
+		t.Fatalf("stats: %+v", st)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/policy"
 	"repro/internal/power"
@@ -48,19 +47,20 @@ import (
 // share it; a slab touched in any later epoch stays under the LRU budget.
 // Without AdvanceEpoch calls the cache is a plain LRU.
 //
-// A retained slab's entry also carries its constant-wait replays: the
-// scalar Result of the slab replayed under one constant dormancy wait,
-// one per (profile, sim.Options, wait clamped to [0, tail]). The StatusQuo
-// baseline every job divides by is the tail-clamped entry, and the
-// fixedtail, statusquo and fitted 95% IAT schemes are the others. A miss
-// claims, with its own wait, every wait of the caller's batch no one has
-// claimed yet and replays them all in one sim.Engine.RunWaits pass over
-// the slab, so a grid decodes each user once per (profile, options) for
-// its whole wait axis instead of once per cell. A memo is a few scalars
-// and lives and dies with its slab: it is retained, evicted and
-// epoch-dropped with it and charges nothing to the byte budget. Replays
-// are single-flight per key the same way generation is, and replays of
-// slabs the cache did not retain are not memoized.
+// A retained slab's entry also carries its wait-rule replays: the scalar
+// Result of the slab replayed under one sim.Wait rule, one per (profile,
+// sim.Options, clamped rule). The StatusQuo baseline every job divides by
+// is the tail-clamped constant wait, and the fixedtail, statusquo, fitted
+// 95% IAT and Oracle schemes are the others. A miss claims, with its own
+// rule, every rule of the caller's batch no one has claimed yet, plus the
+// rules of the batch's fitted halves, which it resolves through the fit
+// memo below before the pass, and replays them all in one
+// sim.Engine.RunWaits pass over the slab. A grid thus decodes each user
+// once per (profile, options) for its whole wait axis instead of once per
+// cell. A memo is a few scalars and lives and dies with its slab: it is
+// retained, evicted and epoch-dropped with it and charges nothing to the
+// byte budget. Replays are single-flight per key the same way generation
+// is, and replays of slabs the cache did not retain are not memoized.
 //
 // The entry memoizes trace-fitted policies the same way, one per fitted
 // half of a scheme (FitKey): a fit reads the whole trace, so without the
@@ -91,7 +91,7 @@ type TraceCache struct {
 // LRU position, nil while generating or once dropped. born is the epoch
 // whose caller started the generation and last the latest epoch in which
 // any caller touched the entry. replays and fits are the entry's
-// constant-wait replay and fit memos, guarded by the cache's mu.
+// wait-rule replay and fit memos, guarded by the cache's mu.
 type traceEntry struct {
 	key        string
 	done       chan struct{}
@@ -99,40 +99,60 @@ type traceEntry struct {
 	err        error
 	elem       *list.Element
 	born, last uint64
-	replays    map[replayKey][]*waitMemo
+	replays    map[replayKey]*replaySet
 	fits       map[fitKey]*fitMemo
 }
 
-// replayKey identifies the constant-wait replays of an entry's slab under
-// one profile and the dereferenced simulation options (nil counts as the
-// zero value, which the engine treats identically). Its waits are a short
+// replayKey identifies the wait-rule replays of an entry's slab under one
+// profile and the dereferenced simulation options (nil counts as the zero
+// value, which the engine treats identically). Its rules are a short
 // list, not part of the key, so the map holds one profile-sized key per
-// (profile, options) rather than one per wait.
+// (profile, options) rather than one per rule.
 type replayKey struct {
 	prof power.Profile
 	opts sim.Options
 }
 
-// waitMemo is one memoized (or still replaying) constant-wait replay.
-// wait is clamped to [0, prof.Tail()], the range over which waits replay
-// differently; val is final once its claim's done closes.
+// replaySet is an entry's wait-rule replays under one replayKey. While a
+// claimer is resolving the fitted rules of its batch, resolving is open:
+// a lookup that finds no memo for its rule then waits for it to close,
+// when the claimer's rule list is final, before it claims a pass of its
+// own.
+type replaySet struct {
+	memos     []*waitMemo
+	resolving chan struct{}
+}
+
+// waitMemo is one memoized (or still replaying) wait-rule replay. rule is
+// clamped (sim.Wait.Clamped), the canonical form of rules that replay
+// alike; val is final once its claim's done closes.
 type waitMemo struct {
-	wait  time.Duration
+	rule  sim.Wait
 	claim *claim
 	val   sim.Result
 }
 
-// claim is one pass's hold on the waits it replays: done closes once
+// claim is one pass's hold on the rules it replays: done closes once
 // every claimed memo is final, and err is the pass's error.
 type claim struct {
 	done chan struct{}
 	err  error
 }
 
-// waitPass replays a slab once under the wait w and every wait in more
-// and returns one Result per wait, w's first and the others in order.
+// waitPass replays a slab once under the rule r and every rule in more
+// and returns one Result per rule, r's first and the others in order.
 // The slice may be the caller's scratch: it is read before the next pass.
-type waitPass func(w time.Duration, more []time.Duration) ([]sim.Result, error)
+type waitPass func(r sim.Wait, more []sim.Wait) ([]sim.Result, error)
+
+// waitBatch is what a lookup offers to claim with its own rule when it
+// misses: the rules other jobs over the same packets replay, and fitted,
+// which resolves the rules of their trace-fitted halves (nil when there
+// are none). fitted runs only on a miss of a retained slab, outside the
+// cache's lock, and may use the fit memo.
+type waitBatch struct {
+	rules  []sim.Wait
+	fitted func() []sim.Wait
+}
 
 // fitKey identifies one fitted policy of an entry's slab: the half's
 // role and canonical spec, plus the profile when the builder reads it
@@ -157,7 +177,7 @@ type fitMemo struct {
 // cover retained slabs only. BaselineMisses counts baseline lookups that
 // found their replay unclaimed and BaselineHits those served from (or
 // waiting on) another lookup's replay; ReplayMisses and ReplayHits count
-// the scheme replays looked up in the constant-wait memo the same way.
+// the scheme replays looked up in the wait-rule memo the same way.
 // Every miss runs one pass over the slab, which replays its own wait and
 // the unclaimed rest of its batch together, so ReplayPasses, the passes
 // actually run, is BaselineMisses + ReplayMisses. FitMisses and FitHits
@@ -250,40 +270,45 @@ func (c *TraceCache) Slab(key string, gen func() trace.Source) ([]byte, error) {
 // baseline returns the StatusQuo baseline of key's slab under (prof,
 // opts): the scalars of its replay under the tail-clamped wait, looked up
 // through replay (the baseline's own wait is policy.Never, which clamps to
-// the tail). A miss claims batch's unclaimed waits with it.
-func (c *TraceCache) baseline(key string, prof power.Profile, opts *sim.Options, batch []time.Duration, pass waitPass) (Baseline, error) {
-	r, err := c.replay(key, prof, opts, policy.Never, batch, true, pass)
+// the tail). A miss claims batch with it.
+func (c *TraceCache) baseline(key string, prof power.Profile, opts *sim.Options, batch waitBatch, pass waitPass) (Baseline, error) {
+	r, err := c.replay(key, prof, opts, sim.Wait{D: policy.Never}, batch, true, pass)
 	if err != nil {
 		return Baseline{}, err
 	}
 	return Baseline{TotalJ: r.TotalJ(), Promotions: r.Promotions}, nil
 }
 
-// constWait returns key's slab replayed under the constant wait w, looked
-// up through replay. A miss claims batch's unclaimed waits with it.
-func (c *TraceCache) constWait(key string, prof power.Profile, opts *sim.Options, w time.Duration, batch []time.Duration, pass waitPass) (sim.Result, error) {
-	return c.replay(key, prof, opts, w, batch, false, pass)
+// ruleReplay returns key's slab replayed under the wait rule r, looked up
+// through replay. A miss claims batch with it.
+func (c *TraceCache) ruleReplay(key string, prof power.Profile, opts *sim.Options, r sim.Wait, batch waitBatch, pass waitPass) (sim.Result, error) {
+	return c.replay(key, prof, opts, r, batch, false, pass)
 }
 
 // replay returns the scalar Result of key's slab replayed under (prof,
-// opts) and the constant wait w, calling pass at most once per clamped
-// wait for as long as the cache retains the slab. The first lookup of a
-// wait claims it, plus every wait in batch that no lookup has claimed
-// yet, all under mu, and replays them in one pass; a lookup whose wait
-// is already claimed waits for that claimer's pass instead. Waiting is
-// deadlock-free for the same reason Slab's is: pass replays on the
-// calling goroutine and acquires nothing. A pass error is returned to
-// every waiter of every wait it claimed but not memoized, so a later
-// caller retries. With a nil cache, an empty key, or a slab the cache
-// does not hold (never retained, or dropped since), replay just runs
-// pass(w, nil) for the one (clamped) wait. base picks the baseline
-// counters over the scheme-replay ones.
-func (c *TraceCache) replay(key string, prof power.Profile, opts *sim.Options, w time.Duration, batch []time.Duration,
+// opts) and the wait rule r, calling pass at most once per clamped rule
+// for as long as the cache retains the slab. The first lookup of a rule
+// claims it, plus every rule in batch.rules that no lookup has claimed
+// yet, all under mu. When batch.fitted is set, the claimer then marks the
+// set as resolving, calls it outside the lock and claims the unclaimed
+// rules it returns too, so the fitted rules join the pass whichever job
+// arrives first; a lookup that misses meanwhile waits for that list to
+// be final. The claimer replays every claimed rule in one pass; a lookup
+// whose rule is already claimed waits for that claimer's pass instead.
+// Waiting is deadlock-free for the same reason Slab's is: fitted and pass
+// run on the calling goroutine and acquire nothing but fits, whose
+// builders acquire nothing. A pass error is returned to every waiter of
+// every rule it claimed but not memoized, so a later caller retries. With
+// a nil cache, an empty key, or a slab the cache does not hold (never
+// retained, or dropped since), replay just runs pass(r, nil) for the one
+// (clamped) rule. base picks the baseline counters over the scheme-replay
+// ones.
+func (c *TraceCache) replay(key string, prof power.Profile, opts *sim.Options, r sim.Wait, batch waitBatch,
 	base bool, pass waitPass) (sim.Result, error) {
 	tail := prof.Tail()
-	w = clampWait(w, tail)
+	r = r.Clamped(tail)
 	if c == nil || key == "" {
-		return firstResult(pass(w, nil))
+		return firstResult(pass(r, nil))
 	}
 	k := replayKey{prof: prof}
 	if opts != nil {
@@ -293,46 +318,71 @@ func (c *TraceCache) replay(key string, prof power.Profile, opts *sim.Options, w
 	e := c.entries[key]
 	if e == nil || e.elem == nil {
 		c.mu.Unlock()
-		return firstResult(pass(w, nil))
+		return firstResult(pass(r, nil))
 	}
-	waits := e.replays[k]
-	if m := findWait(waits, w); m != nil {
-		if base {
-			c.baseHits++
-		} else {
-			c.replayHits++
+	set := e.replays[k]
+	if set == nil {
+		set = &replaySet{}
+		if e.replays == nil {
+			e.replays = map[replayKey]*replaySet{}
 		}
+		e.replays[k] = set
+	}
+	for {
+		if m := set.find(r); m != nil {
+			if base {
+				c.baseHits++
+			} else {
+				c.replayHits++
+			}
+			c.mu.Unlock()
+			<-m.claim.done
+			return m.val, m.claim.err
+		}
+		if set.resolving == nil {
+			break
+		}
+		resolving := set.resolving
 		c.mu.Unlock()
-		<-m.claim.done
-		return m.val, m.claim.err
+		<-resolving
+		c.mu.Lock()
 	}
 	cl := &claim{done: make(chan struct{})}
-	claimed := []*waitMemo{{wait: w, claim: cl}}
-	waits = append(waits, claimed[0])
-	var more []time.Duration
-	for _, b := range batch {
-		if b = clampWait(b, tail); findWait(waits, b) == nil {
-			m := &waitMemo{wait: b, claim: cl}
-			claimed, waits = append(claimed, m), append(waits, m)
-			more = append(more, b)
+	claimed := []*waitMemo{{rule: r, claim: cl}}
+	set.memos = append(set.memos, claimed[0])
+	var more []sim.Wait
+	take := func(rules []sim.Wait) {
+		for _, b := range rules {
+			if b = b.Clamped(tail); set.find(b) == nil {
+				m := &waitMemo{rule: b, claim: cl}
+				claimed, set.memos = append(claimed, m), append(set.memos, m)
+				more = append(more, b)
+			}
 		}
 	}
-	if e.replays == nil {
-		e.replays = map[replayKey][]*waitMemo{}
-	}
-	e.replays[k] = waits
+	take(batch.rules)
 	if base {
 		c.baseMisses++
 	} else {
 		c.replayMisses++
 	}
 	c.replayPasses++
+	if batch.fitted != nil {
+		resolving := make(chan struct{})
+		set.resolving = resolving
+		c.mu.Unlock()
+		fitted := batch.fitted()
+		c.mu.Lock()
+		take(fitted)
+		set.resolving = nil
+		close(resolving)
+	}
 	c.mu.Unlock()
 
-	res, err := pass(w, more)
+	res, err := pass(r, more)
 	if err != nil {
 		c.mu.Lock()
-		e.replays[k] = slices.DeleteFunc(e.replays[k], func(m *waitMemo) bool { return m.claim == cl })
+		set.memos = slices.DeleteFunc(set.memos, func(m *waitMemo) bool { return m.claim == cl })
 		c.mu.Unlock()
 	} else {
 		for i, m := range claimed {
@@ -344,19 +394,15 @@ func (c *TraceCache) replay(key string, prof power.Profile, opts *sim.Options, w
 	return claimed[0].val, err
 }
 
-// findWait returns the memo of the clamped wait w, or nil.
-func findWait(waits []*waitMemo, w time.Duration) *waitMemo {
-	for _, m := range waits {
-		if m.wait == w {
+// find returns the memo of the clamped rule r, or nil.
+func (s *replaySet) find(r sim.Wait) *waitMemo {
+	for _, m := range s.memos {
+		if m.rule == r {
 			return m
 		}
 	}
 	return nil
 }
-
-// clampWait maps a dormancy wait onto [0, tail]: the engine treats a
-// negative wait as 0 and demotes at the tail end whatever the wait.
-func clampWait(w, tail time.Duration) time.Duration { return min(max(w, 0), tail) }
 
 // firstResult is the unmemoized lookup's answer: the pass's first Result.
 func firstResult(res []sim.Result, err error) (sim.Result, error) {

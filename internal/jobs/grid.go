@@ -43,10 +43,11 @@ type gridCell struct {
 	cohort  fleet.Cohort
 	profile power.Profile
 	scheme  fleet.Scheme
-	// waits are the constant waits of the grid's schemes under profile
-	// (constWaits), shared by every cell of the profile and stamped into
-	// each job's Waits.
-	waits []time.Duration
+	// waits are the wait rules of the grid's schemes under profile and
+	// fitWaits their fitted constant-wait halves (planWaits), shared by
+	// every cell of the profile and stamped into each job.
+	waits    []sim.Wait
+	fitWaits []fleet.FitWait
 
 	// NumJobs and Shards are the cell's progress denominators: the fleet
 	// run's job count (one per user — each cell is a single scheme) and
@@ -56,40 +57,47 @@ type gridCell struct {
 }
 
 // Jobs materializes the cell's fleet run. Every job carries the
-// profile's constant waits, so whichever cell of a (cohort, profile)
-// first misses the trace cache's constant-wait memo for a user replays
-// the whole wait axis in one pass.
+// profile's wait rules and fitted constant-wait halves, so whichever cell
+// of a (cohort, profile) first misses the trace cache's wait-rule memo for
+// a user replays the whole wait axis in one pass.
 func (c *gridCell) Jobs() []fleet.Job {
 	jobs := c.cohort.Jobs(c.profile, []fleet.Scheme{c.scheme})
 	for i := range jobs {
-		jobs[i].Waits = c.waits
+		jobs[i].Waits, jobs[i].FitWaits = c.waits, c.fitWaits
 	}
 	return jobs
 }
 
-// constWaits returns the distinct constant dormancy waits, clamped to
-// [0, prof.Tail()], that the schemes replay under prof: each scheme with
-// no trace-fitted and no batching half builds its demote policy once
-// with a nil trace, and sim.ConstWait says whether it is a constant
-// wait. A scheme whose factory fails contributes nothing; its cells fail
+// planWaits returns what the schemes replay under prof as wait rules:
+// the distinct clamped rules (sim.Wait.Clamped) of the schemes with no
+// trace-fitted and no batching half, and the fitted demote halves of the
+// schemes with no batching half whose policy is a wait rule. Each scheme
+// builds its demote policy once with a nil trace (which gives the
+// Oracle's threshold for prof), and sim.WaitOf says whether it is a wait
+// rule. A scheme whose factory fails contributes nothing; its cells fail
 // on their own.
-func constWaits(schemes []fleet.ResolvedScheme, prof power.Profile) []time.Duration {
-	var waits []time.Duration
+func planWaits(schemes []fleet.ResolvedScheme, prof power.Profile) (waits []sim.Wait, fitted []fleet.FitWait) {
 	for _, rs := range schemes {
-		if rs.Scheme.FitTrace || rs.Scheme.Active != nil {
+		s := rs.Scheme
+		if s.Active != nil || (s.FitTrace && s.DemoteFit.Spec == "") {
 			continue
 		}
-		d, err := rs.Scheme.Demote(nil, prof)
+		d, err := s.Demote(nil, prof)
 		if err != nil {
 			continue
 		}
-		if w, ok := sim.ConstWait(d); ok {
-			if w = min(w, prof.Tail()); !slices.Contains(waits, w) {
-				waits = append(waits, w)
+		r, ok := sim.WaitOf(d)
+		switch {
+		case !ok:
+		case s.FitTrace:
+			fitted = append(fitted, fleet.FitWait{Key: s.DemoteFit, Demote: s.Demote})
+		default:
+			if r = r.Clamped(prof.Tail()); !slices.Contains(waits, r) {
+				waits = append(waits, r)
 			}
 		}
 	}
-	return waits
+	return waits, fitted
 }
 
 // planFingerprint validates the normalized spec's axes, computes its v4
@@ -219,25 +227,27 @@ func (s Spec) planFingerprint(opts fleet.Options, axes *axisCache) ([]gridCell, 
 	sum := sha256.Sum256(b)
 	fp := hex.EncodeToString(sum[:])
 
-	waits := make([][]time.Duration, len(pas))
+	waits := make([][]sim.Wait, len(pas))
+	fitWaits := make([][]fleet.FitWait, len(pas))
 	for i, pa := range pas {
-		waits[i] = constWaits(sas, pa.Profile)
+		waits[i], fitWaits[i] = planWaits(sas, pa.Profile)
 	}
 	cells := make([]gridCell, 0, len(s.Schemes)*len(s.Profiles)*len(s.Cohorts))
 	for _, ca := range cas {
 		for pi, pa := range pas {
 			for _, sa := range sas {
 				cells = append(cells, gridCell{
-					Scheme:  sa.Scheme.Name,
-					Profile: pa.Profile.Name,
-					Cohort:  ca.Label,
-					Key:     cellKey(scalars, sa.Canonical, pa.Canonical, ca.Canonical),
-					cohort:  ca.Cohort,
-					profile: pa.Profile,
-					scheme:  sa.Scheme,
-					waits:   waits[pi],
-					NumJobs: ca.Cohort.Users,
-					Shards:  opts.NumShards(ca.Cohort.Users),
+					Scheme:   sa.Scheme.Name,
+					Profile:  pa.Profile.Name,
+					Cohort:   ca.Label,
+					Key:      cellKey(scalars, sa.Canonical, pa.Canonical, ca.Canonical),
+					cohort:   ca.Cohort,
+					profile:  pa.Profile,
+					scheme:   sa.Scheme,
+					waits:    waits[pi],
+					fitWaits: fitWaits[pi],
+					NumJobs:  ca.Cohort.Users,
+					Shards:   opts.NumShards(ca.Cohort.Users),
 				})
 			}
 		}

@@ -17,9 +17,9 @@
 // reduction grouping equal to a single-axis job's — a grid's cell
 // summaries are byte-identical to separate jobs on the same seed.
 //
-// Results are rendered (JSON/CSV/text) lazily, at most once per form, on
-// first read; cache hits share the *Result and with it the memoized
-// rendered bytes. Because the fleet reduction is deterministic and the
+// Results are rendered (JSON/CSV/text) from their cells on every read, so
+// a finished job retains its cells, not its rendered bytes; cache hits
+// share the *Result. Because the fleet reduction is deterministic and the
 // shard count is part of both keys, a cache hit returns the same bytes a
 // cold rerun would have produced.
 package jobs
@@ -670,7 +670,7 @@ func (m *Manager) CellsExecuted() uint64 { return m.cellsRun.Load() }
 
 // TraceCacheStats snapshots the trace cache's gauges (zeros when the
 // cache is disabled) — hit/miss/eviction counters, retained slab bytes
-// and the constant-wait and fit memos' counters, for the health endpoint.
+// and the wait-rule and fit memos' counters, for the health endpoint.
 func (m *Manager) TraceCacheStats() fleet.TraceCacheStats { return m.traces.Stats() }
 
 // StoreStats snapshots the durable store's gauges; ok is false when the

@@ -63,12 +63,14 @@ func (c *CellResult) JSON() ([]byte, error) {
 	return c.json, c.jsonErr
 }
 
-// Result is a finished job's output. Rendered forms (JSON, CSV, text) are
-// produced lazily, at most once each — cache hits share the *Result, so a
-// warm response serves the same memoized bytes the cold run's first reader
-// produced, byte for byte. Callers must treat returned slices as
-// immutable. All stats shapes live in internal/report so the HTTP service
-// and the CLIs render fleet summaries through one implementation.
+// Result is a finished job's output. Its rendered forms (JSON, CSV, text)
+// are rendered from the cells on every call, not memoized: a finished job
+// stays in the registry and the result cache long after its one read, and
+// holding its rendered bytes (hundreds of KB for a wide grid) would make
+// every retained job cost that much live heap. Rendering is a pure
+// function of the cells, so every call returns the same bytes. All stats
+// shapes live in internal/report so the HTTP service and the CLIs render
+// fleet summaries through one implementation.
 //
 // Single-axis jobs (one profile, one cohort) render flat: one summary
 // merged across the scheme sweep, keyed by scheme label. Wider grids
@@ -84,19 +86,6 @@ type Result struct {
 	Cells []*CellResult
 	// Progress is the terminal progress count, replayed to late watchers.
 	Progress Progress
-
-	statsOnce sync.Once
-	stats     report.SummaryStats
-	gridOnce  sync.Once
-	grid      *report.GridStats
-	jsonOnce  sync.Once
-	json      []byte
-	jsonErr   error
-	csvOnce   sync.Once
-	csv       []byte
-	csvErr    error
-	textOnce  sync.Once
-	text      string
 }
 
 // newResult wraps a finished job's cells (plus, for single-axis jobs, the
@@ -112,8 +101,7 @@ func (r *Result) Stats() report.SummaryStats {
 	if r.Summary == nil {
 		return report.SummaryStats{}
 	}
-	r.statsOnce.Do(func() { r.stats = report.SummaryStatsOf(r.Summary) })
-	return r.stats
+	return report.SummaryStatsOf(r.Summary)
 }
 
 // Grid returns the per-cell serializable view (nil for single-axis jobs,
@@ -122,17 +110,14 @@ func (r *Result) Grid() *report.GridStats {
 	if r.Summary != nil {
 		return nil
 	}
-	r.gridOnce.Do(func() {
-		grid := &report.GridStats{Cells: make([]report.GridCellStats, 0, len(r.Cells))}
-		for _, c := range r.Cells {
-			grid.Cells = append(grid.Cells, report.GridCellStats{
-				Scheme: c.Scheme, Profile: c.Profile, Cohort: c.Cohort,
-				Fingerprint: c.Key, Summary: c.Stats(),
-			})
-		}
-		r.grid = grid
-	})
-	return r.grid
+	grid := &report.GridStats{Cells: make([]report.GridCellStats, 0, len(r.Cells))}
+	for _, c := range r.Cells {
+		grid.Cells = append(grid.Cells, report.GridCellStats{
+			Scheme: c.Scheme, Profile: c.Profile, Cohort: c.Cohort,
+			Fingerprint: c.Key, Summary: c.Stats(),
+		})
+	}
+	return grid
 }
 
 // gridCells adapts the cells for the table renderer.
@@ -147,39 +132,27 @@ func (r *Result) gridCells() []report.GridCell {
 }
 
 // JSON returns the indented JSON rendering: flat SummaryStats for
-// single-axis jobs, GridStats for wider grids. Memoized and shared.
+// single-axis jobs, GridStats for wider grids.
 func (r *Result) JSON() ([]byte, error) {
-	r.jsonOnce.Do(func() {
-		if r.Summary != nil {
-			r.json, r.jsonErr = report.JSON(r.Stats())
-			return
-		}
-		r.json, r.jsonErr = report.JSON(r.Grid())
-	})
-	return r.json, r.jsonErr
+	if r.Summary != nil {
+		return report.JSON(r.Stats())
+	}
+	return report.JSON(r.Grid())
 }
 
 // CSV returns the tabular rendering (per-scheme rows, or per-cell rows
-// with axis columns for grids). Memoized and shared.
+// with axis columns for grids).
 func (r *Result) CSV() ([]byte, error) {
-	r.csvOnce.Do(func() {
-		if r.Summary != nil {
-			r.csv, r.csvErr = report.SummaryTable(r.Summary).CSVBytes()
-			return
-		}
-		r.csv, r.csvErr = report.GridTable(r.gridCells()).CSVBytes()
-	})
-	return r.csv, r.csvErr
+	if r.Summary != nil {
+		return report.SummaryTable(r.Summary).CSVBytes()
+	}
+	return report.GridTable(r.gridCells()).CSVBytes()
 }
 
-// Text returns the human-readable summary. Memoized and shared.
+// Text returns the human-readable summary.
 func (r *Result) Text() string {
-	r.textOnce.Do(func() {
-		if r.Summary != nil {
-			r.text = r.Summary.String()
-			return
-		}
-		r.text = report.GridTable(r.gridCells()).String()
-	})
-	return r.text
+	if r.Summary != nil {
+		return r.Summary.String()
+	}
+	return report.GridTable(r.gridCells()).String()
 }

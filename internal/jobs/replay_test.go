@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/energy"
 	"repro/internal/fleet"
 	"repro/internal/policy"
+	"repro/internal/sim"
 )
 
 // The constant-wait memo: each retained slab replays a grid's whole wait
@@ -34,23 +36,28 @@ var paperShapedSchemes = []fleet.SchemeSpec{
 	fixedTailSpec("30s"),
 }
 
-// TestReplayMemoExactCounts pins how often a constant-wait grid replays:
-// over S fixed tails plus statusquo on C cohorts x P profiles x U users, a
-// fresh-seed grid runs exactly one pass per (cohort, profile, user),
-// C·P·U, claimed by the first baseline lookup, and every scheme replay is
-// a memo hit, C·P·U·(S+1). A resubmission served from the cell cache runs
-// nothing, and a second fresh-seed grid adds the same counts again, at
-// every worker count and cell concurrency level.
+// TestReplayMemoExactCounts pins how often a tail-sweep-shaped grid
+// replays: over S schemes (fixed tails, statusquo, the Oracle and the
+// fitted 95iat timer, every one a wait rule) on C cohorts x P profiles x
+// U users, a fresh-seed grid runs exactly one pass per (cohort, profile,
+// user), C·P·U, claimed by the first baseline lookup, which resolves the
+// 95iat fit first, and every scheme replay is a memo hit, C·P·U·S; no
+// scheme replay misses, so none runs a pass of its own or goes through
+// the engine. The profile-free fit runs once per (cohort, user), C·U. A
+// resubmission served from the cell cache runs nothing, and a second
+// fresh-seed grid adds the same counts again, at every worker count and
+// cell concurrency level.
 func TestReplayMemoExactCounts(t *testing.T) {
 	const users = 2 // each fixture cohort's population
 	schemes := []fleet.SchemeSpec{fixedTailSpec("1s"), fixedTailSpec("3s"), fixedTailSpec("8s"),
-		{Policy: policy.Spec{Name: "statusquo"}}}
+		{Policy: policy.Spec{Name: "statusquo"}}, {Policy: policy.Spec{Name: "oracle"}}, {Policy: policy.Spec{Name: "95iat"}}}
 	spec := func(seed int64) Spec {
 		return Spec{Seed: seed, Shards: 2, Schemes: schemes, Profiles: fitProfiles, Cohorts: resumeCohorts}
 	}
 	keys := uint64(len(resumeCohorts) * len(fitProfiles) * users)
 	want := fleet.TraceCacheStats{ReplayPasses: keys, ReplayHits: keys * uint64(len(schemes)),
-		BaselineMisses: keys, BaselineHits: keys * uint64(len(schemes)-1)}
+		BaselineMisses: keys, BaselineHits: keys * uint64(len(schemes)-1),
+		FitMisses: uint64(len(resumeCohorts) * users)}
 
 	for _, workers := range []int{1, 4} {
 		for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
@@ -66,6 +73,7 @@ func TestReplayMemoExactCounts(t *testing.T) {
 						ReplayPasses: st.ReplayPasses - last.ReplayPasses,
 						ReplayHits:   st.ReplayHits - last.ReplayHits, ReplayMisses: st.ReplayMisses - last.ReplayMisses,
 						BaselineHits: st.BaselineHits - last.BaselineHits, BaselineMisses: st.BaselineMisses - last.BaselineMisses,
+						FitMisses: st.FitMisses - last.FitMisses,
 					}
 					if got != want {
 						t.Fatalf("%s: added %+v, want %+v", label, got, want)
@@ -105,9 +113,9 @@ func TestReplayMemoEquivalence(t *testing.T) {
 			assertSameSummaries(t, wantPaper, got)
 			const users = 2
 			keys := uint64(users * len(paper.Profiles))
-			// statusquo, 4.5s and 30s hit the baseline's pass; 95iat hits it
-			// too or runs its own one-wait pass.
-			if st := m.TraceCacheStats(); st.ReplayHits < 3*keys || st.ReplayPasses != st.BaselineMisses+st.ReplayMisses ||
+			// statusquo, 4.5s, 30s and the fitted 95iat timer all hit the
+			// baseline's pass.
+			if st := m.TraceCacheStats(); st.ReplayHits != 4*keys || st.ReplayMisses != 0 || st.ReplayPasses != keys ||
 				st.BaselineMisses != keys {
 				t.Fatalf("paper-shaped grid: %+v", st)
 			}
@@ -170,24 +178,35 @@ func TestReplayMemoOrderIndependence(t *testing.T) {
 	}
 }
 
-// TestPlanConstWaits pins the plan-time wait axis: one shared, clamped,
-// deduplicated list per profile, from the schemes with neither a fitted
-// nor a batching half — here the statusquo scheme and the 30s tail both
-// clamp to the tail, and 95iat, makeidle and makeidle+learn add nothing.
-func TestPlanConstWaits(t *testing.T) {
-	spec := Spec{Seed: 1, Shards: 2, Schemes: paperShapedSchemes, Profiles: fitProfiles, Cohorts: resumeCohorts}.withDefaults()
+// TestPlanWaits pins the plan-time wait axis: one shared, clamped,
+// deduplicated rule list per profile, from the schemes with neither a
+// fitted nor a batching half — here the statusquo scheme and the 30s tail
+// both clamp to the tail, and the Oracle's threshold is the profile's
+// t_threshold — and one shared list of fitted constant-wait halves, the
+// 95iat timer's; makeidle and makeidle+learn add nothing.
+func TestPlanWaits(t *testing.T) {
+	schemes := append(slices.Clone(paperShapedSchemes), fleet.SchemeSpec{Policy: policy.Spec{Name: "oracle"}})
+	spec := Spec{Seed: 1, Shards: 2, Schemes: schemes, Profiles: fitProfiles, Cohorts: resumeCohorts}.withDefaults()
 	cells, _, err := spec.planFingerprint(fleet.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iat, err := fleet.ResolveScheme(registry(), fleet.SchemeSpec{Policy: policy.Spec{Name: "95iat"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range cells {
 		tail := c.profile.Tail()
-		if want := []time.Duration{tail, 4500 * time.Millisecond}; !slices.Equal(c.waits, want) {
+		want := []sim.Wait{{D: tail}, {D: 4500 * time.Millisecond}, {Oracle: true, D: energy.Threshold(&c.profile)}}
+		if !slices.Equal(c.waits, want) {
 			t.Fatalf("cell %s/%s: waits %v, want %v", c.Scheme, c.Profile, c.waits, want)
 		}
+		if len(c.fitWaits) != 1 || c.fitWaits[0].Key != iat.Scheme.DemoteFit {
+			t.Fatalf("cell %s/%s: fitted halves %+v, want the 95iat timer's %+v", c.Scheme, c.Profile, c.fitWaits, iat.Scheme.DemoteFit)
+		}
 		for _, j := range c.Jobs() {
-			if &j.Waits[0] != &c.waits[0] {
-				t.Fatalf("cell %s/%s: job does not share the profile's wait list", c.Scheme, c.Profile)
+			if &j.Waits[0] != &c.waits[0] || &j.FitWaits[0] != &c.fitWaits[0] {
+				t.Fatalf("cell %s/%s: job does not share the profile's rule lists", c.Scheme, c.Profile)
 			}
 		}
 	}

@@ -217,8 +217,11 @@ var fitProfiles = []power.ProfileSpec{
 // TestFitMemoExactCounts pins how often a grid fits trace-fitted
 // policies: the 95% IAT fit ignores the profile, so a fresh-seed 95iat
 // grid of C cohorts x P profiles x U users fits once per (cohort, user),
-// C·U fit-memo misses, and the user's other profiles reuse it, C·U·(P-1)
-// hits; MakeActive-Fix reads the profile, so makeidle+fix fits once per
+// C·U fit-memo misses. Its timer is a constant wait, so each (cohort,
+// profile, user)'s baseline lookup, which claims the user's wait-rule
+// pass, resolves it through the memo, and so does each job: the other
+// C·U·(P-1) claims and all C·P·U jobs are hits, C·U·(2P-1) in all.
+// MakeActive-Fix reads the profile, so makeidle+fix fits once per
 // (cohort, profile, user), C·P·U misses and no hits. A resubmission
 // served from the cell cache fits nothing. The counts hold at every cell
 // concurrency level and worker count.
@@ -249,7 +252,7 @@ func TestFitMemoExactCounts(t *testing.T) {
 					}
 					last = st
 				}
-				step("95iat grid", spec(71, iat), cu, cu*(p-1))
+				step("95iat grid", spec(71, iat), cu, cu*(2*p-1))
 				step("95iat resubmission", spec(71, iat), 0, 0)
 				step("makeidle+fix grid", spec(72, fix), cu*p, 0)
 				step("makeidle+fix resubmission", spec(72, fix), 0, 0)

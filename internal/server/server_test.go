@@ -338,8 +338,8 @@ func TestSubmitBodyLimit(t *testing.T) {
 // replays (misses) and reuses (hits), and the constant-wait memo's passes
 // and scheme-replay hits and misses. A second grid over the same
 // users adds the 95% IAT scheme on two profiles, and the fit memo must
-// report one fit per user (misses) and its reuse by the other profile
-// (hits).
+// report one fit per user (misses) and its reuse by the other profile and
+// by the passes that replay the fitted timer (hits).
 func TestHealthzTraceCacheGauges(t *testing.T) {
 	ts, m := newTestServer(t)
 	spec := `{"seed": 31, "shards": 2,
@@ -397,8 +397,9 @@ func TestHealthzTraceCacheGauges(t *testing.T) {
 	// Whichever cell reaches a user first, its baseline lookup claims the
 	// baseline and the grid's one constant wait (fixedtail 2s) together:
 	// one pass per user, and the fixedtail cell's replay is a memo hit.
-	if got := num("replay_passes"); got != 2 {
-		t.Fatalf("replay_passes = %v, want 2 (one pass per user)", got)
+	firstPasses := num("replay_passes")
+	if firstPasses != 2 {
+		t.Fatalf("replay_passes = %v, want 2 (one pass per user)", firstPasses)
 	}
 	if got, got2 := num("replay_memo_misses"), num("replay_memo_hits"); got != 0 || got2 != 2 {
 		t.Fatalf("replay memo = %v misses, %v hits, want 0 and 2", got, got2)
@@ -421,12 +422,14 @@ func TestHealthzTraceCacheGauges(t *testing.T) {
 		t.Fatalf("healthz body: %v\n%s", err, hb)
 	}
 	// 95iat ignores the profile: one fit per user, reused by the user's
-	// other profile.
+	// other profile. Its timer is a wait rule, so every pass this grid
+	// claims resolves it through the memo too: the 4 jobs and the new
+	// passes look the fit up, and all but the 2 fits are hits.
 	if got := num("fit_memo_misses"); got != 2 {
 		t.Fatalf("fit_memo_misses = %v, want 2 (one fit per user)", got)
 	}
-	if got := num("fit_memo_hits"); got != 2 {
-		t.Fatalf("fit_memo_hits = %v, want 2 (the second profile reuses each fit)", got)
+	if got, want := num("fit_memo_hits"), 4+num("replay_passes")-firstPasses-2; got != want {
+		t.Fatalf("fit_memo_hits = %v, want %v (the second profile and every pass reuse each fit)", got, want)
 	}
 	// Every miss, of a baseline or of a scheme replay, runs one pass.
 	if passes, misses := num("replay_passes"), num("baseline_memo_misses")+num("replay_memo_misses"); passes != misses {

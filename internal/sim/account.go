@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"time"
 
 	"repro/internal/power"
@@ -33,15 +32,17 @@ func newRates(p *power.Profile) rates {
 
 // tailBreakdown is energy.TailBreakdown against the precomputed
 // coefficients: the operand order matches the generic helper exactly, so
-// the energies are the same floats bit for bit.
+// the energies are the same floats bit for bit. The builtin min has
+// math.Min's results for every operand, NaN and signed zeros included, and
+// inlines.
 func (r *rates) tailBreakdown(d time.Duration) (t1J, t2J float64) {
 	if d <= 0 {
 		return 0, 0
 	}
 	t := d.Seconds()
-	t1J = math.Min(t, r.t1s) * r.t1MW / 1000
+	t1J = min(t, r.t1s) * r.t1MW / 1000
 	if t > r.t1s {
-		t2J = math.Min(t-r.t1s, r.t2s) * r.t2MW / 1000
+		t2J = min(t-r.t1s, r.t2s) * r.t2MW / 1000
 	}
 	return t1J, t2J
 }
@@ -71,29 +72,29 @@ func (a *tally) promote(r *rates) {
 // accountGap charges the gap that just closed under dormancy wait w and
 // reports whether the radio demoted in it.
 func (a *tally) accountGap(r *rates, w, gap, lastTx time.Duration) bool {
-	if w > r.tail {
-		w = r.tail // the timers demote at the tail end regardless
-	}
-	demoted := gap > w
-	stay := gap
-	if demoted {
-		stay = w
+	w = min(w, r.tail) // the timers demote at the tail end regardless
+	if gap > w {
+		a.demote(r, w, lastTx)
+		return true
 	}
 	// The first lastTx of the gap is transmission time, already charged at
 	// full power as data energy; only the remainder idles in the tail.
-	stay -= lastTx
-	if stay < 0 {
-		stay = 0
-	}
-	t1J, t2J := r.tailBreakdown(stay)
+	t1J, t2J := r.tailBreakdown(max(gap-lastTx, 0))
 	a.t1J += t1J
 	a.t2J += t2J
-	if demoted {
-		a.switchJ += r.dormJ
-		a.demotions++
-		a.promote(r)
-	}
-	return demoted
+	return false
+}
+
+// demote charges a gap the radio demotes in after riding out the wait w
+// (at most the tail): the tail from the end of the last transmission to
+// the demotion, the demotion and the promotion the next packet pays.
+func (a *tally) demote(r *rates, w, lastTx time.Duration) {
+	t1J, t2J := r.tailBreakdown(max(w-lastTx, 0))
+	a.t1J += t1J
+	a.t2J += t2J
+	a.switchJ += r.dormJ
+	a.demotions++
+	a.promote(r)
 }
 
 // finish settles the trailing tail after the last packet: the radio rides

@@ -19,10 +19,10 @@ import (
 // TestFastPathMatchesGenericAllSchemes replays every registered demote
 // scheme — at default parameters — through a fast-path engine and a
 // forced-generic engine, and requires bit-identical Results including the
-// recorded decision logs. Iterating the registry (not a hand-kept list)
-// means a newly registered scheme is covered the day it lands: if its
-// policy type is ever added to the fast-path switch incorrectly, this test
-// is the tripwire.
+// recorded decision and episode logs, with batching off and on. Iterating
+// the registry (not a hand-kept list) means a newly registered scheme is
+// covered the day it lands: if its policy type is ever added to the
+// fast-path switch incorrectly, this test is the tripwire.
 func TestFastPathMatchesGenericAllSchemes(t *testing.T) {
 	reg := policy.Default()
 	opts := &Options{RecordDecisions: true, RecordEpisodes: true}
@@ -37,18 +37,25 @@ func TestFastPathMatchesGenericAllSchemes(t *testing.T) {
 				}
 				return d
 			}
-			fast := NewEngine()
-			fastRes, err := fast.Run(tr, prof, mk(), nil, opts)
-			if err != nil {
-				t.Fatalf("%s/%s: fast path: %v", prof.Name, schema.Name, err)
+			// With a batching policy too: the recognized rules then decide
+			// on the burst arrival the window estimates, as Decide would.
+			for _, active := range []func() policy.ActivePolicy{
+				func() policy.ActivePolicy { return nil },
+				func() policy.ActivePolicy { return policy.NewLearnedDelay() },
+			} {
+				fast := NewEngine()
+				fastRes, err := fast.Run(tr, prof, mk(), active(), opts)
+				if err != nil {
+					t.Fatalf("%s/%s: fast path: %v", prof.Name, schema.Name, err)
+				}
+				gen := NewEngine()
+				gen.forceGeneric = true
+				genRes, err := gen.Run(tr, prof, mk(), active(), opts)
+				if err != nil {
+					t.Fatalf("%s/%s: generic path: %v", prof.Name, schema.Name, err)
+				}
+				assertSameResult(t, prof.Name+"/"+schema.Name+"/"+fastRes.Active, genRes, fastRes)
 			}
-			gen := NewEngine()
-			gen.forceGeneric = true
-			genRes, err := gen.Run(tr, prof, mk(), nil, opts)
-			if err != nil {
-				t.Fatalf("%s/%s: generic path: %v", prof.Name, schema.Name, err)
-			}
-			assertSameResult(t, prof.Name+"/"+schema.Name, genRes, fastRes)
 		}
 	}
 }

@@ -19,12 +19,12 @@ import (
 // dense wait grid, and state the one way it can fail.
 
 // waitGrid is 0 to tail+1s in 50 ms steps, plus Never.
-func waitGrid(prof power.Profile) []time.Duration {
-	var waits []time.Duration
+func waitGrid(prof power.Profile) []Wait {
+	var waits []Wait
 	for w := time.Duration(0); w <= prof.Tail()+time.Second; w += 50 * time.Millisecond {
-		waits = append(waits, w)
+		waits = append(waits, Wait{D: w})
 	}
-	return append(waits, policy.Never)
+	return append(waits, Wait{D: policy.Never})
 }
 
 // oracleAndWaits replays tr under the Oracle and under every wait of the
@@ -41,10 +41,10 @@ func oracleAndWaits(t testing.TB, tr trace.Trace, prof power.Profile) (oracleJ, 
 	if err := e.RunWaits(tr.Source(), prof, waits, nil, out); err != nil {
 		t.Fatal(err)
 	}
-	bestJ, best = out[0].TotalJ(), waits[0]
+	bestJ, best = out[0].TotalJ(), waits[0].D
 	for i := range out {
 		if j := out[i].TotalJ(); j < bestJ {
-			bestJ, best = j, waits[i]
+			bestJ, best = j, waits[i].D
 		}
 	}
 	return or.TotalJ(), bestJ, best
@@ -61,6 +61,40 @@ func TestOracleBoundsConstantWaits(t *testing.T) {
 			oracleJ, bestJ, best := oracleAndWaits(t, tr, prof)
 			if oracleJ > bestJ {
 				t.Errorf("user %d on %s: Oracle %.9g J above the %v wait's %.9g J", i, prof.Name, oracleJ, best, bestJ)
+			}
+		}
+	}
+}
+
+// TestOracleBoundsMakeIdle is the same bound against MakeIdle, a policy
+// that picks its wait per gap: with batching off, on generated users of
+// both study cohorts and all four carriers, MakeIdle spends at least the
+// Oracle's energy, less at most the regret of the one mismatch class
+// (oracleRegret). The per-gap argument is the constant waits' one: every
+// gap costs its tail plus, when the radio demotes, a switch, and outside
+// the class the Oracle's choice is the cheapest any wait can make.
+func TestOracleBoundsMakeIdle(t *testing.T) {
+	users := append(workload.Verizon3GUsers()[:2], workload.VerizonLTEUsers()[:2]...)
+	e := NewEngine()
+	for i, u := range users {
+		tr := u.Generate(int64(200+i), 3*time.Hour)
+		for _, prof := range carriers {
+			mi, err := policy.NewMakeIdle(prof)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var or, mr Result
+			if err := e.RunSourceInto(&or, tr.Source(), prof, policy.NewOracle(energy.Threshold(&prof)), nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.RunSourceInto(&mr, tr.Source(), prof, mi, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			regretJ, gaps := oracleRegret(tr, prof)
+			oracleJ, miJ := or.TotalJ(), mr.TotalJ()
+			if slack := 1e-12 * (oracleJ + miJ); oracleJ > miJ+regretJ+slack {
+				t.Errorf("user %d on %s: Oracle %.12g J above MakeIdle's %.12g J by more than the regret %.3g J of its %d gaps past the threshold",
+					i, prof.Name, oracleJ, miJ, regretJ, gaps)
 			}
 		}
 	}

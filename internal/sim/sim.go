@@ -181,14 +181,15 @@ type Engine struct {
 	dataJ  float64
 	recDec bool // opts.recordDecisions(), hoisted out of the gap loop
 
-	// Devirtualized decision fast path: the built-in constant-wait demote
-	// policies (StatusQuo, FixedTail, PercentileIAT) are recognized once
-	// per run by ConstWait; every per-packet Decide/Observe interface call
-	// is then skipped, with pending pinned to constVal. forceGeneric (a
-	// test knob) disables this and the direct no-batching loop so
-	// equivalence tests can drive the generic interface path on demand.
-	constWait    bool
-	constVal     time.Duration
+	// Devirtualized decision fast path: the built-in demote policies
+	// whose decisions are a wait rule (StatusQuo, FixedTail,
+	// PercentileIAT, the Oracle) are recognized once per run by WaitOf;
+	// every per-packet Decide/Observe/ObserveNextGap interface call is
+	// then skipped, and rule decides pending. forceGeneric (a test knob)
+	// disables this and the direct no-batching loop so equivalence tests
+	// can drive the generic interface path on demand.
+	ruled        bool
+	rule         Wait
 	forceGeneric bool //rrclint:testseam
 
 	started bool
@@ -207,8 +208,7 @@ type Engine struct {
 	arrivals []time.Duration   //rrclint:scratch
 	window   burstWindow       //rrclint:scratch
 	slice    trace.SliceSource //rrclint:scratch
-	tallies  []tally           //rrclint:scratch
-	waits    []time.Duration   //rrclint:scratch
+	rules    []ruleTally       //rrclint:scratch
 }
 
 // NewEngine returns a reusable replay engine.
@@ -233,7 +233,7 @@ func (e *Engine) Reset() {
 	slice := e.slice
 	*e = Engine{group: group, merged: merged, arrivals: arrivals, window: window, slice: slice,
 		mergeTmp: e.mergeTmp[:0], runs: e.runs[:0], runsTmp: e.runsTmp[:0],
-		tallies: e.tallies[:0], waits: e.waits[:0], forceGeneric: e.forceGeneric}
+		rules: e.rules[:0], forceGeneric: e.forceGeneric}
 }
 
 // Run replays one materialized trace on this engine. Semantics are
@@ -303,11 +303,10 @@ func (e *Engine) RunSourceInto(res *Result, src trace.Source, prof power.Profile
 	e.lookahead, _ = demote.(policy.GapLookahead)
 	e.rates = newRates(&prof)
 	e.recDec = opts.recordDecisions()
-	// Devirtualize constant-wait built-ins: one type switch here replaces
-	// an interface Decide/Observe pair per packet. Clairvoyant policies
-	// keep the generic path — they need the per-gap lookahead feed.
-	if !e.forceGeneric && e.lookahead == nil {
-		e.constVal, e.constWait = ConstWait(demote)
+	// Devirtualize the wait-rule built-ins: one type switch here replaces
+	// the interface calls per packet.
+	if !e.forceGeneric {
+		e.rule, e.ruled = WaitOf(demote)
 	}
 	e.window.reset(src, opts.burstGap())
 	if err := e.run(); err != nil {
@@ -342,19 +341,19 @@ func (e *Engine) ensureDecision(nextAt time.Duration) {
 	if e.decided || !e.started {
 		return
 	}
-	if e.constWait {
-		e.pending = e.constVal
-		e.decided = true
-		return
+	gap := policy.Never
+	if nextAt != policy.Never {
+		gap = nextAt - e.lastT
 	}
-	if e.lookahead != nil {
-		gap := policy.Never
-		if nextAt != policy.Never {
-			gap = nextAt - e.lastT
+	var w time.Duration
+	if e.ruled {
+		w = e.rule.decide(gap)
+	} else {
+		if e.lookahead != nil {
+			e.lookahead.ObserveNextGap(gap)
 		}
-		e.lookahead.ObserveNextGap(gap)
+		w = e.demote.Decide(e.lastT)
 	}
-	w := e.demote.Decide(e.lastT)
 	if w < 0 {
 		w = 0
 	}
@@ -580,8 +579,8 @@ func (e *Engine) step(t time.Duration, p trace.Packet) {
 				At: e.lastT, Gap: gap, Wait: e.pending, Demoted: demoted,
 			})
 		}
-		if !e.constWait {
-			// The recognized constant-wait policies' Observe is a no-op;
+		if !e.ruled {
+			// The recognized wait-rule policies' Observe is a no-op;
 			// everything else gets the gap feed the interface promises.
 			e.demote.Observe(gap)
 		}

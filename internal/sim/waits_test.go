@@ -8,36 +8,49 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/energy"
 	"repro/internal/policy"
 	"repro/internal/power"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// The fused constant-wait pass (RunWaits) promises each wait exactly the
+// The fused wait-rule pass (RunWaits) promises each rule exactly the
 // scalars of its own replay. These tests hold it to K separate
 // RunSourceInto calls, field by field and bit for bit.
 
 var carriers = []power.Profile{power.TMobile3G, power.ATTHSPAPlus, power.Verizon3G, power.VerizonLTE}
 
-// waitPolicy is the built-in policy that decides w at every gap.
-func waitPolicy(w time.Duration) policy.DemotePolicy {
-	if w == policy.Never {
-		return policy.StatusQuo{}
+// constWaits are constant-wait rules.
+func constWaits(ws ...time.Duration) []Wait {
+	rules := make([]Wait, len(ws))
+	for i, w := range ws {
+		rules[i] = Wait{D: w}
 	}
-	return &policy.FixedTail{Wait: w}
+	return rules
 }
 
-// checkRunWaits replays tr once per wait on an engine and once through
+// rulePolicy is the built-in policy that decides by the rule r.
+func rulePolicy(r Wait) policy.DemotePolicy {
+	switch {
+	case r.Oracle:
+		return policy.NewOracle(r.D)
+	case r.D == policy.Never:
+		return policy.StatusQuo{}
+	}
+	return &policy.FixedTail{Wait: r.D}
+}
+
+// checkRunWaits replays tr once per rule on an engine and once through
 // RunWaits, and requires the same scalars in every Result (TotalJ
 // compared by its bits too) or the same error at the same packet.
-func checkRunWaits(t testing.TB, label string, tr trace.Trace, prof power.Profile, waits []time.Duration) {
+func checkRunWaits(t testing.TB, label string, tr trace.Trace, prof power.Profile, waits []Wait) {
 	t.Helper()
 	e := NewEngine()
 	want := make([]Result, len(waits))
 	var wantErr error
 	for i, w := range waits {
-		if wantErr = e.RunSourceInto(&want[i], tr.Source(), prof, waitPolicy(w), nil, nil); wantErr != nil {
+		if wantErr = e.RunSourceInto(&want[i], tr.Source(), prof, rulePolicy(w), nil, nil); wantErr != nil {
 			break
 		}
 	}
@@ -61,17 +74,25 @@ func checkRunWaits(t testing.TB, label string, tr trace.Trace, prof power.Profil
 	}
 }
 
-// edgeWaits are the waits every carrier is checked under: zero, negative,
-// the tail itself, beyond the tail, Never, duplicates and a few in range.
-func edgeWaits(prof power.Profile) []time.Duration {
+// edgeWaits are the rules every carrier is checked under: constant waits
+// of zero, negative, the tail itself, beyond the tail, Never, duplicates
+// and a few in range, and Oracle rules with thresholds at zero, below, at
+// and above the tail, the carrier's t_threshold, negative and Never.
+func edgeWaits(prof power.Profile) []Wait {
 	tail := prof.Tail()
-	return []time.Duration{0, -time.Second, tail, tail + time.Second, policy.Never,
-		2 * time.Second, 2 * time.Second, 50 * time.Millisecond, 4500 * time.Millisecond, tail - 1, tail}
+	rules := constWaits(0, -time.Second, tail, tail+time.Second, policy.Never,
+		2*time.Second, 2*time.Second, 50*time.Millisecond, 4500*time.Millisecond, tail-1, tail)
+	for _, th := range []time.Duration{0, time.Second, tail, tail + time.Second, energy.Threshold(&prof),
+		-time.Second, policy.Never, time.Second} {
+		rules = append(rules, Wait{Oracle: true, D: th})
+	}
+	return rules
 }
 
-// TestRunWaitsMatchesReplays covers empty, one- and two-packet traces
-// and generated user traffic on all four carriers under the edge waits,
-// plus every kind of invalid packet at several positions.
+// TestRunWaitsMatchesReplays covers empty, one- and two-packet traces,
+// generated user traffic and gaps at the rules' edges on all four
+// carriers under the edge rules, plus every kind of invalid packet at
+// several positions.
 func TestRunWaitsMatchesReplays(t *testing.T) {
 	pkt := func(sec float64, dir trace.Direction, size int) trace.Packet {
 		return trace.Packet{T: time.Duration(sec * float64(time.Second)), Dir: dir, Size: size}
@@ -108,6 +129,20 @@ func TestRunWaitsMatchesReplays(t *testing.T) {
 			checkRunWaits(t, name+"/"+prof.Name, tr, prof, edgeWaits(prof))
 		}
 	}
+	// Gaps exactly at the rules' edges: the tail, a fixed wait, the
+	// threshold, and one nanosecond either side of each.
+	for _, prof := range carriers {
+		var tr trace.Trace
+		at := time.Duration(0)
+		for _, gap := range []time.Duration{prof.Tail(), 2 * time.Second, energy.Threshold(&prof), time.Second} {
+			for _, d := range []time.Duration{-1, 0, 1} {
+				tr = append(tr, trace.Packet{T: at, Dir: trace.Out, Size: 80})
+				at += gap + d
+			}
+		}
+		tr = append(tr, trace.Packet{T: at, Dir: trace.In, Size: 1400})
+		checkRunWaits(t, "edge-gaps/"+prof.Name, tr, prof, edgeWaits(prof))
+	}
 }
 
 // TestRunWaitsRejects: options that record per-policy logs, a result
@@ -115,19 +150,19 @@ func TestRunWaitsMatchesReplays(t *testing.T) {
 // before any packet is read.
 func TestRunWaitsRejects(t *testing.T) {
 	tr := workload.Verizon3GUsers()[0].Generate(3, 10*time.Minute)
-	waits := []time.Duration{time.Second, policy.Never}
+	waits := []Wait{{D: time.Second}, {D: policy.Never}, {Oracle: true, D: time.Second}}
 	e := NewEngine()
 	for name, run := range map[string]func() error{
 		"decisions": func() error {
-			return e.RunWaits(tr.Source(), power.Verizon3G, waits, &Options{RecordDecisions: true}, make([]Result, 2))
+			return e.RunWaits(tr.Source(), power.Verizon3G, waits, &Options{RecordDecisions: true}, make([]Result, 3))
 		},
 		"episodes": func() error {
-			return e.RunWaits(tr.Source(), power.Verizon3G, waits, &Options{RecordEpisodes: true}, make([]Result, 2))
+			return e.RunWaits(tr.Source(), power.Verizon3G, waits, &Options{RecordEpisodes: true}, make([]Result, 3))
 		},
-		"short-out":  func() error { return e.RunWaits(tr.Source(), power.Verizon3G, waits, nil, make([]Result, 1)) },
-		"nil-source": func() error { return e.RunWaits(nil, power.Verizon3G, waits, nil, make([]Result, 2)) },
+		"short-out":  func() error { return e.RunWaits(tr.Source(), power.Verizon3G, waits, nil, make([]Result, 2)) },
+		"nil-source": func() error { return e.RunWaits(nil, power.Verizon3G, waits, nil, make([]Result, 3)) },
 		"profile": func() error {
-			return e.RunWaits(tr.Source(), power.Profile{Name: "broken"}, waits, nil, make([]Result, 2))
+			return e.RunWaits(tr.Source(), power.Profile{Name: "broken"}, waits, nil, make([]Result, 3))
 		},
 	} {
 		if err := run(); err == nil {
@@ -138,9 +173,9 @@ func TestRunWaitsRejects(t *testing.T) {
 	checkRunWaits(t, "after-rejects", tr, power.VerizonLTE, edgeWaits(power.VerizonLTE))
 }
 
-// TestConstWait pins the recognized policies and the negative clamp, and
-// that the lookahead Oracle and MakeIdle are not constant.
-func TestConstWait(t *testing.T) {
+// TestWaitOf pins the recognized policies, the negative clamp of constant
+// waits, the Oracle's threshold taken as is, and that MakeIdle is no rule.
+func TestWaitOf(t *testing.T) {
 	mi, err := policy.NewMakeIdle(power.Verizon3G)
 	if err != nil {
 		t.Fatal(err)
@@ -148,18 +183,32 @@ func TestConstWait(t *testing.T) {
 	iat := policy.NewPercentileIAT(workload.Verizon3GUsers()[0].Generate(1, 10*time.Minute), 0.95)
 	for _, c := range []struct {
 		d    policy.DemotePolicy
-		w    time.Duration
+		w    Wait
 		isOK bool
 	}{
-		{policy.StatusQuo{}, policy.Never, true},
-		{&policy.FixedTail{Wait: 3 * time.Second}, 3 * time.Second, true},
-		{&policy.FixedTail{Wait: -time.Second}, 0, true},
-		{iat, iat.Wait(), true},
-		{policy.NewOracle(time.Second), 0, false},
-		{mi, 0, false},
+		{policy.StatusQuo{}, Wait{D: policy.Never}, true},
+		{&policy.FixedTail{Wait: 3 * time.Second}, Wait{D: 3 * time.Second}, true},
+		{&policy.FixedTail{Wait: -time.Second}, Wait{}, true},
+		{iat, Wait{D: iat.Wait()}, true},
+		{policy.NewOracle(time.Second), Wait{Oracle: true, D: time.Second}, true},
+		{policy.NewOracle(-time.Second), Wait{Oracle: true, D: -time.Second}, true},
+		{mi, Wait{}, false},
 	} {
-		if w, ok := ConstWait(c.d); w != c.w || ok != c.isOK {
-			t.Errorf("ConstWait(%s) = %v, %v; want %v, %v", c.d.Name(), w, ok, c.w, c.isOK)
+		if w, ok := WaitOf(c.d); w != c.w || ok != c.isOK {
+			t.Errorf("WaitOf(%s) = %+v, %v; want %+v, %v", c.d.Name(), w, ok, c.w, c.isOK)
+		}
+	}
+	tail := power.Verizon3G.Tail()
+	for r, want := range map[Wait]Wait{
+		{D: -time.Second}:               {},
+		{D: tail + 1}:                   {D: tail},
+		{D: time.Second}:                {D: time.Second},
+		{Oracle: true, D: tail + 1}:     {Oracle: true, D: tail + 1},
+		{Oracle: true, D: policy.Never}: {Oracle: true, D: policy.Never},
+		{Oracle: true, D: -time.Second}: {Oracle: true, D: -time.Second},
+	} {
+		if got := r.Clamped(tail); got != want {
+			t.Errorf("%+v.Clamped = %+v, want %+v", r, got, want)
 		}
 	}
 }
@@ -193,36 +242,45 @@ func fuzzTrace(data []byte) trace.Trace {
 }
 
 // FuzzRunWaits holds RunWaits to K separate replays on arbitrary traces,
-// waits and carriers. Each wait takes two bytes: a signed count of 50 ms
-// steps (negative waits included), with 0x7fff standing for Never; the
-// fuzzed waits always end with Never and the carrier's tail.
+// rules and carriers. Each rule takes three bytes: a kind byte whose low
+// bit picks the Oracle rule, then a signed count of 50 ms steps (negative
+// waits and thresholds included), with 0x7fff standing for Never. The
+// fuzzed rules always end with the StatusQuo wait, the carrier's tail and
+// the Oracle at the carrier's t_threshold.
 func FuzzRunWaits(f *testing.F) {
 	f.Add([]byte{}, []byte{}, uint8(0))
-	f.Add([]byte{0, 0, 0, 10}, []byte{0, 20}, uint8(1))
-	f.Add([]byte{0, 0, 1, 60, 0x40, 200, 0, 1, 0xc0, 9, 1, 200, 0x80, 3, 0, 0}, []byte{0, 0, 0xff, 0xf0, 0, 90, 0x7f, 0xff}, uint8(2))
-	f.Add([]byte{0, 5, 0, 1, 0xff, 0xff, 1, 2, 0, 1, 0xff, 3}, []byte{0, 40, 0, 40}, uint8(3))
-	f.Add([]byte{0xc0, 30, 0, 0xff, 0, 1, 0xff, 0}, []byte{1, 0}, uint8(0))
-	f.Fuzz(func(t *testing.T, data, waitBytes []byte, carrier uint8) {
+	f.Add([]byte{0, 0, 0, 10}, []byte{0, 0, 20}, uint8(1))
+	f.Add([]byte{0, 0, 1, 60, 0x40, 200, 0, 1, 0xc0, 9, 1, 200, 0x80, 3, 0, 0}, []byte{0, 0, 0, 0, 0xff, 0xf0, 0, 0, 90, 0, 0x7f, 0xff}, uint8(2))
+	f.Add([]byte{0, 5, 0, 1, 0xff, 0xff, 1, 2, 0, 1, 0xff, 3}, []byte{0, 0, 40, 0, 0, 40}, uint8(3))
+	f.Add([]byte{0xc0, 30, 0, 0xff, 0, 1, 0xff, 0}, []byte{0, 1, 0}, uint8(0))
+	// Oracle rules: thresholds 0, 1 s, 4.5 s, 20 s (past every tail),
+	// negative and Never, over gaps on both sides of each.
+	f.Add([]byte{0, 0, 0, 10, 0x40, 30, 1, 200, 0xc0, 12, 0, 3, 0x80, 45, 1, 0, 0xc0, 2, 0, 90},
+		[]byte{1, 0, 0, 1, 0, 20, 1, 0, 90, 1, 1, 144, 1, 0xff, 0xf0, 1, 0x7f, 0xff}, uint8(0))
+	f.Add([]byte{0x80, 40, 1, 250, 0x80, 41, 0, 10, 0xc0, 2, 1, 1, 0, 0, 0, 0}, []byte{1, 0, 20, 0, 0, 20, 1, 0, 20}, uint8(2))
+	f.Add([]byte{0, 1, 0, 1, 0x40, 250, 1, 254, 0x80, 12, 0, 254}, []byte{1, 0, 0, 1, 0, 90}, uint8(3))
+	f.Fuzz(func(t *testing.T, data, ruleBytes []byte, carrier uint8) {
 		prof := carriers[int(carrier)%len(carriers)]
-		var waits []time.Duration
-		for k := 0; k+1 < len(waitBytes) && len(waits) < 32; k += 2 {
-			v := int16(binary.BigEndian.Uint16(waitBytes[k:]))
-			if v == math.MaxInt16 {
-				waits = append(waits, policy.Never)
+		var rules []Wait
+		for k := 0; k+2 < len(ruleBytes) && len(rules) < 32; k += 3 {
+			r := Wait{Oracle: ruleBytes[k]&1 == 1}
+			if v := int16(binary.BigEndian.Uint16(ruleBytes[k+1:])); v == math.MaxInt16 {
+				r.D = policy.Never
 			} else {
-				waits = append(waits, time.Duration(v)*50*time.Millisecond)
+				r.D = time.Duration(v) * 50 * time.Millisecond
 			}
+			rules = append(rules, r)
 		}
-		waits = append(waits, policy.Never, prof.Tail())
-		checkRunWaits(t, "fuzz", fuzzTrace(data), prof, waits)
+		rules = append(rules, Wait{D: policy.Never}, Wait{D: prof.Tail()}, Wait{Oracle: true, D: energy.Threshold(&prof)})
+		checkRunWaits(t, "fuzz", fuzzTrace(data), prof, rules)
 	})
 }
 
 // BenchmarkRunWaits prices the fused pass against K separate replays on
 // tail-sweep's shape: one diurnal user-day decoded from an rrcstream slab,
-// the four carriers, and the waits {1, 2, 3, 4.5, 6, 8 s, StatusQuo}. It
-// reports ns per (packet, profile) — the whole wait set's cost for one
-// packet on one carrier, decode included.
+// the four carriers, and the rules {1, 2, 3, 4.5, 6, 8 s, StatusQuo,
+// Oracle at t_threshold}. It reports ns per (packet, profile) — the whole
+// rule set's cost for one packet on one carrier, decode included.
 func BenchmarkRunWaits(b *testing.B) {
 	slab, err := trace.EncodeStream(workload.DayUser(workload.Verizon3GUsers()[3]).Stream(11, 24*time.Hour))
 	if err != nil {
@@ -243,29 +301,32 @@ func BenchmarkRunWaits(b *testing.B) {
 		}
 		packets++
 	}
-	waits := []time.Duration{time.Second, 2 * time.Second, 3 * time.Second, 4500 * time.Millisecond,
-		6 * time.Second, 8 * time.Second, policy.Never}
+	rules := make([][]Wait, len(carriers))
+	for i := range carriers {
+		rules[i] = append(constWaits(time.Second, 2*time.Second, 3*time.Second, 4500*time.Millisecond,
+			6*time.Second, 8*time.Second, policy.Never), Wait{Oracle: true, D: energy.Threshold(&carriers[i])})
+	}
 	e := NewEngine()
-	out := make([]Result, len(waits))
+	out := make([]Result, len(rules[0]))
 	for _, mode := range []string{"fused", "replays"} {
 		b.Run(mode, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				for _, prof := range carriers {
+				for c, prof := range carriers {
 					if mode == "fused" {
 						if err := src.Reset(slab); err != nil {
 							b.Fatal(err)
 						}
-						if err := e.RunWaits(&src, prof, waits, nil, out); err != nil {
+						if err := e.RunWaits(&src, prof, rules[c], nil, out); err != nil {
 							b.Fatal(err)
 						}
 						continue
 					}
-					for k, w := range waits {
+					for k, r := range rules[c] {
 						if err := src.Reset(slab); err != nil {
 							b.Fatal(err)
 						}
-						if err := e.RunSourceInto(&out[k], &src, prof, waitPolicy(w), nil, nil); err != nil {
+						if err := e.RunSourceInto(&out[k], &src, prof, rulePolicy(r), nil, nil); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -47,16 +47,26 @@ func (s *SliceSource) Next() (Packet, bool, error) {
 // code that still wants a slice. The result is not validated; run
 // Trace.Validate if the source is untrusted.
 func Collect(src Source) (Trace, error) {
-	var tr Trace
+	tr, err := AppendSource(nil, src)
+	if err != nil {
+		return nil, err
+	}
+	return tr, nil
+}
+
+// AppendSource drains src, appending its packets to dst, and returns the
+// extended slice. On error it also returns what it appended so far, so a
+// caller reusing dst as scratch keeps its capacity.
+func AppendSource(dst Trace, src Source) (Trace, error) {
 	for {
 		p, ok, err := src.Next()
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		if !ok {
-			return tr, nil
+			return dst, nil
 		}
-		tr = append(tr, p)
+		dst = append(dst, p)
 	}
 }
 
