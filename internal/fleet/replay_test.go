@@ -447,3 +447,42 @@ func TestReplayMemoResolvesFittedRules(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 }
+
+// TestReplayMemoServesOracle: an Oracle job over a retained slab takes its
+// replay from the wait-rule memo, never from an engine replay. The memo
+// is seeded by a stub pass whose answers no replay could produce, and the
+// job returns exactly those, stamped with the Oracle's name — with and
+// without a Transient accumulator's worker slot.
+func TestReplayMemoServesOracle(t *testing.T) {
+	prof := power.VerizonLTE
+	oracle, err := SchemeFromSpec(policy.Default(), SchemeSpec{Policy: policy.Spec{Name: "oracle"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := testCohort(1)
+	c.CacheKeyBase = "oracle-test"
+	job := c.Jobs(prof, []Scheme{oracle})[0]
+	tc := NewTraceCache(1 << 20)
+	if _, err := tc.Slab(job.CacheKey, func() trace.Source { return job.Source(job.Seed) }); err != nil {
+		t.Fatal(err)
+	}
+	rule := sim.Wait{Oracle: true, D: energy.Threshold(&prof)}
+	var p passLog
+	if _, err := tc.ruleReplay(job.CacheKey, prof, job.Opts, rule, waitBatch{rules: consts(prof.Tail())}, p.pass); err != nil {
+		t.Fatal(err)
+	}
+	ws := workerPool.Get().(*workerState)
+	defer workerPool.Put(ws)
+	for _, reuse := range []bool{false, true} {
+		out, err := runJob(&job, 0, ws, tc, reuse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Result.Breakdown.DataJ != ruleJ(rule) || out.Result.Policy != "Oracle" || out.Baseline.TotalJ != float64(prof.Tail()) {
+			t.Fatalf("reuse=%v: the Oracle job did not come from the memo: %+v, baseline %+v", reuse, out.Result, out.Baseline)
+		}
+	}
+	if st := tc.Stats(); st.ReplayPasses != 1 || st.ReplayHits != 2 || st.BaselineHits != 2 {
+		t.Fatalf("the Oracle job ran a pass of its own: %+v", st)
+	}
+}
