@@ -116,11 +116,13 @@ func main() {
 		if *users > 0 && len(cohortFlags) > 0 {
 			fatal(fmt.Errorf("-users and -cohort are mutually exclusive (cohort specs carry their own users knob)"))
 		}
-		if err := runFleet(profileFlags, cohortFlags, *users, *seed, *duration,
+		header, table, err := runFleet(profileFlags, cohortFlags, *users, *seed, *duration,
 			*polName, *actName, *burstGap,
-			fleet.Options{Workers: *parallel, Shards: *shards}); err != nil {
+			fleet.Options{Workers: *parallel, Shards: *shards})
+		if err != nil {
 			fatal(err)
 		}
+		fmt.Print(header, table)
 		return
 	}
 
@@ -464,19 +466,21 @@ func cohortFromFlag(raw string, seed int64, burstGap time.Duration) (fleet.Cohor
 	return cohort, label, nil
 }
 
-// runFleet replays synthetic cohorts on the sharded runtime and prints
-// streaming aggregates — no per-user result is retained. A single profile
-// with the flat -users population keeps the historical single-table
-// output; repeated -profile/-cohort flags sweep a grid, one deterministic
-// fleet run per cohort × profile × scheme cell, rendered one row per cell.
-func runFleet(profileFlags, cohortFlags []string, users int, seed int64, duration time.Duration, polName, actName string, burstGap time.Duration, fopts fleet.Options) error {
+// runFleet replays synthetic cohorts on the sharded runtime and returns
+// streaming aggregates — no per-user result is retained — as a one-line
+// header (which carries the wall time) and the rendered table. A single
+// profile with the flat -users population keeps the historical
+// single-table output; repeated -profile/-cohort flags sweep a grid, one
+// deterministic fleet run per cohort × profile × scheme cell, rendered one
+// row per cell.
+func runFleet(profileFlags, cohortFlags []string, users int, seed int64, duration time.Duration, polName, actName string, burstGap time.Duration, fopts fleet.Options) (header, table string, err error) {
 	var schemes []fleet.Scheme
 	if polName == "all" {
 		schemes = experiments.FleetSchemes(burstGap)
 	} else {
 		s, err := fleetScheme(polName, actName, burstGap)
 		if err != nil {
-			return err
+			return "", "", err
 		}
 		schemes = []fleet.Scheme{s}
 	}
@@ -496,7 +500,7 @@ func runFleet(profileFlags, cohortFlags []string, users int, seed int64, duratio
 		for _, raw := range cohortFlags {
 			cohort, label, err := cohortFromFlag(raw, seed, burstGap)
 			if err != nil {
-				return err
+				return "", "", err
 			}
 			cohorts = append(cohorts, experiments.LabeledCohort{Cohort: cohort, Label: label})
 		}
@@ -506,7 +510,7 @@ func runFleet(profileFlags, cohortFlags []string, users int, seed int64, duratio
 	for _, raw := range profileFlags {
 		prof, err := resolveProfile(raw)
 		if err != nil {
-			return err
+			return "", "", err
 		}
 		profs = append(profs, prof)
 	}
@@ -518,13 +522,12 @@ func runFleet(profileFlags, cohortFlags []string, users int, seed int64, duratio
 		start := time.Now()
 		sum, err := fleet.RunSummary(jobs, fopts, fleet.SummaryConfig{})
 		if err != nil {
-			return err
+			return "", "", err
 		}
-		fmt.Printf("fleet: %d users x %d schemes on %s (%s traces, streamed) in %s\n",
+		header = fmt.Sprintf("fleet: %d users x %d schemes on %s (%s traces, streamed) in %s\n",
 			cohort.Users, len(schemes), profs[0].Name, cohort.Duration,
 			time.Since(start).Round(time.Millisecond))
-		fmt.Print(report.SummaryTable(sum).String())
-		return nil
+		return header, report.SummaryTable(sum).String(), nil
 	}
 
 	// Grid sweep, through the shared cell runner — the same execution
@@ -533,13 +536,12 @@ func runFleet(profileFlags, cohortFlags []string, users int, seed int64, duratio
 	start := time.Now()
 	cells, err := experiments.GridCells(fopts, cohorts, profs, schemes)
 	if err != nil {
-		return err
+		return "", "", err
 	}
-	fmt.Printf("fleet grid: %d cohorts x %d profiles x %d schemes = %d cells in %s\n",
+	header = fmt.Sprintf("fleet grid: %d cohorts x %d profiles x %d schemes = %d cells in %s\n",
 		len(cohorts), len(profs), len(schemes), len(cells),
 		time.Since(start).Round(time.Millisecond))
-	fmt.Print(report.GridTable(cells).String())
-	return nil
+	return header, report.GridTable(cells).String(), nil
 }
 
 // fleetScheme adapts the CLI policy spec strings to a fleet scheme. Plain
