@@ -163,15 +163,15 @@ func TestFleetSchemeLabels(t *testing.T) {
 		{"4.5s", "learn(maxdelay=5s)"}: "4.5s+learn(maxdelay=5s)",
 	}
 	for in, want := range cases {
-		s, err := fleetScheme(in[0], in[1], time.Second)
+		ss, err := fleetSchemeSpec(in[0], in[1], time.Second)
 		if err != nil {
 			t.Fatalf("%v: %v", in, err)
 		}
-		if s.Name != want {
-			t.Errorf("fleetScheme(%v) label %q, want %q", in, s.Name, want)
+		if ss.Label != want {
+			t.Errorf("fleetSchemeSpec(%v) label %q, want %q", in, ss.Label, want)
 		}
 	}
-	if _, err := fleetScheme("makeidle", "procrastinate", time.Second); err == nil {
+	if _, err := fleetSchemeSpec("makeidle", "procrastinate", time.Second); err == nil {
 		t.Fatal("unknown active accepted in fleet mode")
 	}
 }

@@ -124,13 +124,13 @@ func LifetimeEstimate(cfg Config) (string, error) {
 	// the radio's share to the 2G/14h vs 3G/6.7h gap.
 	totalMW := b.EnergyJ() / (6.7 * 3600) * 1000
 	const radioShare = 0.52
+	savings, _, err := carrierGrid(carriers, cfg)
+	if err != nil {
+		return "", err
+	}
 	for _, prof := range carriers {
-		savings, _, err := CarrierResults(prof, cfg)
-		if err != nil {
-			return "", err
-		}
-		mi := savings[SchemeMakeIdle]
-		comb := savings[SchemeCombLearn]
+		mi := savings[prof.Name][SchemeMakeIdle]
+		comb := savings[prof.Name][SchemeCombLearn]
 		t.AddRowf(prof.Name,
 			mi, b.LifetimeGain(totalMW, radioShare, mi).Hours(),
 			comb, b.LifetimeGain(totalMW, radioShare, comb).Hours())

@@ -149,12 +149,12 @@ type SchemeResult struct {
 	SavedPerSwitchJ float64
 }
 
-// FleetSchemes returns the six evaluated schemes as fleet schemes, in
-// figure-legend order, built through the policy registry (the same specs
-// the CLI flags and the /v1 HTTP API resolve) with the paper's
-// figure-legend labels. burstGap parameterizes the trace-fitted
-// MakeActive bound (<= 0 means the simulator's 1 s default).
-func FleetSchemes(burstGap time.Duration) []fleet.Scheme {
+// FleetSchemes returns the six evaluated schemes as scheme specs (the
+// specs the CLI flags and the /v1 HTTP API resolve), in figure-legend
+// order, with the paper's figure-legend labels. burstGap parameterizes
+// the trace-fitted MakeActive bound (<= 0 means the simulator's 1 s
+// default).
+func FleetSchemes(burstGap time.Duration) []fleet.SchemeSpec {
 	if burstGap <= 0 {
 		burstGap = time.Second
 	}
@@ -166,7 +166,7 @@ func FleetSchemes(burstGap time.Duration) []fleet.Scheme {
 		ss.Active = &policy.Spec{Name: active, Params: params}
 		return ss
 	}
-	specs := []fleet.SchemeSpec{
+	return []fleet.SchemeSpec{
 		demote(SchemeFourFive, "4.5s"),
 		demote(Scheme95IAT, "95iat"),
 		demote(SchemeMakeIdle, "makeidle"),
@@ -174,6 +174,12 @@ func FleetSchemes(burstGap time.Duration) []fleet.Scheme {
 		combined(SchemeCombLearn, "learn", nil),
 		combined(SchemeCombFix, "fix", map[string]any{"burstgap": burstGap}),
 	}
+}
+
+// fleetSchemes resolves FleetSchemes through the policy registry, for the
+// experiments that replay materialized traces scheme by scheme.
+func fleetSchemes(burstGap time.Duration) []fleet.Scheme {
+	specs := FleetSchemes(burstGap)
 	schemes := make([]fleet.Scheme, len(specs))
 	for i, ss := range specs {
 		s, err := fleet.SchemeFromSpec(policy.Default(), ss)
@@ -250,7 +256,7 @@ func runSchemesFleet(tr trace.Trace, prof power.Profile, opts *sim.Options, fopt
 	if opts != nil {
 		bg = opts.BurstGap
 	}
-	schemes := FleetSchemes(bg)
+	schemes := fleetSchemes(bg)
 	rows := append([]fleet.Scheme{statusQuoScheme()}, schemes...)
 	jobs := make([]fleet.Job, 0, len(rows))
 	for _, s := range rows {

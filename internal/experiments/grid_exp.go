@@ -5,59 +5,35 @@ import (
 	"strings"
 
 	"repro/internal/fleet"
+	"repro/internal/jobs"
 	"repro/internal/policy"
 	"repro/internal/power"
-	"repro/internal/report"
-	"repro/internal/workload"
 )
 
-// This file is the experiments-layer face of the sweep grid: the same
-// execution shape the service's grid jobs use — one deterministic fleet
-// run per scheme × profile × cohort cell, cohort-major order — driven
-// directly on the fleet runtime. The cross-carrier figures (17/18) and
-// the grid experiment are built on it.
+// This file is the experiments-layer face of the sweep grid: every
+// grid-shaped experiment (the cross-carrier figures 17/18, the tail
+// sweep and the grid experiment) is a jobs.Spec run to completion by
+// jobs.Run, on the same plan, cell executor and trace cache the service's
+// grid jobs use — so each cell's summary is byte-identical to the
+// service's cell on the same spec, at any worker count.
 
-// LabeledCohort pairs a runnable cohort with its grid axis label.
-type LabeledCohort struct {
-	Cohort fleet.Cohort
-	Label  string
+// runGrid runs the scheme × profile × cohort grid under the config's
+// seed, shards and worker count.
+func (c Config) runGrid(schemes []fleet.SchemeSpec, profiles []power.ProfileSpec, cohorts []fleet.CohortSpec) (*jobs.Result, error) {
+	return jobs.Run(jobs.Spec{
+		Seed:     c.Seed,
+		Schemes:  schemes,
+		Profiles: profiles,
+		Cohorts:  cohorts,
+		Shards:   c.Shards,
+	}, jobs.Config{Workers: c.Workers})
 }
 
-// CohortFor resolves a cohort spec against the default registry, rooted
-// at the experiment seed.
-func CohortFor(cs fleet.CohortSpec, seed int64) (LabeledCohort, error) {
-	cohort, err := fleet.CohortFromSpec(workload.Cohorts(), cs, seed, nil)
-	if err != nil {
-		return LabeledCohort{}, err
-	}
-	label, err := cs.ResolvedLabel(workload.Cohorts())
-	if err != nil {
-		return LabeledCohort{}, err
-	}
-	return LabeledCohort{Cohort: cohort, Label: label}, nil
-}
-
-// GridCells executes the cross product cohort-major (then profile, then
-// scheme), one independent fleet run per cell over the cell's streamed
-// cohort — so every cell's summary is byte-identical to a single-axis run
-// of the same cell, at any worker count.
-func GridCells(fopts fleet.Options, cohorts []LabeledCohort, profs []power.Profile, schemes []fleet.Scheme) ([]report.GridCell, error) {
-	cells := make([]report.GridCell, 0, len(cohorts)*len(profs)*len(schemes))
-	for _, lc := range cohorts {
-		for _, prof := range profs {
-			for _, s := range schemes {
-				sum, err := fleet.RunSummary(lc.Cohort.Jobs(prof, []fleet.Scheme{s}),
-					fopts, fleet.SummaryConfig{})
-				if err != nil {
-					return nil, fmt.Errorf("cell %s/%s/%s: %w", s.Name, prof.Name, lc.Label, err)
-				}
-				cells = append(cells, report.GridCell{
-					Scheme: s.Name, Profile: prof.Name, Cohort: lc.Label, Summary: sum,
-				})
-			}
-		}
-	}
-	return cells, nil
+// carrierSpec is the profile axis value of a built-in Table 2 carrier,
+// labeled by its display name (a registered alias) as the figures print
+// it.
+func carrierSpec(prof power.Profile) power.ProfileSpec {
+	return power.ProfileSpec{Label: prof.Name, Name: prof.Name}
 }
 
 // GridSweep is the registry-era three-axis parameter study: a grid of
@@ -68,65 +44,28 @@ func GridCells(fopts fleet.Options, cohorts []LabeledCohort, profs []power.Profi
 // hypotheticals, exactly as the service's grid jobs run it.
 func GridSweep(cfg Config) (string, error) {
 	cfg = cfg.withDefaults()
-
-	schemes, err := schemesFromSpecs([]fleet.SchemeSpec{
+	schemes := []fleet.SchemeSpec{
 		{Label: SchemeFourFive, Policy: policy.Spec{Name: "4.5s"}},
 		{Label: SchemeMakeIdle, Policy: policy.Spec{Name: "makeidle"}},
-	})
-	if err != nil {
-		return "", fmt.Errorf("grid: %w", err)
 	}
-
-	profSpecs := []power.ProfileSpec{
+	profiles := []power.ProfileSpec{
 		{Name: "verizon-3g"},
 		{Name: "verizon-lte"},
 		{Name: "verizon-lte", Params: map[string]any{"t1": "5s"}},
 	}
-	profs := make([]power.Profile, 0, len(profSpecs))
-	for _, ps := range profSpecs {
-		prof, err := ps.Profile(power.Default())
-		if err != nil {
-			return "", fmt.Errorf("grid: %w", err)
-		}
-		profs = append(profs, prof)
-	}
-
 	dur := cfg.UserDuration.String()
-	cohortSpecs := []fleet.CohortSpec{
+	cohorts := []fleet.CohortSpec{
 		{Name: "study-3g", Params: map[string]any{"users": cfg.Users, "duration": dur}},
 		{Name: "mix", Params: map[string]any{"users": cfg.Users, "duration": dur, "im": 2, "email": 1}},
 	}
-	cohorts := make([]LabeledCohort, 0, len(cohortSpecs))
-	for _, cs := range cohortSpecs {
-		lc, err := CohortFor(cs, cfg.Seed)
-		if err != nil {
-			return "", fmt.Errorf("grid: %w", err)
-		}
-		cohorts = append(cohorts, lc)
-	}
-
-	cells, err := GridCells(cfg.fleetOpts(), cohorts, profs, schemes)
+	res, err := cfg.runGrid(schemes, profiles, cohorts)
 	if err != nil {
 		return "", fmt.Errorf("grid: %w", err)
 	}
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Sweep grid: %d schemes x %d profiles x %d cohorts = %d cells (seed %d)\n",
-		len(schemes), len(profs), len(cohorts), len(cells), cfg.Seed)
-	sb.WriteString(report.GridTable(cells).String())
+		len(schemes), len(profiles), len(cohorts), len(res.Cells), cfg.Seed)
+	sb.WriteString(res.Text())
 	return sb.String(), nil
-}
-
-// schemesFromSpecs resolves scheme specs through the default policy
-// registry.
-func schemesFromSpecs(specs []fleet.SchemeSpec) ([]fleet.Scheme, error) {
-	schemes := make([]fleet.Scheme, 0, len(specs))
-	for _, ss := range specs {
-		s, err := fleet.SchemeFromSpec(policy.Default(), ss)
-		if err != nil {
-			return nil, err
-		}
-		schemes = append(schemes, s)
-	}
-	return schemes, nil
 }

@@ -28,7 +28,7 @@ func ConfusionFor(tr trace.Trace, prof power.Profile, d policy.DemotePolicy) (me
 
 // confusionPolicies are the three §6.3 policies as fleet schemes.
 func confusionPolicies() []fleet.Scheme {
-	all := FleetSchemes(0)
+	all := fleetSchemes(0)
 	return []fleet.Scheme{all[0], all[1], all[2]} // 4.5-second, 95% IAT, MakeIdle
 }
 

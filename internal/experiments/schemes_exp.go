@@ -23,7 +23,7 @@ func Fig9(cfg Config) (string, error) {
 		seeds[i] = cfg.Seed + int64(i)
 		traces[i] = workload.Generate(app, seeds[i], cfg.AppDuration)
 	}
-	schemes := FleetSchemes(0)
+	schemes := fleetSchemes(0)
 	jobs := schemeMatrixJobs(traces, seeds, power.TMobile3G, schemes, nil)
 	cells, err := fleet.Run(jobs, cfg.fleetOpts(), fleet.Collect())
 	if err != nil {
@@ -49,7 +49,7 @@ func Fig9(cfg Config) (string, error) {
 // switches, and energy saved per switch.
 func perUserTables(title string, users []workload.User, prof power.Profile, cfg Config) (string, error) {
 	traces, seeds := userTraces(users, cfg.Seed, cfg.UserDuration)
-	schemes := FleetSchemes(0)
+	schemes := fleetSchemes(0)
 	jobs := schemeMatrixJobs(traces, seeds, prof, schemes, nil)
 	cells, err := fleet.Run(jobs, cfg.fleetOpts(), fleet.Collect())
 	if err != nil {
@@ -93,36 +93,48 @@ func Fig11(cfg Config) (string, error) {
 
 // CarrierResults runs the study cohort against one carrier profile and
 // averages each scheme's metrics — the computation behind Figs. 17/18.
-// The same cohort (the full 3G study mixes, stationary, one user per mix)
-// is replayed against every carrier, as in §6.5. It is built on the grid
-// path: the cohort comes from the cohort registry and each scheme is one
-// independent fleet cell over the identical streamed cohort, so results
-// are identical for any worker count and byte-identical to the service's
-// grid cells on the same spec.
+// prof must be a built-in Table 2 carrier (it resolves by display name).
 func CarrierResults(prof power.Profile, cfg Config) (map[string]float64, map[string]float64, error) {
+	savings, ratios, err := carrierGrid([]power.Profile{prof}, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return savings[prof.Name], ratios[prof.Name], nil
+}
+
+// carrierGrid replays the study cohort (the full 3G study mixes,
+// stationary, one user per mix) against every carrier profile, as in
+// §6.5, as one grid of the six schemes × profs, and returns each
+// scheme's mean savings and switch ratio keyed by carrier display name,
+// then scheme label. Each cell is an independent fleet run over the
+// identical streamed cohort, so results are identical for any worker
+// count and byte-identical to the service's grid cells on the same spec.
+func carrierGrid(profs []power.Profile, cfg Config) (savings, ratios map[string]map[string]float64, err error) {
 	cfg = cfg.withDefaults()
-	lc, err := CohortFor(fleet.CohortSpec{
+	specs := make([]power.ProfileSpec, len(profs))
+	for i, prof := range profs {
+		specs[i] = carrierSpec(prof)
+	}
+	res, err := cfg.runGrid(FleetSchemes(0), specs, []fleet.CohortSpec{{
 		Name: "study-3g",
 		Params: map[string]any{
 			"users":    len(workload.Verizon3GUsers()),
 			"duration": cfg.UserDuration.String(),
 			"diurnal":  false,
 		},
-	}, cfg.Seed)
+	}})
 	if err != nil {
 		return nil, nil, err
 	}
-	cells, err := GridCells(cfg.fleetOpts(), []LabeledCohort{lc},
-		[]power.Profile{prof}, FleetSchemes(0))
-	if err != nil {
-		return nil, nil, err
-	}
-	savings := map[string]float64{}
-	ratios := map[string]float64{}
-	for _, c := range cells {
+	savings = map[string]map[string]float64{}
+	ratios = map[string]map[string]float64{}
+	for _, c := range res.Cells {
+		if savings[c.Profile] == nil {
+			savings[c.Profile], ratios[c.Profile] = map[string]float64{}, map[string]float64{}
+		}
 		a := c.Summary.Schemes[c.Scheme]
-		savings[c.Scheme] = a.SavingsPct.Mean
-		ratios[c.Scheme] = a.SwitchRatio.Mean
+		savings[c.Profile][c.Scheme] = a.SavingsPct.Mean
+		ratios[c.Profile][c.Scheme] = a.SwitchRatio.Mean
 	}
 	return savings, ratios, nil
 }
@@ -136,14 +148,14 @@ func Fig17(cfg Config) (string, error) {
 	cfg = cfg.withDefaults()
 	headers := append([]string{"Carrier"}, SchemeNames()...)
 	t := report.NewTable("Figure 17: energy saved for different carrier parameters (%)", headers...)
+	savings, _, err := carrierGrid(carriers, cfg)
+	if err != nil {
+		return "", fmt.Errorf("fig17: %w", err)
+	}
 	for _, prof := range carriers {
-		savings, _, err := CarrierResults(prof, cfg)
-		if err != nil {
-			return "", fmt.Errorf("fig17 %s: %w", prof.Name, err)
-		}
 		row := []interface{}{prof.Name}
-		for _, k := range schemeOrder(savings) {
-			row = append(row, savings[k])
+		for _, k := range schemeOrder(savings[prof.Name]) {
+			row = append(row, savings[prof.Name][k])
 		}
 		t.AddRowf(row...)
 	}
@@ -156,14 +168,14 @@ func Fig18(cfg Config) (string, error) {
 	cfg = cfg.withDefaults()
 	headers := append([]string{"Carrier"}, SchemeNames()...)
 	t := report.NewTable("Figure 18: state switches normalized by status quo", headers...)
+	_, ratios, err := carrierGrid(carriers, cfg)
+	if err != nil {
+		return "", fmt.Errorf("fig18: %w", err)
+	}
 	for _, prof := range carriers {
-		_, ratios, err := CarrierResults(prof, cfg)
-		if err != nil {
-			return "", fmt.Errorf("fig18 %s: %w", prof.Name, err)
-		}
 		row := []interface{}{prof.Name}
-		for _, k := range schemeOrder(ratios) {
-			row = append(row, ratios[k])
+		for _, k := range schemeOrder(ratios[prof.Name]) {
+			row = append(row, ratios[prof.Name][k])
 		}
 		t.AddRowf(row...)
 	}

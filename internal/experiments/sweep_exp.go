@@ -15,9 +15,11 @@ import (
 // but the fixed scheme list could not express: one diurnal cohort
 // replayed under a grid of fixed dormancy tails (the knob Falaki et al.
 // pin at 4.5 s) plus MakeIdle, every scheme built from a parameterized
-// spec. Each scheme runs as its own fleet run over the identical streamed
-// cohort, so rows are directly comparable and byte-reproducible at any
-// worker count — the same execution shape the service's sweep jobs use.
+// spec. It is one single-axis grid job, so each scheme is its own cell
+// over the identical streamed cohort, rows are directly comparable and
+// byte-reproducible at any worker count, and the rendered aggregates are
+// the job's in-order merge of its cells — the shape the service's sweep
+// jobs use.
 func TailSweep(cfg Config) (string, error) {
 	cfg = cfg.withDefaults()
 	specs := []fleet.SchemeSpec{
@@ -27,30 +29,13 @@ func TailSweep(cfg Config) (string, error) {
 		{Policy: policy.Spec{Name: "fixedtail", Params: map[string]any{"wait": 8 * time.Second}}},
 		{Policy: policy.Spec{Name: "makeidle"}},
 	}
-	cohort := fleet.Cohort{
-		Users:    cfg.Users,
-		Seed:     cfg.Seed,
-		Duration: cfg.UserDuration,
-		Diurnal:  true,
-	}
 	prof := power.Verizon3G
-
-	sum := fleet.NewSummary(fleet.SummaryConfig{})
-	labels := make([]string, 0, len(specs))
-	for _, ss := range specs {
-		scheme, err := fleet.SchemeFromSpec(policy.Default(), ss)
-		if err != nil {
-			return "", fmt.Errorf("sweep: %w", err)
-		}
-		labels = append(labels, scheme.Name)
-		one, err := fleet.RunSummary(cohort.Jobs(prof, []fleet.Scheme{scheme}),
-			cfg.fleetOpts(), fleet.SummaryConfig{})
-		if err != nil {
-			return "", fmt.Errorf("sweep: scheme %s: %w", scheme.Name, err)
-		}
-		if err := sum.Merge(one); err != nil {
-			return "", fmt.Errorf("sweep: scheme %s: %w", scheme.Name, err)
-		}
+	res, err := cfg.runGrid(specs, []power.ProfileSpec{carrierSpec(prof)},
+		[]fleet.CohortSpec{{Name: "study-3g", Params: map[string]any{
+			"users": cfg.Users, "duration": cfg.UserDuration, "diurnal": true,
+		}}})
+	if err != nil {
+		return "", fmt.Errorf("sweep: %w", err)
 	}
 
 	var sb strings.Builder
@@ -58,9 +43,9 @@ func TailSweep(cfg Config) (string, error) {
 		cfg.Users, len(specs), prof.Name, cfg.UserDuration)
 	t := report.NewTable("per-scheme cohort aggregates (sweep order)",
 		"scheme", "energy_mean_j", "savings_pct_mean", "switch_ratio_mean")
-	for _, label := range labels {
-		a := sum.Schemes[label]
-		t.AddRowf(label, a.Energy.Mean, a.SavingsPct.Mean, a.SwitchRatio.Mean)
+	for _, c := range res.Cells {
+		a := res.Summary.Schemes[c.Scheme]
+		t.AddRowf(c.Scheme, a.Energy.Mean, a.SavingsPct.Mean, a.SwitchRatio.Mean)
 	}
 	sb.WriteString(t.String())
 	return sb.String(), nil

@@ -27,23 +27,18 @@ type CohortSpec struct {
 // Spec returns the underlying spec value.
 func (cs CohortSpec) Spec() spec.Spec { return spec.Spec{Name: cs.Name, Params: cs.Params} }
 
-// ResolvedLabel returns the cohort's axis label: the explicit Label, or
-// the registry-derived one.
-func (cs CohortSpec) ResolvedLabel(r *workload.CohortRegistry) (string, error) {
-	if cs.Label != "" {
-		return cs.Label, nil
-	}
-	return r.Label(cs.Spec())
-}
-
 // Canonical returns the byte-stable encoding of the cohort axis value —
-// "label|canonicalCohort" — which feeds the v4 job fingerprint: stable
+// "label|canonicalCohort", the label being the explicit Label or the
+// registry-derived one — which feeds the v4 job fingerprint: stable
 // across alias spelling, param-map ordering and omitted defaults; changed
 // by any parameter value or label change.
 func (cs CohortSpec) Canonical(r *workload.CohortRegistry) (string, error) {
-	label, err := cs.ResolvedLabel(r)
-	if err != nil {
-		return "", err
+	label := cs.Label
+	if label == "" {
+		var err error
+		if label, err = r.Label(cs.Spec()); err != nil {
+			return "", err
+		}
 	}
 	canon, err := r.Canonical(cs.Spec())
 	if err != nil {
@@ -52,42 +47,21 @@ func (cs CohortSpec) Canonical(r *workload.CohortRegistry) (string, error) {
 	return label + "|" + canon, nil
 }
 
-// CohortFromSpec resolves a CohortSpec against a registry into a runnable
-// Cohort rooted at seed: parameters are coerced and bounds-checked eagerly
-// (so typos and out-of-range populations fail before a fleet spins up) and
-// the resolved plan's mixes, duration, diurnal mask and seed stride carry
-// over. opts applies to every replay of the cohort (burst gap, recording).
-func CohortFromSpec(r *workload.CohortRegistry, cs CohortSpec, seed int64, opts *sim.Options) (Cohort, error) {
-	plan, err := r.Plan(cs.Spec())
-	if err != nil {
-		return Cohort{}, err
-	}
-	return cohortFromPlan(plan, seed, opts), nil
-}
-
-func cohortFromPlan(plan workload.CohortPlan, seed int64, opts *sim.Options) Cohort {
-	return Cohort{
-		Users:      plan.Users,
-		Seed:       seed,
-		Duration:   plan.Duration,
-		Diurnal:    plan.Diurnal,
-		Mixes:      plan.Mixes,
-		SeedStride: plan.SeedStride,
-		Opts:       opts,
-	}
-}
-
 // ResolvedCohort is one resolution pass over a cohort axis value: the
 // runnable Cohort, the axis label, and the axis canonical encoding
-// ("label|canonicalCohort") — each byte-identical to CohortFromSpec,
-// ResolvedLabel and Canonical.
+// ("label|canonicalCohort", byte-identical to Canonical).
 type ResolvedCohort struct {
 	Cohort    Cohort
 	Label     string
 	Canonical string
 }
 
-// ResolveCohort resolves the axis value once and returns the full bundle.
+// ResolveCohort resolves the axis value once and returns the full bundle:
+// parameters are coerced and bounds-checked eagerly (so typos and
+// out-of-range populations fail before a fleet spins up), the resolved
+// plan's mixes, duration, diurnal mask and seed stride carry over, and the
+// cohort is rooted at seed. opts applies to every replay of the cohort
+// (burst gap, recording).
 func ResolveCohort(r *workload.CohortRegistry, cs CohortSpec, seed int64, opts *sim.Options) (ResolvedCohort, error) {
 	res, err := r.Resolution(cs.Spec())
 	if err != nil {
@@ -97,7 +71,15 @@ func ResolveCohort(r *workload.CohortRegistry, cs CohortSpec, seed int64, opts *
 	if label == "" {
 		label = res.Label
 	}
-	c := cohortFromPlan(res.Plan, seed, opts)
+	c := Cohort{
+		Users:      res.Plan.Users,
+		Seed:       seed,
+		Duration:   res.Plan.Duration,
+		Diurnal:    res.Plan.Diurnal,
+		Mixes:      res.Plan.Mixes,
+		SeedStride: res.Plan.SeedStride,
+		Opts:       opts,
+	}
 	// The cohort canonical determines the packet streams up to the seed,
 	// which is exactly the trace cache's key contract — every cell of this
 	// cohort replays the same memoized traffic.

@@ -473,6 +473,25 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	return job, nil
 }
 
+// Run executes spec to completion on a private Manager configured by cfg
+// and returns its result: Submit, wait, Close. It is how a one-shot
+// caller (a CLI, an experiment) runs a grid, on the same plan, cell
+// executor and trace cache the service uses, so its cells are
+// byte-identical to the service's cells on the same spec.
+func Run(spec Spec, cfg Config) (*Result, error) {
+	m := NewManager(cfg)
+	defer m.Close()
+	job, err := m.Submit(spec)
+	if err != nil {
+		return nil, err
+	}
+	<-job.Done()
+	if err := job.Err(); err != nil {
+		return nil, err
+	}
+	return job.Result(), nil
+}
+
 // currentState reads the job's state under its lock.
 func (j *Job) currentState() State {
 	j.mu.Lock()
