@@ -22,7 +22,6 @@
 //	internal/rrc        the RRC state machine (Fig. 2)
 //	internal/experts    fixed-share + Learn-alpha online learning
 //	internal/policy     MakeIdle, MakeActive and the baselines
-//	internal/core       the on-device control module (Fig. 4)
 //	internal/sim        the trace-driven simulator (§6)
 //	internal/metrics    savings, switch ratios, FP/FN, delay stats
 //	internal/workload   synthetic app/user workload generators
