@@ -35,9 +35,9 @@ package jobs
 //
 // Cancellation and failure drain: the dispatcher stops launching (marking
 // undispatched slots canceled), in-flight cells observe job.cancel through
-// the fleet and return, and the collector waits for every launched cell
-// goroutine before finishing the job — no cell goroutine ever outlives its
-// job, so Manager.Close's drain semantics are unchanged.
+// the fleet and return, and the collector waits for the dispatcher and
+// every launched cell goroutine before finishing the job — neither ever
+// outlives its job, so Manager.Close's drain semantics are unchanged.
 
 import (
 	"errors"
@@ -135,7 +135,11 @@ func newCellExec(m *Manager, job *Job, spec Spec, cells []gridCell) *cellExec {
 // and is the only writer of job.finish for a running job.
 func (e *cellExec) run() {
 	go e.watchHalt()
-	go e.dispatch()
+	e.wg.Add(1)
+	go func() {
+		defer e.wg.Done()
+		e.dispatch()
+	}()
 
 	results := make([]*CellResult, 0, len(e.cells))
 	var firstErr error
@@ -148,10 +152,13 @@ func (e *cellExec) run() {
 		results = append(results, e.slots[i].res)
 	}
 	// Stop the dispatcher (it may still be walking the plan when the
-	// collector broke on an error) and drain every launched cell before
-	// finishing — a finished job must have no goroutines still replaying.
+	// collector broke on an error) and drain it and every launched cell
+	// before finishing — a finished job must have no goroutines still
+	// replaying. Then drop the plan: the job's partial closure keeps the
+	// executor alive, and it reads only the slots.
 	e.halt()
 	e.wg.Wait()
+	e.cells = nil
 
 	if firstErr != nil {
 		if errors.Is(firstErr, fleet.ErrCanceled) {
@@ -309,6 +316,7 @@ func (e *cellExec) finishSlot(i int, res *CellResult, err error) {
 	e.slots[i].res = res
 	e.slots[i].err = err
 	e.slots[i].finished = true
+	e.slots[i].snap = nil // a finished slot's partial is its result
 	if err == nil {
 		e.publishLocked()
 	}

@@ -199,7 +199,10 @@ func rfc3339(t time.Time) string {
 	return t.UTC().Format(time.RFC3339Nano)
 }
 
-// finish moves the job to a terminal state exactly once.
+// finish moves the job to a terminal state exactly once. It drops the
+// job's plan: a runner executes its own copy, and nothing reads the plan
+// after a terminal state, so a finished record in the registry does not
+// pin its grid's cohorts, scheme closures, wait lists and cell keys.
 func (j *Job) finish(state State, res *Result, err error) {
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -207,6 +210,7 @@ func (j *Job) finish(state State, res *Result, err error) {
 		return
 	}
 	j.state = state
+	j.cells = nil
 	j.result = res
 	j.err = err
 	j.finished = time.Now()
@@ -278,13 +282,17 @@ type Config struct {
 	// also drops the slabs that only the job before last touched, so jobs
 	// with fresh seeds do not fill the budget with traffic nobody
 	// replays; a slab a later job touches stays under the LRU budget.
-	// Each retained slab also carries its user's StatusQuo baselines, one
-	// per (profile, simulation options), so a grid replays a baseline once
-	// per (cohort, profile, user) rather than once per cell; they cost no
-	// budget and go when the slab goes. Results are unchanged: the codec
-	// round-trips bit-exactly, replaying the slab is byte-identical to
-	// streaming the same seed, and a memoized baseline holds the same two
-	// scalars its replay produces.
+	// Each retained slab also carries its user's memoized replays: every
+	// wait-rule replay (the StatusQuo baseline, constant waits, Oracle
+	// thresholds and fitted constant-wait timers, all of a (profile,
+	// simulation options) replayed in one pass) and the fitted policy
+	// halves, so a grid replays its wait rules once per (cohort, profile,
+	// user) and fits a policy once per (cohort, user), or per profile too
+	// when its fit reads the profile, rather than once per cell; they
+	// cost no budget and go when the slab goes. Results are
+	// unchanged: the codec round-trips bit-exactly, replaying the slab is
+	// byte-identical to streaming the same seed, and a memoized replay or
+	// fit holds exactly what recomputing it produces.
 	TraceCacheBytes int64
 
 	// runFleet overrides the fleet call in tests; nil means the real one.

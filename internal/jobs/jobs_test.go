@@ -3,7 +3,9 @@ package jobs
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/policy"
@@ -362,4 +364,68 @@ func mustGet(t *testing.T, m *Manager, id string) *Job {
 		t.Fatalf("job %s not found", id)
 	}
 	return j
+}
+
+// TestTerminalJobsReleasePlan: a finished job and a job canceled while
+// queued stay in the registry, but neither pins its grid plan — not
+// through the job record, and not through the executor its partial
+// closure keeps alive. A finalizer on the plan's backing array must run
+// once both jobs are terminal.
+func TestTerminalJobsReleasePlan(t *testing.T) {
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	m := NewManager(Config{Runners: 1, CacheSize: -1,
+		runFleet: blockingRunner(started, release)})
+	defer m.Close()
+
+	collected := make(chan string, 2)
+	watchPlan := func(job *Job, name string) {
+		job.mu.Lock()
+		defer job.mu.Unlock()
+		runtime.SetFinalizer(&job.cells[0], func(*gridCell) { collected <- name })
+	}
+	running, err := m.Submit(testSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	watchPlan(running, "finished")
+	queued, err := m.Submit(testSpec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	watchPlan(queued, "canceled while queued")
+	m.Cancel(queued.ID())
+	<-queued.Done()
+	close(release)
+	<-running.Done()
+	if running.Status().State != StateDone || running.Partial() == nil {
+		t.Fatalf("first job: %+v", running.Status())
+	}
+	for _, j := range []*Job{running, queued} {
+		j.mu.Lock()
+		held := j.cells != nil
+		j.mu.Unlock()
+		if held {
+			t.Errorf("%s: terminal job still holds its plan", j.ID())
+		}
+	}
+
+	released := map[string]bool{}
+	for i := 0; i < 50 && len(released) < 2; i++ {
+		runtime.GC()
+		select {
+		case name := <-collected:
+			released[name] = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	for _, name := range []string{"finished", "canceled while queued"} {
+		if !released[name] {
+			t.Errorf("%s job's plan is still reachable", name)
+		}
+	}
+	// Both records (and so whatever they reference) stay registered.
+	mustGet(t, m, running.ID())
+	mustGet(t, m, queued.ID())
 }
