@@ -32,7 +32,7 @@ func TailSweep(cfg Config) (string, error) {
 	prof := power.Verizon3G
 	res, err := cfg.runGrid(specs, []power.ProfileSpec{carrierSpec(prof)},
 		[]fleet.CohortSpec{{Name: "study-3g", Params: map[string]any{
-			"users": cfg.Users, "duration": cfg.UserDuration, "diurnal": true,
+			"users": cfg.Users, "duration": cfg.UserDuration.String(), "diurnal": true,
 		}}})
 	if err != nil {
 		return "", fmt.Errorf("sweep: %w", err)
