@@ -1,6 +1,7 @@
-// Benchmark harness: one benchmark per paper table/figure (see DESIGN.md's
-// per-experiment index), plus the §6.6 algorithm-overhead measurement and
-// ablation benches for the design knobs called out in DESIGN.md.
+// Benchmark harness: one benchmark per paper table/figure (`experiments
+// -list` enumerates them), plus the §6.6 algorithm-overhead measurement and
+// ablation benches for the design knobs that docs/architecture.md
+// ("MakeIdle's decision cost") describes.
 //
 // Run everything:
 //
@@ -224,7 +225,8 @@ func BenchmarkSimulator(b *testing.B) {
 	})
 }
 
-// Ablations (DESIGN.md §5): how the design knobs move the headline result.
+// Ablations (docs/architecture.md, "MakeIdle's decision cost"): how the
+// design knobs move the headline result.
 
 // BenchmarkAblationGridSteps sweeps the wait-grid resolution of MakeIdle's
 // argmax and reports the savings each setting achieves.
@@ -289,8 +291,9 @@ func BenchmarkAblationGamma(b *testing.B) {
 }
 
 // BenchmarkAblationExpectation compares the default strategy expectation
-// against the paper's literal E[E_wait_switch] formula (DESIGN.md §5,
-// decision 2), reporting the savings and FP-driving switch ratio of each.
+// against the paper's literal E[E_wait_switch] formula (docs/architecture.md,
+// "MakeIdle's decision cost"), reporting the savings and FP-driving switch
+// ratio of each.
 func BenchmarkAblationExpectation(b *testing.B) {
 	u := workload.Verizon3GUsers()[0]
 	tr := u.Generate(1, time.Hour)

@@ -66,7 +66,7 @@ func (f *FixedShare) Predict(values []float64) float64 {
 	}
 	var sum float64
 	for i, w := range f.weights {
-		sum += w * values[i]
+		sum += float64(w * values[i])
 	}
 	return sum
 }
@@ -75,12 +75,32 @@ func (f *FixedShare) Predict(values []float64) float64 {
 // appendix's L(alpha_j, t): how well this bank as a whole predicted the
 // last observation. Losses are clamped to keep the exponentials sane.
 func (f *FixedShare) MixLoss(losses []float64) float64 {
-	if len(losses) != len(f.weights) {
-		panic(fmt.Sprintf("experts: %d losses for %d experts", len(losses), len(f.weights)))
+	return f.mixLoss(lossFactors(make([]float64, len(f.weights)), losses))
+}
+
+// Update applies one fixed-share step with the given per-expert losses
+// (the losses observed for the round that just ended).
+func (f *FixedShare) Update(losses []float64) {
+	f.update(lossFactors(make([]float64, len(f.weights)), losses))
+}
+
+// lossFactors stores each clamped loss's factor e^{-L(i)} in dst, one slot
+// per expert, and returns it. It panics if len(losses) != len(dst).
+func lossFactors(dst, losses []float64) []float64 {
+	if len(losses) != len(dst) {
+		panic(fmt.Sprintf("experts: %d losses for %d experts", len(losses), len(dst)))
 	}
+	for i, l := range losses {
+		dst[i] = math.Exp(-clampLoss(l))
+	}
+	return dst
+}
+
+// mixLoss is MixLoss over the round's loss factors.
+func (f *FixedShare) mixLoss(factors []float64) float64 {
 	var z float64
 	for i, w := range f.weights {
-		z += w * math.Exp(-clampLoss(losses[i]))
+		z += float64(w * factors[i])
 	}
 	if z <= 0 {
 		// All experts infinitely bad; return a large finite loss.
@@ -89,19 +109,14 @@ func (f *FixedShare) MixLoss(losses []float64) float64 {
 	return -math.Log(z)
 }
 
-// Update applies one fixed-share step with the given per-expert losses
-// (the losses observed for the round that just ended).
-func (f *FixedShare) Update(losses []float64) {
+// update is Update over the round's loss factors.
+func (f *FixedShare) update(factors []float64) {
 	n := len(f.weights)
-	if len(losses) != n {
-		panic(fmt.Sprintf("experts: %d losses for %d experts", len(losses), n))
-	}
-	// Loss update: tmp_j = p(j) e^{-L(j)}.
-	tmp := make([]float64, n)
+	// Loss update, in place: p(j) <- p(j) e^{-L(j)}.
 	var total float64
-	for j := range tmp {
-		tmp[j] = f.weights[j] * math.Exp(-clampLoss(losses[j]))
-		total += tmp[j]
+	for j := range f.weights {
+		f.weights[j] *= factors[j]
+		total += f.weights[j]
 	}
 	if total <= 0 || math.IsNaN(total) {
 		// Degenerate round: reset to uniform rather than dividing by zero.
@@ -110,7 +125,7 @@ func (f *FixedShare) Update(losses []float64) {
 		}
 		return
 	}
-	// Share update: p(i) = (1-alpha) tmp_i + alpha/(n-1) * (total - tmp_i),
+	// Share update: p(i) = (1-alpha) p(i) + alpha/(n-1) * (total - p(i)),
 	// then normalize.
 	var z float64
 	if n == 1 {
@@ -118,8 +133,8 @@ func (f *FixedShare) Update(losses []float64) {
 		return
 	}
 	share := f.alpha / float64(n-1)
-	for i := range f.weights {
-		f.weights[i] = (1-f.alpha)*tmp[i] + share*(total-tmp[i])
+	for i, w := range f.weights {
+		f.weights[i] = float64((1-f.alpha)*w) + float64(share*(total-w))
 		z += f.weights[i]
 	}
 	for i := range f.weights {
@@ -163,6 +178,9 @@ type LearnAlpha struct {
 	banks   []*FixedShare
 	topW    []float64
 	nValues int
+	// factors is Update's scratch: the round's loss factors e^{-L(i)},
+	// computed once and shared by every bank.
+	factors []float64
 }
 
 // DefaultAlphas returns a reasonable log-spaced grid of switching rates for
@@ -184,7 +202,7 @@ func NewLearnAlpha(n int, alphas []float64) *LearnAlpha {
 		banks[j] = NewFixedShare(n, a)
 		topW[j] = 1 / float64(len(alphas))
 	}
-	return &LearnAlpha{banks: banks, topW: topW, nValues: n}
+	return &LearnAlpha{banks: banks, topW: topW, nValues: n, factors: make([]float64, n)}
 }
 
 // N returns the number of base experts.
@@ -206,7 +224,7 @@ func (l *LearnAlpha) TopWeights() []float64 {
 func (l *LearnAlpha) Predict(values []float64) float64 {
 	var sum float64
 	for j, b := range l.banks {
-		sum += l.topW[j] * b.Predict(values)
+		sum += float64(l.topW[j] * b.Predict(values))
 	}
 	return sum
 }
@@ -214,10 +232,13 @@ func (l *LearnAlpha) Predict(values []float64) float64 {
 // Update consumes the per-expert losses of the round that just ended:
 // the alpha layer re-weights each bank by e^{-MixLoss} (equation 4 with the
 // loss of equation 5), then every bank runs its own fixed-share step.
+// Each loss's factor e^{-L(i)} is computed once and serves both steps of
+// every bank. It panics if len(losses) != N().
 func (l *LearnAlpha) Update(losses []float64) {
+	factors := lossFactors(l.factors, losses)
 	var z float64
 	for j, b := range l.banks {
-		l.topW[j] *= math.Exp(-clampLoss(b.MixLoss(losses)))
+		l.topW[j] *= math.Exp(-clampLoss(b.mixLoss(factors)))
 		z += l.topW[j]
 	}
 	if z <= 0 || math.IsNaN(z) {
@@ -230,7 +251,7 @@ func (l *LearnAlpha) Update(losses []float64) {
 		}
 	}
 	for _, b := range l.banks {
-		b.Update(losses)
+		b.update(factors)
 	}
 }
 

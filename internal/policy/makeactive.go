@@ -123,10 +123,10 @@ func (l *LearnedDelay) Losses(arrivals []time.Duration) []float64 {
 			// Cannot happen when the first burst (offset 0) is included,
 			// but stay safe: an expert that batches nothing is maximally
 			// penalized on the 1/b term.
-			losses[i] = l.gamma*ti + 1
+			losses[i] = float64(l.gamma*ti) + 1
 			continue
 		}
-		losses[i] = l.gamma*delaySum + 1/float64(b)
+		losses[i] = float64(l.gamma*delaySum) + 1/float64(b)
 	}
 	return losses
 }

@@ -1,7 +1,9 @@
 package policy
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -179,23 +181,148 @@ func userDayGaps(tb testing.TB) []time.Duration {
 	return gaps
 }
 
-// TestMakeIdleFilterPrunes guards the point of the filter: on a real
-// user-day the bounds alone settle nearly every decision, so the direct
-// per-wait evaluation almost never runs.
+// TestMakeIdleFilterPrunes guards the point of the bounds: on a real
+// user-day they settle nearly every decision on every carrier, so the
+// direct per-wait evaluation runs for at most 1% of decisions.
 func TestMakeIdleFilterPrunes(t *testing.T) {
-	m, err := NewMakeIdle(power.Verizon3G)
-	if err != nil {
-		t.Fatal(err)
-	}
 	gaps := userDayGaps(t)
-	for _, g := range gaps {
-		m.Observe(g)
-		m.Decide(0)
+	for _, p := range refProfiles()[1:] {
+		m, err := NewMakeIdle(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range gaps {
+			m.Observe(g)
+			m.Decide(0)
+		}
+		per := float64(m.evals) / float64(len(gaps))
+		t.Logf("%s: %.4f direct evaluations per Decide over %d packets", p.Name, per, len(gaps))
+		if per > 0.01 {
+			t.Errorf("%s: the bounds no longer settle decisions: want almost no direct evaluations", p.Name)
+		}
 	}
-	per := float64(m.evals) / float64(len(gaps))
-	t.Logf("%.4f direct evaluations per Decide over %d packets", per, len(gaps))
-	if per > 0.05 {
-		t.Fatal("the filter no longer settles decisions: want almost no direct evaluations")
+}
+
+// extremeProfiles scale the test profile's powers so far down that the
+// fixed-point shift hits its upper clamp (and the energies go subnormal)
+// and so far up that it turns negative.
+func extremeProfiles() []power.Profile {
+	scaled := func(name string, f float64) power.Profile {
+		p := idleProfile()
+		p.Name = name
+		p.SendMW *= f
+		p.RecvMW *= f
+		p.T1MW *= f
+		p.T2MW *= f
+		p.PromotionMW *= f
+		p.RadioOffJ *= f
+		return p
+	}
+	return []power.Profile{scaled("tiny", 1e-300), scaled("subnormal", 1e-310), scaled("huge", 1e250)}
+}
+
+// checkWindowStats recomputes the fixed-point window statistics from the
+// window's samples and fails unless Observe's incremental ones equal them.
+func checkWindowStats(t *testing.T, m *MakeIdle) {
+	t.Helper()
+	n := make([]int64, len(m.bucketN))
+	q := make([]int64, len(m.bucketQ))
+	var g int64
+	wa, wb := m.window()
+	for _, span := range [2][]gapSample{wa, wb} {
+		for _, s := range span {
+			if s.tailQ != m.fixed(s.tailJ) || s.gapQ != m.fixed(s.gapJ) {
+				t.Fatalf("sample %+v: stale fixed-point terms", s)
+			}
+			n[s.bucket]++
+			q[s.bucket] += s.tailQ
+			g += s.gapQ
+		}
+	}
+	if !slices.Equal(n, m.bucketN) || !slices.Equal(q, m.bucketQ) || g != m.sumGapQ {
+		t.Fatalf("incremental window statistics drifted: counts %v sums %v E %d, recomputed %v %v %d",
+			m.bucketN, m.bucketQ, m.sumGapQ, n, q, g)
+	}
+	if top := int64(1) << 52; g >= top || slices.ContainsFunc(m.lower, func(a int64) bool { return a >= top }) {
+		t.Fatalf("a window sum reached 2^52: E %d, A %v", g, m.lower)
+	}
+}
+
+// TestMakeIdleIncrementalStatsMatchReference drives the incremental window
+// statistics through windows from 1 to 10,000 gaps, with a Reset part-way
+// and more than ten refills after it, on the carriers and on
+// profiles at both ends of the fixed-point shift. The statistics must equal
+// a recomputation from the window, and Decide must return exactly the wait
+// referenceDecide computes (checked after every gap for small windows and
+// at about 100 points for large ones).
+func TestMakeIdleIncrementalStatsMatchReference(t *testing.T) {
+	profiles := append(refProfiles(), extremeProfiles()...)
+	windows := []int{1, 2, 3, 10, 100, 1000, 10000}
+	decisions := 0
+	for pi, p := range profiles {
+		for _, n := range windows {
+			if p.Name == "subnormal" && n > 100 {
+				// Subnormal energies leave the bounds no precision: every
+				// decision evaluates all waits directly, O(window·grid).
+				continue
+			}
+			m, err := NewMakeIdle(p, WithWindowSize(n), WithMinSample(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rand.New(rand.NewSource(int64(pi*100000 + n)))
+			steps := 14*n + 40 // past the Reset, more than eleven refills
+			every := max(1, steps/100)
+			for k := 0; k < steps; k++ {
+				if k == 5*n/2+7 {
+					m.Reset()
+					checkWindowStats(t, m)
+				}
+				m.Observe(refGapGens[k%2].gen(r, m.grid, &p))
+				got := m.Decide(0)
+				if k%every != 0 && k != steps-1 {
+					continue
+				}
+				checkWindowStats(t, m)
+				decisions++
+				if want := m.referenceDecide(); got != want {
+					t.Fatalf("%s window=%d step %d: Decide=%v reference=%v", p.Name, n, k, got, want)
+				}
+			}
+		}
+	}
+	t.Logf("%d decisions matched", decisions)
+}
+
+// TestMakeIdleFixedPointRange checks the fixed-point unit 2^-s J. A full
+// window of gaps past the tail adds the largest E term there is, so its E
+// sum must stay below 2^52 units, the bound every exact conversion rests
+// on, and above 2^50 unless s sits at its clamp (a smaller unit would only
+// lose precision). Windows of 2^k-1 gaps leave the least headroom. The
+// extreme profiles must put s at its clamp of 1023 and far below 0.
+func TestMakeIdleFixedPointRange(t *testing.T) {
+	for _, p := range append(refProfiles(), extremeProfiles()...) {
+		for _, n := range []int{1, 127, 1023, 8191} {
+			m, err := NewMakeIdle(p, WithWindowSize(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range n {
+				m.Observe(time.Hour)
+			}
+			m.Decide(0)
+			checkWindowStats(t, m)
+			clamped := m.scale == math.Ldexp(1, 1023)
+			if !clamped && m.sumGapQ < 1<<50 {
+				t.Errorf("%s window=%d: saturated E sum %d units, want at least 2^50", p.Name, n, m.sumGapQ)
+			}
+			if want := p.Name == "tiny" || p.Name == "subnormal"; clamped != want {
+				t.Errorf("%s window=%d: unit 2^%d J", p.Name, n, -math.Ilogb(m.scale))
+			}
+			if p.Name == "huge" && m.scale > math.Ldexp(1, -700) {
+				t.Errorf("%s window=%d: unit 2^%d J, want s far below 0", p.Name, n, -math.Ilogb(m.scale))
+			}
+		}
 	}
 }
 

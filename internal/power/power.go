@@ -147,7 +147,7 @@ func (p *Profile) DormancyJ() float64 {
 // SwitchJ is the paper's Eswitch: the energy consumed by demoting the radio
 // to Idle after a transmission and promoting it back for the next one.
 func (p *Profile) SwitchJ() float64 {
-	return p.DormancyJ() + p.PromotionJ()
+	return float64(p.DormancyJ()) + float64(p.PromotionJ())
 }
 
 // TxTime returns the modelled transmission time for size bytes in the given
