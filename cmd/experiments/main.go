@@ -10,8 +10,8 @@
 //	experiments -run sweep -users 100    # dormancy-tail grid via policy specs
 //
 // Output is text: tables whose rows correspond to the bars/points of the
-// paper's figures. EXPERIMENTS.md records a reference run next to the
-// paper's numbers.
+// paper's figures. docs/architecture.md ("Experiments and the paper's
+// artifacts") maps each ID to its figure and source file.
 //
 // Every experiment fans its replays across the fleet runtime; -parallel
 // bounds the worker count (results are identical for any value), -users
@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -54,17 +55,19 @@ func main() {
 		Users: *users, Workers: *parallel, Shards: *shards,
 	}
 
-	var todo []experiments.Experiment
-	if *run == "all" {
-		todo = experiments.All()
-	} else {
+	// Pick from one list, so the experiments run share its carrier grid.
+	all := experiments.All()
+	todo := all
+	if *run != "all" {
+		todo = nil
 		for _, id := range strings.Split(*run, ",") {
-			e, ok := experiments.ByID(strings.TrimSpace(id))
-			if !ok {
+			id = strings.TrimSpace(id)
+			i := slices.IndexFunc(all, func(e experiments.Experiment) bool { return e.ID == id })
+			if i < 0 {
 				fmt.Fprintf(os.Stderr, "experiments: unknown id %q (use -list)\n", id)
 				os.Exit(1)
 			}
-			todo = append(todo, e)
+			todo = append(todo, all[i])
 		}
 	}
 

@@ -275,8 +275,8 @@ func Simulate(prof power.Profile, devices []Device, admission AdmissionPolicy, w
 		e := st.dataJ +
 			st.machine.Residency(rrc.DCH).Seconds()*prof.T1MW/1000 +
 			st.machine.Residency(rrc.FACH).Seconds()*prof.T2MW/1000 +
-			float64(st.machine.Promotions())*prof.PromotionJ() +
-			float64(st.machine.Demotions())*prof.DormancyJ()
+			float64(float64(st.machine.Promotions())*prof.PromotionJ()) +
+			float64(float64(st.machine.Demotions())*prof.DormancyJ()) // rounded: no fused multiply-add
 		res.Devices = append(res.Devices, DeviceResult{
 			Name:        devices[i].Name,
 			EnergyJ:     e,

@@ -171,8 +171,8 @@ func DownlinkBuffering(prof power.Profile, tr trace.Trace, demote policy.DemoteP
 	res.EnergyJ = dataJ +
 		m.Residency(rrc.DCH).Seconds()*prof.T1MW/1000 +
 		m.Residency(rrc.FACH).Seconds()*prof.T2MW/1000 +
-		float64(m.Promotions())*prof.PromotionJ() +
-		float64(m.Demotions())*prof.DormancyJ()
+		float64(float64(m.Promotions())*prof.PromotionJ()) +
+		float64(float64(m.Demotions())*prof.DormancyJ()) // rounded: no fused multiply-add
 	res.Promotions = m.Promotions()
 	return res, nil
 }

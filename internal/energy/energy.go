@@ -68,8 +68,10 @@ func Threshold(p *power.Profile) time.Duration {
 	if eswitch <= t1*pt1 {
 		return secs(eswitch / pt1)
 	}
-	if t2 > 0 && eswitch <= t1*pt1+t2*pt2 {
-		return secs(t1 + (eswitch-t1*pt1)/pt2)
+	// The products are rounded explicitly so no target fuses them into
+	// a multiply-add.
+	if t2 > 0 && eswitch <= float64(t1*pt1)+float64(t2*pt2) {
+		return secs(t1 + (eswitch-float64(t1*pt1))/pt2)
 	}
 	return p.Tail()
 }

@@ -95,7 +95,7 @@ func PushWorkload(seed int64, duration time.Duration) trace.Trace {
 	for t := 20 * time.Second; t < duration; t += 30*time.Second + time.Duration(r.Int63n(int64(20*time.Second))) {
 		n := 1 + r.Intn(4)
 		for j := 0; j < n; j++ {
-			off := time.Duration(float64(j) * (0.4 + r.Float64()) * float64(time.Second))
+			off := time.Duration(float64(j) * (0.4 + float64(r.Float64())) * float64(time.Second))
 			tr = append(tr, trace.Packet{T: t + off, Dir: trace.In, Size: 300 + r.Intn(600)})
 		}
 	}
@@ -115,7 +115,9 @@ func bufferRun(prof power.Profile, tr trace.Trace, mk func() (policy.DemotePolic
 // measured per-carrier MakeIdle savings translated into battery-lifetime
 // gains on a Nexus-S-class battery, assuming the radio accounts for the
 // 2G-vs-3G talk-time difference.
-func LifetimeEstimate(cfg Config) (string, error) {
+func LifetimeEstimate(cfg Config) (string, error) { return (*carrierGrids)(nil).lifetime(cfg) }
+
+func (g *carrierGrids) lifetime(cfg Config) (string, error) {
 	cfg = cfg.withDefaults()
 	t := report.NewTable("Conclusion estimate: battery lifetime gained (Nexus S class battery)",
 		"Carrier", "MakeIdle saved(%)", "Gain(h)", "+MakeActive saved(%)", "Gain(h)")
@@ -124,7 +126,7 @@ func LifetimeEstimate(cfg Config) (string, error) {
 	// the radio's share to the 2G/14h vs 3G/6.7h gap.
 	totalMW := b.EnergyJ() / (6.7 * 3600) * 1000
 	const radioShare = 0.52
-	savings, _, err := carrierGrid(carriers, cfg)
+	savings, _, err := g.get(cfg)
 	if err != nil {
 		return "", err
 	}

@@ -140,7 +140,8 @@ func PowerTimeline(prof power.Profile, burst time.Duration) (*report.Series, err
 // truth integrates the RRC state timeline at fine granularity with
 // per-packet transmission power and multiplicative measurement noise, while
 // the estimate is the coarse per-packet model used everywhere else
-// (DESIGN.md documents the substitution).
+// (docs/architecture.md, "A simulated power meter", documents the
+// substitution).
 func Fig8(cfg Config) (string, error) {
 	cfg = cfg.withDefaults()
 	type trial struct {
@@ -201,8 +202,9 @@ func EnergyModelError(prof power.Profile, bytes int, seed int64) (float64, error
 		return 0, err
 	}
 	// Measurement noise: +/- up to ~5% multiplicative (Monsoon-class
-	// accuracy plus run-to-run device variation).
-	measured *= 1 + 0.05*(2*r.Float64()-1)
+	// accuracy plus run-to-run device variation). The float64 conversions
+	// round, so no target fuses a product into a multiply-add.
+	measured = float64(measured * (1 + float64(0.05*(2*float64(r.Float64())-1))))
 	return metrics.RelativeError(estimate, measured), nil
 }
 
@@ -231,6 +233,6 @@ func integrateTimeline(prof power.Profile, tr trace.Trace) (float64, error) {
 	}
 	tailJ := dch.Seconds()*prof.T1MW/1000 + m.Residency(rrc.FACH).Seconds()*prof.T2MW/1000
 	// Promotions and demotions.
-	swJ := float64(m.Promotions())*prof.PromotionJ() + float64(m.Demotions())*prof.DormancyJ()
+	swJ := float64(float64(m.Promotions())*prof.PromotionJ()) + float64(float64(m.Demotions())*prof.DormancyJ())
 	return txJ + tailJ + swJ, nil
 }

@@ -4,9 +4,10 @@
 // output, and is registered in All so cmd/experiments and the benchmark
 // harness can enumerate them.
 //
-// The correspondence between experiment IDs, paper artifacts, workloads and
-// modules is tabulated in DESIGN.md; measured-vs-paper numbers are recorded
-// in EXPERIMENTS.md.
+// The correspondence between experiment IDs, paper artifacts and source
+// files is tabulated in docs/architecture.md ("Experiments and the
+// paper's artifacts"), next to the substitutions the workloads and Fig. 8
+// make for the paper's measurements.
 package experiments
 
 import (
@@ -80,8 +81,11 @@ type Experiment struct {
 	Run   func(Config) (string, error)
 }
 
-// All lists every experiment in paper order.
+// All lists every experiment in paper order. The cross-carrier
+// experiments of one list share one carrier grid per Config
+// (carrierGrids).
 func All() []Experiment {
+	grids := new(carrierGrids)
 	return []Experiment{
 		{"tab1", "Table 1: send/receive power", Table1},
 		{"tab2", "Table 2: power and inactivity timers", Table2},
@@ -96,13 +100,13 @@ func All() []Experiment {
 		{"fig14", "Figure 14: t_wait trajectory", Fig14},
 		{"fig15", "Figure 15: burst delays, learning vs fixed", Fig15},
 		{"fig16", "Figure 16: learned delay vs iteration", Fig16},
-		{"fig17", "Figure 17: energy saved per carrier", Fig17},
-		{"fig18", "Figure 18: state switches per carrier", Fig18},
+		{"fig17", "Figure 17: energy saved per carrier", grids.fig17},
+		{"fig18", "Figure 18: state switches per carrier", grids.fig18},
 		{"tab3", "Table 3: session delays per carrier", Table3},
 		{"sens", "Sensitivity: fast-dormancy cost fraction", DormancySensitivity},
 		{"bs", "Extension (§8): base-station signaling load", BaseStationLoad},
 		{"buf", "Extension (§8): base-station downlink buffering", DownlinkBufferingTrade},
-		{"life", "Conclusion: battery lifetime estimate", LifetimeEstimate},
+		{"life", "Conclusion: battery lifetime estimate", grids.lifetime},
 		{"fleet", "Extension: sharded fleet replay of a diurnal cohort", FleetReplay},
 		{"sweep", "Extension: dormancy-tail parameter sweep via policy specs", TailSweep},
 		{"grid", "Extension: scheme × profile × cohort sweep grid via the registries", GridSweep},

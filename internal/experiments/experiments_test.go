@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -277,5 +278,33 @@ func TestCarrierResultsDeterministic(t *testing.T) {
 		if math.Abs(b[k]-v) > 1e-9 {
 			t.Fatalf("scheme %s differs across identical runs: %v vs %v", k, v, b[k])
 		}
+	}
+}
+
+// TestCarrierGridShared: the cross-carrier experiments of one All() list
+// read one carrier grid per Config, the very maps the first of them
+// computed, and render what the standalone functions render.
+func TestCarrierGridShared(t *testing.T) {
+	cfg := Config{Seed: 5, AppDuration: 10 * time.Minute, UserDuration: 10 * time.Minute, Workers: 2}
+	g := new(carrierGrids)
+	for _, c := range []struct {
+		shared, alone func(Config) (string, error)
+	}{{g.fig17, Fig17}, {g.fig18, Fig18}, {g.lifetime, LifetimeEstimate}} {
+		got, err1 := c.shared(cfg)
+		want, err2 := c.alone(cfg)
+		if err1 != nil || err2 != nil || got != want {
+			t.Fatalf("shared grid rendered %q (%v), standalone %q (%v)", got, err1, want, err2)
+		}
+	}
+	s1, r1, err1 := g.get(cfg)
+	s2, r2, err2 := g.get(cfg)
+	if err1 != nil || err2 != nil || len(g.done) != 1 ||
+		reflect.ValueOf(s1).Pointer() != reflect.ValueOf(s2).Pointer() || reflect.ValueOf(r1).Pointer() != reflect.ValueOf(r2).Pointer() {
+		t.Fatalf("the carrier grid was not shared: %d configs memoized (%v, %v)", len(g.done), err1, err2)
+	}
+	other := cfg
+	other.Seed++
+	if _, _, err := g.get(other); err != nil || len(g.done) != 2 {
+		t.Fatalf("another Config reused the grid: %d configs memoized (%v)", len(g.done), err)
 	}
 }

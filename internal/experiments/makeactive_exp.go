@@ -156,7 +156,7 @@ func ClusteredSessions(seed int64, duration time.Duration) trace.Trace {
 	for t := 30 * time.Second; t < duration; t += 35*time.Second + time.Duration(r.Int63n(int64(10*time.Second))) {
 		n := 2 + r.Intn(3)
 		for j := 0; j < n; j++ {
-			off := time.Duration(float64(j) * (0.5 + r.Float64()) * float64(time.Second))
+			off := time.Duration(float64(j) * (0.5 + float64(r.Float64())) * float64(time.Second))
 			tr, _ = shape.Emit(r, tr, t+off)
 		}
 	}

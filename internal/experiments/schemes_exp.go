@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/fleet"
 	"repro/internal/power"
@@ -143,12 +144,46 @@ func carrierGrid(profs []power.Profile, cfg Config) (savings, ratios map[string]
 // cross-carrier figures (17 and 18) use.
 var carriers = []power.Profile{power.TMobile3G, power.ATTHSPAPlus, power.Verizon3G, power.VerizonLTE}
 
+// carrierGrids shares the four-carrier grid between the experiments of
+// one All() list: Figs. 17 and 18 and the lifetime estimate read the same
+// 24 cells, so a sweep of every experiment runs that grid once per Config
+// instead of three times. The maps it hands out are read-only. A nil
+// *carrierGrids runs the grid on every call, as the exported Fig17,
+// Fig18 and LifetimeEstimate do.
+type carrierGrids struct {
+	mu   sync.Mutex
+	done map[Config][2]map[string]map[string]float64 // savings, ratios
+}
+
+// get returns carrierGrid(carriers, cfg), from the memo when it holds cfg.
+func (g *carrierGrids) get(cfg Config) (savings, ratios map[string]map[string]float64, err error) {
+	cfg = cfg.withDefaults()
+	if g == nil {
+		return carrierGrid(carriers, cfg)
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if r, ok := g.done[cfg]; ok {
+		return r[0], r[1], nil
+	}
+	if savings, ratios, err = carrierGrid(carriers, cfg); err != nil {
+		return nil, nil, err
+	}
+	if g.done == nil {
+		g.done = map[Config][2]map[string]map[string]float64{}
+	}
+	g.done[cfg] = [2]map[string]map[string]float64{savings, ratios}
+	return savings, ratios, nil
+}
+
 // Fig17 regenerates Figure 17: mean energy saved per carrier per scheme.
-func Fig17(cfg Config) (string, error) {
+func Fig17(cfg Config) (string, error) { return (*carrierGrids)(nil).fig17(cfg) }
+
+func (g *carrierGrids) fig17(cfg Config) (string, error) {
 	cfg = cfg.withDefaults()
 	headers := append([]string{"Carrier"}, SchemeNames()...)
 	t := report.NewTable("Figure 17: energy saved for different carrier parameters (%)", headers...)
-	savings, _, err := carrierGrid(carriers, cfg)
+	savings, _, err := g.get(cfg)
 	if err != nil {
 		return "", fmt.Errorf("fig17: %w", err)
 	}
@@ -164,11 +199,13 @@ func Fig17(cfg Config) (string, error) {
 
 // Fig18 regenerates Figure 18: mean state switches normalized by the status
 // quo, per carrier per scheme.
-func Fig18(cfg Config) (string, error) {
+func Fig18(cfg Config) (string, error) { return (*carrierGrids)(nil).fig18(cfg) }
+
+func (g *carrierGrids) fig18(cfg Config) (string, error) {
 	cfg = cfg.withDefaults()
 	headers := append([]string{"Carrier"}, SchemeNames()...)
 	t := report.NewTable("Figure 18: state switches normalized by status quo", headers...)
-	_, ratios, err := carrierGrid(carriers, cfg)
+	_, ratios, err := g.get(cfg)
 	if err != nil {
 		return "", fmt.Errorf("fig18: %w", err)
 	}

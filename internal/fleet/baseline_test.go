@@ -26,14 +26,17 @@ func slabUnder(t *testing.T, c *TraceCache, key string) {
 // asPass adapts a baseline stub to the wait-rule memo's pass: every rule
 // of the pass gets the stub's baseline, its total as data energy.
 func asPass(run func() (Baseline, error)) waitPass {
-	return func(_ sim.Wait, more []sim.Wait) ([]sim.Result, error) {
+	return func(sets []sim.WaitSet) ([][]sim.Result, error) {
 		b, err := run()
 		if err != nil {
 			return nil, err
 		}
-		res := make([]sim.Result, 1+len(more))
-		for i := range res {
-			res[i] = sim.Result{Breakdown: energy.Breakdown{DataJ: b.TotalJ}, Promotions: b.Promotions}
+		res := make([][]sim.Result, len(sets))
+		for g, s := range sets {
+			res[g] = make([]sim.Result, len(s.Rules))
+			for i := range res[g] {
+				res[g][i] = sim.Result{Breakdown: energy.Breakdown{DataJ: b.TotalJ}, Promotions: b.Promotions}
+			}
 		}
 		return res, nil
 	}

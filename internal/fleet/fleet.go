@@ -150,22 +150,27 @@ type Job struct {
 	// job's own replay, so in a grid it is the baseline lookup that claims
 	// the Waits and FitWaits batch.
 	Baseline bool
-	// Waits lists the wait rules (sim.Wait: constant waits and Oracle
-	// thresholds) that other jobs over the same packets, Profile and Opts
-	// replay, such as a grid's fixedtail axis and its Oracle. The first
-	// memo lookup of a retained slab under (Profile, Opts) claims every
-	// rule listed here, and every rule FitWaits fits to, that no one has
-	// claimed yet, with its own, and replays them all in one
-	// sim.Engine.RunWaits pass, so the later jobs find their replay done.
-	// Both are purely a schedule: any lists, nil included, yield the same
-	// bytes. Jobs sharing one (cohort, profile) may share the slices,
+	// Waits lists, per profile, the wait rules (sim.Wait: constant waits
+	// and Oracle thresholds) that other jobs over the same packets and Opts
+	// replay, such as a grid's fixedtail axis and its Oracle on every
+	// carrier of the grid. The first memo lookup of a retained slab under
+	// Opts claims every (profile, rule) listed here, and every rule
+	// FitWaits fits to, that no one has claimed yet, with its own, and
+	// replays them all in one sim.Engine.RunWaits pass, so one decode
+	// serves every profile and the later jobs find their replay done. Both
+	// are purely a schedule: any lists, nil included, yield the same
+	// bytes. A set whose profile fails validation is left out of the
+	// pass, so it cannot fail the jobs of other profiles; its own jobs
+	// report the error. Jobs sharing one cohort may share the slices,
 	// which the runtime only reads.
-	Waits []sim.Wait
+	Waits []sim.WaitSet
 	// FitWaits lists trace-fitted demote halves of other jobs over the
 	// same packets whose fitted policy is a wait rule, such as a grid's
-	// 95% IAT timer. The claiming lookup fits them through the trace
+	// 95% IAT timer. The claiming lookup fits each through the trace
 	// cache's fit memo (so each is fitted once per slab, whoever asks
-	// first) and adds their rules to its pass.
+	// first; a ProfileFree half once for every profile, other halves once
+	// per profile) and adds its rule under Profile and every profile of
+	// Waits to its pass, clamped to each profile's tail.
 	FitWaits []FitWait
 	// CacheKey, when non-empty, lets Options.TraceCache memoize the job's
 	// packets. The key must determine the packet stream completely
@@ -228,7 +233,7 @@ type Outcome struct {
 // energy and the promotion count, the denominators of the savings and
 // switch-ratio metrics. Holding just these two scalars is what lets the
 // trace cache share one baseline replay between every job of a (user,
-// profile, options).
+// profile, options), and replay it with every other profile's.
 type Baseline struct {
 	TotalJ     float64
 	Promotions int
@@ -293,13 +298,13 @@ type workerState struct {
 	// fitted policy to retain it, so the next fit may overwrite it.
 	fitTrace trace.Trace
 
-	// batch, fitted, rules and results are the wait-rule passes' scratch:
-	// the rules a memo lookup offers to claim, the rules its fitted
-	// halves resolve to, the rules of a pass and the pass's Results
-	// (baselines included), which the memo copies out before the worker's
-	// next pass.
-	batch, fitted, rules []sim.Wait
-	results              []sim.Result
+	// batch, results and flat are the wait-rule passes' scratch: the
+	// rules a memo lookup offers to claim under its own profile and the
+	// pass's Results (baselines included), carved from flat, which the
+	// memo copies out before the worker's next pass.
+	batch   []sim.Wait
+	results [][]sim.Result
+	flat    []sim.Result
 }
 
 // open starts one pass over the job's packets: the cached slab through the
@@ -332,54 +337,80 @@ func (ws *workerState) replay(job *Job, slab []byte, slot *sim.Result,
 	return slot, nil
 }
 
-// waitPass replays one pass of the job's packets under the wait rules
-// [r, more...] into the worker's wait results. Only a baseline replays
-// under options that ask for decision or episode logs, and it reads two
-// scalars, which the logs do not change, so the pass drops them.
-func (ws *workerState) waitPass(job *Job, slab []byte, r sim.Wait, more []sim.Wait) ([]sim.Result, error) {
+// waitPass replays one pass of the job's packets under every wait set
+// into the worker's wait results. Only a baseline replays under options
+// that ask for decision or episode logs, and it reads two scalars, which
+// the logs do not change, so the pass drops them.
+func (ws *workerState) waitPass(job *Job, slab []byte, sets []sim.WaitSet) ([][]sim.Result, error) {
 	src, err := ws.open(job, slab)
 	if err != nil {
 		return nil, err
 	}
-	ws.rules = append(append(ws.rules[:0], r), more...)
-	ws.results = slices.Grow(ws.results[:0], len(ws.rules))[:len(ws.rules)]
+	n := 0
+	for _, s := range sets {
+		n += len(s.Rules)
+	}
+	ws.flat = slices.Grow(ws.flat[:0], n)[:n]
+	ws.results = ws.results[:0]
+	off := 0
+	for _, s := range sets {
+		end := off + len(s.Rules)
+		ws.results = append(ws.results, ws.flat[off:end:end])
+		off = end
+	}
 	opts := job.Opts
 	if records(opts) {
 		plain := sim.Options{BurstGap: opts.BurstGap}
 		opts = &plain
 	}
-	if err := ws.engine.RunWaits(src, job.Profile, ws.rules, opts, ws.results); err != nil {
+	if err = ws.engine.RunWaits(src, sets, opts, ws.results); err != nil {
 		return nil, err
 	}
 	return ws.results, nil
 }
 
 // fitWaits resolves the job's FitWaits to their wait rules through tc's
-// fit memo, fitting on the worker's scratch trace where the memo misses.
-// A half whose fit fails or whose policy is no wait rule adds nothing:
-// its own job replays it, and reports the error, as it would without the
-// batch. The slice is the worker's scratch.
-func (ws *workerState) fitWaits(job *Job, slab []byte, tc *TraceCache) []sim.Wait {
-	ws.fitted = ws.fitted[:0]
-	for i := range job.FitWaits {
-		fw := &job.FitWaits[i]
-		v, err := tc.fit(job.CacheKey, policy.RoleDemote, fw.Key, job.Profile, func() (any, error) {
+// fit memo, fitting on the worker's scratch trace where the memo misses,
+// one wait set per profile: the job's own, then each of Waits'. A
+// ProfileFree half is looked up once and its rule shared by every
+// profile; any other half is fitted per profile. A half whose fit fails
+// or whose policy is no wait rule adds nothing: its own job replays it,
+// and reports the error, as it would without the batch. It runs only on
+// a claiming miss, so the lists are allocated.
+func (ws *workerState) fitWaits(job *Job, slab []byte, tc *TraceCache) []sim.WaitSet {
+	sets := []sim.WaitSet{{Prof: job.Profile}}
+	for _, s := range job.Waits {
+		if !slices.ContainsFunc(sets, func(o sim.WaitSet) bool { return o.Prof == s.Prof }) {
+			sets = append(sets, sim.WaitSet{Prof: s.Prof})
+		}
+	}
+	resolve := func(fw *FitWait, prof power.Profile) (sim.Wait, bool) {
+		v, err := tc.fit(job.CacheKey, policy.RoleDemote, fw.Key, prof, func() (any, error) {
 			tr, err := ws.collect(job, slab)
 			if err != nil {
 				return nil, err
 			}
-			return fw.Demote(tr, job.Profile)
+			return fw.Demote(tr, prof)
 		})
-		if err != nil {
-			continue
+		if d, ok := v.(policy.DemotePolicy); ok && err == nil {
+			return sim.WaitOf(d)
 		}
-		if d, ok := v.(policy.DemotePolicy); ok {
-			if r, ok := sim.WaitOf(d); ok {
-				ws.fitted = append(ws.fitted, r)
+		return sim.Wait{}, false
+	}
+	for i := range job.FitWaits {
+		fw := &job.FitWaits[i]
+		var r sim.Wait
+		var ok bool
+		for k := range sets {
+			if k == 0 || !fw.Key.ProfileFree {
+				r, ok = resolve(fw, sets[k].Prof)
+			}
+			if ok {
+				sets[k].Rules = append(sets[k].Rules, r)
 			}
 		}
 	}
-	return ws.fitted
+	return sets
 }
 
 // records reports whether opts ask the engine for per-policy logs.
@@ -802,7 +833,7 @@ func runShard[A any](jobs []Job, s, nshards int, ws *workerState, acc Accumulato
 // duplicate the generation), and every pass decodes zero-copy through the
 // worker's cursor. The retained slab's cache entry memoizes the user's
 // fitted policy halves under (spec, plus the profile when the fit reads
-// it) and its wait-rule replays under (profile, options, clamped rule).
+// it) and its wait-rule replays under (options, profile, clamped rule).
 // The baseline is the tail-clamped replay, looked up first, and a job
 // whose demote policy sim.WaitOf recognizes (a constant wait or the
 // Oracle), with no batching policy and no logs asked for, takes its own
@@ -810,11 +841,11 @@ func runShard[A any](jobs []Job, s, nshards int, ws *workerState, acc Accumulato
 // the engine stamps it. A miss claims the job's Waits, and the rules its
 // FitWaits fit to, with its own rule and replays them in one
 // sim.Engine.RunWaits pass, so one decode serves a grid's whole wait axis
-// for the user. Every other job opens a fresh source per pass, fits and
-// replays its own baseline, so worker memory stays bounded by burst
-// structure regardless of trace duration. The codec round-trips exactly,
-// a fit is a pure function of its key and RunWaits yields each rule the
-// scalars of its own replay bit for bit, so every choice is
+// on every profile for the user. Every other job opens a fresh source per
+// pass, fits and replays its own baseline, so worker memory stays bounded
+// by burst structure regardless of trace duration. The codec round-trips
+// exactly, a fit is a pure function of its key and RunWaits yields each
+// rule the scalars of its own replay bit for bit, so every choice is
 // byte-identical. reuse (from Accumulator.Transient) routes the scheme
 // replay into the worker's Result slot; the Outcome then aliases worker
 // scratch and is valid only during the fold, exactly what Outcome's
@@ -834,24 +865,23 @@ func runJob(job *Job, index int, ws *workerState, tc *TraceCache, reuse bool) (O
 	}
 	rule, memo := sim.WaitOf(demote)
 	memo = memo && active == nil && !records(job.Opts) && slab != nil
-	pass := func(r sim.Wait, more []sim.Wait) ([]sim.Result, error) {
-		return ws.waitPass(job, slab, r, more)
+	pass := func(sets []sim.WaitSet) ([][]sim.Result, error) {
+		return ws.waitPass(job, slab, sets)
 	}
 	// A job that logs replays no memoized scheme, so its baseline claims
 	// nothing for the others.
 	var batch waitBatch
-	if !records(job.Opts) && len(job.FitWaits) > 0 {
-		batch.fitted = func() []sim.Wait { return ws.fitWaits(job, slab, tc) }
+	if !records(job.Opts) {
+		batch.sets = job.Waits
+		if len(job.FitWaits) > 0 {
+			batch.fitted = func() []sim.WaitSet { return ws.fitWaits(job, slab, tc) }
+		}
 	}
 	if job.Baseline {
-		ws.batch = ws.batch[:0]
 		if memo {
-			ws.batch = append(ws.batch, rule)
+			ws.batch = append(ws.batch[:0], rule)
+			batch.rules = ws.batch
 		}
-		if !records(job.Opts) {
-			ws.batch = append(ws.batch, job.Waits...)
-		}
-		batch.rules = ws.batch
 		if out.Baseline, err = tc.baseline(job.CacheKey, job.Profile, job.Opts, batch, pass); err != nil {
 			return out, fmt.Errorf("baseline: %w", err)
 		}
@@ -866,7 +896,7 @@ func runJob(job *Job, index int, ws *workerState, tc *TraceCache, reuse bool) (O
 		}
 		return out, nil
 	}
-	ws.batch = append(append(ws.batch[:0], sim.Wait{D: policy.Never}), job.Waits...)
+	ws.batch = append(ws.batch[:0], sim.Wait{D: policy.Never})
 	batch.rules = ws.batch
 	r, err := tc.ruleReplay(job.CacheKey, job.Profile, job.Opts, rule, batch, pass)
 	if err != nil {

@@ -18,20 +18,24 @@ import (
 
 // passLog is a stub wait pass that records what it was asked to replay
 // and answers each rule with its duration as data energy (negated for
-// Oracle rules).
+// Oracle rules) and the name of the profile it was asked under.
 type passLog struct {
-	mu    sync.Mutex
-	calls [][]sim.Wait // [r, more...] per call
+	mu     sync.Mutex
+	calls  [][]sim.Wait    // the lookup's own profile's rules per call
+	others [][]sim.WaitSet // the other profiles' sets per call
 }
 
-func (p *passLog) pass(r sim.Wait, more []sim.Wait) ([]sim.Result, error) {
-	rules := append([]sim.Wait{r}, more...)
+func (p *passLog) pass(sets []sim.WaitSet) ([][]sim.Result, error) {
 	p.mu.Lock()
-	p.calls = append(p.calls, rules)
+	p.calls = append(p.calls, slices.Clone(sets[0].Rules))
+	p.others = append(p.others, slices.Clone(sets[1:]))
 	p.mu.Unlock()
-	res := make([]sim.Result, len(rules))
-	for i, r := range rules {
-		res[i] = sim.Result{Breakdown: energy.Breakdown{DataJ: ruleJ(r)}}
+	res := make([][]sim.Result, len(sets))
+	for g, s := range sets {
+		res[g] = make([]sim.Result, len(s.Rules))
+		for i, r := range s.Rules {
+			res[g][i] = sim.Result{Profile: s.Prof.Name, Breakdown: energy.Breakdown{DataJ: ruleJ(r)}}
+		}
 	}
 	return res, nil
 }
@@ -121,6 +125,87 @@ func TestReplayMemoClaimsBatch(t *testing.T) {
 	}
 }
 
+// TestReplayMemoClaimsAcrossProfiles pins the claim rule across
+// profiles: a miss claims the unclaimed rules of every profile in its
+// batch under the same options, its own profile's first (its own rule
+// leading) and each other profile's as one more wait set in batch order;
+// lookups under the other profiles are then hits that return their own
+// profile's Result, and other options are a separate pass. A profile
+// that fails validation is left out of another profile's pass; its own
+// lookup claims its rules.
+func TestReplayMemoClaimsAcrossProfiles(t *testing.T) {
+	c := NewTraceCache(1 << 20)
+	slabUnder(t, c, "k")
+	var p passLog
+	g3, lte, tm := power.Verizon3G, power.VerizonLTE, power.TMobile3G
+	batch := waitBatch{sets: []sim.WaitSet{
+		{Prof: lte, Rules: consts(time.Second, 2*time.Second, policy.Never)},
+		{Prof: g3, Rules: consts(time.Second, policy.Never, 2*time.Second)},
+		{Prof: tm, Rules: consts(policy.Never)},
+		{Prof: lte, Rules: consts(3*time.Second, time.Second)},
+	}}
+	r, err := c.ruleReplay("k", g3, nil, sim.Wait{D: 2 * time.Second}, batch, p.pass)
+	if err != nil || r.Breakdown.DataJ != float64(2*time.Second) {
+		t.Fatalf("got %+v (%v), want the 2s replay", r, err)
+	}
+	wantOthers := []sim.WaitSet{
+		{Prof: lte, Rules: consts(time.Second, 2*time.Second, lte.Tail(), 3*time.Second)},
+		{Prof: tm, Rules: consts(tm.Tail())},
+	}
+	if p.count() != 1 || !slices.Equal(p.calls[0], consts(2*time.Second, time.Second, g3.Tail())) ||
+		!reflect.DeepEqual(p.others[0], wantOthers) {
+		t.Fatalf("pass %v + %v, want %v + %v", p.calls, p.others, consts(2*time.Second, time.Second, g3.Tail()), wantOthers)
+	}
+	for _, c2 := range []struct {
+		prof power.Profile
+		w    time.Duration
+	}{{lte, time.Second}, {lte, 3 * time.Second}, {lte, policy.Never}, {tm, tm.Tail()}, {g3, time.Second}} {
+		r, err := constWait(c, "k", c2.prof, nil, c2.w, nil, p.pass)
+		if want := float64(clampWait(c2.w, c2.prof.Tail())); err != nil || r.Breakdown.DataJ != want || r.Profile != c2.prof.Name {
+			t.Fatalf("%s %v: got %+v (%v), want %v from its own profile's set", c2.prof.Name, c2.w, r, err, want)
+		}
+	}
+	if b, err := c.baseline("k", tm, &sim.Options{}, waitBatch{}, p.pass); err != nil || b.TotalJ != float64(tm.Tail()) {
+		t.Fatalf("%s baseline %+v (%v), want its tail's replay", tm.Name, b, err)
+	}
+	if p.count() != 1 {
+		t.Fatalf("claimed rules replayed again: %v", p.calls)
+	}
+	constWait(c, "k", lte, &sim.Options{BurstGap: time.Second}, time.Second, nil, p.pass)
+	if p.count() != 2 {
+		t.Fatalf("other options shared the pass: %v", p.calls)
+	}
+	if st := c.Stats(); st.ReplayPasses != 2 || st.ReplayMisses != 2 || st.ReplayHits != 5 || st.BaselineHits != 1 {
+		t.Fatalf("stats %+v", st)
+	}
+
+	// A profile is keyed by its value, not its name: a what-if variant
+	// of LTE under the same name is a wait set of its own.
+	variant := lte
+	variant.T1 = 5 * time.Second
+	constWait(c, "k", lte, &sim.Options{BurstGap: 2 * time.Second}, time.Second, nil, p.pass)
+	_, err = c.ruleReplay("k", variant, &sim.Options{BurstGap: 2 * time.Second}, sim.Wait{D: time.Second},
+		waitBatch{sets: []sim.WaitSet{{Prof: lte, Rules: consts(2 * time.Second)}}}, p.pass)
+	want := []sim.WaitSet{{Prof: lte, Rules: consts(2 * time.Second)}}
+	if err != nil || p.count() != 4 || !slices.Equal(p.calls[3], consts(time.Second)) || !reflect.DeepEqual(p.others[3], want) {
+		t.Fatalf("the variant's pass replayed %v + %v (%v), want its own 1s + %v", p.calls[3], p.others[3], err, want)
+	}
+
+	broken := tm
+	broken.T1MW = 0
+	opts := &sim.Options{BurstGap: 3 * time.Second}
+	_, err = c.ruleReplay("k", g3, opts, sim.Wait{D: time.Second}, waitBatch{sets: []sim.WaitSet{
+		{Prof: broken, Rules: consts(time.Second)}, {Prof: lte, Rules: consts(time.Second)}}}, p.pass)
+	want = []sim.WaitSet{{Prof: lte, Rules: consts(time.Second)}}
+	if err != nil || p.count() != 5 || !reflect.DeepEqual(p.others[4], want) {
+		t.Fatalf("a pass with an invalid profile in its batch replayed %v + %v (%v), want its own 1s + %v", p.calls[4], p.others[4], err, want)
+	}
+	constWait(c, "k", broken, opts, time.Second, nil, p.pass)
+	if p.count() != 6 || !slices.Equal(p.calls[5], consts(time.Second)) {
+		t.Fatalf("the invalid profile's own lookup found its rule claimed: %d passes", p.count())
+	}
+}
+
 // TestReplayMemoSingleFlight: once a pass has claimed a batch, concurrent
 // lookups of every wait in it wait for that one pass, however many they
 // are and whichever wait each asks for.
@@ -131,11 +216,11 @@ func TestReplayMemoSingleFlight(t *testing.T) {
 	var passes atomic.Int64
 	entered, release := make(chan struct{}), make(chan struct{})
 	var p passLog
-	blocking := func(r sim.Wait, more []sim.Wait) ([]sim.Result, error) {
+	blocking := func(sets []sim.WaitSet) ([][]sim.Result, error) {
 		passes.Add(1)
 		close(entered)
 		<-release
-		return p.pass(r, more)
+		return p.pass(sets)
 	}
 	done := make(chan error, 1)
 	go func() {
@@ -177,7 +262,7 @@ func TestReplayMemoErrorReleasesClaims(t *testing.T) {
 	slabUnder(t, c, "k")
 	boom := errors.New("synthetic replay failure")
 	entered, release := make(chan struct{}), make(chan struct{})
-	failing := func(sim.Wait, []sim.Wait) ([]sim.Result, error) {
+	failing := func([]sim.WaitSet) ([][]sim.Result, error) {
 		close(entered)
 		<-release
 		return nil, boom
@@ -265,7 +350,7 @@ func waitJobs(t *testing.T, users int, prof power.Profile, opts *sim.Options) []
 	c.Opts = opts
 	jobs := c.Jobs(prof, schemes)
 	for i := range jobs {
-		jobs[i].Waits, jobs[i].FitWaits = waits, fitted
+		jobs[i].Waits, jobs[i].FitWaits = []sim.WaitSet{{Prof: prof, Rules: waits}}, fitted
 	}
 	return jobs
 }
@@ -320,6 +405,40 @@ func TestReplayMemoMatchesReplay(t *testing.T) {
 		if !reflect.DeepEqual(wantSum, gotSum) {
 			t.Fatalf("%s: memoized constant waits changed the summary", prof.Name)
 		}
+	}
+}
+
+// TestReplayMemoAcrossProfilesMatchesReplay: the jobs of two profiles
+// over the same users, each carrying both profiles' rules as a planned
+// grid's do, run through one pass per user and match their own engine
+// replays, and the uncached run, exactly. A third profile that fails
+// validation rides in every job's Waits and fails none of them.
+func TestReplayMemoAcrossProfilesMatchesReplay(t *testing.T) {
+	const users = 3
+	profs := []power.Profile{power.TMobile3G, power.VerizonLTE}
+	broken := power.ATTHSPAPlus
+	broken.T1MW = 0
+	var jobs []Job
+	sets := []sim.WaitSet{{Prof: broken, Rules: consts(time.Second)}}
+	for _, prof := range profs {
+		pj := waitJobs(t, users, prof, nil)
+		sets = append(sets, pj[0].Waits...)
+		jobs = append(jobs, pj...)
+	}
+	for i := range jobs {
+		jobs[i].Waits = sets
+	}
+	want := collectResults(t, jobs, nil)
+	tc := NewTraceCache(1 << 20)
+	got := collectResults(t, jobs, tc)
+	for i := range want {
+		if !reflect.DeepEqual(want[i].Result, got[i].Result) || want[i].Baseline != got[i].Baseline {
+			t.Fatalf("job %d (%s, %s): memo result differs:\nreplay: %+v\nmemo:   %+v",
+				i, jobs[i].Profile.Name, jobs[i].Scheme, want[i].Result, got[i].Result)
+		}
+	}
+	if st := tc.Stats(); st.ReplayPasses != users || st.ReplayMisses != 0 || st.FitMisses != users {
+		t.Fatalf("want one pass and one fit per user for both profiles: %+v", st)
 	}
 }
 
@@ -391,12 +510,12 @@ func TestReplayMemoResolvesFittedRules(t *testing.T) {
 	other := sim.Wait{D: 2500 * time.Millisecond}
 	var resolutions atomic.Int64
 	entered, release := make(chan struct{}), make(chan struct{})
-	batch := waitBatch{rules: consts(time.Second), fitted: func() []sim.Wait {
+	batch := waitBatch{rules: consts(time.Second), fitted: func() []sim.WaitSet {
 		if resolutions.Add(1) == 1 {
 			close(entered)
 		}
 		<-release
-		return []sim.Wait{fitted, {D: time.Second}, {Oracle: true, D: time.Second}}
+		return []sim.WaitSet{{Prof: prof, Rules: []sim.Wait{fitted, {D: time.Second}, {Oracle: true, D: time.Second}}}}
 	}}
 	var p passLog
 	done := make(chan error, 1)

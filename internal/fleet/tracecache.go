@@ -48,19 +48,21 @@ import (
 // Without AdvanceEpoch calls the cache is a plain LRU.
 //
 // A retained slab's entry also carries its wait-rule replays: the scalar
-// Result of the slab replayed under one sim.Wait rule, one per (profile,
-// sim.Options, clamped rule). The StatusQuo baseline every job divides by
-// is the tail-clamped constant wait, and the fixedtail, statusquo, fitted
-// 95% IAT and Oracle schemes are the others. A miss claims, with its own
-// rule, every rule of the caller's batch no one has claimed yet, plus the
-// rules of the batch's fitted halves, which it resolves through the fit
-// memo below before the pass, and replays them all in one
-// sim.Engine.RunWaits pass over the slab. A grid thus decodes each user
-// once per (profile, options) for its whole wait axis instead of once per
-// cell. A memo is a few scalars and lives and dies with its slab: it is
-// retained, evicted and epoch-dropped with it and charges nothing to the
-// byte budget. Replays are single-flight per key the same way generation
-// is, and replays of slabs the cache did not retain are not memoized.
+// Result of the slab replayed under one profile and one sim.Wait rule,
+// one per (sim.Options, profile, clamped rule). The StatusQuo baseline
+// every job divides by is the tail-clamped constant wait, and the
+// fixedtail, statusquo, fitted 95% IAT and Oracle schemes are the others.
+// A miss claims, with its own rule, every (profile, rule) of the caller's
+// batch no one has claimed yet under the same options, whatever the
+// profile, plus the rules of the batch's fitted halves, which it resolves
+// through the fit memo below before the pass, and replays them all in one
+// sim.Engine.RunWaits pass over the slab, one wait set per profile. A grid
+// thus decodes each user once per options for its whole wait axis on
+// every profile instead of once per cell. A memo is a few scalars and
+// lives and dies with its slab: it is retained, evicted and epoch-dropped
+// with it and charges nothing to the byte budget. Replays are
+// single-flight per key the same way generation is, and replays of slabs
+// the cache did not retain are not memoized.
 //
 // The entry memoizes trace-fitted policies the same way, one per fitted
 // half of a scheme (FitKey): a fit reads the whole trace, so without the
@@ -91,7 +93,9 @@ type TraceCache struct {
 // LRU position, nil while generating or once dropped. born is the epoch
 // whose caller started the generation and last the latest epoch in which
 // any caller touched the entry. replays and fits are the entry's
-// wait-rule replay and fit memos, guarded by the cache's mu.
+// wait-rule replay and fit memos, guarded by the cache's mu. replays is
+// keyed by the dereferenced simulation options (nil counts as the zero
+// value, which the engine treats identically).
 type traceEntry struct {
 	key        string
 	done       chan struct{}
@@ -99,33 +103,31 @@ type traceEntry struct {
 	err        error
 	elem       *list.Element
 	born, last uint64
-	replays    map[replayKey]*replaySet
+	replays    map[sim.Options]*replaySet
 	fits       map[fitKey]*fitMemo
 }
 
-// replayKey identifies the wait-rule replays of an entry's slab under one
-// profile and the dereferenced simulation options (nil counts as the zero
-// value, which the engine treats identically). Its rules are a short
-// list, not part of the key, so the map holds one profile-sized key per
-// (profile, options) rather than one per rule.
-type replayKey struct {
-	prof power.Profile
-	opts sim.Options
-}
-
-// replaySet is an entry's wait-rule replays under one replayKey. While a
+// replaySet is an entry's wait-rule replays under one sim.Options, one
+// list of memos per profile: profiles and rules are short lists, so a
+// lookup scans them rather than hashing a profile-sized key. While a
 // claimer is resolving the fitted rules of its batch, resolving is open:
-// a lookup that finds no memo for its rule then waits for it to close,
-// when the claimer's rule list is final, before it claims a pass of its
-// own.
+// a lookup that finds no memo for its (profile, rule) then waits for it
+// to close, when the claimer's rule lists are final, before it claims a
+// pass of its own.
 type replaySet struct {
-	memos     []*waitMemo
+	profs     []*profileMemos
 	resolving chan struct{}
 }
 
+// profileMemos are a replaySet's memos under one profile.
+type profileMemos struct {
+	prof  power.Profile
+	memos []*waitMemo
+}
+
 // waitMemo is one memoized (or still replaying) wait-rule replay. rule is
-// clamped (sim.Wait.Clamped), the canonical form of rules that replay
-// alike; val is final once its claim's done closes.
+// clamped (sim.Wait.Clamped) to its profile's tail, the canonical form of
+// rules that replay alike; val is final once its claim's done closes.
 type waitMemo struct {
 	rule  sim.Wait
 	claim *claim
@@ -139,19 +141,23 @@ type claim struct {
 	err  error
 }
 
-// waitPass replays a slab once under the rule r and every rule in more
-// and returns one Result per rule, r's first and the others in order.
-// The slice may be the caller's scratch: it is read before the next pass.
-type waitPass func(r sim.Wait, more []sim.Wait) ([]sim.Result, error)
+// waitPass replays a slab once under every wait set: the lookup's
+// profile first, its own rule leading, then one set per other profile.
+// It returns one Result list per set, in order. The returned slices may
+// be the caller's scratch: they are read before the next pass.
+type waitPass func(sets []sim.WaitSet) ([][]sim.Result, error)
 
 // waitBatch is what a lookup offers to claim with its own rule when it
-// misses: the rules other jobs over the same packets replay, and fitted,
-// which resolves the rules of their trace-fitted halves (nil when there
-// are none). fitted runs only on a miss of a retained slab, outside the
-// cache's lock, and may use the fit memo.
+// misses: rules under the lookup's own profile and sets under any
+// profiles, the rules other jobs over the same packets and options
+// replay, and fitted, which resolves the rules of their trace-fitted
+// halves per profile (nil when there are none). fitted runs only on a
+// miss of a retained slab, outside the cache's lock, and may use the fit
+// memo.
 type waitBatch struct {
 	rules  []sim.Wait
-	fitted func() []sim.Wait
+	sets   []sim.WaitSet
+	fitted func() []sim.WaitSet
 }
 
 // fitKey identifies one fitted policy of an entry's slab: the half's
@@ -179,8 +185,9 @@ type fitMemo struct {
 // waiting on) another lookup's replay; ReplayMisses and ReplayHits count
 // the scheme replays looked up in the wait-rule memo the same way.
 // Every miss runs one pass over the slab, which replays its own wait and
-// the unclaimed rest of its batch together, so ReplayPasses, the passes
-// actually run, is BaselineMisses + ReplayMisses. FitMisses and FitHits
+// the unclaimed rest of its batch together, on every profile the batch
+// names, so ReplayPasses, the passes actually run, is BaselineMisses +
+// ReplayMisses. FitMisses and FitHits
 // count fits the same way. Replays and fits of slabs the cache did not
 // retain count in none of them.
 type TraceCacheStats struct {
@@ -286,50 +293,52 @@ func (c *TraceCache) ruleReplay(key string, prof power.Profile, opts *sim.Option
 }
 
 // replay returns the scalar Result of key's slab replayed under (prof,
-// opts) and the wait rule r, calling pass at most once per clamped rule
-// for as long as the cache retains the slab. The first lookup of a rule
-// claims it, plus every rule in batch.rules that no lookup has claimed
-// yet, all under mu. When batch.fitted is set, the claimer then marks the
-// set as resolving, calls it outside the lock and claims the unclaimed
-// rules it returns too, so the fitted rules join the pass whichever job
-// arrives first; a lookup that misses meanwhile waits for that list to
-// be final. The claimer replays every claimed rule in one pass; a lookup
-// whose rule is already claimed waits for that claimer's pass instead.
-// Waiting is deadlock-free for the same reason Slab's is: fitted and pass
-// run on the calling goroutine and acquire nothing but fits, whose
-// builders acquire nothing. A pass error is returned to every waiter of
-// every rule it claimed but not memoized, so a later caller retries. With
-// a nil cache, an empty key, or a slab the cache does not hold (never
-// retained, or dropped since), replay just runs pass(r, nil) for the one
-// (clamped) rule. base picks the baseline counters over the scheme-replay
-// ones.
+// opts) and the wait rule r, calling pass at most once per (profile,
+// clamped rule) under opts for as long as the cache retains the slab. The
+// first lookup of a rule claims it, plus every (profile, rule) of batch's
+// rules and sets that no lookup has claimed yet, all under mu. When
+// batch.fitted is set, the claimer then marks the set as resolving, calls
+// it outside the lock and claims the unclaimed rules it returns too, so
+// the fitted rules join the pass whichever job arrives first; a lookup
+// that misses meanwhile, under any profile, waits for those lists to be
+// final. The claimer replays every claimed rule in one pass, its own
+// profile's rules as the first wait set; a lookup whose rule is already
+// claimed waits for that claimer's pass instead. Waiting is deadlock-free
+// for the same reason Slab's is: fitted and pass run on the calling
+// goroutine and acquire nothing but fits, whose builders acquire nothing.
+// A pass error is returned to every waiter of every rule it claimed but
+// not memoized, so a later caller retries. A set of batch whose profile
+// fails validation is left out, so its own lookups claim it and report
+// its error rather than failing this pass. With a nil cache, an empty
+// key, or a slab the cache does not hold (never retained, or dropped
+// since), replay just runs pass for the one (clamped) rule. base picks
+// the baseline counters over the scheme-replay ones.
 func (c *TraceCache) replay(key string, prof power.Profile, opts *sim.Options, r sim.Wait, batch waitBatch,
 	base bool, pass waitPass) (sim.Result, error) {
-	tail := prof.Tail()
-	r = r.Clamped(tail)
+	r = r.Clamped(prof.Tail())
 	if c == nil || key == "" {
-		return firstResult(pass(r, nil))
+		return firstResult(pass([]sim.WaitSet{{Prof: prof, Rules: []sim.Wait{r}}}))
 	}
-	k := replayKey{prof: prof}
+	var k sim.Options
 	if opts != nil {
-		k.opts = *opts
+		k = *opts
 	}
 	c.mu.Lock()
 	e := c.entries[key]
 	if e == nil || e.elem == nil {
 		c.mu.Unlock()
-		return firstResult(pass(r, nil))
+		return firstResult(pass([]sim.WaitSet{{Prof: prof, Rules: []sim.Wait{r}}}))
 	}
 	set := e.replays[k]
 	if set == nil {
 		set = &replaySet{}
 		if e.replays == nil {
-			e.replays = map[replayKey]*replaySet{}
+			e.replays = map[sim.Options]*replaySet{}
 		}
 		e.replays[k] = set
 	}
 	for {
-		if m := set.find(r); m != nil {
+		if m := set.find(&prof, r); m != nil {
 			if base {
 				c.baseHits++
 			} else {
@@ -348,19 +357,42 @@ func (c *TraceCache) replay(key string, prof power.Profile, opts *sim.Options, r
 		c.mu.Lock()
 	}
 	cl := &claim{done: make(chan struct{})}
+	// The pass's wait sets, prof's first with r leading; at[i] locates
+	// claimed[i]'s Result.
 	claimed := []*waitMemo{{rule: r, claim: cl}}
-	set.memos = append(set.memos, claimed[0])
-	var more []sim.Wait
-	take := func(rules []sim.Wait) {
+	at := [][2]int{{0, 0}}
+	sets := []sim.WaitSet{{Prof: prof, Rules: []sim.Wait{r}}}
+	pm := set.memos(prof)
+	pm.memos = append(pm.memos, claimed[0])
+	take := func(p power.Profile, rules []sim.Wait) {
+		if p.Validate() != nil {
+			return
+		}
+		tail := p.Tail()
 		for _, b := range rules {
-			if b = b.Clamped(tail); set.find(b) == nil {
-				m := &waitMemo{rule: b, claim: cl}
-				claimed, set.memos = append(claimed, m), append(set.memos, m)
-				more = append(more, b)
+			if b = b.Clamped(tail); set.find(&p, b) != nil {
+				continue
 			}
+			m := &waitMemo{rule: b, claim: cl}
+			pm := set.memos(p)
+			pm.memos = append(pm.memos, m)
+			claimed = append(claimed, m)
+			g := slices.IndexFunc(sets, func(s sim.WaitSet) bool { return s.Prof == p })
+			if g < 0 {
+				g = len(sets)
+				sets = append(sets, sim.WaitSet{Prof: p})
+			}
+			sets[g].Rules = append(sets[g].Rules, b)
+			at = append(at, [2]int{g, len(sets[g].Rules) - 1})
 		}
 	}
-	take(batch.rules)
+	takeSets := func(sets []sim.WaitSet) {
+		for _, s := range sets {
+			take(s.Prof, s.Rules)
+		}
+	}
+	take(prof, batch.rules)
+	takeSets(batch.sets)
 	if base {
 		c.baseMisses++
 	} else {
@@ -373,20 +405,22 @@ func (c *TraceCache) replay(key string, prof power.Profile, opts *sim.Options, r
 		c.mu.Unlock()
 		fitted := batch.fitted()
 		c.mu.Lock()
-		take(fitted)
+		takeSets(fitted)
 		set.resolving = nil
 		close(resolving)
 	}
 	c.mu.Unlock()
 
-	res, err := pass(r, more)
+	res, err := pass(sets)
 	if err != nil {
 		c.mu.Lock()
-		set.memos = slices.DeleteFunc(set.memos, func(m *waitMemo) bool { return m.claim == cl })
+		for _, pm := range set.profs {
+			pm.memos = slices.DeleteFunc(pm.memos, func(m *waitMemo) bool { return m.claim == cl })
+		}
 		c.mu.Unlock()
 	} else {
 		for i, m := range claimed {
-			m.val = res[i]
+			m.val = res[at[i][0]][at[i][1]]
 		}
 	}
 	cl.err = err
@@ -394,22 +428,39 @@ func (c *TraceCache) replay(key string, prof power.Profile, opts *sim.Options, r
 	return claimed[0].val, err
 }
 
-// find returns the memo of the clamped rule r, or nil.
-func (s *replaySet) find(r sim.Wait) *waitMemo {
-	for _, m := range s.memos {
-		if m.rule == r {
-			return m
+// find returns the memo of the clamped rule r under prof, or nil.
+func (s *replaySet) find(prof *power.Profile, r sim.Wait) *waitMemo {
+	for _, pm := range s.profs {
+		if pm.prof == *prof {
+			for _, m := range pm.memos {
+				if m.rule == r {
+					return m
+				}
+			}
+			return nil
 		}
 	}
 	return nil
 }
 
+// memos returns prof's memo list, adding an empty one if there is none.
+func (s *replaySet) memos(prof power.Profile) *profileMemos {
+	for _, pm := range s.profs {
+		if pm.prof == prof {
+			return pm
+		}
+	}
+	pm := &profileMemos{prof: prof}
+	s.profs = append(s.profs, pm)
+	return pm
+}
+
 // firstResult is the unmemoized lookup's answer: the pass's first Result.
-func firstResult(res []sim.Result, err error) (sim.Result, error) {
+func firstResult(res [][]sim.Result, err error) (sim.Result, error) {
 	if err != nil {
 		return sim.Result{}, err
 	}
-	return res[0], nil
+	return res[0][0], nil
 }
 
 // fit returns the policy half fitted to key's slab under fk, calling

@@ -43,10 +43,10 @@ type gridCell struct {
 	cohort  fleet.Cohort
 	profile power.Profile
 	scheme  fleet.Scheme
-	// waits are the wait rules of the grid's schemes under profile and
-	// fitWaits their fitted constant-wait halves (planWaits), shared by
-	// every cell of the profile and stamped into each job.
-	waits    []sim.Wait
+	// waits are the wait rules of the grid's schemes under each of its
+	// profiles and fitWaits their fitted constant-wait halves (planWaits),
+	// shared by every cell of the grid and stamped into each job.
+	waits    []sim.WaitSet
 	fitWaits []fleet.FitWait
 
 	// NumJobs and Shards are the cell's progress denominators: the fleet
@@ -56,10 +56,10 @@ type gridCell struct {
 	NumJobs, Shards int
 }
 
-// Jobs materializes the cell's fleet run. Every job carries the
-// profile's wait rules and fitted constant-wait halves, so whichever cell
-// of a (cohort, profile) first misses the trace cache's wait-rule memo for
-// a user replays the whole wait axis in one pass.
+// Jobs materializes the cell's fleet run. Every job carries every
+// profile's wait rules and the fitted constant-wait halves, so whichever
+// cell of a cohort first misses the trace cache's wait-rule memo for a
+// user replays the whole wait axis on every profile in one pass.
 func (c *gridCell) Jobs() []fleet.Job {
 	jobs := c.cohort.Jobs(c.profile, []fleet.Scheme{c.scheme})
 	for i := range jobs {
@@ -68,34 +68,42 @@ func (c *gridCell) Jobs() []fleet.Job {
 	return jobs
 }
 
-// planWaits returns what the schemes replay under prof as wait rules:
-// the distinct clamped rules (sim.Wait.Clamped) of the schemes with no
-// trace-fitted and no batching half, and the fitted demote halves of the
-// schemes with no batching half whose policy is a wait rule. Each scheme
-// builds its demote policy once with a nil trace (which gives the
-// Oracle's threshold for prof), and sim.WaitOf says whether it is a wait
-// rule. A scheme whose factory fails contributes nothing; its cells fail
-// on their own.
-func planWaits(schemes []fleet.ResolvedScheme, prof power.Profile) (waits []sim.Wait, fitted []fleet.FitWait) {
-	for _, rs := range schemes {
-		s := rs.Scheme
-		if s.Active != nil || (s.FitTrace && s.DemoteFit.Spec == "") {
-			continue
-		}
-		d, err := s.Demote(nil, prof)
-		if err != nil {
-			continue
-		}
-		r, ok := sim.WaitOf(d)
-		switch {
-		case !ok:
-		case s.FitTrace:
-			fitted = append(fitted, fleet.FitWait{Key: s.DemoteFit, Demote: s.Demote})
-		default:
-			if r = r.Clamped(prof.Tail()); !slices.Contains(waits, r) {
-				waits = append(waits, r)
+// planWaits returns what the grid's jobs replay under each profile as
+// wait rules: per profile, the distinct clamped rules (sim.Wait.Clamped)
+// of the StatusQuo baseline every job replays (the tail-clamped wait,
+// first) and of the schemes with no trace-fitted and no batching half,
+// and the fitted
+// demote halves of the schemes with no batching half whose policy is a
+// wait rule under some profile. Each scheme builds its demote policy once
+// per profile with a nil trace (which gives the Oracle's threshold for
+// that profile), and sim.WaitOf says whether it is a wait rule. A scheme
+// whose factory fails contributes nothing; its cells fail on their own.
+func planWaits(schemes []fleet.ResolvedScheme, profs []power.ResolvedProfile) (waits []sim.WaitSet, fitted []fleet.FitWait) {
+	for _, pa := range profs {
+		set := sim.WaitSet{Prof: pa.Profile, Rules: []sim.Wait{{D: pa.Profile.Tail()}}}
+		for _, rs := range schemes {
+			s := rs.Scheme
+			if s.Active != nil || (s.FitTrace && s.DemoteFit.Spec == "") {
+				continue
+			}
+			d, err := s.Demote(nil, set.Prof)
+			if err != nil {
+				continue
+			}
+			r, ok := sim.WaitOf(d)
+			switch {
+			case !ok:
+			case s.FitTrace:
+				if !slices.ContainsFunc(fitted, func(f fleet.FitWait) bool { return f.Key == s.DemoteFit }) {
+					fitted = append(fitted, fleet.FitWait{Key: s.DemoteFit, Demote: s.Demote})
+				}
+			default:
+				if r = r.Clamped(set.Prof.Tail()); !slices.Contains(set.Rules, r) {
+					set.Rules = append(set.Rules, r)
+				}
 			}
 		}
+		waits = append(waits, set)
 	}
 	return waits, fitted
 }
@@ -227,14 +235,10 @@ func (s Spec) planFingerprint(opts fleet.Options, axes *axisCache) ([]gridCell, 
 	sum := sha256.Sum256(b)
 	fp := hex.EncodeToString(sum[:])
 
-	waits := make([][]sim.Wait, len(pas))
-	fitWaits := make([][]fleet.FitWait, len(pas))
-	for i, pa := range pas {
-		waits[i], fitWaits[i] = planWaits(sas, pa.Profile)
-	}
+	waits, fitWaits := planWaits(sas, pas)
 	cells := make([]gridCell, 0, len(s.Schemes)*len(s.Profiles)*len(s.Cohorts))
 	for _, ca := range cas {
-		for pi, pa := range pas {
+		for _, pa := range pas {
 			for _, sa := range sas {
 				cells = append(cells, gridCell{
 					Scheme:   sa.Scheme.Name,
@@ -244,8 +248,8 @@ func (s Spec) planFingerprint(opts fleet.Options, axes *axisCache) ([]gridCell, 
 					cohort:   ca.Cohort,
 					profile:  pa.Profile,
 					scheme:   sa.Scheme,
-					waits:    waits[pi],
-					fitWaits: fitWaits[pi],
+					waits:    waits,
+					fitWaits: fitWaits,
 					NumJobs:  ca.Cohort.Users,
 					Shards:   opts.NumShards(ca.Cohort.Users),
 				})

@@ -284,9 +284,9 @@ type Config struct {
 	// replays; a slab a later job touches stays under the LRU budget.
 	// Each retained slab also carries its user's memoized replays: every
 	// wait-rule replay (the StatusQuo baseline, constant waits, Oracle
-	// thresholds and fitted constant-wait timers, all of a (profile,
-	// simulation options) replayed in one pass) and the fitted policy
-	// halves, so a grid replays its wait rules once per (cohort, profile,
+	// thresholds and fitted constant-wait timers of every profile under
+	// one set of simulation options, replayed in one pass) and the fitted
+	// policy halves, so a grid replays its wait rules once per (cohort,
 	// user) and fits a policy once per (cohort, user), or per profile too
 	// when its fit reads the profile, rather than once per cell; they
 	// cost no budget and go when the slab goes. Results are

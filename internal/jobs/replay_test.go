@@ -17,8 +17,8 @@ import (
 
 // The constant-wait memo: each retained slab replays a grid's whole wait
 // axis (the fixedtail and statusquo schemes, the fitted 95iat timer and
-// the StatusQuo baseline) in one pass per (profile, options). These tests
-// pin its counts and that it never changes a byte.
+// the StatusQuo baseline) on every profile in one pass per options. These
+// tests pin its counts and that it never changes a byte.
 
 func fixedTailSpec(wait string) fleet.SchemeSpec {
 	return fleet.SchemeSpec{Policy: policy.Spec{Name: "fixedtail", Params: map[string]any{"wait": wait}}}
@@ -39,14 +39,14 @@ var paperShapedSchemes = []fleet.SchemeSpec{
 // TestReplayMemoExactCounts pins how often a tail-sweep-shaped grid
 // replays: over S schemes (fixed tails, statusquo, the Oracle and the
 // fitted 95iat timer, every one a wait rule) on C cohorts x P profiles x
-// U users, a fresh-seed grid runs exactly one pass per (cohort, profile,
-// user), C·P·U, claimed by the first baseline lookup, which resolves the
-// 95iat fit first, and every scheme replay is a memo hit, C·P·U·S; no
-// scheme replay misses, so none runs a pass of its own or goes through
-// the engine. The profile-free fit runs once per (cohort, user), C·U. A
-// resubmission served from the cell cache runs nothing, and a second
-// fresh-seed grid adds the same counts again, at every worker count and
-// cell concurrency level.
+// U users, a fresh-seed grid runs exactly one pass per (cohort, user),
+// C·U, for all P profiles, claimed by the first baseline lookup, which
+// resolves the 95iat fit first; every other baseline lookup, C·P·U·S −
+// C·U, and every scheme replay, C·P·U·S, is a memo hit, so no scheme replay runs a
+// pass of its own or goes through the engine. The profile-free fit runs
+// once per (cohort, user), C·U. A resubmission served from the cell cache
+// runs nothing, and a second fresh-seed grid adds the same counts again,
+// at every worker count and cell concurrency level.
 func TestReplayMemoExactCounts(t *testing.T) {
 	const users = 2 // each fixture cohort's population
 	schemes := []fleet.SchemeSpec{fixedTailSpec("1s"), fixedTailSpec("3s"), fixedTailSpec("8s"),
@@ -54,10 +54,10 @@ func TestReplayMemoExactCounts(t *testing.T) {
 	spec := func(seed int64) Spec {
 		return Spec{Seed: seed, Shards: 2, Schemes: schemes, Profiles: fitProfiles, Cohorts: resumeCohorts}
 	}
-	keys := uint64(len(resumeCohorts) * len(fitProfiles) * users)
-	want := fleet.TraceCacheStats{ReplayPasses: keys, ReplayHits: keys * uint64(len(schemes)),
-		BaselineMisses: keys, BaselineHits: keys * uint64(len(schemes)-1),
-		FitMisses: uint64(len(resumeCohorts) * users)}
+	cu := uint64(len(resumeCohorts) * users)
+	keys := cu * uint64(len(fitProfiles))
+	want := fleet.TraceCacheStats{ReplayPasses: cu, ReplayHits: keys * uint64(len(schemes)),
+		BaselineMisses: cu, BaselineHits: keys*uint64(len(schemes)) - cu, FitMisses: cu}
 
 	for _, workers := range []int{1, 4} {
 		for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
@@ -114,9 +114,9 @@ func TestReplayMemoEquivalence(t *testing.T) {
 			const users = 2
 			keys := uint64(users * len(paper.Profiles))
 			// statusquo, 4.5s, 30s and the fitted 95iat timer all hit the
-			// baseline's pass.
-			if st := m.TraceCacheStats(); st.ReplayHits != 4*keys || st.ReplayMisses != 0 || st.ReplayPasses != keys ||
-				st.BaselineMisses != keys {
+			// pass of the user's first baseline, which covers both profiles.
+			if st := m.TraceCacheStats(); st.ReplayHits != 4*keys || st.ReplayMisses != 0 || st.ReplayPasses != users ||
+				st.BaselineMisses != users {
 				t.Fatalf("paper-shaped grid: %+v", st)
 			}
 
@@ -178,12 +178,13 @@ func TestReplayMemoOrderIndependence(t *testing.T) {
 	}
 }
 
-// TestPlanWaits pins the plan-time wait axis: one shared, clamped,
-// deduplicated rule list per profile, from the schemes with neither a
-// fitted nor a batching half — here the statusquo scheme and the 30s tail
-// both clamp to the tail, and the Oracle's threshold is the profile's
-// t_threshold — and one shared list of fitted constant-wait halves, the
-// 95iat timer's; makeidle and makeidle+learn add nothing.
+// TestPlanWaits pins the plan-time wait axis: one clamped, deduplicated
+// rule list per profile, in the grid's profile order, from the schemes
+// with neither a fitted nor a batching half — here the statusquo scheme
+// and the 30s tail both clamp to the tail, and the Oracle's threshold is
+// the profile's t_threshold — and one list of fitted constant-wait
+// halves, the 95iat timer's; makeidle and makeidle+learn add nothing.
+// Every cell of the grid, whatever its profile, shares both lists.
 func TestPlanWaits(t *testing.T) {
 	schemes := append(slices.Clone(paperShapedSchemes), fleet.SchemeSpec{Policy: policy.Spec{Name: "oracle"}})
 	spec := Spec{Seed: 1, Shards: 2, Schemes: schemes, Profiles: fitProfiles, Cohorts: resumeCohorts}.withDefaults()
@@ -195,18 +196,28 @@ func TestPlanWaits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(fitProfiles) < 2 {
+		t.Fatal("the grid needs several profiles")
+	}
 	for _, c := range cells {
-		tail := c.profile.Tail()
-		want := []sim.Wait{{D: tail}, {D: 4500 * time.Millisecond}, {Oracle: true, D: energy.Threshold(&c.profile)}}
-		if !slices.Equal(c.waits, want) {
-			t.Fatalf("cell %s/%s: waits %v, want %v", c.Scheme, c.Profile, c.waits, want)
+		if len(c.waits) != len(fitProfiles) {
+			t.Fatalf("cell %s/%s: %d wait sets, want one per profile", c.Scheme, c.Profile, len(c.waits))
+		}
+		for k, set := range c.waits {
+			if set.Prof.Name != cells[k*len(schemes)].Profile {
+				t.Fatalf("cell %s/%s: wait set %d is %s's, want %s's", c.Scheme, c.Profile, k, set.Prof.Name, cells[k*len(schemes)].Profile)
+			}
+			want := []sim.Wait{{D: set.Prof.Tail()}, {D: 4500 * time.Millisecond}, {Oracle: true, D: energy.Threshold(&set.Prof)}}
+			if !slices.Equal(set.Rules, want) {
+				t.Fatalf("cell %s/%s: %s waits %v, want %v", c.Scheme, c.Profile, set.Prof.Name, set.Rules, want)
+			}
 		}
 		if len(c.fitWaits) != 1 || c.fitWaits[0].Key != iat.Scheme.DemoteFit {
 			t.Fatalf("cell %s/%s: fitted halves %+v, want the 95iat timer's %+v", c.Scheme, c.Profile, c.fitWaits, iat.Scheme.DemoteFit)
 		}
 		for _, j := range c.Jobs() {
-			if &j.Waits[0] != &c.waits[0] || &j.FitWaits[0] != &c.fitWaits[0] {
-				t.Fatalf("cell %s/%s: job does not share the profile's rule lists", c.Scheme, c.Profile)
+			if &j.Waits[0] != &cells[0].waits[0] || &j.FitWaits[0] != &cells[0].fitWaits[0] {
+				t.Fatalf("cell %s/%s: job does not share the grid's rule lists", c.Scheme, c.Profile)
 			}
 		}
 	}

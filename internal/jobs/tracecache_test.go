@@ -42,6 +42,7 @@ func TestTraceCacheEquivalence(t *testing.T) {
 		Cohorts:  resumeCohorts[:1], // x1 = 6 cells, one shared cohort
 	}
 	const users = 2 // study-3g fixture population
+	// Each user's first baseline lookup claims both profiles' baselines.
 	memoKeys := uint64(users * len(spec.Profiles))
 
 	refStore, err := store.Open(store.Config{Dir: t.TempDir()})
@@ -79,10 +80,10 @@ func TestTraceCacheEquivalence(t *testing.T) {
 			if stats.Hits == 0 {
 				t.Fatalf("cached run never hit the trace cache: %+v", stats)
 			}
-			wantHits := memoKeys * uint64(len(spec.Schemes)-1)
-			if stats.BaselineMisses != memoKeys || stats.BaselineHits != wantHits {
+			wantHits := memoKeys*uint64(len(spec.Schemes)) - users
+			if stats.BaselineMisses != users || stats.BaselineHits != wantHits {
 				t.Fatalf("baseline memo: want %d replays and %d reuses: %+v",
-					memoKeys, wantHits, stats)
+					users, wantHits, stats)
 			}
 
 			if st.Len() != refStore.Len() {
@@ -117,12 +118,12 @@ func TestTraceCacheEquivalence(t *testing.T) {
 }
 
 // TestBaselineMemoExactCounts pins how often a grid replays baselines: a
-// fresh-seed grid of C cohorts x P profiles x S schemes x U users replays
-// one StatusQuo baseline per (cohort, profile, user), C·P·U memo misses,
-// and every other cell of the same (cohort, profile) reuses it, C·P·U·(S-1)
-// hits, at every cell concurrency level. A resubmission served from the
-// cell cache replays nothing, and a second fresh-seed grid adds the same
-// counts again.
+// fresh-seed grid of C cohorts x P profiles x S schemes x U users misses
+// once per (cohort, user), C·U, and that pass replays the user's baseline
+// on every profile, so every other baseline lookup of the cohort is a
+// hit, C·P·U·S − C·U, at every cell concurrency level. A resubmission
+// served from the cell cache replays nothing, and a second fresh-seed
+// grid adds the same counts again.
 func TestBaselineMemoExactCounts(t *testing.T) {
 	const users = 2 // each fixture cohort's population
 	spec := func(seed int64) Spec {
@@ -132,8 +133,9 @@ func TestBaselineMemoExactCounts(t *testing.T) {
 			Cohorts:  resumeCohorts,     // x2 = 12 cells
 		}
 	}
-	keys := uint64(len(resumeCohorts) * len(resumeProfiles) * users)
-	wantMisses, wantHits := keys, keys*uint64(len(traceCacheSchemes)-1)
+	cu := uint64(len(resumeCohorts) * users)
+	lookups := cu * uint64(len(resumeProfiles)*len(traceCacheSchemes))
+	wantMisses, wantHits := cu, lookups-cu
 
 	for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
@@ -218,9 +220,9 @@ var fitProfiles = []power.ProfileSpec{
 // policies: the 95% IAT fit ignores the profile, so a fresh-seed 95iat
 // grid of C cohorts x P profiles x U users fits once per (cohort, user),
 // C·U fit-memo misses. Its timer is a constant wait, so each (cohort,
-// profile, user)'s baseline lookup, which claims the user's wait-rule
-// pass, resolves it through the memo, and so does each job: the other
-// C·U·(P-1) claims and all C·P·U jobs are hits, C·U·(2P-1) in all.
+// user)'s first baseline lookup, which claims the user's wait-rule pass
+// on every profile, resolves it through the memo once (the miss), and
+// each job looks it up again: all C·P·U jobs are hits.
 // MakeActive-Fix reads the profile, so makeidle+fix fits once per
 // (cohort, profile, user), C·P·U misses and no hits. A resubmission
 // served from the cell cache fits nothing. The counts hold at every cell
@@ -252,7 +254,7 @@ func TestFitMemoExactCounts(t *testing.T) {
 					}
 					last = st
 				}
-				step("95iat grid", spec(71, iat), cu, cu*(2*p-1))
+				step("95iat grid", spec(71, iat), cu, cu*p)
 				step("95iat resubmission", spec(71, iat), 0, 0)
 				step("makeidle+fix grid", spec(72, fix), cu*p, 0)
 				step("makeidle+fix resubmission", spec(72, fix), 0, 0)

@@ -39,7 +39,7 @@ func (s *Stream) Add(x float64) {
 	}
 	d := x - s.Mean
 	s.Mean += d / float64(s.N)
-	s.M2 += d * (x - s.Mean)
+	s.M2 += float64(d * (x - s.Mean)) // rounded: no fused multiply-add
 	if x < s.Min {
 		s.Min = x
 	}
@@ -226,7 +226,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	for i, c := range h.Counts {
 		cum += c
 		if cum >= target {
-			return h.Lo + float64(i+1)*width
+			return h.Lo + float64(float64(i+1)*width)
 		}
 	}
 	return h.Hi
@@ -251,7 +251,7 @@ func (h *Histogram) String() string {
 		}
 		bar := strings.Repeat("#", 1+int(29*c/peak))
 		fmt.Fprintf(&sb, "[%8.3g, %8.3g) %7d %s\n",
-			h.Lo+float64(i)*width, h.Lo+float64(i+1)*width, c, bar)
+			h.Lo+float64(float64(i)*width), h.Lo+float64(float64(i+1)*width), c, bar)
 	}
 	return sb.String()
 }

@@ -421,10 +421,14 @@ func TestHealthzTraceCacheGauges(t *testing.T) {
 	if err := json.Unmarshal(hb, &health); err != nil {
 		t.Fatalf("healthz body: %v\n%s", err, hb)
 	}
-	// 95iat ignores the profile: one fit per user, reused by the user's
-	// other profile. Its timer is a wait rule, so every pass this grid
-	// claims resolves it through the memo too: the 4 jobs and the new
+	// Each user's first baseline lookup claims one pass for both
+	// profiles. 95iat ignores the profile: one fit per user, reused by the
+	// user's other profile. Its timer is a wait rule, so every pass this
+	// grid claims resolves it through the memo too: the 4 jobs and the new
 	// passes look the fit up, and all but the 2 fits are hits.
+	if got := num("replay_passes") - firstPasses; got != 2 {
+		t.Fatalf("replay_passes grew by %v, want 2 (one pass per user for both profiles)", got)
+	}
 	if got := num("fit_memo_misses"); got != 2 {
 		t.Fatalf("fit_memo_misses = %v, want 2 (one fit per user)", got)
 	}

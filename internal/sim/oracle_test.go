@@ -38,7 +38,7 @@ func oracleAndWaits(t testing.TB, tr trace.Trace, prof power.Profile) (oracleJ, 
 	}
 	waits := waitGrid(prof)
 	out := make([]Result, len(waits))
-	if err := e.RunWaits(tr.Source(), prof, waits, nil, out); err != nil {
+	if err := e.RunWaits(tr.Source(), []WaitSet{{prof, waits}}, nil, [][]Result{out}); err != nil {
 		t.Fatal(err)
 	}
 	bestJ, best = out[0].TotalJ(), waits[0].D

@@ -209,6 +209,9 @@ type Engine struct {
 	window   burstWindow       //rrclint:scratch
 	slice    trace.SliceSource //rrclint:scratch
 	rules    []ruleTally       //rrclint:scratch
+	// waitGroups are RunWaits' per-profile states; Reset zeroes them so
+	// an idle engine pins no profile.
+	waitGroups []waitGroup //rrclint:scratch
 }
 
 // NewEngine returns a reusable replay engine.
@@ -231,9 +234,10 @@ func (e *Engine) Reset() {
 	// engine after wiring it up, so zeroing it here would drop the very
 	// trace Run is about to replay. Run clears it once the replay ends.
 	slice := e.slice
+	clear(e.waitGroups)
 	*e = Engine{group: group, merged: merged, arrivals: arrivals, window: window, slice: slice,
 		mergeTmp: e.mergeTmp[:0], runs: e.runs[:0], runsTmp: e.runsTmp[:0],
-		rules: e.rules[:0], forceGeneric: e.forceGeneric}
+		rules: e.rules[:0], waitGroups: e.waitGroups[:0], forceGeneric: e.forceGeneric}
 }
 
 // Run replays one materialized trace on this engine. Semantics are

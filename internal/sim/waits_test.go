@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -41,37 +42,64 @@ func rulePolicy(r Wait) policy.DemotePolicy {
 	return &policy.FixedTail{Wait: r.D}
 }
 
-// checkRunWaits replays tr once per rule on an engine and once through
-// RunWaits, and requires the same scalars in every Result (TotalJ
-// compared by its bits too) or the same error at the same packet.
-func checkRunWaits(t testing.TB, label string, tr trace.Trace, prof power.Profile, waits []Wait) {
+// checkRunWaits replays tr once per (set, rule) on an engine and once
+// through RunWaits, and requires the same scalars in every Result
+// (TotalJ compared by its bits too) or the same error at the same packet.
+func checkRunWaits(t testing.TB, label string, tr trace.Trace, sets ...WaitSet) {
 	t.Helper()
 	e := NewEngine()
-	want := make([]Result, len(waits))
+	want := make([][]Result, len(sets))
+	got := make([][]Result, len(sets))
+	for g, set := range sets {
+		want[g] = make([]Result, len(set.Rules))
+		got[g] = make([]Result, len(set.Rules))
+	}
 	var wantErr error
-	for i, w := range waits {
-		if wantErr = e.RunSourceInto(&want[i], tr.Source(), prof, rulePolicy(w), nil, nil); wantErr != nil {
+	for g, set := range sets {
+		for i, w := range set.Rules {
+			if wantErr = e.RunSourceInto(&want[g][i], tr.Source(), set.Prof, rulePolicy(w), nil, nil); wantErr != nil {
+				break
+			}
+		}
+		if wantErr != nil {
 			break
 		}
 	}
-	got := make([]Result, len(waits))
-	err := e.RunWaits(tr.Source(), prof, waits, nil, got)
+	err := e.RunWaits(tr.Source(), sets, nil, got)
 	if err != nil || wantErr != nil {
 		if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
 			t.Fatalf("%s: RunWaits error %v, replay error %v", label, err, wantErr)
 		}
 		return
 	}
-	for i := range waits {
-		if got[i].Policy != "" {
-			t.Fatalf("%s: RunWaits stamped Policy %q", label, got[i].Policy)
-		}
-		got[i].Policy = want[i].Policy
-		if !reflect.DeepEqual(want[i], got[i]) ||
-			math.Float64bits(want[i].TotalJ()) != math.Float64bits(got[i].TotalJ()) {
-			t.Fatalf("%s: wait %v differs from its replay:\nreplay: %+v\nfused:  %+v", label, waits[i], want[i], got[i])
+	for g, set := range sets {
+		for i := range set.Rules {
+			if got[g][i].Policy != "" {
+				t.Fatalf("%s: RunWaits stamped Policy %q", label, got[g][i].Policy)
+			}
+			got[g][i].Policy = want[g][i].Policy
+			if !reflect.DeepEqual(want[g][i], got[g][i]) ||
+				math.Float64bits(want[g][i].TotalJ()) != math.Float64bits(got[g][i].TotalJ()) {
+				t.Fatalf("%s: set %d (%s) wait %v differs from its replay:\nreplay: %+v\nfused:  %+v",
+					label, g, set.Prof.Name, set.Rules[i], want[g][i], got[g][i])
+			}
 		}
 	}
+}
+
+// edgeSets are the carriers under their edge rules one at a time, all
+// four in one pass, and three sets with a duplicate profile whose second
+// copy has its rules reversed.
+func edgeSets() [][]WaitSet {
+	var out [][]WaitSet
+	all := make([]WaitSet, len(carriers))
+	for i, prof := range carriers {
+		all[i] = WaitSet{prof, edgeWaits(prof)}
+		out = append(out, []WaitSet{all[i]})
+	}
+	rev := slices.Clone(all[2].Rules)
+	slices.Reverse(rev)
+	return append(out, all, []WaitSet{all[2], all[0], {carriers[2], rev}})
 }
 
 // edgeWaits are the rules every carrier is checked under: constant waits
@@ -125,8 +153,8 @@ func TestRunWaitsMatchesReplays(t *testing.T) {
 		}
 	}
 	for name, tr := range traces {
-		for _, prof := range carriers {
-			checkRunWaits(t, name+"/"+prof.Name, tr, prof, edgeWaits(prof))
+		for k, sets := range edgeSets() {
+			checkRunWaits(t, fmt.Sprintf("%s/%d", name, k), tr, sets...)
 		}
 	}
 	// Gaps exactly at the rules' edges: the tail, a fixed wait, the
@@ -141,28 +169,45 @@ func TestRunWaitsMatchesReplays(t *testing.T) {
 			}
 		}
 		tr = append(tr, trace.Packet{T: at, Dir: trace.In, Size: 1400})
-		checkRunWaits(t, "edge-gaps/"+prof.Name, tr, prof, edgeWaits(prof))
+		checkRunWaits(t, "edge-gaps/"+prof.Name, tr, WaitSet{prof, edgeWaits(prof)})
+		// The other carriers ride along in the same pass, over gaps at
+		// this carrier's edges.
+		sets := []WaitSet{{prof, edgeWaits(prof)}}
+		for _, other := range carriers {
+			sets = append(sets, WaitSet{other, edgeWaits(other)})
+		}
+		checkRunWaits(t, "edge-gaps-all/"+prof.Name, tr, sets...)
 	}
 }
 
-// TestRunWaitsRejects: options that record per-policy logs, a result
-// slice of the wrong length, a nil source and an invalid profile fail
-// before any packet is read.
+// TestRunWaitsRejects: options that record per-policy logs, result
+// slices of the wrong length, a nil source and an invalid profile in any
+// set fail before any packet is read.
 func TestRunWaitsRejects(t *testing.T) {
 	tr := workload.Verizon3GUsers()[0].Generate(3, 10*time.Minute)
 	waits := []Wait{{D: time.Second}, {D: policy.Never}, {Oracle: true, D: time.Second}}
+	sets := []WaitSet{{power.Verizon3G, waits}, {power.VerizonLTE, waits[:2]}}
+	outs := func(ns ...int) [][]Result {
+		out := make([][]Result, len(ns))
+		for i, n := range ns {
+			out[i] = make([]Result, n)
+		}
+		return out
+	}
 	e := NewEngine()
 	for name, run := range map[string]func() error{
 		"decisions": func() error {
-			return e.RunWaits(tr.Source(), power.Verizon3G, waits, &Options{RecordDecisions: true}, make([]Result, 3))
+			return e.RunWaits(tr.Source(), sets, &Options{RecordDecisions: true}, outs(3, 2))
 		},
 		"episodes": func() error {
-			return e.RunWaits(tr.Source(), power.Verizon3G, waits, &Options{RecordEpisodes: true}, make([]Result, 3))
+			return e.RunWaits(tr.Source(), sets, &Options{RecordEpisodes: true}, outs(3, 2))
 		},
-		"short-out":  func() error { return e.RunWaits(tr.Source(), power.Verizon3G, waits, nil, make([]Result, 2)) },
-		"nil-source": func() error { return e.RunWaits(nil, power.Verizon3G, waits, nil, make([]Result, 3)) },
+		"short-out":   func() error { return e.RunWaits(tr.Source(), sets, nil, outs(3, 1)) },
+		"missing-set": func() error { return e.RunWaits(tr.Source(), sets, nil, outs(3)) },
+		"nil-source":  func() error { return e.RunWaits(nil, sets, nil, outs(3, 2)) },
 		"profile": func() error {
-			return e.RunWaits(tr.Source(), power.Profile{Name: "broken"}, waits, nil, make([]Result, 3))
+			broken := []WaitSet{sets[0], {power.Profile{Name: "broken"}, waits}}
+			return e.RunWaits(tr.Source(), broken, nil, outs(3, 3))
 		},
 	} {
 		if err := run(); err == nil {
@@ -170,7 +215,7 @@ func TestRunWaitsRejects(t *testing.T) {
 		}
 	}
 	// The engine is still good for both kinds of run afterwards.
-	checkRunWaits(t, "after-rejects", tr, power.VerizonLTE, edgeWaits(power.VerizonLTE))
+	checkRunWaits(t, "after-rejects", tr, WaitSet{power.VerizonLTE, edgeWaits(power.VerizonLTE)}, sets[0])
 }
 
 // TestWaitOf pins the recognized policies, the negative clamp of constant
@@ -241,12 +286,16 @@ func fuzzTrace(data []byte) trace.Trace {
 	return tr
 }
 
-// FuzzRunWaits holds RunWaits to K separate replays on arbitrary traces,
-// rules and carriers. Each rule takes three bytes: a kind byte whose low
-// bit picks the Oracle rule, then a signed count of 50 ms steps (negative
-// waits and thresholds included), with 0x7fff standing for Never. The
-// fuzzed rules always end with the StatusQuo wait, the carrier's tail and
-// the Oracle at the carrier's t_threshold.
+// FuzzRunWaits holds RunWaits to separate replays on arbitrary traces,
+// rules and carrier sets. Each rule takes three bytes: a kind byte whose
+// low bit picks the Oracle rule, then a signed count of 50 ms steps
+// (negative waits and thresholds included), with 0x7fff standing for
+// Never. The carrier byte picks one to four profiles: bits 2–3 give the
+// count minus one, and profile k is carriers[(c + k·(c>>4)) mod 4], so
+// the first is carriers[c mod 4] (a byte below 4 is one set on that
+// carrier, as before the byte picked a count) and duplicates occur.
+// Every profile replays the fuzzed rules followed by its StatusQuo wait,
+// its tail and the Oracle at its t_threshold.
 func FuzzRunWaits(f *testing.F) {
 	f.Add([]byte{}, []byte{}, uint8(0))
 	f.Add([]byte{0, 0, 0, 10}, []byte{0, 0, 20}, uint8(1))
@@ -259,8 +308,12 @@ func FuzzRunWaits(f *testing.F) {
 		[]byte{1, 0, 0, 1, 0, 20, 1, 0, 90, 1, 1, 144, 1, 0xff, 0xf0, 1, 0x7f, 0xff}, uint8(0))
 	f.Add([]byte{0x80, 40, 1, 250, 0x80, 41, 0, 10, 0xc0, 2, 1, 1, 0, 0, 0, 0}, []byte{1, 0, 20, 0, 0, 20, 1, 0, 20}, uint8(2))
 	f.Add([]byte{0, 1, 0, 1, 0x40, 250, 1, 254, 0x80, 12, 0, 254}, []byte{1, 0, 0, 1, 0, 90}, uint8(3))
+	// All four carriers in one pass (0, 1, 2, 3), one carrier three times
+	// (1, 1, 1), and a duplicate among others (1, 3, 1).
+	f.Add([]byte{0, 0, 1, 60, 0x40, 200, 0, 1, 0xc0, 9, 1, 200, 0x80, 3, 0, 0}, []byte{1, 0, 20, 0, 0, 30}, uint8(0x1c))
+	f.Add([]byte{0, 5, 0, 1, 0x80, 45, 1, 0, 0xc0, 2, 0, 90}, []byte{0, 0, 40, 1, 0, 90}, uint8(0x49))
+	f.Add([]byte{0x80, 40, 1, 250, 0x80, 41, 0, 10, 0xc0, 2, 1, 1, 0, 0, 0, 0}, []byte{1, 0, 20, 0, 0, 20}, uint8(0x29))
 	f.Fuzz(func(t *testing.T, data, ruleBytes []byte, carrier uint8) {
-		prof := carriers[int(carrier)%len(carriers)]
 		var rules []Wait
 		for k := 0; k+2 < len(ruleBytes) && len(rules) < 32; k += 3 {
 			r := Wait{Oracle: ruleBytes[k]&1 == 1}
@@ -271,16 +324,23 @@ func FuzzRunWaits(f *testing.F) {
 			}
 			rules = append(rules, r)
 		}
-		rules = append(rules, Wait{D: policy.Never}, Wait{D: prof.Tail()}, Wait{Oracle: true, D: energy.Threshold(&prof)})
-		checkRunWaits(t, "fuzz", fuzzTrace(data), prof, rules)
+		sets := make([]WaitSet, int(carrier>>2&3)+1)
+		for k := range sets {
+			prof := carriers[(int(carrier)+k*int(carrier>>4))%len(carriers)]
+			sets[k] = WaitSet{prof, append(slices.Clip(rules),
+				Wait{D: policy.Never}, Wait{D: prof.Tail()}, Wait{Oracle: true, D: energy.Threshold(&prof)})}
+		}
+		checkRunWaits(t, "fuzz", fuzzTrace(data), sets...)
 	})
 }
 
 // BenchmarkRunWaits prices the fused pass against K separate replays on
 // tail-sweep's shape: one diurnal user-day decoded from an rrcstream slab,
 // the four carriers, and the rules {1, 2, 3, 4.5, 6, 8 s, StatusQuo,
-// Oracle at t_threshold}. It reports ns per (packet, profile) — the whole
-// rule set's cost for one packet on one carrier, decode included.
+// Oracle at t_threshold}. "fused" runs one pass for all four carriers,
+// "per-profile" one pass per carrier, and "replays" one replay per
+// (carrier, rule). It reports ns per (packet, profile) — the whole rule
+// set's cost for one packet on one carrier, decode included.
 func BenchmarkRunWaits(b *testing.B) {
 	slab, err := trace.EncodeStream(workload.DayUser(workload.Verizon3GUsers()[3]).Stream(11, 24*time.Hour))
 	if err != nil {
@@ -301,33 +361,42 @@ func BenchmarkRunWaits(b *testing.B) {
 		}
 		packets++
 	}
-	rules := make([][]Wait, len(carriers))
+	sets := make([]WaitSet, len(carriers))
+	out := make([][]Result, len(carriers))
 	for i := range carriers {
-		rules[i] = append(constWaits(time.Second, 2*time.Second, 3*time.Second, 4500*time.Millisecond,
-			6*time.Second, 8*time.Second, policy.Never), Wait{Oracle: true, D: energy.Threshold(&carriers[i])})
+		sets[i] = WaitSet{carriers[i], append(constWaits(time.Second, 2*time.Second, 3*time.Second, 4500*time.Millisecond,
+			6*time.Second, 8*time.Second, policy.Never), Wait{Oracle: true, D: energy.Threshold(&carriers[i])})}
+		out[i] = make([]Result, len(sets[i].Rules))
 	}
 	e := NewEngine()
-	out := make([]Result, len(rules[0]))
-	for _, mode := range []string{"fused", "replays"} {
+	run := func(b *testing.B, sets []WaitSet, out [][]Result) {
+		if err := src.Reset(slab); err != nil {
+			b.Fatal(err)
+		}
+		if err := e.RunWaits(&src, sets, nil, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, mode := range []string{"fused", "per-profile", "replays"} {
 		b.Run(mode, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				for c, prof := range carriers {
-					if mode == "fused" {
-						if err := src.Reset(slab); err != nil {
-							b.Fatal(err)
-						}
-						if err := e.RunWaits(&src, prof, rules[c], nil, out); err != nil {
-							b.Fatal(err)
-						}
-						continue
+				switch mode {
+				case "fused":
+					run(b, sets, out)
+				case "per-profile":
+					for c := range sets {
+						run(b, sets[c:c+1], out[c:c+1])
 					}
-					for k, r := range rules[c] {
-						if err := src.Reset(slab); err != nil {
-							b.Fatal(err)
-						}
-						if err := e.RunSourceInto(&out[k], &src, prof, rulePolicy(r), nil, nil); err != nil {
-							b.Fatal(err)
+				default:
+					for c, set := range sets {
+						for k, r := range set.Rules {
+							if err := src.Reset(slab); err != nil {
+								b.Fatal(err)
+							}
+							if err := e.RunSourceInto(&out[c][k], &src, set.Prof, rulePolicy(r), nil, nil); err != nil {
+								b.Fatal(err)
+							}
 						}
 					}
 				}

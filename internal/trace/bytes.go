@@ -101,27 +101,23 @@ func (s *BytesSource) fail(err error) (Packet, bool, error) {
 // collected trace, but built in one pass without materializing a Packet
 // slice. The slab round-trips: a BytesSource (or StreamReader) over it
 // yields exactly the packets src yielded, so replaying the slab is
-// byte-identical to replaying the source.
+// byte-identical to replaying the source. Frames are appended to one
+// growing slice, so the returned slice may have spare capacity.
 func EncodeStream(src Source) ([]byte, error) {
-	var buf bytes.Buffer
-	sw, err := NewStreamWriter(&buf)
-	if err != nil {
-		return nil, err
-	}
+	b := append(make([]byte, 0, 4096), streamMagic[:]...)
+	var last time.Duration
+	wrote := false
 	for {
 		p, ok, err := src.Next()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			break
+			return b, nil
 		}
-		if err := sw.Write(p); err != nil {
+		if b, err = appendFrame(b, p, last, wrote); err != nil {
 			return nil, err
 		}
+		last, wrote = p.T, true
 	}
-	if err := sw.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

@@ -25,7 +25,7 @@ func referenceQuantileGap(tr Trace, q float64) time.Duration {
 	if len(gaps) == 1 {
 		return gaps[0]
 	}
-	pos := q * float64(len(gaps)-1)
+	pos := float64(q * float64(len(gaps)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {

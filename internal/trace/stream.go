@@ -61,32 +61,43 @@ func NewStreamWriter(w io.Writer) (*StreamWriter, error) {
 
 // Write appends one packet frame.
 func (sw *StreamWriter) Write(p Packet) error {
-	if p.T < 0 {
-		return fmt.Errorf("%w: at %v", ErrNegativeTime, p.T)
+	frame, err := appendFrame(sw.buf[:0], p, sw.last, sw.wrote)
+	if err != nil {
+		return err
 	}
-	if sw.wrote && p.T < sw.last {
-		return fmt.Errorf("%w: %v after %v", ErrUnsorted, p.T, sw.last)
-	}
-	if !p.Dir.Valid() {
-		return fmt.Errorf("%w: %v", ErrBadDirection, p.Dir)
-	}
-	if p.Size < 0 {
-		return fmt.Errorf("%w: %d", ErrNegativeSize, p.Size)
-	}
-	if int64(p.Size) >= maxStreamSize {
-		return fmt.Errorf("trace: packet size %d exceeds the stream format limit", p.Size)
-	}
-	delta := p.T - sw.last
-	if !sw.wrote {
-		delta = p.T
-	}
-	n := binary.PutUvarint(sw.buf[:], uint64(delta))
-	n += binary.PutUvarint(sw.buf[n:], uint64(p.Size)<<1|uint64(p.Dir&1))
-	if _, err := sw.bw.Write(sw.buf[:n]); err != nil {
+	if _, err := sw.bw.Write(frame); err != nil {
 		return err
 	}
 	sw.last, sw.wrote = p.T, true
 	return nil
+}
+
+// appendFrame checks p against the Trace invariants, given the timestamp
+// of the previous frame (wrote reports whether there was one), and
+// appends p's frame to b. It is the one encoder behind StreamWriter and
+// EncodeStream, so both produce the same bytes and the same errors.
+func appendFrame(b []byte, p Packet, last time.Duration, wrote bool) ([]byte, error) {
+	if p.T < 0 {
+		return b, fmt.Errorf("%w: at %v", ErrNegativeTime, p.T)
+	}
+	if wrote && p.T < last {
+		return b, fmt.Errorf("%w: %v after %v", ErrUnsorted, p.T, last)
+	}
+	if !p.Dir.Valid() {
+		return b, fmt.Errorf("%w: %v", ErrBadDirection, p.Dir)
+	}
+	if p.Size < 0 {
+		return b, fmt.Errorf("%w: %d", ErrNegativeSize, p.Size)
+	}
+	if int64(p.Size) >= maxStreamSize {
+		return b, fmt.Errorf("trace: packet size %d exceeds the stream format limit", p.Size)
+	}
+	delta := p.T - last
+	if !wrote {
+		delta = p.T
+	}
+	b = binary.AppendUvarint(b, uint64(delta))
+	return binary.AppendUvarint(b, uint64(p.Size)<<1|uint64(p.Dir&1)), nil
 }
 
 // Flush drains buffered frames to the underlying writer.

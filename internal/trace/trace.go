@@ -302,7 +302,8 @@ func (tr Trace) QuantileGap(q float64) time.Duration {
 	if len(gaps) == 1 {
 		return gaps[0]
 	}
-	pos := q * float64(len(gaps)-1)
+	// Rounded explicitly so no target fuses it into pos - lo below.
+	pos := float64(q * float64(len(gaps)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	// Only the lo-th and hi-th order statistics are read, so select them

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/trace"
@@ -64,14 +66,16 @@ func collect(src trace.Source) trace.Trace {
 type stepFunc func(buf trace.Trace) (batch trace.Trace, floor time.Duration, ok bool)
 
 // stepSource adapts a stepFunc into a sorted trace.Source via the reorder
-// buffer described in the file comment.
+// buffer described in the file comment. The buffer is a queue kept sorted
+// by (timestamp, emission order): pending[head:] are the buffered packets,
+// and the front is the next to leave.
 type stepSource struct {
 	step    stepFunc
 	buf     trace.Trace
-	pending pendingHeap
+	pending trace.Trace
+	head    int
 	floor   time.Duration
 	drained bool
-	seq     uint64
 }
 
 func newStepSource(step stepFunc) *stepSource { return &stepSource{step: step} }
@@ -79,8 +83,10 @@ func newStepSource(step stepFunc) *stepSource { return &stepSource{step: step} }
 // Next implements trace.Source.
 func (s *stepSource) Next() (trace.Packet, bool, error) {
 	for {
-		if len(s.pending) > 0 && (s.drained || s.pending[0].p.T <= s.floor) {
-			return s.pending.pop(), true, nil
+		if s.head < len(s.pending) && (s.drained || s.pending[s.head].T <= s.floor) {
+			p := s.pending[s.head]
+			s.head++
+			return p, true, nil
 		}
 		if s.drained {
 			return trace.Packet{}, false, nil
@@ -91,69 +97,46 @@ func (s *stepSource) Next() (trace.Packet, bool, error) {
 			continue
 		}
 		s.buf = batch
-		for _, p := range batch {
-			s.pending.push(pendingPkt{p: p, seq: s.seq})
-			s.seq++
-		}
+		s.enqueue(batch)
 		s.floor = floor
 	}
 }
 
-// pendingPkt orders buffered packets by (timestamp, emission sequence).
-type pendingPkt struct {
-	p   trace.Packet
-	seq uint64
-}
-
-func (a pendingPkt) less(b pendingPkt) bool {
-	if a.p.T != b.p.T {
-		return a.p.T < b.p.T
+// enqueue adds a batch, emitted after every queued packet, to the sorted
+// queue. The batch is stably sorted by timestamp (almost always it
+// already is), then appended when it starts at or after the queue's
+// tail, or merged behind the queued packets otherwise, queued packets
+// first among equal timestamps: the order (timestamp, emission order).
+func (s *stepSource) enqueue(batch trace.Trace) {
+	if len(batch) == 0 {
+		return
 	}
-	return a.seq < b.seq
-}
-
-// pendingHeap is a plain binary min-heap over pendingPkt. Hand-rolled
-// (rather than container/heap) so push/pop stay allocation-free on the
-// replay hot path.
-type pendingHeap []pendingPkt
-
-func (h *pendingHeap) push(x pendingPkt) {
-	*h = append(*h, x)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !(*h)[i].less((*h)[parent]) {
-			break
+	if !slices.IsSortedFunc(batch, byTime) {
+		slices.SortStableFunc(batch, byTime)
+	}
+	n := copy(s.pending, s.pending[s.head:])
+	s.pending, s.head = s.pending[:n], 0
+	s.pending = append(s.pending, batch...)
+	if n == 0 || batch[0].T >= s.pending[n-1].T {
+		return
+	}
+	// Merge from the back: the later timestamp goes last, and on a tie the
+	// batch's packet, which was emitted later.
+	i, j := n-1, len(batch)-1
+	for k := len(s.pending) - 1; j >= 0; k-- {
+		if i >= 0 && s.pending[i].T > batch[j].T {
+			s.pending[k] = s.pending[i]
+			i--
+		} else {
+			s.pending[k] = batch[j]
+			j--
 		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
 	}
 }
 
-func (h *pendingHeap) pop() trace.Packet {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && old[l].less(old[min]) {
-			min = l
-		}
-		if r < n && old[r].less(old[min]) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		old[i], old[min] = old[min], old[i]
-		i = min
-	}
-	return top.p
-}
+// byTime orders packets by timestamp alone; stable sorts keep emission
+// order among equal timestamps.
+func byTime(a, b trace.Packet) int { return cmp.Compare(a.T, b.T) }
 
 // Stream implements StreamModel: one poll exchange per step.
 func (p Periodic) Stream(r *rand.Rand, duration time.Duration) trace.Source {
@@ -165,7 +148,7 @@ func (p Periodic) Stream(r *rand.Rand, duration time.Duration) trace.Source {
 		var end time.Duration
 		buf, end = p.Shape.Emit(r, buf, t)
 		if p.ExtraBurstP > 0 && r.Float64() < p.ExtraBurstP {
-			follow := end + secsDur(0.2+0.6*r.Float64())
+			follow := end + secsDur(0.2+float64(0.6*r.Float64()))
 			buf, _ = p.Shape.Emit(r, buf, follow)
 		}
 		t += jittered(r, p.Period, p.Jitter)
@@ -188,9 +171,9 @@ func (h Heartbeat) Stream(r *rand.Rand, duration time.Duration) trace.Source {
 			return nil, 0, false
 		}
 		buf = append(buf, trace.Packet{T: t, Dir: trace.Out, Size: 78})
-		buf = append(buf, trace.Packet{T: t + secsDur(0.05+0.1*r.Float64()), Dir: trace.In, Size: 66})
+		buf = append(buf, trace.Packet{T: t + secsDur(0.05+float64(0.1*r.Float64())), Dir: trace.In, Size: 66})
 		if h.MessageP > 0 && r.Float64() < h.MessageP {
-			buf, _ = h.Message.Emit(r, buf, t+secsDur(1+2*r.Float64()))
+			buf, _ = h.Message.Emit(r, buf, t+secsDur(1+2*float64(r.Float64())))
 		}
 		t += period()
 		return buf, t, true
@@ -219,7 +202,7 @@ func (s Interactive) Stream(r *rand.Rand, duration time.Duration) trace.Source {
 		var end time.Duration
 		buf, end = s.Shape.Emit(r, buf, t)
 		// Short intra-session think time: 2-15 s.
-		t = end + secsDur(2+13*r.Float64())
+		t = end + secsDur(2+float64(13*r.Float64()))
 		remaining--
 		if remaining == 0 || t >= duration {
 			remaining = 0
@@ -248,46 +231,79 @@ func (tk Ticker) Stream(r *rand.Rand, duration time.Duration) trace.Source {
 // mergeSource is a k-way stable merge over sorted sources: it always
 // yields the earliest head packet, ties broken by source index — exactly
 // the order trace.Merge gives the concatenated materialized traces.
+//
+// It gallops: after a scan picks the winner cur, it keeps yielding from
+// cur while cur's next packet still beats rival, the earliest head among
+// the other sources (ties to the lower index), and scans again only when
+// cur loses or ends. The other heads do not move meanwhile, so rival
+// stays the earliest of them. Each source has its own RNG, so the order
+// in which sources are pulled never changes a packet.
 type mergeSource struct {
-	srcs  []trace.Source
-	heads []trace.Packet
-	have  []bool
-	done  []bool
+	srcs       []trace.Source
+	heads      []trace.Packet
+	done       []bool
+	started    bool
+	cur, rival int // -1 when there is none
 }
 
 func newMergeSource(srcs []trace.Source) *mergeSource {
 	return &mergeSource{
 		srcs:  srcs,
 		heads: make([]trace.Packet, len(srcs)),
-		have:  make([]bool, len(srcs)),
 		done:  make([]bool, len(srcs)),
+		cur:   -1,
+		rival: -1,
 	}
 }
 
 // Next implements trace.Source.
 func (m *mergeSource) Next() (trace.Packet, bool, error) {
-	best := -1
-	for i := range m.srcs {
-		if !m.have[i] && !m.done[i] {
-			p, ok, err := m.srcs[i].Next()
-			if err != nil {
+	if !m.started {
+		m.started = true
+		for i := range m.srcs {
+			if err := m.pull(i); err != nil {
 				return trace.Packet{}, false, err
 			}
-			if !ok {
-				m.done[i] = true
-				continue
-			}
-			m.heads[i], m.have[i] = p, true
 		}
-		if m.have[i] && (best < 0 || m.heads[i].T < m.heads[best].T) {
-			best = i
+	} else if c := m.cur; c >= 0 {
+		// cur's head was yielded: refill it and keep going while it wins.
+		if err := m.pull(c); err != nil {
+			return trace.Packet{}, false, err
+		}
+		if !m.done[c] && (m.rival < 0 || m.beats(c, m.rival)) {
+			return m.heads[c], true, nil
 		}
 	}
-	if best < 0 {
+	m.cur, m.rival = -1, -1
+	for i := range m.srcs {
+		switch {
+		case m.done[i]:
+		case m.cur < 0 || m.heads[i].T < m.heads[m.cur].T:
+			m.cur, m.rival = i, m.cur
+		case m.rival < 0 || m.heads[i].T < m.heads[m.rival].T:
+			m.rival = i
+		}
+	}
+	if m.cur < 0 {
 		return trace.Packet{}, false, nil
 	}
-	m.have[best] = false
-	return m.heads[best], true, nil
+	return m.heads[m.cur], true, nil
+}
+
+// pull reads source i's next packet into its head, or marks it done.
+func (m *mergeSource) pull(i int) error {
+	p, ok, err := m.srcs[i].Next()
+	if err != nil {
+		return err
+	}
+	m.heads[i], m.done[i] = p, !ok
+	return nil
+}
+
+// beats reports whether source a's head goes before source b's.
+func (m *mergeSource) beats(a, b int) bool {
+	ta, tb := m.heads[a].T, m.heads[b].T
+	return ta < tb || (ta == tb && a < b)
 }
 
 // Stream produces the user's merged traffic lazily: each app gets the same

@@ -2,7 +2,8 @@
 // paper's real user captures (tcpdump on 9 users over 28 days, plus 2-hour
 // per-application traces; §6.1).
 //
-// The substitution is documented in DESIGN.md: the algorithms under study
+// The substitution is documented in docs/architecture.md ("Synthetic
+// traffic in place of the captures"): the algorithms under study
 // see only packet timestamps, directions and sizes, so what matters is the
 // statistical structure of the traffic — heartbeat cadence, poll periods,
 // burst shapes and heavy-tailed think times — which these models produce
@@ -42,7 +43,10 @@ func jittered(r *rand.Rand, base time.Duration, j float64) time.Duration {
 	if j <= 0 {
 		return base
 	}
-	f := 1 + j*(2*r.Float64()-1)
+	// The explicit float64 conversions round each product, so no target
+	// fuses them into a multiply-add (see docs/architecture.md); 2*x is
+	// x+x, which would fuse with the scaling inside r.Float64.
+	f := 1 + float64(j*(2*float64(r.Float64())-1))
 	return time.Duration(float64(base) * f)
 }
 
@@ -107,7 +111,7 @@ func (b BurstShape) Emit(r *rand.Rand, tr trace.Trace, t time.Duration) (trace.T
 	}
 	resp := b.RespBytes
 	if b.RespJitter > 0 {
-		f := 1 + b.RespJitter*(2*r.Float64()-1)
+		f := 1 + float64(b.RespJitter*(2*float64(r.Float64())-1))
 		resp = int(float64(resp) * f)
 	}
 	for resp > 0 {

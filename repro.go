@@ -13,8 +13,8 @@
 //	res, _ := repro.Simulate(tr, repro.Verizon3G(), mi, repro.NewLearnedDelay(), nil)
 //	fmt.Printf("energy: %.1f J, switches: %d\n", res.TotalJ(), res.Promotions)
 //
-// The layering underneath (one package per subsystem, documented in
-// DESIGN.md):
+// The layering underneath (one package per subsystem; see "Layering" in
+// docs/architecture.md):
 //
 //	internal/trace      packet traces, bursts, codecs
 //	internal/power      carrier power/timer profiles (Tables 1-2)

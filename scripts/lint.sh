@@ -8,13 +8,14 @@
 #                    see internal/analysis and docs/architecture.md)
 #   4. pkgdoc       (scripts/check_pkgdoc.sh: every internal package documented)
 #   5. importers    (scripts/check_importers.sh: every internal package imported)
-#   6. staticcheck  (pinned)
-#   7. govulncheck  (pinned)
+#   6. md citations (scripts/check_mdrefs.sh: every *.md a Go comment cites exists)
+#   7. staticcheck  (pinned)
+#   8. govulncheck  (pinned)
 #
-# Steps 6 and 7 need the network (or a pre-installed binary) to fetch the
+# Steps 7 and 8 need the network (or a pre-installed binary) to fetch the
 # pinned tool. CI exports RRC_LINT_STRICT=1, which makes their absence a
 # failure; locally, an offline machine without the binaries skips them
-# with a warning so the deterministic gates (1-5) still run everywhere.
+# with a warning so the deterministic gates (1-6) still run everywhere.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -46,6 +47,9 @@ sh scripts/check_pkgdoc.sh || fail=1
 
 echo "==> importers"
 sh scripts/check_importers.sh || fail=1
+
+echo "==> markdown citations"
+sh scripts/check_mdrefs.sh || fail=1
 
 # run_pinned NAME MODULE@VERSION ARGS... — uses an installed binary when
 # present (assumed compatible), otherwise `go run module@version` (exact
