@@ -76,7 +76,7 @@ func BenchmarkFleetExperiment(b *testing.B)     { benchExperiment(b, "fleet") }
 // produce identical aggregates (fleet's determinism guarantee), so the
 // ratio of their ns/op is the parallel speedup future scale-out PRs track.
 func BenchmarkFleetReplay(b *testing.B) {
-	cohort := fleet.Cohort{Users: 64, Seed: 1, Duration: 30 * time.Minute, Diurnal: true}
+	cohort := fleet.Cohort{Users: 64, Seed: 1, Duration: 30 * time.Minute, Diurnal: true, Mixes: workload.Verizon3GUsers()}
 	jobs := cohort.Jobs(power.Verizon3G, []fleet.Scheme{fleet.MakeIdleScheme()})
 	for _, bc := range []struct {
 		name    string

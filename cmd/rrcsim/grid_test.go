@@ -13,7 +13,8 @@ import (
 // header carries the wall time and is not hashed) at one and at three
 // workers: a grid of two -cohort specs × two -profile values under every
 // paper scheme, the flat -users population swept over two profiles (its
-// "users=N" cohort label), and the flat single-profile table.
+// "users=N" cohort label), and the flat -users population on one profile,
+// which is the same one-cohort grid with one profile.
 func TestGridModeDigests(t *testing.T) {
 	cases := []struct {
 		name              string
@@ -42,7 +43,7 @@ func TestGridModeDigests(t *testing.T) {
 			profiles: []string{"verizon-3g"},
 			users:    3, duration: time.Hour,
 			policy: "all", active: "none",
-			want: "318dd1bfa44cf4127804c8075f9438d1d8a5aa504735e381bcfa9ab70f02cf03",
+			want: "1e4bab3f303035cbdcb8dba8e5bf8cf5493849f1267345932ccdae0e6983e930",
 		},
 	}
 	for _, c := range cases {

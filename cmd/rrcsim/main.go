@@ -27,8 +27,8 @@
 // mode -profile and -cohort repeat to sweep a grid: every combination of
 // profile × cohort × scheme runs as its own deterministic fleet cell, on
 // the service's job executor (its trace cache and its admission limits:
-// at most 512 cells, 16 profiles, 16 cohorts), rendered as one row per
-// cell, e.g.
+// at most 512 cells, 16 profiles, 16 cohorts, 1,000,000 users and 30
+// days per cohort), rendered as one row per cell, e.g.
 //
 //	rrcsim -users 500 -policy makeidle -profile verizon-3g -profile 'verizon-lte(t1=5s)'
 //	rrcsim -policy all -cohort 'study-3g(users=200)' -cohort 'mix(im=2,users=100)'
@@ -44,11 +44,12 @@
 // (pctiat/95iat, active=fix) need the whole trace and refuse -stream.
 //
 // With -users N (no -trace) rrcsim replays an N-user synthetic diurnal
-// cohort on the sharded fleet runtime and prints streaming aggregates;
-// per-user traffic is streamed from the seeded generators, so memory is
-// independent of -duration; -parallel bounds the worker count (results
-// are identical for any value) and -shards fixes the aggregate
-// partitioning.
+// cohort, the one-cohort grid 'study-3g(users=N,duration=D,diurnal=true)'
+// labeled "users=N", and prints one row of streaming aggregates per
+// (profile, scheme) cell; per-user traffic is streamed from the seeded
+// generators, so memory is independent of -duration; -parallel bounds the
+// worker count (results are identical for any value) and -shards fixes
+// the aggregate partitioning.
 package main
 
 import (
@@ -466,10 +467,8 @@ func cohortSpecFromFlag(raw string) (fleet.CohortSpec, error) {
 
 // runFleet replays synthetic cohorts and returns streaming aggregates —
 // no per-user result is retained — as a one-line header (which carries
-// the wall time) and the rendered table. A single profile with the flat
-// -users population keeps the historical single-table output, one
-// multi-scheme fleet run. Repeated -profile/-cohort flags sweep a grid:
-// the flags become a jobs.Spec (the flat population the cohort
+// the wall time) and the rendered table. Every shape is a grid: the flags
+// become a jobs.Spec (the flat -users population the cohort
 // "study-3g(diurnal=true)" labeled "users=N"), run through jobs.Run —
 // the service's plan, cell executor, trace cache and admission limits —
 // and rendered one row per cell.
@@ -492,37 +491,6 @@ func runFleet(profileFlags, cohortFlags []string, users int, seed int64, duratio
 			return "", "", err
 		}
 		profiles = append(profiles, ps)
-	}
-
-	// The historical single-axis shape keeps its output byte for byte.
-	if len(profiles) == 1 && len(cohortFlags) == 0 {
-		prof, err := profiles[0].Profile(power.Default())
-		if err != nil {
-			return "", "", err
-		}
-		resolved := make([]fleet.Scheme, 0, len(schemes))
-		for _, ss := range schemes {
-			s, err := fleet.SchemeFromSpec(policy.Default(), ss)
-			if err != nil {
-				return "", "", err
-			}
-			resolved = append(resolved, s)
-		}
-		// Flat -users population: a diurnal cohort cycling the Verizon 3G
-		// study mixes.
-		cohort := fleet.Cohort{
-			Users: users, Seed: seed, Duration: duration, Diurnal: true,
-			Opts: &sim.Options{BurstGap: burstGap},
-		}
-		start := time.Now()
-		sum, err := fleet.RunSummary(cohort.Jobs(prof, resolved), fopts, fleet.SummaryConfig{})
-		if err != nil {
-			return "", "", err
-		}
-		header = fmt.Sprintf("fleet: %d users x %d schemes on %s (%s traces, streamed) in %s\n",
-			cohort.Users, len(schemes), prof.Name, cohort.Duration,
-			time.Since(start).Round(time.Millisecond))
-		return header, report.SummaryTable(sum).String(), nil
 	}
 
 	var cohorts []fleet.CohortSpec

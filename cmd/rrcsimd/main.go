@@ -11,11 +11,6 @@
 // Usage:
 //
 //	rrcsimd -addr :8080 -parallel 0 -queue-depth 32 -cache-size 128
-//	rrcsimd -cell-parallel 1                # strictly sequential cells
-//	                                 # (default 0 schedules independent grid
-//	                                 # cells concurrently under one worker
-//	                                 # budget; results are byte-identical
-//	                                 # at any setting)
 //	rrcsimd -pprof localhost:6060    # profiling endpoints on a side listener
 //	rrcsimd -store-dir /var/lib/rrcsim/cells -store-max-bytes 1073741824
 //	                                 # durable cell store: finished grid
@@ -87,7 +82,6 @@ type daemonFlags struct {
 	cacheSize  *int
 	cellCache  *int
 	runners    *int
-	cellPar    *int
 	pprofAddr  *string
 	storeDir   *string
 	storeMax   *int64
@@ -98,12 +92,11 @@ type daemonFlags struct {
 func registerFlags(fs *flag.FlagSet) *daemonFlags {
 	return &daemonFlags{
 		addr:       fs.String("addr", ":8080", "listen address"),
-		parallel:   fs.Int("parallel", 0, "fleet workers per job (0 = all cores; never changes results)"),
+		parallel:   fs.Int("parallel", 0, "worker budget shared by every job and grid cell (0 = all cores, 1 = one cell at a time; never changes results)"),
 		queueDepth: fs.Int("queue-depth", 32, "max queued jobs before submissions get 503"),
 		cacheSize:  fs.Int("cache-size", 128, "fingerprint result cache entries (LRU; negative disables)"),
 		cellCache:  fs.Int("cell-cache-size", 1024, "grid cell cache entries (LRU; negative disables)"),
 		runners:    fs.Int("runners", 1, "jobs executing concurrently (each parallelizes internally)"),
-		cellPar:    fs.Int("cell-parallel", 0, "grid cells in flight per job (0 = up to the worker budget, 1 = sequential; never changes results)"),
 		pprofAddr:  fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)"),
 		storeDir:   fs.String("store-dir", "", "directory for the durable cell store (empty disables; created if missing)"),
 		storeMax:   fs.Int64("store-max-bytes", 0, "cell store payload budget in bytes (LRU eviction; 0 = unbounded)"),
@@ -126,7 +119,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		cacheSize  = f.cacheSize
 		cellCache  = f.cellCache
 		runners    = f.runners
-		cellPar    = f.cellPar
 		pprofAddr  = f.pprofAddr
 		storeDir   = f.storeDir
 		storeMax   = f.storeMax
@@ -163,7 +155,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		CellCacheSize:   *cellCache,
 		Runners:         *runners,
 		Workers:         *parallel,
-		CellParallel:    *cellPar,
 		Store:           cellStore,
 		TraceCacheBytes: traceCacheBytes,
 	})

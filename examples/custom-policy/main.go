@@ -35,7 +35,10 @@ func (p *ewmaPolicy) Observe(gap time.Duration) {
 	if p.seen == 0 {
 		p.ewma = gap
 	} else {
-		p.ewma = time.Duration(p.alpha*float64(gap) + (1-p.alpha)*float64(p.ewma))
+		// Each product is rounded explicitly (float64(...)), so no target
+		// fuses it with the sum into one FMA and the example prints the
+		// same numbers on every architecture.
+		p.ewma = time.Duration(float64(p.alpha*float64(gap)) + float64((1-p.alpha)*float64(p.ewma)))
 	}
 	p.seen++
 }

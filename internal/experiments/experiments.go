@@ -186,11 +186,11 @@ func fleetSchemes(burstGap time.Duration) []fleet.Scheme {
 	specs := FleetSchemes(burstGap)
 	schemes := make([]fleet.Scheme, len(specs))
 	for i, ss := range specs {
-		s, err := fleet.SchemeFromSpec(policy.Default(), ss)
+		rs, err := fleet.ResolveScheme(policy.Default(), ss)
 		if err != nil {
 			panic(err) // impossible: the built-in registry resolves its own names
 		}
-		schemes[i] = s
+		schemes[i] = rs.Scheme
 	}
 	return schemes
 }

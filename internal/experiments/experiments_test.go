@@ -46,14 +46,14 @@ var experimentDigests = map[string]string{
 	"bs":    "d00c3d8b51c78e01c4e4332543d176a92a7bc7f87186c85eba4941c17c1d5788",
 	"buf":   "2dacb62ffb79b790ac526e0967cb49b28bafc838b6ecd284c8848db8a132948b",
 	"life":  "a6344312dceb791ab2687a572249973ca65363c8e436ceecff820fc753a0c66f",
-	"fleet": "759ff27aed86469bf7ce179cdda124e6fe011142c2a2a556e517417ee144c6dc",
+	"fleet": "10225cfec552db9fcef9bb8461c79c50d16224191f20b38ab65e04696f5ca52e",
 	"sweep": "cd921c16cd67dd8fbe8d1135a6ddf190aa323576090b238219a3ad9a79968055",
 	"grid":  "1b558a37f7a2e8e46173dcf21070dfcf8faa5b417785e06810eda8c41e232f8b",
 }
 
 // TestAllExperimentsRun renders every experiment serially against its pinned
 // digest, then again on three workers: worker count never changes a
-// rendering, except the fleet header, which prints it.
+// rendering.
 func TestAllExperimentsRun(t *testing.T) {
 	cfg := Config{Seed: 7, AppDuration: 20 * time.Minute, UserDuration: 30 * time.Minute}
 	for _, e := range All() {
@@ -68,9 +68,6 @@ func TestAllExperimentsRun(t *testing.T) {
 				}
 				if strings.TrimSpace(out) == "" {
 					t.Fatalf("%s (workers=%d): empty output", e.ID, workers)
-				}
-				if workers > 1 && e.ID == "fleet" {
-					continue
 				}
 				sum := sha256.Sum256([]byte(out))
 				if got, want := hex.EncodeToString(sum[:]), experimentDigests[e.ID]; got != want {

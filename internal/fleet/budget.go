@@ -43,9 +43,6 @@ func NewBudget(n int) *Budget {
 	return b
 }
 
-// Cap returns the budget's token capacity.
-func (b *Budget) Cap() int { return cap(b.tokens) }
-
 // TryAcquire implements TokenSource.
 func (b *Budget) TryAcquire() bool {
 	select {

@@ -24,7 +24,7 @@ type Scheme struct {
 	FitTrace bool
 	// PolicyKey, when non-empty, marks the factories as pure functions of
 	// (key, fit trace, profile), letting workers reuse constructed
-	// policies across jobs (see Job.PolicyKey). SchemeFromSpec derives it
+	// policies across jobs (see Job.PolicyKey). ResolveScheme derives it
 	// from the registry's canonical encoding; hand-built schemes may
 	// leave it empty to always construct fresh.
 	PolicyKey string
@@ -48,8 +48,8 @@ type Cohort struct {
 	// Diurnal wraps each user in the day/night activity mask, turning the
 	// stationary mixes into day-scale load (workload.DayUser).
 	Diurnal bool
-	// Mixes are the user blends the population cycles through; nil keeps
-	// the historical default, the Verizon 3G study cohort.
+	// Mixes are the user blends the population cycles through (at least
+	// one; ResolveCohort takes them from the cohort registry's plan).
 	Mixes []workload.User
 	// SeedStride multiplies the per-user seed index (user i draws
 	// UserSeed(Seed, i*SeedStride)); <= 1 keeps the historical spacing.
@@ -105,17 +105,13 @@ func (c *Cohort) Prepare() {
 // actually uses: users cycle through the mixes, so with fewer users than
 // mixes only the first Users blends are ever drawn.
 func (c *Cohort) buildSources() []func(int64) trace.Source {
-	mixes := c.Mixes
-	if len(mixes) == 0 {
-		mixes = workload.Verizon3GUsers()
-	}
-	n := len(mixes)
+	n := len(c.Mixes)
 	if c.Users > 0 && c.Users < n {
 		n = c.Users
 	}
 	srcs := make([]func(int64) trace.Source, n)
 	for i := 0; i < n; i++ {
-		u := mixes[i]
+		u := c.Mixes[i]
 		if c.Diurnal {
 			u = workload.DayUser(u)
 		}

@@ -24,12 +24,12 @@
 // # Progress and cancellation
 //
 // Options.OnShard delivers a Progress count after every completed shard,
-// and RunSummaryWithProgress additionally snapshots a merged partial
-// Summary over the shards finished so far. Both observe the run from the
-// outside: partial views merge only completed shard accumulators (always
-// in shard index order), so watching progress never perturbs the final
-// shard-ordered reduction — the end result stays bit-identical whether or
-// not anyone is listening.
+// and RunSummaryLazyProgress additionally hands out a snapshot function
+// that merges a partial Summary over the shards finished so far. Both
+// observe the run from the outside: partial views merge only completed
+// shard accumulators (always in shard index order), so watching progress
+// never perturbs the final shard-ordered reduction — the end result stays
+// bit-identical whether or not anyone is listening.
 //
 // A run aborts early when Options.Cancel is closed. Cancellation is
 // checked between jobs, so the replay in flight on each worker finishes

@@ -134,11 +134,11 @@ func fitSchemes(t *testing.T) []Scheme {
 		{Policy: policy.Spec{Name: "makeidle"}, Active: &policy.Spec{Name: ActiveFix}},
 		{Policy: policy.Spec{Name: "95iat"}, Active: &policy.Spec{Name: ActiveFix}},
 	} {
-		s, err := SchemeFromSpec(policy.Default(), ss)
+		rs, err := ResolveScheme(policy.Default(), ss)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, s)
+		out = append(out, rs.Scheme)
 	}
 	return out
 }

@@ -10,10 +10,11 @@ import (
 	"repro/internal/policy"
 	"repro/internal/power"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func testCohort(users int) Cohort {
-	return Cohort{Users: users, Seed: 7, Duration: 20 * time.Minute}
+	return Cohort{Users: users, Seed: 7, Duration: 20 * time.Minute, Mixes: workload.Verizon3GUsers()}
 }
 
 func testJobs(t *testing.T, users int) []Job {
@@ -174,7 +175,7 @@ func TestEmptyJobList(t *testing.T) {
 // TestExplicitTraceJobs replays a materialized trace through a slice-backed
 // Source with a trace-fitted baseline, as the experiment drivers submit them.
 func TestExplicitTraceJobs(t *testing.T) {
-	base := Cohort{Users: 1, Seed: 3, Duration: 15 * time.Minute}
+	base := Cohort{Users: 1, Seed: 3, Duration: 15 * time.Minute, Mixes: workload.Verizon3GUsers()}
 	src := base.Jobs(power.Verizon3G, []Scheme{MakeIdleScheme()})[0].Source
 	fixed, err := trace.Collect(src(base.Seed))
 	if err != nil {

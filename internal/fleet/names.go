@@ -87,8 +87,8 @@ func (ss SchemeSpec) Canonical(reg *policy.Registry) (string, error) {
 
 // ResolvedScheme is one resolution pass over a scheme axis value: the
 // runnable Scheme (named by the axis label), the label itself, and the
-// axis canonical encoding ("label|demoteCanonical|activeCanonical") — each
-// byte-identical to SchemeFromSpec, ResolvedLabel and Canonical.
+// axis canonical encoding ("label|demoteCanonical|activeCanonical") — the
+// last two byte-identical to ResolvedLabel and Canonical.
 type ResolvedScheme struct {
 	Scheme    Scheme
 	Label     string
@@ -145,15 +145,6 @@ func ResolveScheme(reg *policy.Registry, ss SchemeSpec) (ResolvedScheme, error) 
 		Label:     label,
 		Canonical: label + "|" + d.Canonical + "|" + a.Canonical,
 	}, nil
-}
-
-// SchemeFromSpec is ResolveScheme reduced to the runnable Scheme.
-func SchemeFromSpec(reg *policy.Registry, ss SchemeSpec) (Scheme, error) {
-	rs, err := ResolveScheme(reg, ss)
-	if err != nil {
-		return Scheme{}, err
-	}
-	return rs.Scheme, nil
 }
 
 // WithFixBurstGap injects a session-level burst gap into an active spec

@@ -53,9 +53,10 @@ func TestProgressCountsAreMonotoneAndComplete(t *testing.T) {
 }
 
 // TestRunSummaryWithProgressMatchesPlainRun is the invariant the service
-// depends on: streaming partial snapshots must not perturb the final
-// shard-ordered reduction, and the last snapshot must equal the final
-// summary exactly.
+// depends on: taking a partial snapshot after every shard — snap() called
+// eagerly inside RunSummaryLazyProgress's hook — must not perturb the
+// final shard-ordered reduction, and the last snapshot must equal the
+// final summary exactly.
 func TestRunSummaryWithProgressMatchesPlainRun(t *testing.T) {
 	jobs := testJobs(t, 10)
 	want, err := RunSummary(jobs, Options{Workers: 4, Shards: 5}, SummaryConfig{})
@@ -66,8 +67,9 @@ func TestRunSummaryWithProgressMatchesPlainRun(t *testing.T) {
 		mu        sync.Mutex
 		snapshots []*Summary
 	)
-	got, err := RunSummaryWithProgress(jobs, Options{Workers: 4, Shards: 5}, SummaryConfig{},
-		func(partial *Summary, p Progress) {
+	got, err := RunSummaryLazyProgress(jobs, Options{Workers: 4, Shards: 5}, SummaryConfig{},
+		func(snap func() *Summary, p Progress) {
+			partial := snap()
 			mu.Lock()
 			snapshots = append(snapshots, partial)
 			mu.Unlock()

@@ -335,11 +335,11 @@ func waitJobs(t *testing.T, users int, prof power.Profile, opts *sim.Options) []
 	}
 	schemes := []Scheme{fixed(time.Second), fixed(4500 * time.Millisecond), fixed(time.Hour), StatusQuoScheme(), MakeIdleScheme()}
 	for _, name := range []string{"oracle", "95iat"} {
-		s, err := SchemeFromSpec(policy.Default(), SchemeSpec{Policy: policy.Spec{Name: name}})
+		rs, err := ResolveScheme(policy.Default(), SchemeSpec{Policy: policy.Spec{Name: name}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		schemes = append(schemes, s)
+		schemes = append(schemes, rs.Scheme)
 	}
 	iat := schemes[len(schemes)-1]
 	waits := []sim.Wait{{D: time.Second}, {D: 4500 * time.Millisecond}, {D: prof.Tail()},
@@ -574,10 +574,11 @@ func TestReplayMemoResolvesFittedRules(t *testing.T) {
 // without a Transient accumulator's worker slot.
 func TestReplayMemoServesOracle(t *testing.T) {
 	prof := power.VerizonLTE
-	oracle, err := SchemeFromSpec(policy.Default(), SchemeSpec{Policy: policy.Spec{Name: "oracle"}})
+	rs, err := ResolveScheme(policy.Default(), SchemeSpec{Policy: policy.Spec{Name: "oracle"}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	oracle := rs.Scheme
 	c := testCohort(1)
 	c.CacheKeyBase = "oracle-test"
 	job := c.Jobs(prof, []Scheme{oracle})[0]

@@ -9,6 +9,7 @@ import (
 	"repro/internal/power"
 	"repro/internal/report"
 	"repro/internal/trace"
+	"repro/internal/workload"
 
 	"repro/internal/fleet"
 )
@@ -45,7 +46,7 @@ func materialize(t *testing.T, jobs []fleet.Job) []fleet.Job {
 // O(1) per worker) and from materialized traces produces byte-identical
 // rendered summaries at every worker count.
 func TestStreamedCohortMatchesMaterialized(t *testing.T) {
-	cohort := fleet.Cohort{Users: 10, Seed: 5, Duration: 45 * time.Minute, Diurnal: true}
+	cohort := fleet.Cohort{Users: 10, Seed: 5, Duration: 45 * time.Minute, Diurnal: true, Mixes: workload.Verizon3GUsers()}
 	schemes := []fleet.Scheme{fleet.MakeIdleScheme(), fleet.CombinedScheme()}
 	streamed := cohort.Jobs(power.Verizon3G, schemes)
 	slices := materialize(t, cohort.Jobs(power.Verizon3G, schemes))
@@ -80,7 +81,7 @@ func TestFitTraceSchemeStreams(t *testing.T) {
 	if !scheme.FitTrace {
 		t.Fatal("95iat scheme not marked trace-fitted")
 	}
-	cohort := fleet.Cohort{Users: 4, Seed: 9, Duration: 30 * time.Minute}
+	cohort := fleet.Cohort{Users: 4, Seed: 9, Duration: 30 * time.Minute, Mixes: workload.Verizon3GUsers()}
 	streamed := cohort.Jobs(power.Verizon3G, []fleet.Scheme{scheme})
 	slices := materialize(t, cohort.Jobs(power.Verizon3G, []fleet.Scheme{scheme}))
 	s1, err := fleet.RunSummary(streamed, fleet.Options{Workers: 2, Shards: 2}, fleet.SummaryConfig{})
@@ -105,7 +106,7 @@ func TestFitTraceSchemeStreams(t *testing.T) {
 // factories must not rely on the trace surviving into the replay, because
 // the worker drops it before replaying.
 func TestFitPassSeesTraceThenReplayStreams(t *testing.T) {
-	cohort := fleet.Cohort{Users: 3, Seed: 13, Duration: 20 * time.Minute}
+	cohort := fleet.Cohort{Users: 3, Seed: 13, Duration: 20 * time.Minute, Mixes: workload.Verizon3GUsers()}
 	var fits, calls int
 	scheme := fleet.Scheme{
 		Name:     "recording-95iat",
@@ -159,9 +160,9 @@ func registryScheme(t *testing.T, demote, active string) fleet.Scheme {
 	if active != "" {
 		ss.Active = &policy.Spec{Name: active}
 	}
-	s, err := fleet.SchemeFromSpec(policy.Default(), ss)
+	rs, err := fleet.ResolveScheme(policy.Default(), ss)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return rs.Scheme
 }

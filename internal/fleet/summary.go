@@ -331,19 +331,6 @@ func RunSummaryLazyProgress(jobs []Job, opts Options, cfg SummaryConfig, onProgr
 	return runHooked(jobs, opts, SummaryAccumulator(cfg), onProgress)
 }
 
-// RunSummaryWithProgress is RunSummaryLazyProgress with eager snapshots:
-// onPartial receives a freshly merged Summary after every shard. Prefer
-// the lazy form on hot paths — eager snapshots cost one full merge per
-// shard whether or not anyone looks at them.
-func RunSummaryWithProgress(jobs []Job, opts Options, cfg SummaryConfig, onPartial func(partial *Summary, p Progress)) (*Summary, error) {
-	if onPartial == nil {
-		return RunSummary(jobs, opts, cfg)
-	}
-	return RunSummaryLazyProgress(jobs, opts, cfg, func(snap func() *Summary, p Progress) {
-		onPartial(snap(), p)
-	})
-}
-
 // SeedStride spaces per-user seeds so adjacent users draw well-separated
 // RNG streams (the prime stride the experiments layer already used).
 const SeedStride = 104729

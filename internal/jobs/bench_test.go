@@ -36,13 +36,13 @@ func BenchmarkGridSweepSharedCohort(b *testing.B) {
 // BenchmarkGridSweepWide measures cell-level scheduling on a wide grid: 32
 // small cells whose replays are short enough that dispatch, budget handoff
 // and ordered collection are a visible share of the work. The seq
-// sub-benchmark pins CellParallel=1 (the historical strictly-sequential
-// loop); par uses the budget-admitted default. On a multi-core machine
-// par/seq cells/sec is the saturation ratio; results are byte-identical
-// either way (TestCellParallelDeterminism).
+// sub-benchmark runs on a one-token budget (Workers: 1, one cell at a
+// time); par uses the all-core default. On a multi-core machine par/seq
+// cells/sec is the saturation ratio; results are byte-identical either
+// way (TestCellParallelDeterminism).
 func BenchmarkGridSweepWide(b *testing.B) {
 	b.Run("seq", func(b *testing.B) {
-		benchGrid(b, Config{CellParallel: 1}, BenchWideGridSpec(), BenchWideGridCells)
+		benchGrid(b, Config{Workers: 1}, BenchWideGridSpec(), BenchWideGridCells)
 	})
 	b.Run("par", func(b *testing.B) {
 		benchGrid(b, Config{}, BenchWideGridSpec(), BenchWideGridCells)

@@ -35,8 +35,8 @@ const BenchGridCells = 4
 // (4 schemes × 4 profiles × 2 cohorts = 32 cells of 2 users × 10 minutes,
 // one shard each) so per-cell replay work is short and the cost under
 // measurement is the executor itself — dispatch, budget handoff, ordered
-// collection. BenchmarkGridSweepWide runs it at CellParallel=1 and at the
-// budget-admitted default; the ratio is the machine-saturation headline.
+// collection. BenchmarkGridSweepWide runs it on a one-token budget and at
+// the all-core default; the ratio is the machine-saturation headline.
 func BenchWideGridSpec() Spec {
 	return Spec{Seed: 1, Shards: 1,
 		Schemes: []fleet.SchemeSpec{

@@ -3,19 +3,20 @@ package jobs
 // The cell executor: one grid job's cells dispatch concurrently onto the
 // manager-wide worker budget while results are collected in planned cell
 // order, so every rendering, partial snapshot and store record is
-// byte-identical to the historical strictly-sequential loop.
+// byte-identical to a strictly sequential loop over the cells (which is
+// what a one-token budget, Config.Workers = 1, runs).
 //
 // Roles:
 //
 //   - The dispatcher (one goroutine per job) walks the plan in cell order.
-//     A cell found in a cache tier finishes its slot immediately — no slot
-//     in the concurrency window, no worker token. A frontier cell first
-//     claims a window slot (Config.CellParallel) and then blocks for ONE
-//     budget token — the cell's first fleet worker — before its goroutine
-//     launches. The fleet run acquires any workers beyond the first from
-//     the same budget opportunistically (fleet.Options.Budget), so replay
-//     goroutine pressure is capped by the budget no matter how many cells
-//     or runner jobs are in flight.
+//     A cell found in a cache tier finishes its slot immediately, holding
+//     no worker token. A frontier cell blocks for ONE budget token — the
+//     cell's first fleet worker — before its goroutine launches, so at
+//     most min(budget, cells) cells of a job are in flight. The fleet run
+//     acquires any workers beyond the first from the same budget
+//     opportunistically (fleet.Options.Budget), so replay goroutine
+//     pressure is capped by the budget no matter how many cells or runner
+//     jobs are in flight.
 //
 //   - Cell goroutines run the fleet, publish per-shard progress into their
 //     slot, then write the finished cell through the cache and store
@@ -71,7 +72,6 @@ type cellExec struct {
 	totals Progress
 	single bool
 
-	parSem chan struct{} // cell-concurrency window
 	stop   chan struct{} // closed on first failure or at collector exit
 	halted sync.Once
 	haltCh chan struct{} // closed when stop OR job.cancel closes
@@ -107,21 +107,10 @@ func newCellExec(m *Manager, job *Job, spec Spec, cells []gridCell) *cellExec {
 		e.totals.Shards += cell.Shards
 		e.totals.TotalJobs += cell.NumJobs
 	}
-	par := m.cfg.CellParallel
-	if par <= 0 {
-		par = m.budget.Cap()
-	}
-	if par > len(cells) {
-		par = len(cells)
-	}
-	if par < 1 {
-		par = 1
-	}
-	e.parSem = make(chan struct{}, par)
 	// One partial closure for the whole job: installs advance the version,
 	// and the closure reads slot state at materialize time, so per-shard
 	// progress events allocate nothing. Contributions are gathered in plan
-	// order — at CellParallel=1 that is exactly the sequential loop's
+	// order — on a one-token budget that is exactly the sequential loop's
 	// "merged prefix plus the in-flight cell's snapshot".
 	if e.single {
 		e.partial = e.partialSingleAxis
@@ -209,10 +198,9 @@ func (e *cellExec) watchHalt() {
 }
 
 // dispatch walks the plan in cell order, finishing cached cells inline and
-// launching one goroutine per frontier cell once a window slot and a
-// budget token are held. It never outlives run(): every exit path first
-// marks the remaining slots canceled so the collector cannot block on a
-// slot nobody owns.
+// launching one goroutine per frontier cell once it holds a budget token.
+// It never outlives run(): every exit path first marks the remaining
+// slots canceled so the collector cannot block on a slot nobody owns.
 func (e *cellExec) dispatch() {
 	for i := range e.cells {
 		select {
@@ -226,16 +214,9 @@ func (e *cellExec) dispatch() {
 			e.finishSlot(i, cached, nil)
 			continue
 		}
-		select {
-		case e.parSem <- struct{}{}:
-		case <-e.haltCh:
-			e.abandonFrom(i)
-			return
-		}
 		// The token acquired here is the cell's first fleet worker; the
 		// run releases it (via runCell's defer) when the cell completes.
 		if !e.m.budget.Acquire(e.haltCh) {
-			<-e.parSem
 			e.abandonFrom(i)
 			return
 		}
@@ -266,12 +247,11 @@ func (e *cellExec) abandonFrom(i int) {
 
 // runCell executes one frontier cell: the fleet run (feeding per-shard
 // progress into the slot), then the cache and store writes, then the slot
-// publish. The deferred releases return the window slot and the budget
-// token the dispatcher acquired.
+// publish. The deferred release returns the budget token the dispatcher
+// acquired.
 func (e *cellExec) runCell(i int) {
 	defer e.wg.Done()
 	defer e.m.cellsLive.Add(-1)
-	defer func() { <-e.parSem }()
 	defer e.m.budget.Release()
 
 	cell := &e.cells[i]
@@ -349,8 +329,8 @@ func (e *cellExec) publishLocked() {
 }
 
 // partialSingleAxis merges, in plan order, every finished cell's summary
-// plus every live cell's shard snapshot — at CellParallel=1 exactly the
-// sequential loop's "completed prefix plus the in-flight cell". Runs at
+// plus every live cell's shard snapshot — on a one-token budget exactly
+// the sequential loop's "completed prefix plus the in-flight cell". Runs at
 // Job.Partial materialize time, never per progress event.
 func (e *cellExec) partialSingleAxis() *fleet.Summary {
 	e.mu.Lock()

@@ -10,11 +10,12 @@ import (
 )
 
 // TestCellParallelDeterminism is the scheduling-independence property: a
-// grid run at any cell-concurrency level — 2, the machine width, more
-// slots than cells — produces byte-identical output to the strictly
-// sequential CellParallel=1 run. Every rendered form is compared (job
-// JSON/CSV/text, per-cell JSON, per-cell fingerprints, via
-// assertSameResult), the summaries deeply, plus the durable store
+// grid run on any worker budget — 2, the machine width, more tokens than
+// cells, each the most cells it runs at once — produces byte-identical
+// output to the strictly sequential run on a one-token budget
+// (Workers: 1). Every rendered form is compared (job JSON/CSV/text,
+// per-cell JSON, per-cell fingerprints, via assertSameResult), the
+// summaries deeply, plus the durable store
 // contents record by record, so a scheduling-dependent byte anywhere in
 // the pipeline fails loudly. The reference runs with the trace cache off,
 // and every level runs with it on and off: with it on, which cell
@@ -35,7 +36,7 @@ func TestCellParallelDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer refStore.Close()
-	ref := NewManager(Config{Runners: 1, Workers: 2, CellParallel: 1,
+	ref := NewManager(Config{Runners: 1, Workers: 1,
 		CacheSize: -1, CellCacheSize: -1, TraceCacheBytes: -1, Store: refStore})
 	want := runSpec(t, ref, spec)
 	if got := ref.CellsExecuted(); got != uint64(len(want.Cells)) {
@@ -43,6 +44,7 @@ func TestCellParallelDeterminism(t *testing.T) {
 	}
 	ref.Close()
 
+	// parN runs on a worker budget of N tokens: at most N cells in flight.
 	for _, par := range []int{2, runtime.GOMAXPROCS(0), len(want.Cells) + 8} {
 		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
 			for _, memo := range []bool{true, false} {
@@ -55,15 +57,15 @@ func TestCellParallelDeterminism(t *testing.T) {
 }
 
 // cellParallelRun is one TestCellParallelDeterminism level: the spec run
-// at CellParallel par, with the baseline memo on or off, against the
-// sequential reference's result and store.
+// on a worker budget of par tokens, with the baseline memo on or off,
+// against the sequential reference's result and store.
 func cellParallelRun(t *testing.T, par int, memo bool, spec Spec, want *Result, refStore *store.Store) {
 	st, err := store.Open(store.Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	cfg := Config{Runners: 1, Workers: 4, CellParallel: par,
+	cfg := Config{Runners: 1, Workers: par,
 		CacheSize: -1, CellCacheSize: -1, Store: st}
 	if !memo {
 		cfg.TraceCacheBytes = -1

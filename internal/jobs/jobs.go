@@ -246,17 +246,11 @@ type Config struct {
 	Runners int
 	// Workers sizes the manager-wide worker budget (<= 0 = all cores):
 	// the bound on concurrent replay goroutines shared between intra-cell
-	// fleet shards and inter-cell parallelism, across every runner. Worker
-	// count never changes results.
+	// fleet shards and inter-cell parallelism, across every runner. Each
+	// in-flight cell holds one token, so a job runs at most min(Workers,
+	// cells) cells at once; 1 runs them one at a time. Worker count never
+	// changes results.
 	Workers int
-	// CellParallel caps how many grid cells of one job execute
-	// concurrently (0 = as many as the worker budget admits; 1 =
-	// sequential cells, the historical behavior; results are
-	// byte-identical at every setting). Cells dispatch onto the shared
-	// worker budget either way, so raising it never over-subscribes the
-	// machine — it only lets wide grids of small cells fill workers that
-	// a single cell's shards would leave idle.
-	CellParallel int
 	// MaxRecords bounds the job registry (default 1024): once exceeded,
 	// the oldest *terminal* jobs are forgotten (their id returns 404).
 	// Live jobs are never evicted, so the registry — and with it the

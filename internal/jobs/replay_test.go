@@ -46,13 +46,16 @@ var paperShapedSchemes = []fleet.SchemeSpec{
 // pass of its own or goes through the engine. The profile-free fit runs
 // once per (cohort, user), C·U. A resubmission served from the cell cache
 // runs nothing, and a second fresh-seed grid adds the same counts again,
-// at every worker count and cell concurrency level.
+// at every worker budget (workersN: one token runs the cells one at a
+// time, four run four cells at once) and every shard count (parN: the
+// partitions each cell's users split into, which the budget's extra
+// workers replay concurrently).
 func TestReplayMemoExactCounts(t *testing.T) {
 	const users = 2 // each fixture cohort's population
 	schemes := []fleet.SchemeSpec{fixedTailSpec("1s"), fixedTailSpec("3s"), fixedTailSpec("8s"),
 		{Policy: policy.Spec{Name: "statusquo"}}, {Policy: policy.Spec{Name: "oracle"}}, {Policy: policy.Spec{Name: "95iat"}}}
-	spec := func(seed int64) Spec {
-		return Spec{Seed: seed, Shards: 2, Schemes: schemes, Profiles: fitProfiles, Cohorts: resumeCohorts}
+	spec := func(seed int64, shards int) Spec {
+		return Spec{Seed: seed, Shards: shards, Schemes: schemes, Profiles: fitProfiles, Cohorts: resumeCohorts}
 	}
 	cu := uint64(len(resumeCohorts) * users)
 	keys := cu * uint64(len(fitProfiles))
@@ -62,12 +65,12 @@ func TestReplayMemoExactCounts(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 			t.Run(fmt.Sprintf("workers%d-par%d", workers, par), func(t *testing.T) {
-				m := NewManager(Config{Runners: 1, Workers: workers, CellParallel: par, CacheSize: -1})
+				m := NewManager(Config{Runners: 1, Workers: workers, CacheSize: -1})
 				defer m.Close()
 				var last fleet.TraceCacheStats
 				step := func(label string, seed int64, want fleet.TraceCacheStats) {
 					t.Helper()
-					runSpec(t, m, spec(seed))
+					runSpec(t, m, spec(seed, par))
 					st := m.TraceCacheStats()
 					got := fleet.TraceCacheStats{
 						ReplayPasses: st.ReplayPasses - last.ReplayPasses,
@@ -99,14 +102,15 @@ func TestReplayMemoEquivalence(t *testing.T) {
 	wider.Schemes = append(slices.Clone(paperShapedSchemes), fixedTailSpec("2s"), fixedTailSpec("9s"))
 	wider.Profiles = fitProfiles
 
-	off := NewManager(Config{Runners: 1, Workers: 2, CellParallel: 1,
+	off := NewManager(Config{Runners: 1, Workers: 1,
 		CacheSize: -1, CellCacheSize: -1, TraceCacheBytes: -1})
 	wantPaper, wantWider := runSpec(t, off, paper), runSpec(t, off, wider)
 	off.Close()
 
+	// parN runs on a worker budget of N tokens: at most N cells in flight.
 	for _, par := range []int{1, runtime.GOMAXPROCS(0) + 1} {
 		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
-			m := NewManager(Config{Runners: 1, Workers: 4, CellParallel: par, CacheSize: -1})
+			m := NewManager(Config{Runners: 1, Workers: par, CacheSize: -1})
 			defer m.Close()
 			got := runSpec(t, m, paper)
 			assertSameResult(t, wantPaper, got)
@@ -132,7 +136,7 @@ func TestReplayMemoEquivalence(t *testing.T) {
 }
 
 // TestReplayMemoOrderIndependence is the who-claims-first property for
-// the constant-wait memo: at CellParallel=1 the first scheme in plan
+// the constant-wait memo: on a one-token budget the first scheme in plan
 // order claims every (user, profile)'s batch, so each rotation of the
 // scheme axis hands the claim to another scheme — a constant wait, a
 // fitted one, or a MakeIdle cell that replays none itself. Every cell
@@ -140,7 +144,7 @@ func TestReplayMemoEquivalence(t *testing.T) {
 func TestReplayMemoOrderIndependence(t *testing.T) {
 	base := Spec{Seed: 89, Shards: 2, Schemes: paperShapedSchemes, Profiles: resumeProfiles, Cohorts: resumeCohorts[:1]}
 	label := func(c *CellResult) string { return c.Scheme + "|" + c.Profile + "|" + c.Cohort }
-	ref := NewManager(Config{Runners: 1, Workers: 2, CellParallel: 1, TraceCacheBytes: -1})
+	ref := NewManager(Config{Runners: 1, Workers: 1, TraceCacheBytes: -1})
 	want := map[string]*CellResult{}
 	for _, c := range runSpec(t, ref, base).Cells {
 		want[label(c)] = c
@@ -151,7 +155,7 @@ func TestReplayMemoOrderIndependence(t *testing.T) {
 		t.Run(fmt.Sprintf("rot%d", rot), func(t *testing.T) {
 			spec := base
 			spec.Schemes = append(slices.Clone(paperShapedSchemes[rot:]), paperShapedSchemes[:rot]...)
-			m := NewManager(Config{Runners: 1, Workers: 2, CellParallel: 1, CacheSize: -1, CellCacheSize: -1})
+			m := NewManager(Config{Runners: 1, Workers: 1, CacheSize: -1, CellCacheSize: -1})
 			defer m.Close()
 			got := runSpec(t, m, spec)
 			if len(got.Cells) != len(want) {

@@ -26,8 +26,8 @@ var traceCacheSchemes = []fleet.SchemeSpec{
 
 // TestTraceCacheEquivalence is the memoization-is-invisible property: a
 // grid run with the cohort trace cache enabled produces byte-identical
-// output to the same grid with the cache disabled, at every cell
-// concurrency level. Every rendered form is compared (job JSON/CSV/text,
+// output to the same grid with the cache disabled, at every worker
+// budget. Every rendered form is compared (job JSON/CSV/text,
 // per-cell JSON, per-cell fingerprints), the summaries deeply, plus the
 // durable store contents record by record — and the enabled runs must
 // actually hit the cache, so the equality is between a replayed slab and
@@ -50,7 +50,7 @@ func TestTraceCacheEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer refStore.Close()
-	ref := NewManager(Config{Runners: 1, Workers: 2, CellParallel: 1,
+	ref := NewManager(Config{Runners: 1, Workers: 1,
 		CacheSize: -1, CellCacheSize: -1, TraceCacheBytes: -1, Store: refStore})
 	want := runSpec(t, ref, spec)
 	if st := ref.TraceCacheStats(); st != (fleet.TraceCacheStats{}) {
@@ -58,6 +58,7 @@ func TestTraceCacheEquivalence(t *testing.T) {
 	}
 	ref.Close()
 
+	// parN runs on a worker budget of N tokens: at most N cells in flight.
 	for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
 			st, err := store.Open(store.Config{Dir: t.TempDir()})
@@ -65,7 +66,7 @@ func TestTraceCacheEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer st.Close()
-			m := NewManager(Config{Runners: 1, Workers: 4, CellParallel: par,
+			m := NewManager(Config{Runners: 1, Workers: par,
 				CacheSize: -1, CellCacheSize: -1, Store: st})
 			defer m.Close()
 			got := runSpec(t, m, spec)
@@ -105,7 +106,7 @@ func TestTraceCacheEquivalence(t *testing.T) {
 	// A one-byte budget generates every slab and retains none, so every
 	// job replays its own baseline: the memo is off with the cache on.
 	t.Run("slab-over-budget", func(t *testing.T) {
-		m := NewManager(Config{Runners: 1, Workers: 4, CellParallel: 2,
+		m := NewManager(Config{Runners: 1, Workers: 2,
 			CacheSize: -1, CellCacheSize: -1, TraceCacheBytes: 1})
 		defer m.Close()
 		got := runSpec(t, m, spec)
@@ -121,7 +122,7 @@ func TestTraceCacheEquivalence(t *testing.T) {
 // fresh-seed grid of C cohorts x P profiles x S schemes x U users misses
 // once per (cohort, user), C·U, and that pass replays the user's baseline
 // on every profile, so every other baseline lookup of the cohort is a
-// hit, C·P·U·S − C·U, at every cell concurrency level. A resubmission
+// hit, C·P·U·S − C·U, at every worker budget. A resubmission
 // served from the cell cache replays nothing, and a second fresh-seed
 // grid adds the same counts again.
 func TestBaselineMemoExactCounts(t *testing.T) {
@@ -137,9 +138,10 @@ func TestBaselineMemoExactCounts(t *testing.T) {
 	lookups := cu * uint64(len(resumeProfiles)*len(traceCacheSchemes))
 	wantMisses, wantHits := cu, lookups-cu
 
+	// parN runs on a worker budget of N tokens: at most N cells in flight.
 	for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
-			m := NewManager(Config{Runners: 1, Workers: 4, CellParallel: par, CacheSize: -1})
+			m := NewManager(Config{Runners: 1, Workers: par, CacheSize: -1})
 			defer m.Close()
 			var last fleet.TraceCacheStats
 			step := func(label string, seed int64, misses, hits uint64) {
@@ -159,8 +161,8 @@ func TestBaselineMemoExactCounts(t *testing.T) {
 	}
 }
 
-// TestBaselineMemoOrderIndependence is the who-computes-first property: at
-// CellParallel=1 the first scheme in plan order replays every (user,
+// TestBaselineMemoOrderIndependence is the who-computes-first property: on
+// a one-token budget the first scheme in plan order replays every (user,
 // profile) baseline and the later schemes reuse it, so reordering the
 // scheme axis changes which scheme's cell computes each baseline. Every
 // cell must come out the same, matched by label, as in a memo-off run.
@@ -171,7 +173,7 @@ func TestBaselineMemoOrderIndependence(t *testing.T) {
 		Cohorts:  resumeCohorts[:1],
 	}
 	label := func(c *CellResult) string { return c.Scheme + "|" + c.Profile + "|" + c.Cohort }
-	ref := NewManager(Config{Runners: 1, Workers: 2, CellParallel: 1, TraceCacheBytes: -1})
+	ref := NewManager(Config{Runners: 1, Workers: 1, TraceCacheBytes: -1})
 	want := map[string]*CellResult{}
 	for _, c := range runSpec(t, ref, base).Cells {
 		want[label(c)] = c
@@ -183,7 +185,7 @@ func TestBaselineMemoOrderIndependence(t *testing.T) {
 		t.Run(fmt.Sprintf("rot%d", rot), func(t *testing.T) {
 			spec := base
 			spec.Schemes = append(slices.Clone(traceCacheSchemes[rot:]), traceCacheSchemes[:rot]...)
-			m := NewManager(Config{Runners: 1, Workers: 2, CellParallel: 1, CacheSize: -1, CellCacheSize: -1})
+			m := NewManager(Config{Runners: 1, Workers: 1, CacheSize: -1, CellCacheSize: -1})
 			defer m.Close()
 			got := runSpec(t, m, spec)
 			if len(got.Cells) != len(want) {
@@ -225,14 +227,15 @@ var fitProfiles = []power.ProfileSpec{
 // each job looks it up again: all C·P·U jobs are hits.
 // MakeActive-Fix reads the profile, so makeidle+fix fits once per
 // (cohort, profile, user), C·P·U misses and no hits. A resubmission
-// served from the cell cache fits nothing. The counts hold at every cell
-// concurrency level and worker count.
+// served from the cell cache fits nothing. The counts hold at every
+// worker budget (workersN) and shard count (parN), as in
+// TestReplayMemoExactCounts.
 func TestFitMemoExactCounts(t *testing.T) {
 	const users = 2 // each fixture cohort's population
 	cu := uint64(len(resumeCohorts) * users)
 	p := uint64(len(fitProfiles))
-	spec := func(seed int64, ss fleet.SchemeSpec) Spec {
-		return Spec{Seed: seed, Shards: 2, Schemes: []fleet.SchemeSpec{ss},
+	spec := func(seed int64, shards int, ss fleet.SchemeSpec) Spec {
+		return Spec{Seed: seed, Shards: shards, Schemes: []fleet.SchemeSpec{ss},
 			Profiles: fitProfiles, Cohorts: resumeCohorts}
 	}
 	iat := fleet.SchemeSpec{Policy: policy.Spec{Name: "95iat"}}
@@ -241,7 +244,7 @@ func TestFitMemoExactCounts(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 			t.Run(fmt.Sprintf("workers%d-par%d", workers, par), func(t *testing.T) {
-				m := NewManager(Config{Runners: 1, Workers: workers, CellParallel: par, CacheSize: -1})
+				m := NewManager(Config{Runners: 1, Workers: workers, CacheSize: -1})
 				defer m.Close()
 				var last fleet.TraceCacheStats
 				step := func(label string, s Spec, misses, hits uint64) {
@@ -254,10 +257,10 @@ func TestFitMemoExactCounts(t *testing.T) {
 					}
 					last = st
 				}
-				step("95iat grid", spec(71, iat), cu, cu*p)
-				step("95iat resubmission", spec(71, iat), 0, 0)
-				step("makeidle+fix grid", spec(72, fix), cu*p, 0)
-				step("makeidle+fix resubmission", spec(72, fix), 0, 0)
+				step("95iat grid", spec(71, par, iat), cu, cu*p)
+				step("95iat resubmission", spec(71, par, iat), 0, 0)
+				step("makeidle+fix grid", spec(72, par, fix), cu*p, 0)
+				step("makeidle+fix resubmission", spec(72, par, fix), 0, 0)
 			})
 		}
 	}
@@ -280,14 +283,15 @@ func TestFitMemoMixedPairsConcurrent(t *testing.T) {
 		Profiles: fitProfiles,
 		Cohorts:  resumeCohorts,
 	}
-	ref := NewManager(Config{Runners: 1, Workers: 1, CellParallel: 1,
+	ref := NewManager(Config{Runners: 1, Workers: 1,
 		CacheSize: -1, CellCacheSize: -1, TraceCacheBytes: -1})
 	want := runSpec(t, ref, spec)
 	ref.Close()
 
+	// parN runs on a worker budget of N tokens: at most N cells in flight.
 	for _, par := range []int{2, runtime.GOMAXPROCS(0) + 1} {
 		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
-			m := NewManager(Config{Runners: 1, Workers: 4, CellParallel: par, CacheSize: -1, CellCacheSize: -1})
+			m := NewManager(Config{Runners: 1, Workers: par, CacheSize: -1, CellCacheSize: -1})
 			defer m.Close()
 			got := runSpec(t, m, spec)
 			assertSameResult(t, want, got)
@@ -314,7 +318,7 @@ func TestTraceCacheSingleFlight(t *testing.T) {
 	}
 	const users, cells = 2, 6
 
-	ref := NewManager(Config{Runners: 1, Workers: 2, CellParallel: 1,
+	ref := NewManager(Config{Runners: 1, Workers: 1,
 		CacheSize: -1, CellCacheSize: -1})
 	want := runSpec(t, ref, spec)
 	if len(want.Cells) != cells {
@@ -322,7 +326,7 @@ func TestTraceCacheSingleFlight(t *testing.T) {
 	}
 	ref.Close()
 
-	m := NewManager(Config{Runners: 1, Workers: 4, CellParallel: cells,
+	m := NewManager(Config{Runners: 1, Workers: cells,
 		CacheSize: -1, CellCacheSize: -1})
 	defer m.Close()
 	got := runSpec(t, m, spec)
@@ -340,8 +344,8 @@ func TestTraceCacheSingleFlight(t *testing.T) {
 }
 
 // TestTraceCacheBudgetAdmission is the no-deadlock property the cache's
-// single-flight design guarantees: with a single worker token and more
-// concurrent cells than tokens, cells waiting on another cell's
+// single-flight design guarantees: with a single worker token shared by
+// every cell of a shared-cohort grid, a cell waiting on another cell's
 // generation must not starve the generator. The grid simply completing
 // (and matching the sequential run) is the assertion — a token/waiter
 // cycle would hang the test.
@@ -351,12 +355,12 @@ func TestTraceCacheBudgetAdmission(t *testing.T) {
 		Profiles: resumeProfiles[:1],
 		Cohorts:  resumeCohorts[:1],
 	}
-	ref := NewManager(Config{Runners: 1, Workers: 2, CellParallel: 1,
+	ref := NewManager(Config{Runners: 1, Workers: 1,
 		CacheSize: -1, CellCacheSize: -1, TraceCacheBytes: -1})
 	want := runSpec(t, ref, spec)
 	ref.Close()
 
-	m := NewManager(Config{Runners: 1, Workers: 1, CellParallel: 4,
+	m := NewManager(Config{Runners: 1, Workers: 1,
 		CacheSize: -1, CellCacheSize: -1})
 	defer m.Close()
 	assertSameResult(t, want, runSpec(t, m, spec))

@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"repro/internal/energy"
-	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/power"
@@ -151,31 +150,6 @@ func GenerateApp(m AppModel, seed int64, duration time.Duration) Trace {
 // Verizon3GUsers and VerizonLTEUsers return the synthetic study cohorts.
 func Verizon3GUsers() []User  { return workload.Verizon3GUsers() }
 func VerizonLTEUsers() []User { return workload.VerizonLTEUsers() }
-
-// Fleet runtime: sharded parallel multi-user replay with mergeable
-// aggregates (same seed + any worker count = identical numbers).
-type (
-	// FleetJob is one replay job (trace × profile × policy pair).
-	FleetJob = fleet.Job
-	// FleetOptions tunes worker and shard counts.
-	FleetOptions = fleet.Options
-	// FleetCohort describes a synthetic multi-user population.
-	FleetCohort = fleet.Cohort
-	// FleetScheme couples a label with policy factories.
-	FleetScheme = fleet.Scheme
-	// FleetSummary is the mergeable per-scheme aggregate.
-	FleetSummary = fleet.Summary
-	// Stream is a mergeable count/mean/variance accumulator.
-	Stream = metrics.Stream
-	// Histogram is a mergeable fixed-bin histogram.
-	Histogram = metrics.Histogram
-)
-
-// RunFleet replays jobs across the sharded worker pool and reduces them
-// into the standard streaming summary.
-func RunFleet(jobs []FleetJob, opts FleetOptions) (*FleetSummary, error) {
-	return fleet.RunSummary(jobs, opts, fleet.SummaryConfig{})
-}
 
 // NewEngine returns a reusable allocation-light replay engine (one per
 // goroutine) for callers replaying many traces.
