@@ -80,7 +80,15 @@ func Threshold(p *power.Profile) time.Duration {
 // at the profile's link rate multiplied by the direction's bulk-transfer
 // power (§6.1's "energy consumed per second" model).
 func TxJ(p *power.Profile, size int, uplink bool) float64 {
-	return p.TxTime(size, uplink).Seconds() * p.TxPowerMW(uplink) / 1000
+	_, j := Tx(p, size, uplink)
+	return j
+}
+
+// Tx returns one packet's transmission time and its data energy, TxJ
+// computed from that same time.
+func Tx(p *power.Profile, size int, uplink bool) (time.Duration, float64) {
+	t := p.TxTime(size, uplink)
+	return t, t.Seconds() * p.TxPowerMW(uplink) / 1000
 }
 
 // Breakdown splits the energy of a radio period into the categories of

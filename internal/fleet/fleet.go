@@ -132,7 +132,8 @@ type Job struct {
 	// collects one pass of the source into its reusable fit slice and runs
 	// the factories against it before replaying, so only the fit itself is
 	// O(trace) in memory and both replays stay O(1). The factories must
-	// not retain the trace: the worker's next fit overwrites it. When
+	// neither modify nor retain the trace: the job's other passes over a
+	// cached slab replay it, and the worker's next fit overwrites it. When
 	// DemoteFit or ActiveFit names the fitted halves, only those see the
 	// trace, and the fit of a slab Options.TraceCache retains runs once
 	// per (half, slab) for every job sharing it; otherwise both factories
@@ -295,8 +296,13 @@ type workerState struct {
 
 	// fitTrace is the worker's reusable fit input: each fit collects the
 	// job's packets into it, and the TraceFitted contract forbids a
-	// fitted policy to retain it, so the next fit may overwrite it.
+	// fitted policy to retain or modify it, so the next fit may
+	// overwrite it. fitFrom is the cached slab fitTrace holds in full,
+	// nil when none: until the job ends, every other pass over that slab
+	// replays fitTrace through slice instead of decoding the slab again.
 	fitTrace trace.Trace
+	fitFrom  []byte
+	slice    trace.SliceSource
 
 	// batch, results and flat are the wait-rule passes' scratch: the
 	// rules a memo lookup offers to claim under its own profile and the
@@ -308,23 +314,48 @@ type workerState struct {
 }
 
 // open starts one pass over the job's packets: the cached slab through the
-// worker's reusable decoder when slab is non-nil, otherwise a fresh source
-// from the job's constructor.
-func (ws *workerState) open(job *Job, slab []byte) (trace.Source, error) {
+// worker's reusable decoder when slab is non-nil, counted in tc's
+// SlabDecodes, or its packets already collected into fitTrace, otherwise
+// a fresh source from the job's constructor. The codec round-trips
+// exactly, so every choice yields the same packets.
+func (ws *workerState) open(job *Job, slab []byte, tc *TraceCache) (trace.Source, error) {
 	if slab == nil {
 		return job.Source(job.Seed), nil
+	}
+	if sameSlab(ws.fitFrom, slab) {
+		ws.slice.Reset(ws.fitTrace)
+		return &ws.slice, nil
 	}
 	if err := ws.bytes.Reset(slab); err != nil {
 		return nil, err
 	}
+	tc.countDecode()
 	return &ws.bytes, nil
+}
+
+// sameSlab reports whether a and b are the same slab, not just equal
+// bytes: a retained slab is immutable and pinned by the job replaying it,
+// so its address identifies it for as long as the job runs.
+func sameSlab(a, b []byte) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
+}
+
+// release drops what the worker holds of the job's slab once the job
+// ends: its decoder's cursor and fitFrom, and the slice source's view of
+// fitTrace, which a later fit may reallocate. A pooled idle worker then
+// pins no slab, so an evicted one is freed; fitTrace keeps only its
+// capacity's worth of copied packets.
+func (ws *workerState) release() {
+	ws.bytes = trace.BytesSource{}
+	ws.slice.Reset(nil)
+	ws.fitFrom = nil
 }
 
 // replay runs one pass of the job under the given policies on the worker's
 // engine, into slot when one is given.
-func (ws *workerState) replay(job *Job, slab []byte, slot *sim.Result,
+func (ws *workerState) replay(job *Job, slab []byte, tc *TraceCache, slot *sim.Result,
 	demote policy.DemotePolicy, active policy.ActivePolicy) (*sim.Result, error) {
-	src, err := ws.open(job, slab)
+	src, err := ws.open(job, slab, tc)
 	if err != nil {
 		return nil, err
 	}
@@ -338,11 +369,12 @@ func (ws *workerState) replay(job *Job, slab []byte, slot *sim.Result,
 }
 
 // waitPass replays one pass of the job's packets under every wait set
-// into the worker's wait results. Only a baseline replays under options
+// into the worker's wait results, from the fit trace when the job's fits
+// have just collected the slab (see open). Only a baseline replays under options
 // that ask for decision or episode logs, and it reads two scalars, which
 // the logs do not change, so the pass drops them.
-func (ws *workerState) waitPass(job *Job, slab []byte, sets []sim.WaitSet) ([][]sim.Result, error) {
-	src, err := ws.open(job, slab)
+func (ws *workerState) waitPass(job *Job, slab []byte, tc *TraceCache, sets []sim.WaitSet) ([][]sim.Result, error) {
+	src, err := ws.open(job, slab, tc)
 	if err != nil {
 		return nil, err
 	}
@@ -386,7 +418,7 @@ func (ws *workerState) fitWaits(job *Job, slab []byte, tc *TraceCache) []sim.Wai
 	}
 	resolve := func(fw *FitWait, prof power.Profile) (sim.Wait, bool) {
 		v, err := tc.fit(job.CacheKey, policy.RoleDemote, fw.Key, prof, func() (any, error) {
-			tr, err := ws.collect(job, slab)
+			tr, err := ws.collect(job, slab, tc)
 			if err != nil {
 				return nil, err
 			}
@@ -448,14 +480,14 @@ var workerPool = sync.Pool{New: func() any {
 // set; the fitted halves named by DemoteFit/ActiveFit come from tc's fit
 // memo on the job's slab, or are fitted here when tc does not retain it.
 // A FitTrace job naming neither half fits both factories per job. A fit
-// collects one pass of the packets (from slab when non-nil), shared by
-// the pair's fitted halves; the slice is a local, collectable as soon as
-// construction returns and before any replay allocates its lookahead.
+// collects one pass of the packets (from slab when non-nil) into the
+// worker's fit trace, shared by the pair's fitted halves and, over a
+// cached slab, by the job's replays (see open).
 func (ws *workerState) policyPair(job *Job, slab []byte, tc *TraceCache) (policy.DemotePolicy, policy.ActivePolicy, error) {
 	fitD := job.FitTrace && job.DemoteFit.Spec != ""
 	fitA := job.FitTrace && job.ActiveFit.Spec != "" && job.Active != nil
 	if job.FitTrace && !fitD && !fitA {
-		tr, err := ws.collect(job, slab)
+		tr, err := ws.collect(job, slab, tc)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -485,7 +517,7 @@ func (ws *workerState) policyPair(job *Job, slab []byte, tc *TraceCache) (policy
 		return tc.fit(job.CacheKey, role, fk, job.Profile, func() (any, error) {
 			var err error
 			if ft == nil {
-				ft, err = ws.collect(job, slab)
+				ft, err = ws.collect(job, slab, tc)
 			}
 			if err != nil {
 				return nil, err
@@ -511,12 +543,18 @@ func (ws *workerState) policyPair(job *Job, slab []byte, tc *TraceCache) (policy
 }
 
 // collect materializes one pass of the job's packets for a fit into the
-// worker's scratch trace, which the next collect overwrites.
-func (ws *workerState) collect(job *Job, slab []byte) (trace.Trace, error) {
-	src, err := ws.open(job, slab)
+// worker's scratch trace, which the next collect of another slab
+// overwrites; a collect of the slab it already holds returns it as is.
+func (ws *workerState) collect(job *Job, slab []byte, tc *TraceCache) (trace.Trace, error) {
+	if sameSlab(ws.fitFrom, slab) {
+		return ws.fitTrace, nil
+	}
+	ws.fitFrom = nil
+	src, err := ws.open(job, slab, tc)
 	if err == nil {
 		ws.fitTrace, err = trace.AppendSource(ws.fitTrace[:0], src)
 		if err == nil {
+			ws.fitFrom = slab
 			return ws.fitTrace, nil
 		}
 	}
@@ -859,6 +897,7 @@ func runJob(job *Job, index int, ws *workerState, tc *TraceCache, reuse bool) (O
 			return out, fmt.Errorf("memoizing source: %w", err)
 		}
 	}
+	defer ws.release()
 	demote, active, err := ws.policyPair(job, slab, tc)
 	if err != nil {
 		return out, err
@@ -866,7 +905,7 @@ func runJob(job *Job, index int, ws *workerState, tc *TraceCache, reuse bool) (O
 	rule, memo := sim.WaitOf(demote)
 	memo = memo && active == nil && !records(job.Opts) && slab != nil
 	pass := func(sets []sim.WaitSet) ([][]sim.Result, error) {
-		return ws.waitPass(job, slab, sets)
+		return ws.waitPass(job, slab, tc, sets)
 	}
 	// A job that logs replays no memoized scheme, so its baseline claims
 	// nothing for the others.
@@ -891,7 +930,7 @@ func runJob(job *Job, index int, ws *workerState, tc *TraceCache, reuse bool) (O
 		mainSlot = &ws.main
 	}
 	if !memo {
-		if out.Result, err = ws.replay(job, slab, mainSlot, demote, active); err != nil {
+		if out.Result, err = ws.replay(job, slab, tc, mainSlot, demote, active); err != nil {
 			return out, err
 		}
 		return out, nil

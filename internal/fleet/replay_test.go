@@ -606,3 +606,58 @@ func TestReplayMemoServesOracle(t *testing.T) {
 		t.Fatalf("the Oracle job ran a pass of its own: %+v", st)
 	}
 }
+
+// TestTraceCacheClaimDecodesOnce pins the one-decode rule of a claiming
+// miss: the worker collects the slab once for every fit of its job, per
+// profile when a fit reads the profile, and replays the wait-rule pass
+// from the collected packets, whether the claimer's own scheme fitted
+// first (the 95iat job) or the batch's fitted rules did (a fixed tail
+// whose batch fits 95iat on two profiles). The results match a plain
+// engine replay, and the worker holds nothing of the slab afterwards.
+func TestTraceCacheClaimDecodesOnce(t *testing.T) {
+	prof := power.Verizon3G
+	for _, c := range []struct {
+		name string
+		job  int // index into waitJobs' schemes
+		two  bool
+		fits uint64
+	}{
+		{"fixed-tail-claims-fits-per-profile", 0, true, 2},
+		{"95iat-fits-then-claims", 6, false, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			job := waitJobs(t, 1, prof, nil)[c.job]
+			if job.FitTrace == c.two {
+				t.Fatalf("job %d is %s", c.job, job.Scheme)
+			}
+			if c.two {
+				job.Waits = []sim.WaitSet{job.Waits[0], {Prof: power.TMobile3G, Rules: consts(time.Second)}}
+				job.FitWaits = slices.Clone(job.FitWaits)
+				job.FitWaits[0].Key.ProfileFree = false
+			}
+			tc := NewTraceCache(1 << 22)
+			ws := &workerState{engine: sim.NewEngine(), policies: map[policyCacheKey]cachedPolicies{}}
+			out, err := runJob(&job, 0, ws, tc, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := tc.Stats()
+			if st.SlabDecodes != 1 || st.ReplayPasses != 1 || st.FitMisses != c.fits {
+				t.Fatalf("want 1 decode, 1 pass and %d fits: %+v", c.fits, st)
+			}
+			if !reflect.DeepEqual(ws.bytes, trace.BytesSource{}) || ws.fitFrom != nil || !reflect.DeepEqual(ws.slice, trace.SliceSource{}) {
+				t.Fatal("the worker still references the job's slab")
+			}
+
+			fresh := &workerState{engine: sim.NewEngine(), policies: map[policyCacheKey]cachedPolicies{}}
+			want, err := runJob(&job, 0, fresh, nil, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want.Result, out.Result) || want.Baseline != out.Baseline {
+				t.Fatalf("pass from the collected packets differs from the engine replay:\nreplay: %+v %+v\npass:   %+v %+v",
+					want.Result, want.Baseline, out.Result, out.Baseline)
+			}
+		})
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/policy"
 	"repro/internal/power"
@@ -86,6 +87,8 @@ type TraceCache struct {
 	replayHits, replayMisses uint64
 	replayPasses             uint64
 	fitHits, fitMisses       uint64
+	// slabDecodes is counted outside mu: workers decode without it.
+	slabDecodes atomic.Uint64
 }
 
 // traceEntry is one cached (or generating) slab. done closes once slab
@@ -189,7 +192,12 @@ type fitMemo struct {
 // names, so ReplayPasses, the passes actually run, is BaselineMisses +
 // ReplayMisses. FitMisses and FitHits
 // count fits the same way. Replays and fits of slabs the cache did not
-// retain count in none of them.
+// retain count in none of them. SlabDecodes counts the passes workers
+// decoded out of a slab the cache returned, retained or not: wait-rule
+// passes, fit collections and unmemoized replays alike. A worker that
+// collected a slab's packets for a fit replays its job's other passes
+// over that slab from the collected trace, so a claiming miss that fits
+// first decodes once for its fits and its pass together.
 type TraceCacheStats struct {
 	Hits           uint64 `json:"hits"`
 	Misses         uint64 `json:"misses"`
@@ -203,6 +211,7 @@ type TraceCacheStats struct {
 	ReplayPasses   uint64 `json:"replay_passes"`
 	FitHits        uint64 `json:"fit_hits"`
 	FitMisses      uint64 `json:"fit_misses"`
+	SlabDecodes    uint64 `json:"slab_decodes"`
 }
 
 // NewTraceCache returns a cache bounded to maxBytes of retained slab
@@ -558,6 +567,15 @@ func (c *TraceCache) Stats() TraceCacheStats {
 		ReplayPasses:   c.replayPasses,
 		FitHits:        c.fitHits,
 		FitMisses:      c.fitMisses,
+		SlabDecodes:    c.slabDecodes.Load(),
+	}
+}
+
+// countDecode counts one pass decoded out of a slab of c. A nil cache
+// counts nothing.
+func (c *TraceCache) countDecode() {
+	if c != nil {
+		c.slabDecodes.Add(1)
 	}
 }
 

@@ -431,16 +431,26 @@ func (m *Manager) Close() {
 // (planFingerprint); the runner executes the stored plan without
 // re-resolving.
 func (m *Manager) Submit(spec Spec) (*Job, error) {
+	job, _, err := m.SubmitStatus(spec)
+	return job, err
+}
+
+// SubmitStatus is Submit that also returns the job's Status as of its
+// submission: queued when it was enqueued, done when the result cache
+// served it. A runner may start, and finish, an enqueued job before
+// Submit's caller reads job.Status(), so an answer to the submission
+// itself reports this snapshot instead.
+func (m *Manager) SubmitStatus(spec Spec) (*Job, Status, error) {
 	spec = spec.withDefaults()
 	cells, fp, err := spec.planFingerprint(fleet.Options{Shards: spec.Shards}, m.axes)
 	if err != nil {
-		return nil, err
+		return nil, Status{}, err
 	}
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return nil, ErrClosed
+		return nil, Status{}, ErrClosed
 	}
 	if res, ok := m.cache.get(fp); ok {
 		job := m.newJobLocked(spec, fp)
@@ -454,7 +464,7 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 		}
 		close(job.done)
 		m.registerLocked(job)
-		return job, nil
+		return job, job.Status(), nil
 	}
 	// Admission counts only still-queued pending jobs: canceled entries
 	// linger in the FIFO until a runner pops them but hold no capacity.
@@ -465,14 +475,16 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 		}
 	}
 	if live >= m.cfg.QueueDepth {
-		return nil, fmt.Errorf("%w (depth %d)", ErrQueueFull, m.cfg.QueueDepth)
+		return nil, Status{}, fmt.Errorf("%w (depth %d)", ErrQueueFull, m.cfg.QueueDepth)
 	}
 	job := m.newJobLocked(spec, fp)
 	job.cells = cells
 	m.pending = append(m.pending, job)
 	m.registerLocked(job)
+	// No runner can pop the job before mu is released, so it is queued.
+	st := job.Status()
 	m.cond.Signal()
-	return job, nil
+	return job, st, nil
 }
 
 // Run executes spec to completion on a private Manager configured by cfg

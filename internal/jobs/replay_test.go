@@ -91,6 +91,47 @@ func TestReplayMemoExactCounts(t *testing.T) {
 	}
 }
 
+// TestTraceCacheOneDecodePerUser pins the one-decode rule on a cold
+// tail-sweep-shaped grid (fixed tails, statusquo, the Oracle and the
+// fitted 95iat timer on four profiles, two cohorts): each (cohort,
+// user)'s claiming miss collects its slab once for the 95iat fit and
+// replays its wait-rule pass from the collected packets, so on one
+// worker token the grid decodes exactly one slab per pass, C·U of each,
+// and a resubmission decodes nothing. With four tokens a cell on another
+// worker may fit the user first; the claimer then decodes for its pass,
+// so a pass costs at most one decode beyond the fits.
+func TestTraceCacheOneDecodePerUser(t *testing.T) {
+	const users = 2 // each fixture cohort's population
+	schemes := []fleet.SchemeSpec{fixedTailSpec("1s"), fixedTailSpec("3s"), fixedTailSpec("8s"),
+		{Policy: policy.Spec{Name: "statusquo"}}, {Policy: policy.Spec{Name: "oracle"}}, {Policy: policy.Spec{Name: "95iat"}}}
+	cu := uint64(len(resumeCohorts) * users)
+	for _, workers := range []int{1, 4} {
+		for _, par := range []int{1, 2} {
+			t.Run(fmt.Sprintf("workers%d-par%d", workers, par), func(t *testing.T) {
+				m := NewManager(Config{Runners: 1, Workers: workers, CacheSize: -1})
+				defer m.Close()
+				var last fleet.TraceCacheStats
+				step := func(label string, seed int64, want uint64) {
+					t.Helper()
+					runSpec(t, m, Spec{Seed: seed, Shards: par, Schemes: schemes, Profiles: fitProfiles, Cohorts: resumeCohorts})
+					st := m.TraceCacheStats()
+					decodes, passes, fits := st.SlabDecodes-last.SlabDecodes, st.ReplayPasses-last.ReplayPasses, st.FitMisses-last.FitMisses
+					last = st
+					if passes != want || fits != want {
+						t.Fatalf("%s: %d passes and %d fits, want %d each", label, passes, fits, want)
+					}
+					if workers == 1 && decodes != passes || decodes < passes || decodes > passes+fits {
+						t.Fatalf("%s: %d slab decodes for %d passes and %d fits", label, decodes, passes, fits)
+					}
+				}
+				step("fresh grid", 91, cu)
+				step("resubmission", 91, 0)
+				step("second fresh grid", 92, cu)
+			})
+		}
+	}
+}
+
 // TestReplayMemoEquivalence: memo on and memo off render the same bytes
 // and DeepEqual summaries, on a paper-grid-shaped grid (where statusquo,
 // the 30s tail and the baseline share one memo) and on a grid partly

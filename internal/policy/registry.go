@@ -40,11 +40,12 @@ type Schema struct {
 	// A trace-fitted builder must return a policy that is immutable after
 	// construction: Reset, Observe and ObserveEpisode do nothing, and
 	// Decide and Delay read only state fixed at fit time. The builder and
-	// its policy must not retain tr past the call either: the fleet
-	// collects every fit's trace into one reusable buffer per worker. That
-	// contract is what lets the fleet fit once per (spec, trace) and share
-	// the one policy between every job replaying that trace, concurrently.
-	// PercentileIAT and FixedDelay meet it.
+	// its policy must neither modify tr nor retain it past the call: the
+	// fleet collects every fit's trace into one reusable buffer per
+	// worker and replays the job's other passes over the same packets
+	// from it. That contract is what lets the fleet fit once per (spec,
+	// trace) and share the one policy between every job replaying that
+	// trace, concurrently. PercentileIAT and FixedDelay meet it.
 	TraceFitted bool
 	// FitIgnoresProfile declares that a TraceFitted builder does not read
 	// its profile argument, so one fit serves every profile (pctiat: the

@@ -176,6 +176,7 @@ func (s *Server) health(w http.ResponseWriter, r *http.Request) {
 		"replay_passes":         traces.ReplayPasses,
 		"fit_memo_hits":         traces.FitHits,
 		"fit_memo_misses":       traces.FitMisses,
+		"slab_decodes":          traces.SlabDecodes,
 	}
 	if stats, ok := s.manager.StoreStats(); ok {
 		body["store"] = stats
@@ -221,7 +222,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, code, fmt.Errorf("bad spec: %w", err))
 		return
 	}
-	job, err := s.manager.Submit(spec)
+	_, st, err := s.manager.SubmitStatus(spec)
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
@@ -234,7 +235,6 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	st := job.Status()
 	code := http.StatusAccepted
 	if st.CacheHit {
 		code = http.StatusOK // already complete, served from cache

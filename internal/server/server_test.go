@@ -404,6 +404,11 @@ func TestHealthzTraceCacheGauges(t *testing.T) {
 	if got, got2 := num("replay_memo_misses"), num("replay_memo_hits"); got != 0 || got2 != 2 {
 		t.Fatalf("replay memo = %v misses, %v hits, want 0 and 2", got, got2)
 	}
+	// Each pass decodes its user's slab once, and so does each MakeIdle
+	// replay, which the memo does not serve.
+	if got := num("slab_decodes"); got != 4 {
+		t.Fatalf("slab_decodes = %v, want 4 (2 passes + 2 MakeIdle replays)", got)
+	}
 
 	spec = `{"seed": 31, "shards": 2,
 		"schemes": [{"policy": {"name": "95iat"}}],

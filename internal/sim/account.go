@@ -3,7 +3,9 @@ package sim
 import (
 	"time"
 
+	"repro/internal/energy"
 	"repro/internal/power"
+	"repro/internal/trace"
 )
 
 // rates are a replay's accounting coefficients, precomputed once per run
@@ -90,6 +92,12 @@ func (a *tally) accountGap(r *rates, w, gap, lastTx time.Duration) bool {
 // the demotion, the demotion and the promotion the next packet pays.
 func (a *tally) demote(r *rates, w, lastTx time.Duration) {
 	t1J, t2J := r.tailBreakdown(max(w-lastTx, 0))
+	a.demoteWith(r, t1J, t2J)
+}
+
+// demoteWith is demote with the tail already evaluated: t1J and t2J are
+// tailBreakdown(max(w-lastTx, 0)).
+func (a *tally) demoteWith(r *rates, t1J, t2J float64) {
 	a.t1J += t1J
 	a.t2J += t2J
 	a.switchJ += r.dormJ
@@ -121,4 +129,35 @@ func (a *tally) settle(res *Result, dataJ float64) {
 	res.Demotions = a.demotions
 	res.PromotedPackets = a.promotedPackets
 	res.PromotionDelayTotal = a.promDelay
+}
+
+// txMemo remembers, per direction, the last packet size a profile
+// transmitted and what energy.Tx returned for it. energy.Tx is a pure
+// function of (profile, size, direction), so a packet of the same size
+// and direction reuses the same two values: the same floats, computed
+// once. A replay's packets run in MTU-sized and ACK-sized streaks, so
+// most packets hit. newTxMemo is empty; the zero value is not.
+type txMemo [2]struct {
+	size int
+	t    time.Duration
+	j    float64
+}
+
+// newTxMemo returns an empty memo: no packet has a negative size.
+func newTxMemo() txMemo {
+	var m txMemo
+	m[trace.Out].size, m[trace.In].size = -1, -1
+	return m
+}
+
+// tx returns the transmission time and data energy of a validated packet
+// under prof, which must be the profile of every earlier call since
+// newTxMemo.
+func (m *txMemo) tx(prof *power.Profile, p trace.Packet) (time.Duration, float64) {
+	c := &m[p.Dir]
+	if c.size != p.Size {
+		c.size = p.Size
+		c.t, c.j = energy.Tx(prof, p.Size, p.Dir == trace.Out)
+	}
+	return c.t, c.j
 }

@@ -174,11 +174,12 @@ type Engine struct {
 
 	// rates are the run's accounting coefficients and acct its scalar
 	// accounting; dataJ accumulates the data energy, which depends on the
-	// packets alone. All three are copied into the Result once the replay
-	// ends.
+	// packets alone, and tx memoizes each packet's share of it. The
+	// accounts are copied into the Result once the replay ends.
 	rates  rates
 	acct   tally
 	dataJ  float64
+	tx     txMemo
 	recDec bool // opts.recordDecisions(), hoisted out of the gap loop
 
 	// Devirtualized decision fast path: the built-in demote policies
@@ -237,7 +238,8 @@ func (e *Engine) Reset() {
 	clear(e.waitGroups)
 	*e = Engine{group: group, merged: merged, arrivals: arrivals, window: window, slice: slice,
 		mergeTmp: e.mergeTmp[:0], runs: e.runs[:0], runsTmp: e.runsTmp[:0],
-		rules: e.rules[:0], waitGroups: e.waitGroups[:0], forceGeneric: e.forceGeneric}
+		rules: e.rules[:0], waitGroups: e.waitGroups[:0], forceGeneric: e.forceGeneric,
+		tx: newTxMemo()}
 }
 
 // Run replays one materialized trace on this engine. Semantics are
@@ -589,10 +591,11 @@ func (e *Engine) step(t time.Duration, p trace.Packet) {
 			e.demote.Observe(gap)
 		}
 	}
-	e.dataJ += energy.TxJ(&e.prof, p.Size, p.Dir == trace.Out)
+	tx, j := e.tx.tx(&e.prof, p)
+	e.dataJ += j
 
 	e.lastT = t
-	e.lastTx = e.prof.TxTime(p.Size, p.Dir == trace.Out)
+	e.lastTx = tx
 	e.packets++
 	e.decided = false // the decision for this packet's gap is made lazily
 }

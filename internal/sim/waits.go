@@ -1,10 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
-	"repro/internal/energy"
 	"repro/internal/policy"
 	"repro/internal/power"
 	"repro/internal/trace"
@@ -103,6 +104,14 @@ type WaitSet struct {
 // one evaluation serves them all. Only the rules that demote charge their
 // own wait's tail. opts may not ask for decision or episode logs, which
 // are per-policy records; on error out is left in an unspecified state.
+//
+// The pass keeps each set's constant rules sorted by clamped wait, apart
+// from its Oracle rules, so a gap splits them into a demoting prefix and
+// a riding-out suffix without a branch per rule; each rule's tally still
+// sees only its own operations, in packet order, so the order of the
+// tallies changes no float. Pure functions are memoized on their exact
+// operands: a set's last transmission per direction (txMemo) and a rule's
+// last demotion tail. A memo returns the very floats the call would.
 func (e *Engine) RunWaits(src trace.Source, sets []WaitSet, opts *Options, out [][]Result) error {
 	for i := range sets {
 		if err := sets[i].Prof.Validate(); err != nil {
@@ -127,10 +136,19 @@ func (e *Engine) RunWaits(src trace.Source, sets []WaitSet, opts *Options, out [
 	e.Reset()
 	gs, rs := e.waitGroups[:0], e.rules[:0]
 	for i := range sets {
-		g := waitGroup{prof: sets[i].Prof, lo: len(rs)}
+		g := waitGroup{prof: sets[i].Prof, tx: newTxMemo(), lo: len(rs)}
 		g.rates = newRates(&g.prof)
-		for _, r := range sets[i].Rules {
-			rs = append(rs, ruleTally{rule: r.Clamped(g.rates.tail)})
+		for pos, r := range sets[i].Rules {
+			if !r.Oracle {
+				rs = append(rs, ruleTally{rule: r.Clamped(g.rates.tail), pos: pos})
+			}
+		}
+		slices.SortFunc(rs[g.lo:], func(a, b ruleTally) int { return cmp.Compare(a.rule.D, b.rule.D) })
+		g.mid = len(rs)
+		for pos, r := range sets[i].Rules {
+			if r.Oracle {
+				rs = append(rs, ruleTally{rule: r, pos: pos})
+			}
 		}
 		g.hi = len(rs)
 		gs = append(gs, g)
@@ -153,39 +171,19 @@ func (e *Engine) RunWaits(src trace.Source, sets []WaitSet, opts *Options, out [
 			break
 		}
 		gap := p.T - lastT
-		up := p.Dir == trace.Out
 		for k := range gs {
 			g := &gs[k]
-			rules := rs[g.lo:g.hi]
 			if !started {
 				// The radio begins Idle: the first packet pays a promotion.
-				for i := range rules {
-					rules[i].promote(&g.rates)
+				for i := g.lo; i < g.hi; i++ {
+					rs[i].promote(&g.rates)
 				}
 			} else {
-				// A gap past the tail demotes under every rule, so the
-				// shared ride-out energy is only needed for shorter ones.
-				tail := g.rates.tail
-				var t1J, t2J float64
-				if gap <= tail {
-					t1J, t2J = g.rates.tailBreakdown(max(gap-g.lastTx, 0))
-				}
-				for i := range rules {
-					r := &rules[i]
-					w := r.rule.D
-					if r.rule.Oracle {
-						w = min(r.rule.decide(gap), tail)
-					}
-					if gap > w {
-						r.demote(&g.rates, w, g.lastTx)
-					} else {
-						r.t1J += t1J
-						r.t2J += t2J
-					}
-				}
+				g.account(rs, gap)
 			}
-			g.dataJ += energy.TxJ(&g.prof, p.Size, up)
-			g.lastTx = g.prof.TxTime(p.Size, up)
+			tx, j := g.tx.tx(&g.prof, p)
+			g.dataJ += j
+			g.lastTx = tx
 		}
 		started = true
 		lastT = p.T
@@ -194,32 +192,86 @@ func (e *Engine) RunWaits(src trace.Source, sets []WaitSet, opts *Options, out [
 
 	for k := range gs {
 		g := &gs[k]
-		for i := range out[k] {
-			r := &rs[g.lo+i]
+		for i := g.lo; i < g.hi; i++ {
+			r := &rs[i]
 			if started {
 				r.finish(&g.rates, r.rule.decide(policy.Never), g.lastTx)
 			}
-			out[k][i] = Result{Profile: g.prof.Name, Packets: packets, Duration: lastT}
-			r.settle(&out[k][i], g.dataJ)
+			res := &out[k][r.pos]
+			*res = Result{Profile: g.prof.Name, Packets: packets, Duration: lastT}
+			r.settle(res, g.dataJ)
 		}
 	}
 	e.Reset()
 	return nil
 }
 
-// waitGroup is one WaitSet's accounting in a RunWaits pass: its profile
-// and coefficients, the transmission time of the last packet, the data
-// energy, and its rules' tallies, which are rules[lo:hi] of the engine.
-type waitGroup struct {
-	prof   power.Profile
-	rates  rates
-	lastTx time.Duration
-	dataJ  float64
-	lo, hi int
+// account charges the gap that just closed to every rule of the group.
+func (g *waitGroup) account(rs []ruleTally, gap time.Duration) {
+	consts, oracles := rs[g.lo:g.mid], rs[g.mid:g.hi]
+	// Sorted by wait: the constant rules shorter than the gap demote.
+	n := 0
+	for n < len(consts) && consts[n].rule.D < gap {
+		consts[n].demote(&g.rates, consts[n].rule.D, g.lastTx)
+		n++
+	}
+	ride := consts[n:]
+	// A gap past the tail demotes under every rule, so the shared
+	// ride-out energy is only needed for shorter ones that some rule
+	// may ride out.
+	tail := g.rates.tail
+	var t1J, t2J float64
+	if gap <= tail && (len(ride) > 0 || len(oracles) > 0) {
+		t1J, t2J = g.rates.tailBreakdown(max(gap-g.lastTx, 0))
+	}
+	for i := range ride {
+		ride[i].t1J += t1J
+		ride[i].t2J += t2J
+	}
+	for i := range oracles {
+		r := &oracles[i]
+		if w := min(r.rule.decide(gap), tail); gap > w {
+			r.demote(&g.rates, w, g.lastTx)
+		} else {
+			r.t1J += t1J
+			r.t2J += t2J
+		}
+	}
 }
 
-// ruleTally is one rule's accounting in a RunWaits pass.
+// waitGroup is one WaitSet's accounting in a RunWaits pass: its profile
+// and coefficients, the transmission time of the last packet, the data
+// energy and its memo, and its rules' tallies, which are rules[lo:hi] of
+// the engine: the constant rules by wait in [lo:mid], the Oracle rules
+// in [mid:hi].
+type waitGroup struct {
+	prof        power.Profile
+	rates       rates
+	tx          txMemo
+	lastTx      time.Duration
+	dataJ       float64
+	lo, mid, hi int
+}
+
+// ruleTally is one rule's accounting in a RunWaits pass: the rule, its
+// position in its WaitSet, and the tail of its last demotion, memoized
+// by the operand d: tailBreakdown(d) is (tailT1J, tailT2J). The zero
+// memo holds d = 0, whose tail is (0, 0) on any profile.
 type ruleTally struct {
 	tally
-	rule Wait // clamped
+	rule             Wait // clamped
+	pos              int
+	tailD            time.Duration
+	tailT1J, tailT2J float64
+}
+
+// demote is tally.demote with the tail memoized: a rule's demotions
+// repeat the operand max(w-lastTx, 0) whenever the last packets before
+// them had the same size and direction.
+func (r *ruleTally) demote(rt *rates, w, lastTx time.Duration) {
+	if d := max(w-lastTx, 0); d != r.tailD {
+		r.tailD = d
+		r.tailT1J, r.tailT2J = rt.tailBreakdown(d)
+	}
+	r.demoteWith(rt, r.tailT1J, r.tailT2J)
 }

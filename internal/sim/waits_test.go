@@ -3,7 +3,9 @@ package sim
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -72,6 +74,19 @@ func checkRunWaits(t testing.TB, label string, tr trace.Trace, sets ...WaitSet) 
 		}
 		return
 	}
+	// The data energy is energy.TxJ summed in packet order, whatever the
+	// transmission memos of the replays and the pass remember.
+	for g, set := range sets {
+		var dataJ float64
+		for _, p := range tr {
+			dataJ += energy.TxJ(&set.Prof, p.Size, p.Dir == trace.Out)
+		}
+		for i := range set.Rules {
+			if math.Float64bits(want[g][i].Breakdown.DataJ) != math.Float64bits(dataJ) {
+				t.Fatalf("%s: set %d (%s) replay data energy %v, want %v", label, g, set.Prof.Name, want[g][i].Breakdown.DataJ, dataJ)
+			}
+		}
+	}
 	for g, set := range sets {
 		for i := range set.Rules {
 			if got[g][i].Policy != "" {
@@ -88,8 +103,10 @@ func checkRunWaits(t testing.TB, label string, tr trace.Trace, sets ...WaitSet) 
 }
 
 // edgeSets are the carriers under their edge rules one at a time, all
-// four in one pass, and three sets with a duplicate profile whose second
-// copy has its rules reversed.
+// four in one pass, three sets with a duplicate profile whose second
+// copy has its rules reversed, and two sets whose rules are interleaved:
+// Oracle and constant rules alternate, out of wait order, duplicates
+// apart, so each Result must land at its caller's position.
 func edgeSets() [][]WaitSet {
 	var out [][]WaitSet
 	all := make([]WaitSet, len(carriers))
@@ -99,7 +116,48 @@ func edgeSets() [][]WaitSet {
 	}
 	rev := slices.Clone(all[2].Rules)
 	slices.Reverse(rev)
-	return append(out, all, []WaitSet{all[2], all[0], {carriers[2], rev}})
+	return append(out, all, []WaitSet{all[2], all[0], {carriers[2], rev}},
+		[]WaitSet{{carriers[1], interleave(all[1].Rules)}, {carriers[3], interleave(all[3].Rules)}})
+}
+
+// interleave takes rules alternately from the front and the back of rs:
+// edgeWaits lists its constant rules first, so the result alternates
+// constant and Oracle rules, with waits out of order.
+func interleave(rs []Wait) []Wait {
+	out := make([]Wait, 0, len(rs))
+	for i, j := 0, len(rs)-1; i <= j; i, j = i+1, j-1 {
+		out = append(out, rs[i])
+		if i != j {
+			out = append(out, rs[j])
+		}
+	}
+	return out
+}
+
+// mixedTrace is n packets whose sizes and directions repeat and change
+// in streaks (so the transmission memo both hits and misses, and so
+// does each rule's demotion-tail memo, whose operand is its wait less
+// the last transmission time), over gaps from within a burst to past
+// every tail.
+func mixedTrace(seed int64, n int) trace.Trace {
+	rng := rand.New(rand.NewSource(seed))
+	sizes := []int{1400, 52, 0, 9000, 576}
+	gaps := []time.Duration{0, 10 * time.Millisecond, 500 * time.Millisecond, 1500 * time.Millisecond,
+		3 * time.Second, 4500 * time.Millisecond, 7 * time.Second, 20 * time.Second}
+	tr := make(trace.Trace, n)
+	size, dir := sizes[0], trace.Out
+	var at time.Duration
+	for i := range tr {
+		if rng.Intn(3) == 0 {
+			size = sizes[rng.Intn(len(sizes))]
+		}
+		if rng.Intn(4) == 0 {
+			dir ^= 1
+		}
+		at += gaps[rng.Intn(len(gaps))] + time.Duration(rng.Intn(3))*time.Millisecond
+		tr[i] = trace.Packet{T: at, Dir: dir, Size: size}
+	}
+	return tr
 }
 
 // edgeWaits are the rules every carrier is checked under: constant waits
@@ -134,6 +192,10 @@ func TestRunWaitsMatchesReplays(t *testing.T) {
 		"two-equal-t": {pkt(5, trace.In, 0), pkt(5, trace.In, 9000)},
 		"user0-1h":    users[0].Generate(7, time.Hour),
 		"user1-day":   workload.DayUser(users[1]).Generate(8, 24*time.Hour),
+		"mixed":       mixedTrace(5, 600),
+		"alternating": {pkt(0, trace.Out, 1400), pkt(1, trace.In, 1400), pkt(2, trace.Out, 1400),
+			pkt(9, trace.Out, 52), pkt(9.5, trace.In, 1400), pkt(30, trace.In, 1400), pkt(31, trace.Out, 52),
+			pkt(40, trace.Out, 52), pkt(41, trace.In, 52), pkt(70, trace.In, 52)},
 	}
 	valid := users[2].Generate(9, 20*time.Minute)
 	for _, at := range []int{0, 1, len(valid) / 2, len(valid) - 1} {
@@ -177,6 +239,47 @@ func TestRunWaitsMatchesReplays(t *testing.T) {
 			sets = append(sets, WaitSet{other, edgeWaits(other)})
 		}
 		checkRunWaits(t, "edge-gaps-all/"+prof.Name, tr, sets...)
+	}
+}
+
+// TestEngineReuseAcrossProfiles replays one engine on profile A, then B,
+// then A again, through RunWaits and through RunSourceInto, over packets
+// whose sizes repeat across the runs: a memo that survived a run would
+// hand the next profile the previous one's transmission costs. Every
+// run must match a fresh engine's.
+func TestEngineReuseAcrossProfiles(t *testing.T) {
+	tr := mixedTrace(9, 300)
+	// Open and close with the same size in both directions, so a memo
+	// carried into the next run would hit at once.
+	for _, i := range []int{0, 1, len(tr) - 2, len(tr) - 1} {
+		tr[i].Dir, tr[i].Size = trace.Direction(i&1), 1400
+	}
+	e := NewEngine()
+	for _, prof := range []power.Profile{power.Verizon3G, power.VerizonLTE, power.TMobile3G, power.Verizon3G} {
+		sets := []WaitSet{{prof, interleave(edgeWaits(prof))}}
+		want := [][]Result{make([]Result, len(sets[0].Rules))}
+		got := [][]Result{make([]Result, len(sets[0].Rules))}
+		if err := NewEngine().RunWaits(tr.Source(), sets, nil, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.RunWaits(tr.Source(), sets, nil, got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: reused engine's RunWaits differs from a fresh engine's", prof.Name)
+		}
+		for _, r := range sets[0].Rules {
+			var want, got Result
+			if err := NewEngine().RunSourceInto(&want, tr.Source(), prof, rulePolicy(r), nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.RunSourceInto(&got, tr.Source(), prof, rulePolicy(r), nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s rule %+v: reused engine's replay differs from a fresh engine's", prof.Name, r)
+			}
+		}
 	}
 }
 
@@ -295,7 +398,8 @@ func fuzzTrace(data []byte) trace.Trace {
 // the first is carriers[c mod 4] (a byte below 4 is one set on that
 // carrier, as before the byte picked a count) and duplicates occur.
 // Every profile replays the fuzzed rules followed by its StatusQuo wait,
-// its tail and the Oracle at its t_threshold.
+// its tail and the Oracle at its t_threshold, in an order shuffled per
+// set by a generator seeded from the input.
 func FuzzRunWaits(f *testing.F) {
 	f.Add([]byte{}, []byte{}, uint8(0))
 	f.Add([]byte{0, 0, 0, 10}, []byte{0, 0, 20}, uint8(1))
@@ -324,11 +428,18 @@ func FuzzRunWaits(f *testing.F) {
 			}
 			rules = append(rules, r)
 		}
+		h := fnv.New64a()
+		h.Write(data)
+		h.Write(ruleBytes)
+		h.Write([]byte{carrier})
+		rng := rand.New(rand.NewSource(int64(h.Sum64())))
 		sets := make([]WaitSet, int(carrier>>2&3)+1)
 		for k := range sets {
 			prof := carriers[(int(carrier)+k*int(carrier>>4))%len(carriers)]
 			sets[k] = WaitSet{prof, append(slices.Clip(rules),
 				Wait{D: policy.Never}, Wait{D: prof.Tail()}, Wait{Oracle: true, D: energy.Threshold(&prof)})}
+			rs := sets[k].Rules
+			rng.Shuffle(len(rs), func(i, j int) { rs[i], rs[j] = rs[j], rs[i] })
 		}
 		checkRunWaits(t, "fuzz", fuzzTrace(data), sets...)
 	})

@@ -82,6 +82,17 @@ func TestQuantileGapMatchesSort(t *testing.T) {
 		}
 		shapes = append(shapes, shape{g.name, traceOfGaps(gaps)})
 	}
+	// An unsorted trace has negative gaps, and the extremes reach both
+	// ends of the gap buckets: gaps of a few nanoseconds and gaps past
+	// 2^62 ns, the last power of two a gap can span.
+	unsorted := make(Trace, 4000)
+	for i := range unsorted {
+		unsorted[i].T = time.Duration(rng.Int63n(int64(time.Minute)))
+	}
+	shapes = append(shapes, shape{"unsorted", unsorted})
+	extremes := Trace{{T: -1 << 62}, {T: 1<<62 - 1}, {T: 1<<62 + 6}, {T: 1<<62 + 13}, {T: 1<<62 + 13}, {T: -1 << 62},
+		{T: 0}, {T: 7}, {T: 8}, {T: 24}, {T: 1 << 62}, {T: -1 << 62}, {T: 1<<62 + 3}}
+	shapes = append(shapes, shape{"extremes", extremes})
 	qs := []float64{0, 1, 0.95, 0.5, 0.999, 0.01}
 	for i := 0; i < 20; i++ {
 		qs = append(qs, rng.Float64())
