@@ -92,12 +92,6 @@ func (a *tally) accountGap(r *rates, w, gap, lastTx time.Duration) bool {
 // the demotion, the demotion and the promotion the next packet pays.
 func (a *tally) demote(r *rates, w, lastTx time.Duration) {
 	t1J, t2J := r.tailBreakdown(max(w-lastTx, 0))
-	a.demoteWith(r, t1J, t2J)
-}
-
-// demoteWith is demote with the tail already evaluated: t1J and t2J are
-// tailBreakdown(max(w-lastTx, 0)).
-func (a *tally) demoteWith(r *rates, t1J, t2J float64) {
 	a.t1J += t1J
 	a.t2J += t2J
 	a.switchJ += r.dormJ

@@ -109,9 +109,9 @@ type WaitSet struct {
 // from its Oracle rules, so a gap splits them into a demoting prefix and
 // a riding-out suffix without a branch per rule; each rule's tally still
 // sees only its own operations, in packet order, so the order of the
-// tallies changes no float. Pure functions are memoized on their exact
-// operands: a set's last transmission per direction (txMemo) and a rule's
-// last demotion tail. A memo returns the very floats the call would.
+// tallies changes no float. A set's last transmission per direction
+// is memoized on its exact operands (txMemo), which returns the very
+// floats energy.Tx would.
 func (e *Engine) RunWaits(src trace.Source, sets []WaitSet, opts *Options, out [][]Result) error {
 	for i := range sets {
 		if err := sets[i].Prof.Validate(); err != nil {
@@ -253,25 +253,10 @@ type waitGroup struct {
 	lo, mid, hi int
 }
 
-// ruleTally is one rule's accounting in a RunWaits pass: the rule, its
-// position in its WaitSet, and the tail of its last demotion, memoized
-// by the operand d: tailBreakdown(d) is (tailT1J, tailT2J). The zero
-// memo holds d = 0, whose tail is (0, 0) on any profile.
+// ruleTally is one rule's accounting in a RunWaits pass: the rule and
+// its position in its WaitSet.
 type ruleTally struct {
 	tally
-	rule             Wait // clamped
-	pos              int
-	tailD            time.Duration
-	tailT1J, tailT2J float64
-}
-
-// demote is tally.demote with the tail memoized: a rule's demotions
-// repeat the operand max(w-lastTx, 0) whenever the last packets before
-// them had the same size and direction.
-func (r *ruleTally) demote(rt *rates, w, lastTx time.Duration) {
-	if d := max(w-lastTx, 0); d != r.tailD {
-		r.tailD = d
-		r.tailT1J, r.tailT2J = rt.tailBreakdown(d)
-	}
-	r.demoteWith(rt, r.tailT1J, r.tailT2J)
+	rule Wait // clamped
+	pos  int
 }

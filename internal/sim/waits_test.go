@@ -135,10 +135,8 @@ func interleave(rs []Wait) []Wait {
 }
 
 // mixedTrace is n packets whose sizes and directions repeat and change
-// in streaks (so the transmission memo both hits and misses, and so
-// does each rule's demotion-tail memo, whose operand is its wait less
-// the last transmission time), over gaps from within a burst to past
-// every tail.
+// in streaks (so the transmission memo both hits and misses), over gaps
+// from within a burst to past every tail.
 func mixedTrace(seed int64, n int) trace.Trace {
 	rng := rand.New(rand.NewSource(seed))
 	sizes := []int{1400, 52, 0, 9000, 576}

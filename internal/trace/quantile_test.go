@@ -82,9 +82,8 @@ func TestQuantileGapMatchesSort(t *testing.T) {
 		}
 		shapes = append(shapes, shape{g.name, traceOfGaps(gaps)})
 	}
-	// An unsorted trace has negative gaps, and the extremes reach both
-	// ends of the gap buckets: gaps of a few nanoseconds and gaps past
-	// 2^62 ns, the last power of two a gap can span.
+	// An unsorted trace has negative gaps, and the extremes mix gaps of a
+	// few nanoseconds with gaps of nearly ±2^63 ns.
 	unsorted := make(Trace, 4000)
 	for i := range unsorted {
 		unsorted[i].T = time.Duration(rng.Int63n(int64(time.Minute)))

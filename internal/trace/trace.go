@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 	"time"
 )
@@ -296,77 +295,33 @@ func (tr Trace) QuantileGap(q float64) time.Duration {
 	if q < 0 || q > 1 || math.IsNaN(q) {
 		panic(fmt.Sprintf("trace: quantile %v out of [0,1]", q))
 	}
-	n := len(tr) - 1 // gaps
-	if n <= 0 {
+	gaps := tr.InterArrivals()
+	if len(gaps) == 0 {
 		return 0
 	}
-	if n == 1 {
-		return tr[1].T - tr[0].T
+	if len(gaps) == 1 {
+		return gaps[0]
 	}
 	// Rounded explicitly so no target fuses it into pos - lo below.
-	pos := float64(q * float64(n-1))
+	pos := float64(q * float64(len(gaps)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
-	// Only the lo-th and hi-th order statistics are read. A counting pass
-	// over gap buckets, monotone in the gap, finds the buckets holding
-	// them; only those buckets' gaps are gathered, and the two order
-	// statistics are selected among them instead of among every gap.
-	var counts [gapBuckets]int
-	for i := 1; i < len(tr); i++ {
-		counts[gapBucket(tr[i].T-tr[i-1].T)]++
+	// Only the lo-th and hi-th order statistics are read, so select them
+	// instead of sorting: after selectGap every gap past lo is >= gaps[lo],
+	// and hi = lo+1 is the smallest of those, moved into place.
+	selectGap(gaps, lo)
+	if lo == hi {
+		return gaps[lo]
 	}
-	below, first := 0, 0 // gaps in the buckets before first, which holds the lo-th
-	for below+counts[first] <= lo {
-		below += counts[first]
-		first++
-	}
-	last, upto := first, below+counts[first] // upto: gaps in buckets up to last
-	for upto <= hi {
-		last++
-		upto += counts[last]
-	}
-	gaps := make([]time.Duration, 0, upto-below)
-	for i := 1; i < len(tr); i++ {
-		g := tr[i].T - tr[i-1].T
-		if b := gapBucket(g); b >= first && b <= last {
-			gaps = append(gaps, g)
-		}
-	}
-	// The lo-th and hi-th order statistics are the k-th and kh-th of the
-	// gathered gaps. After selectGap every gap past k is >= gaps[k], and
-	// kh = k+1 is the smallest of those, moved into place.
-	k, kh := lo-below, hi-below
-	selectGap(gaps, k)
-	if k == kh {
-		return gaps[k]
-	}
-	m := kh
-	for i := kh + 1; i < len(gaps); i++ {
+	m := hi
+	for i := hi + 1; i < len(gaps); i++ {
 		if gaps[i] < gaps[m] {
 			m = i
 		}
 	}
-	gaps[kh], gaps[m] = gaps[m], gaps[kh]
+	gaps[hi], gaps[m] = gaps[m], gaps[hi]
 	frac := pos - float64(lo)
-	return gaps[k] + time.Duration(frac*float64(gaps[kh]-gaps[k]))
-}
-
-// gapBuckets is the number of gapBucket's buckets.
-const gapBuckets = 1 + 8 + 60*8
-
-// gapBucket maps a gap to a bucket, monotone in the gap: every negative
-// gap (an unsorted trace) to bucket 0, each gap below 8 ns to its own
-// bucket, and every longer gap to one of eight buckets per power of two,
-// picked by the three bits below its leading one.
-func gapBucket(g time.Duration) int {
-	if g < 8 {
-		if g < 0 {
-			return 0
-		}
-		return int(g) + 1
-	}
-	e := bits.Len64(uint64(g)) // 4 through 63
-	return (e-3)*8 + int(uint64(g)>>(e-4)&7) + 1
+	return gaps[lo] + time.Duration(frac*float64(gaps[hi]-gaps[lo]))
 }
 
 // selectGap reorders gaps in place so that gaps[k] is the k-th smallest
