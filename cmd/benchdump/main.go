@@ -127,7 +127,11 @@ func main() {
 		if !ok {
 			fatal(fmt.Errorf("%s records unknown benchmark %q; refresh it with -out", *check, base.Bench))
 		}
-		if fp := def.spec().Fingerprint(); base.SpecFingerprint != fp {
+		fp, err := def.spec().Fingerprint()
+		if err != nil {
+			fatal(fmt.Errorf("benchmark %s: %w", base.Bench, err))
+		}
+		if base.SpecFingerprint != fp {
 			fatal(fmt.Errorf("%s entry %s was recorded for a different benchmark grid (fingerprint %.12s, current %.12s); refresh it with -out",
 				*check, base.Bench, base.SpecFingerprint, fp))
 		}
@@ -222,6 +226,10 @@ func (def benchDef) run(measure time.Duration, warmup int) (baseline, error) {
 	m := jobs.NewManager(def.cfg)
 	defer m.Close()
 	spec := def.spec()
+	fp, err := spec.Fingerprint()
+	if err != nil {
+		return baseline{}, err
+	}
 
 	for i := 0; i < warmup; i++ {
 		if err := submit(m, spec, def.cells); err != nil {
@@ -246,7 +254,7 @@ func (def benchDef) run(measure time.Duration, warmup int) (baseline, error) {
 	cells := float64(def.cells * iters)
 	return baseline{
 		Bench:           def.name,
-		SpecFingerprint: spec.Fingerprint(),
+		SpecFingerprint: fp,
 		GoVersion:       runtime.Version(),
 		Date:            time.Now().UTC().Format("2006-01-02"),
 		Iterations:      iters,

@@ -563,7 +563,8 @@ func fleetSchemeSpec(polName, actName string, burstGap time.Duration) (fleet.Sch
 		if !strings.ContainsRune(raw, '(') {
 			return spec.Name, nil
 		}
-		return policy.Default().Label(role, spec)
+		res, err := policy.Default().Resolution(role, spec)
+		return res.Label, err
 	}
 	label, err := labelFor(polName, policy.RoleDemote, dspec)
 	if err != nil {

@@ -27,29 +27,12 @@ type CohortSpec struct {
 // Spec returns the underlying spec value.
 func (cs CohortSpec) Spec() spec.Spec { return spec.Spec{Name: cs.Name, Params: cs.Params} }
 
-// Canonical returns the byte-stable encoding of the cohort axis value —
-// "label|canonicalCohort", the label being the explicit Label or the
-// registry-derived one — which feeds the v4 job fingerprint: stable
+// ResolvedCohort is one resolution pass over a cohort axis value: the
+// runnable Cohort, the axis label (the explicit Label, or the
+// registry-derived one), and the axis canonical encoding
+// ("label|canonicalCohort"), which feeds the v4 job fingerprint: stable
 // across alias spelling, param-map ordering and omitted defaults; changed
 // by any parameter value or label change.
-func (cs CohortSpec) Canonical(r *workload.CohortRegistry) (string, error) {
-	label := cs.Label
-	if label == "" {
-		var err error
-		if label, err = r.Label(cs.Spec()); err != nil {
-			return "", err
-		}
-	}
-	canon, err := r.Canonical(cs.Spec())
-	if err != nil {
-		return "", err
-	}
-	return label + "|" + canon, nil
-}
-
-// ResolvedCohort is one resolution pass over a cohort axis value: the
-// runnable Cohort, the axis label, and the axis canonical encoding
-// ("label|canonicalCohort", byte-identical to Canonical).
 type ResolvedCohort struct {
 	Cohort    Cohort
 	Label     string

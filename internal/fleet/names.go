@@ -40,55 +40,12 @@ func (ss SchemeSpec) activeSpec() policy.Spec {
 	return *ss.Active
 }
 
-// ResolvedLabel returns the scheme's summary key: the explicit Label, or
-// the derived one.
-func (ss SchemeSpec) ResolvedLabel(reg *policy.Registry) (string, error) {
-	if ss.Label != "" {
-		return ss.Label, nil
-	}
-	label, err := reg.Label(policy.RoleDemote, ss.Policy)
-	if err != nil {
-		return "", err
-	}
-	aspec := ss.activeSpec()
-	aschema, _, err := reg.Resolve(policy.RoleActive, aspec)
-	if err != nil {
-		return "", err
-	}
-	if aschema.Name != ActiveNone {
-		alabel, err := reg.Label(policy.RoleActive, aspec)
-		if err != nil {
-			return "", err
-		}
-		label += "+" + alabel
-	}
-	return label, nil
-}
-
-// Canonical returns the byte-stable encoding of the scheme spec —
-// "label|demoteCanonical|activeCanonical" — which feeds the v4 job
-// fingerprint: stable across param-map ordering, alias spelling and
-// omitted defaults; changed by any parameter value or label change.
-func (ss SchemeSpec) Canonical(reg *policy.Registry) (string, error) {
-	label, err := ss.ResolvedLabel(reg)
-	if err != nil {
-		return "", err
-	}
-	dc, err := reg.Canonical(policy.RoleDemote, ss.Policy)
-	if err != nil {
-		return "", err
-	}
-	ac, err := reg.Canonical(policy.RoleActive, ss.activeSpec())
-	if err != nil {
-		return "", err
-	}
-	return label + "|" + dc + "|" + ac, nil
-}
-
 // ResolvedScheme is one resolution pass over a scheme axis value: the
-// runnable Scheme (named by the axis label), the label itself, and the
-// axis canonical encoding ("label|demoteCanonical|activeCanonical") — the
-// last two byte-identical to ResolvedLabel and Canonical.
+// runnable Scheme (named by the axis label), the label itself (the
+// explicit Label, or "demoteLabel[+activeLabel]"), and the axis canonical
+// encoding ("label|demoteCanonical|activeCanonical"), which feeds the v4
+// job fingerprint: stable across param-map ordering, alias spelling and
+// omitted defaults; changed by any parameter value or label change.
 type ResolvedScheme struct {
 	Scheme    Scheme
 	Label     string

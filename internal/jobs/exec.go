@@ -209,7 +209,7 @@ func (e *cellExec) dispatch() {
 			return
 		default:
 		}
-		cached, hit := e.m.lookupCell(e.cells[i])
+		cached, hit := e.m.lookupCell(e.cells[i].Key, &e.cells[i])
 		if hit {
 			e.finishSlot(i, cached, nil)
 			continue

@@ -1,8 +1,6 @@
 package jobs
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -178,31 +176,12 @@ func (s Spec) checkBounds() error {
 // of the key. This is fingerprint v4: v3 hashed only the scheme axis plus
 // a flat profile name and cohort scalars.
 //
-// Unresolvable axis values get a sentinel encoding; they can never produce
-// a result, so the sentinel can never be paired with cached bytes.
-func (s Spec) Fingerprint() string {
+// It is the digest Submit computes (planFingerprint), so a spec that
+// Submit would reject — an unresolvable axis value, a duplicate label, a
+// grid over the admission bounds — has no fingerprint and returns the
+// same error.
+func (s Spec) Fingerprint() (string, error) {
 	s = s.withDefaults()
-	h := sha256.New()
-	fmt.Fprintf(h, "v4|seed=%d|burstgap=%s|shards=%d|schemes=%d|profiles=%d|cohorts=%d",
-		s.Seed, time.Duration(s.BurstGap), s.Shards,
-		len(s.Schemes), len(s.Profiles), len(s.Cohorts))
-	for _, ss := range s.Schemes {
-		fmt.Fprintf(h, "|S:%s", canonicalOrSentinel(ss.Canonical(registry())))
-	}
-	for _, ps := range s.Profiles {
-		fmt.Fprintf(h, "|P:%s", canonicalOrSentinel(ps.Canonical(profiles())))
-	}
-	for _, cs := range s.Cohorts {
-		fmt.Fprintf(h, "|C:%s", canonicalOrSentinel(cs.Canonical(cohorts())))
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// canonicalOrSentinel substitutes the sentinel encoding for axis values
-// that fail to resolve.
-func canonicalOrSentinel(canon string, err error) string {
-	if err != nil {
-		return "unresolvable:" + err.Error()
-	}
-	return canon
+	_, fp, err := s.planFingerprint(fleet.Options{Shards: s.Shards})
+	return fp, err
 }

@@ -11,6 +11,16 @@ import (
 	"repro/internal/power"
 )
 
+// mustFingerprint is Fingerprint for specs the test expects to resolve.
+func (s Spec) mustFingerprint(t *testing.T) string {
+	t.Helper()
+	fp, err := s.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fp
+}
+
 // sweepSpec is a one-profile, one-cohort job over the given schemes.
 func sweepSpec(schemes ...fleet.SchemeSpec) Spec {
 	return Spec{Seed: 3, Schemes: schemes,
@@ -25,7 +35,7 @@ func sweepSpec(schemes ...fleet.SchemeSpec) Spec {
 // numeric parameter forms, any param-map construction order — produces
 // one fingerprint.
 func TestFingerprintStableAcrossParamEncodings(t *testing.T) {
-	want := sweepSpec(fleet.SchemeSpec{Policy: policy.Spec{Name: "fixedtail"}}).Fingerprint()
+	want := sweepSpec(fleet.SchemeSpec{Policy: policy.Spec{Name: "fixedtail"}}).mustFingerprint(t)
 	equivalents := []fleet.SchemeSpec{
 		{Policy: policy.Spec{Name: "fixedtail", Params: map[string]any{"wait": "4.5s"}}},
 		{Policy: policy.Spec{Name: "fixedtail", Params: map[string]any{"wait": "4500ms"}}},
@@ -34,7 +44,7 @@ func TestFingerprintStableAcrossParamEncodings(t *testing.T) {
 		{Label: "fixedtail", Policy: policy.Spec{Name: "fixedtail"}},
 	}
 	for i, ss := range equivalents {
-		if got := sweepSpec(ss).Fingerprint(); got != want {
+		if got := sweepSpec(ss).mustFingerprint(t); got != want {
 			t.Errorf("equivalent scheme %d changed the fingerprint", i)
 		}
 	}
@@ -45,9 +55,9 @@ func TestFingerprintStableAcrossParamEncodings(t *testing.T) {
 	multi := func() map[string]any {
 		return map[string]any{"window": 200, "gridsteps": 50, "minsample": 20}
 	}
-	ref := sweepSpec(fleet.SchemeSpec{Policy: policy.Spec{Name: "makeidle", Params: multi()}}).Fingerprint()
+	ref := sweepSpec(fleet.SchemeSpec{Policy: policy.Spec{Name: "makeidle", Params: multi()}}).mustFingerprint(t)
 	for trial := 0; trial < 20; trial++ {
-		if sweepSpec(fleet.SchemeSpec{Policy: policy.Spec{Name: "makeidle", Params: multi()}}).Fingerprint() != ref {
+		if sweepSpec(fleet.SchemeSpec{Policy: policy.Spec{Name: "makeidle", Params: multi()}}).mustFingerprint(t) != ref {
 			t.Fatal("fingerprint depends on param map ordering")
 		}
 	}
@@ -61,14 +71,14 @@ func TestFingerprintMovesWithAnyParamChange(t *testing.T) {
 	mk := func(params map[string]any) Spec {
 		return sweepSpec(fleet.SchemeSpec{Policy: policy.Spec{Name: "makeidle", Params: params}})
 	}
-	seen := map[string]string{mk(base).Fingerprint(): "base"}
+	seen := map[string]string{mk(base).mustFingerprint(t): "base"}
 	for k := range base {
 		mutated := map[string]any{}
 		for k2, v2 := range base {
 			mutated[k2] = v2
 		}
 		mutated[k] = mutated[k].(int) + 1
-		fp := mk(mutated).Fingerprint()
+		fp := mk(mutated).mustFingerprint(t)
 		if prev, dup := seen[fp]; dup {
 			t.Fatalf("mutating %q collided with %s", k, prev)
 		}
@@ -88,7 +98,7 @@ func TestFingerprintMovesWithAnyParamChange(t *testing.T) {
 			Active: &policy.Spec{Name: "learn", Params: map[string]any{"gamma": 0.01}}}),
 	}
 	for i, s := range distinct {
-		fp := s.Fingerprint()
+		fp := s.mustFingerprint(t)
 		if prev, dup := seen[fp]; dup {
 			t.Fatalf("spec %d collided with %s", i, prev)
 		}
@@ -114,21 +124,22 @@ func TestLegacyNameAliasFingerprints(t *testing.T) {
 		for _, label := range []string{"", "legacy"} {
 			alias, canon := c.alias, c.canon
 			alias.Label, canon.Label = label, label
-			if sweepSpec(alias).Fingerprint() != sweepSpec(canon).Fingerprint() {
+			if sweepSpec(alias).mustFingerprint(t) != sweepSpec(canon).mustFingerprint(t) {
 				t.Errorf("scheme alias %s (label %q) does not fingerprint like its canonical spec",
 					c.alias.Policy.Name, label)
 			}
 		}
 	}
+	makeidle := fleet.SchemeSpec{Policy: policy.Spec{Name: "makeidle"}}
 	for _, c := range []struct{ display, canon string }{
 		{power.TMobile3G.Name, "tmobile-3g"}, {power.ATTHSPAPlus.Name, "att-hspa+"},
 		{power.Verizon3G.Name, "verizon-3g"}, {power.VerizonLTE.Name, "verizon-lte"},
 	} {
 		for _, label := range []string{"", c.display} {
-			alias, canon := sweepSpec(), sweepSpec()
+			alias, canon := sweepSpec(makeidle), sweepSpec(makeidle)
 			alias.Profiles = []power.ProfileSpec{{Label: label, Name: c.display}}
 			canon.Profiles = []power.ProfileSpec{{Label: label, Name: c.canon}}
-			if alias.Fingerprint() != canon.Fingerprint() {
+			if alias.mustFingerprint(t) != canon.mustFingerprint(t) {
 				t.Errorf("profile alias %q (label %q) does not fingerprint like %q", c.display, label, c.canon)
 			}
 		}
@@ -147,21 +158,21 @@ func TestBurstGapSeedsFixScheme(t *testing.T) {
 	explicit.Schemes = []fleet.SchemeSpec{{Label: "makeidle+fix",
 		Policy: policy.Spec{Name: "makeidle"},
 		Active: &policy.Spec{Name: "fix", Params: map[string]any{"burstgap": "2s"}}}}
-	if explicit.Fingerprint() != speced.Fingerprint() {
+	if explicit.mustFingerprint(t) != speced.mustFingerprint(t) {
 		t.Fatal("a fix scheme ignores the job burst gap")
 	}
-	canon, err := speced.withDefaults().Schemes[0].Canonical(registry())
+	rs, err := fleet.ResolveScheme(registry(), speced.withDefaults().Schemes[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(canon, "fix(burstgap=2s)") {
-		t.Fatalf("canonical %q does not carry the injected burst gap", canon)
+	if !strings.Contains(rs.Canonical, "fix(burstgap=2s)") {
+		t.Fatalf("canonical %q does not carry the injected burst gap", rs.Canonical)
 	}
 	pinned := speced
 	pinned.Schemes = []fleet.SchemeSpec{{Label: "makeidle+fix",
 		Policy: policy.Spec{Name: "makeidle"},
 		Active: &policy.Spec{Name: "fix", Params: map[string]any{"burstgap": "500ms"}}}}
-	if pinned.Fingerprint() == speced.Fingerprint() {
+	if pinned.mustFingerprint(t) == speced.mustFingerprint(t) {
 		t.Fatal("explicit burstgap param did not override the job burst gap")
 	}
 	if pinned.Schemes[0].Active.Params["burstgap"] != "500ms" {
@@ -180,7 +191,7 @@ func TestFingerprintV4StableAcrossAxisSpellings(t *testing.T) {
 		Profiles: []power.ProfileSpec{{Name: "verizon-lte"}},
 		Cohorts:  []fleet.CohortSpec{{Name: "study-3g", Params: map[string]any{"users": 5, "duration": "30m"}}},
 	}
-	want := base.Fingerprint()
+	want := base.mustFingerprint(t)
 	equivalents := []Spec{
 		// Explicit profile defaults.
 		func() Spec {
@@ -197,7 +208,7 @@ func TestFingerprintV4StableAcrossAxisSpellings(t *testing.T) {
 		}(),
 	}
 	for i, s := range equivalents {
-		if got := s.Fingerprint(); got != want {
+		if got := s.mustFingerprint(t); got != want {
 			t.Errorf("equivalent grid %d changed the fingerprint", i)
 		}
 	}
@@ -208,9 +219,9 @@ func TestFingerprintV4StableAcrossAxisSpellings(t *testing.T) {
 			Params: map[string]any{"t1": "9s", "dormancy": 0.4, "uplink": 2.0}}}
 		return s
 	}
-	ref := mk().Fingerprint()
+	ref := mk().mustFingerprint(t)
 	for trial := 0; trial < 20; trial++ {
-		if mk().Fingerprint() != ref {
+		if mk().mustFingerprint(t) != ref {
 			t.Fatal("fingerprint depends on profile param map ordering")
 		}
 	}
@@ -218,7 +229,7 @@ func TestFingerprintV4StableAcrossAxisSpellings(t *testing.T) {
 	display, canonical := base, base
 	display.Profiles = []power.ProfileSpec{{Label: "Verizon LTE", Name: "Verizon LTE"}}
 	canonical.Profiles = []power.ProfileSpec{{Label: "Verizon LTE", Name: "verizon-lte"}}
-	if display.Fingerprint() != canonical.Fingerprint() {
+	if display.mustFingerprint(t) != canonical.mustFingerprint(t) {
 		t.Fatal("display-name profile does not fingerprint like its canonical name")
 	}
 }
@@ -232,10 +243,10 @@ func TestFingerprintV4MovesWithAnyAxisChange(t *testing.T) {
 		Profiles: []power.ProfileSpec{{Name: "verizon-lte"}},
 		Cohorts:  []fleet.CohortSpec{{Name: "study-3g", Params: map[string]any{"users": 5}}},
 	}
-	seen := map[string]string{base.Fingerprint(): "base"}
+	seen := map[string]string{base.mustFingerprint(t): "base"}
 	check := func(name string, s Spec) {
 		t.Helper()
-		fp := s.Fingerprint()
+		fp := s.mustFingerprint(t)
 		if prev, dup := seen[fp]; dup {
 			t.Errorf("%s collided with %s", name, prev)
 		}
@@ -269,7 +280,9 @@ func TestFingerprintV4MovesWithAnyAxisChange(t *testing.T) {
 	check("relabeled cohort", withCohorts(fleet.CohortSpec{Label: "renamed", Name: "study-3g", Params: map[string]any{"users": 5}}))
 	check("two profiles", withProfiles(vlte, v3g))
 	check("two profiles, other order", withProfiles(v3g, vlte))
-	check("unknown profile", withProfiles(power.ProfileSpec{Name: "AT&T 3G"}))
+	if _, err := withProfiles(power.ProfileSpec{Name: "AT&T 3G"}).Fingerprint(); err == nil {
+		t.Error("unknown profile has a fingerprint")
+	}
 }
 
 // TestSpecValidateAxes: grid-specific admission rules on the three axes,
@@ -361,7 +374,7 @@ func TestSpecValidateAxes(t *testing.T) {
 
 // validate runs the Submit path's admission checks on a normalized spec.
 func validate(s Spec) error {
-	_, _, err := s.planFingerprint(fleet.Options{}, nil)
+	_, _, err := s.planFingerprint(fleet.Options{})
 	return err
 }
 
@@ -396,5 +409,103 @@ func TestSpecValidateSchemes(t *testing.T) {
 		if err := validate(s.withDefaults()); err == nil {
 			t.Errorf("bad spec %d accepted", i)
 		}
+	}
+}
+
+// TestFingerprintGolden pins the v4 job fingerprint, the first cell's key
+// and its axis labels for three specs, so the bytes every stored cell is
+// addressed by cannot move unnoticed: the benchmark's tail-sweep grid
+// (8 schemes × 4 carriers × 2 study mixes), legacy alias spellings, and a
+// labeled, parameterized profile with a "fix" active half that inherits
+// the job burst gap. Any change here orphans every stored result.
+func TestFingerprintGolden(t *testing.T) {
+	var tail []fleet.SchemeSpec
+	for _, w := range []string{"1s", "2s", "3s", "4.5s", "6s", "8s"} {
+		tail = append(tail, fleet.SchemeSpec{Policy: policy.Spec{Name: "fixedtail", Params: map[string]any{"wait": w}}})
+	}
+	tail = append(tail, fleet.SchemeSpec{Policy: policy.Spec{Name: "oracle"}},
+		fleet.SchemeSpec{Policy: policy.Spec{Name: "95iat"}})
+	cases := []struct {
+		name                    string
+		spec                    Spec
+		cells                   int
+		fp, key                 string
+		scheme, profile, cohort string
+	}{
+		{name: "tail-sweep-grid",
+			spec: Spec{Seed: 42, Schemes: tail,
+				Profiles: []power.ProfileSpec{{Name: "verizon-3g"}, {Name: "verizon-lte"}, {Name: "tmobile-3g"}, {Name: "att-hspa+"}},
+				Cohorts: []fleet.CohortSpec{
+					{Name: "study-3g", Params: map[string]any{"users": 14, "duration": "24h"}},
+					{Name: "study-lte", Params: map[string]any{"users": 14, "duration": "24h"}},
+				}},
+			cells:  64,
+			fp:     "9bf3f0f21778c1fa277e53dc1cfa08c2c214ef1e9c9a59d6355eed5330390865",
+			key:    "6941687fd7a8b40507c9afe6427cbe5879d2194918ae1e643fb5a8b12c132563",
+			scheme: "fixedtail(wait=1s)", profile: "verizon-3g", cohort: "study-3g(users=14,duration=24h0m0s)"},
+		{name: "alias",
+			spec: Spec{Seed: 9,
+				Schemes:  []fleet.SchemeSpec{{Policy: policy.Spec{Name: "4.5s"}}},
+				Profiles: []power.ProfileSpec{{Name: "Verizon 3G"}},
+				Cohorts:  []fleet.CohortSpec{{Name: "study-3g", Params: map[string]any{"users": 2}}}},
+			cells:  1,
+			fp:     "f4673423243854b6ccd6d1af2589da75ea46f88d12e57f4cc3c5e5ce5fc642be",
+			key:    "66d1eac01a71376362a568095055752a972a702183f644c573a6983f8d07bc0d",
+			scheme: "fixedtail", profile: "verizon-3g", cohort: "study-3g(users=2)"},
+		{name: "labeled-fix",
+			spec: Spec{Seed: 5, BurstGap: Duration(2 * time.Second),
+				Schemes: []fleet.SchemeSpec{{Label: "idle+fix", Policy: policy.Spec{Name: "makeidle"},
+					Active: &policy.Spec{Name: "fix"}}},
+				Profiles: []power.ProfileSpec{{Label: "lte-fast", Name: "verizon-lte", Params: map[string]any{"t1": "5s"}}},
+				Cohorts:  []fleet.CohortSpec{{Name: "study-lte", Params: map[string]any{"users": 3, "duration": "30m"}}}},
+			cells:  1,
+			fp:     "4eaf796ab77df4f04f0fd17e364805aecd27cce7605363819ac700ec251ace5c",
+			key:    "b64da08921a3851feab446342246bf60f8da525212ffc2120489db3ce921779b",
+			scheme: "idle+fix", profile: "lte-fast", cohort: "study-lte(users=3,duration=30m0s)"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if fp := c.spec.mustFingerprint(t); fp != c.fp {
+				t.Errorf("fingerprint %s, want %s", fp, c.fp)
+			}
+			s := c.spec.withDefaults()
+			cells, fp, err := s.planFingerprint(fleet.Options{Shards: s.Shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fp != c.fp {
+				t.Errorf("planned fingerprint %s, want %s", fp, c.fp)
+			}
+			if len(cells) != c.cells {
+				t.Fatalf("%d cells, want %d", len(cells), c.cells)
+			}
+			got := cells[0]
+			if got.Key != c.key {
+				t.Errorf("cell key %s, want %s", got.Key, c.key)
+			}
+			if got.Scheme != c.scheme || got.Profile != c.profile || got.Cohort != c.cohort {
+				t.Errorf("cell labels %q/%q/%q, want %q/%q/%q",
+					got.Scheme, got.Profile, got.Cohort, c.scheme, c.profile, c.cohort)
+			}
+		})
+	}
+
+	// A spec Submit would reject has no fingerprint.
+	unknown := sweepSpec(fleet.SchemeSpec{Policy: policy.Spec{Name: "warpdrive"}})
+	if fp, err := unknown.Fingerprint(); err == nil {
+		t.Errorf("unknown scheme fingerprinted as %s", fp)
+	}
+	// 64 schemes × 9 profiles = 576 cells: each axis within its own
+	// limit, the product over MaxCells.
+	wide := sweepSpec()
+	for i := 0; i < MaxSchemes; i++ {
+		wide.Schemes = append(wide.Schemes, fleet.SchemeSpec{
+			Label: fmt.Sprintf("s%d", i), Policy: policy.Spec{Name: "makeidle"}})
+	}
+	for i := 0; len(wide.Profiles) < 9; i++ {
+		wide.Profiles = append(wide.Profiles, power.ProfileSpec{Label: fmt.Sprintf("p%d", i), Name: "verizon-3g"})
+	}
+	if fp, err := wide.Fingerprint(); err == nil || !strings.Contains(err.Error(), "cells") {
+		t.Errorf("grid over MaxCells: fingerprint %q, error %v", fp, err)
 	}
 }

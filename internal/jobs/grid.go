@@ -110,15 +110,11 @@ func planWaits(schemes []fleet.ResolvedScheme, profs []power.ResolvedProfile) (w
 
 // planFingerprint validates the normalized spec's axes, computes its v4
 // fingerprint, and expands its grid cells — all from ONE registry
-// resolution per axis value, which is what keeps admission cheap on
-// parameter sweeps. The fingerprint hashes the same canonical encodings
-// as Fingerprint. Axis errors are reported in axis order: schemes, then
+// resolution per axis value, the only path from a spec to its canonical
+// encodings. Axis errors are reported in axis order: schemes, then
 // profiles, then cohorts; within an axis, a value that fails to resolve
 // or whose label is reserved or duplicated is named by its index.
-//
-// axes, when non-nil, memoizes successful resolutions across Submits (see
-// axisCache); a nil cache resolves everything fresh.
-func (s Spec) planFingerprint(opts fleet.Options, axes *axisCache) ([]gridCell, string, error) {
+func (s Spec) planFingerprint(opts fleet.Options) ([]gridCell, string, error) {
 	if err := s.checkBounds(); err != nil {
 		return nil, "", err
 	}
@@ -127,19 +123,9 @@ func (s Spec) planFingerprint(opts fleet.Options, axes *axisCache) ([]gridCell, 
 	sas := make([]fleet.ResolvedScheme, len(s.Schemes))
 	seen := make(map[string]bool, len(s.Schemes))
 	for i, ss := range s.Schemes {
-		key := ""
-		rs, ok := fleet.ResolvedScheme{}, false
-		if axes != nil {
-			key = schemeKey(ss)
-			rs, ok = axes.getScheme(key)
-		}
-		if !ok {
-			var err error
-			rs, err = fleet.ResolveScheme(registry(), ss)
-			if err != nil {
-				return nil, "", fmt.Errorf("jobs: scheme %d: %w", i, err)
-			}
-			axes.putScheme(key, rs)
+		rs, err := fleet.ResolveScheme(registry(), ss)
+		if err != nil {
+			return nil, "", fmt.Errorf("jobs: scheme %d: %w", i, err)
 		}
 		if err := checkLabel("scheme", i, rs.Label, seen); err != nil {
 			return nil, "", err
@@ -150,19 +136,9 @@ func (s Spec) planFingerprint(opts fleet.Options, axes *axisCache) ([]gridCell, 
 	pas := make([]power.ResolvedProfile, len(s.Profiles))
 	seen = make(map[string]bool, len(s.Profiles))
 	for i, ps := range s.Profiles {
-		key := ""
-		rp, ok := power.ResolvedProfile{}, false
-		if axes != nil {
-			key = profileKey(ps)
-			rp, ok = axes.getProfile(key)
-		}
-		if !ok {
-			var err error
-			rp, err = ps.Resolution(profiles())
-			if err != nil {
-				return nil, "", fmt.Errorf("jobs: profile %d: %w", i, err)
-			}
-			axes.putProfile(key, rp)
+		rp, err := ps.Resolution(profiles())
+		if err != nil {
+			return nil, "", fmt.Errorf("jobs: profile %d: %w", i, err)
 		}
 		if err := checkLabel("profile", i, rp.Label, seen); err != nil {
 			return nil, "", err
@@ -172,27 +148,13 @@ func (s Spec) planFingerprint(opts fleet.Options, axes *axisCache) ([]gridCell, 
 
 	cas := make([]fleet.ResolvedCohort, len(s.Cohorts))
 	seen = make(map[string]bool, len(s.Cohorts))
-	var simOpts *sim.Options
+	simOpts := &sim.Options{BurstGap: burstGap}
 	for i, cs := range s.Cohorts {
-		key := ""
-		rc, ok := fleet.ResolvedCohort{}, false
-		if axes != nil {
-			key = cohortKey(cs, s.Seed, burstGap)
-			rc, ok = axes.getCohort(key)
-		}
-		if !ok {
-			if simOpts == nil {
-				simOpts = &sim.Options{BurstGap: burstGap}
-			}
-			var err error
-			rc, err = fleet.ResolveCohort(cohorts(), cs, s.Seed, simOpts)
-			if err != nil {
-				return nil, "", fmt.Errorf("jobs: cohort %d: %w", i, err)
-			}
-			// ResolveCohort stamps CacheKeyBase with the cohort canonical,
-			// so every cell of this cohort replays the same memoized
-			// traffic.
-			axes.putCohort(key, rc)
+		// ResolveCohort stamps CacheKeyBase with the cohort canonical, so
+		// every cell of this cohort replays the same memoized traffic.
+		rc, err := fleet.ResolveCohort(cohorts(), cs, s.Seed, simOpts)
+		if err != nil {
+			return nil, "", fmt.Errorf("jobs: cohort %d: %w", i, err)
 		}
 		if err := checkLabel("cohort", i, rc.Label, seen); err != nil {
 			return nil, "", err
@@ -200,9 +162,8 @@ func (s Spec) planFingerprint(opts fleet.Options, axes *axisCache) ([]gridCell, 
 		cas[i] = rc
 	}
 
-	// Both digests hash hand-appended bytes (strconv for the scalars,
-	// Duration.String for the gap) — the exact bytes the historical
-	// Fprintf-based hashing produced, without its per-verb overhead.
+	// Both digests hash hand-appended bytes in the v4 layout; every stored
+	// cell is addressed by them, so TestFingerprintGolden pins them.
 	scalars := make([]byte, 0, 64)
 	scalars = append(scalars, "seed="...)
 	scalars = strconv.AppendInt(scalars, s.Seed, 10)

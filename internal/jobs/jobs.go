@@ -344,10 +344,6 @@ type Manager struct {
 	// one generation.
 	traces *fleet.TraceCache
 
-	// axes memoizes resolved grid-axis values across Submits (own lock;
-	// consulted by planFingerprint outside mu).
-	axes *axisCache
-
 	// cellsRun counts cells actually executed by the fleet (as opposed to
 	// served from a cache tier) — the observable the resume-equivalence
 	// tests pin and a health gauge for cache effectiveness.
@@ -374,7 +370,6 @@ func NewManager(cfg Config) *Manager {
 		cache:  newLRUCache[*Result](cfg.CacheSize),
 		cells:  newLRUCache[*CellResult](cfg.CellCacheSize),
 		traces: fleet.NewTraceCache(cfg.TraceCacheBytes),
-		axes:   newAxisCache(),
 		budget: fleet.NewBudget(cfg.Workers),
 	}
 	m.cond = sync.NewCond(&m.mu)
@@ -442,7 +437,7 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 // itself reports this snapshot instead.
 func (m *Manager) SubmitStatus(spec Spec) (*Job, Status, error) {
 	spec = spec.withDefaults()
-	cells, fp, err := spec.planFingerprint(fleet.Options{Shards: spec.Shards}, m.axes)
+	cells, fp, err := spec.planFingerprint(fleet.Options{Shards: spec.Shards})
 	if err != nil {
 		return nil, Status{}, err
 	}
@@ -622,52 +617,21 @@ func (m *Manager) runJob(job *Job) {
 // all runners (for the health endpoint).
 func (m *Manager) CellsInFlight() int64 { return m.cellsLive.Load() }
 
-// lookupCell consults the cache tiers for a planned cell: the in-memory
-// cell cache first, then the durable store. A store hit must survive
-// three independent proofs before it is served: the store's record
-// digest (these are the bytes Put wrote), the codec's framing (they
-// mean a cell), and this function's cross-checks (they mean *this*
-// cell: axis labels match the plan, and the summary's histogram layout
-// equals the current default — mergePrior would panic on a drifted
-// layout). Anything short of full proof quarantines the record and
-// reports a miss; the cell recomputes, which is always safe.
-func (m *Manager) lookupCell(cell gridCell) (*CellResult, bool) {
-	m.mu.Lock()
-	cached, hit := m.cells.get(cell.Key)
-	m.mu.Unlock()
-	if hit {
-		return cached, true
-	}
-	if m.cfg.Store == nil {
-		return nil, false
-	}
-	payload, ok := m.cfg.Store.Get(cell.Key)
-	if !ok {
-		return nil, false
-	}
-	res, err := decodeCellResult(payload)
-	if err == nil && (res.Scheme != cell.Scheme || res.Profile != cell.Profile || res.Cohort != cell.Cohort) {
-		err = fmt.Errorf("jobs: stored cell labels %s/%s/%s do not match plan %s/%s/%s",
-			res.Scheme, res.Profile, res.Cohort, cell.Scheme, cell.Profile, cell.Cohort)
-	}
-	if err == nil && res.Summary.Config() != fleet.NewSummary(fleet.SummaryConfig{}).Config() {
-		err = fmt.Errorf("jobs: stored cell summary layout drifted from current defaults")
-	}
-	if err != nil {
-		m.cfg.Store.Quarantine(cell.Key)
-		return nil, false
-	}
-	res.Key = cell.Key
-	m.mu.Lock()
-	m.cells.put(cell.Key, res)
-	m.mu.Unlock()
-	return res, true
-}
+// Cell returns a finished cell by its content-addressed key. It backs
+// GET /v1/cells/{fingerprint}.
+func (m *Manager) Cell(key string) (*CellResult, bool) { return m.lookupCell(key, nil) }
 
-// Cell returns a finished cell by its content-addressed key, consulting
-// the in-memory cell cache and then the durable store (with the same
-// verification lookupCell applies). It backs GET /v1/cells/{fingerprint}.
-func (m *Manager) Cell(key string) (*CellResult, bool) {
+// lookupCell consults the cache tiers for a cell: the in-memory cell
+// cache first, then the durable store. A store hit must survive three
+// independent proofs before it is served: the store's record digest
+// (these are the bytes Put wrote), the codec's framing (they mean a
+// cell), and this function's cross-checks (they mean *this* cell: the
+// axis labels match plan, when the caller planned the cell, and the
+// summary's histogram layout equals the current default — mergePrior
+// would panic on a drifted layout). Anything short of full proof
+// quarantines the record before anything is cached and reports a miss;
+// the cell recomputes, which is always safe.
+func (m *Manager) lookupCell(key string, plan *gridCell) (*CellResult, bool) {
 	m.mu.Lock()
 	cached, hit := m.cells.get(key)
 	m.mu.Unlock()
@@ -682,6 +646,10 @@ func (m *Manager) Cell(key string) (*CellResult, bool) {
 		return nil, false
 	}
 	res, err := decodeCellResult(payload)
+	if err == nil && plan != nil && (res.Scheme != plan.Scheme || res.Profile != plan.Profile || res.Cohort != plan.Cohort) {
+		err = fmt.Errorf("jobs: stored cell labels %s/%s/%s do not match plan %s/%s/%s",
+			res.Scheme, res.Profile, res.Cohort, plan.Scheme, plan.Profile, plan.Cohort)
+	}
 	if err == nil && res.Summary.Config() != fleet.NewSummary(fleet.SummaryConfig{}).Config() {
 		err = fmt.Errorf("jobs: stored cell summary layout drifted from current defaults")
 	}

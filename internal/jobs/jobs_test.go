@@ -305,11 +305,11 @@ func TestCacheHitIsByteIdentical(t *testing.T) {
 func TestFingerprintSensitivity(t *testing.T) {
 	raw := cellSpec(10, 1, "4h")
 	base := raw.withDefaults()
-	fp := base.Fingerprint()
-	if explicit := base.Fingerprint(); explicit != fp {
+	fp := base.mustFingerprint(t)
+	if explicit := base.mustFingerprint(t); explicit != fp {
 		t.Fatal("fingerprint not stable")
 	}
-	if raw.Fingerprint() != fp {
+	if raw.mustFingerprint(t) != fp {
 		t.Fatal("normalization changed the fingerprint")
 	}
 	with := func(f func(*Spec)) Spec {
@@ -328,7 +328,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 	seen := map[string]bool{fp: true}
 	for i, s := range mutate {
-		got := s.Fingerprint()
+		got := s.mustFingerprint(t)
 		if seen[got] {
 			t.Fatalf("mutation %d did not change the fingerprint", i)
 		}
@@ -428,4 +428,43 @@ func TestTerminalJobsReleasePlan(t *testing.T) {
 	// Both records (and so whatever they reference) stay registered.
 	mustGet(t, m, running.ID())
 	mustGet(t, m, queued.ID())
+}
+
+// TestStoreMislabeledCellRecomputed plants, under one cell's key, another
+// cell's record: it passes the store's digest check and decodes as a
+// cell, but its axis labels do not match the plan. The manager must
+// quarantine it rather than serve or cache it, and recompute the cell.
+func TestStoreMislabeledCellRecomputed(t *testing.T) {
+	spec := Spec{Seed: 9, Shards: 2,
+		Schemes:  resumeSchemes[:2],
+		Profiles: resumeProfiles[:1],
+		Cohorts:  resumeCohorts[:1],
+	}
+	ref, refStore := storeManager(t, t.TempDir())
+	want := runSpec(t, ref, spec)
+	ref.Close()
+	other, ok := refStore.Get(want.Cells[1].Key)
+	refStore.Close()
+	if !ok {
+		t.Fatal("reference run stored no record for cell 1")
+	}
+
+	m, st := storeManager(t, t.TempDir())
+	defer st.Close()
+	defer m.Close()
+	key := want.Cells[0].Key
+	if err := st.Put(key, other); err != nil {
+		t.Fatal(err)
+	}
+	got := runSpec(t, m, spec)
+	if m.CellsExecuted() != 2 {
+		t.Fatalf("executed %d cells, want 2 (a mislabeled record must not be served)", m.CellsExecuted())
+	}
+	assertSameResult(t, want, got)
+	if stats := st.Stats(); stats.Quarantined != 1 {
+		t.Fatalf("quarantined = %d, want 1", stats.Quarantined)
+	}
+	if c, ok := m.Cell(key); !ok || c.Scheme != want.Cells[0].Scheme {
+		t.Fatalf("cell cache holds %+v (ok=%v) under cell 0's key", c, ok)
+	}
 }

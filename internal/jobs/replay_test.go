@@ -233,7 +233,7 @@ func TestReplayMemoOrderIndependence(t *testing.T) {
 func TestPlanWaits(t *testing.T) {
 	schemes := append(slices.Clone(paperShapedSchemes), fleet.SchemeSpec{Policy: policy.Spec{Name: "oracle"}})
 	spec := Spec{Seed: 1, Shards: 2, Schemes: schemes, Profiles: fitProfiles, Cohorts: resumeCohorts}.withDefaults()
-	cells, _, err := spec.planFingerprint(fleet.Options{}, nil)
+	cells, _, err := spec.planFingerprint(fleet.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,29 +165,11 @@ func (r *Registry) Resolve(role Role, sp Spec) (*Schema, Params, error) {
 	return schema.Meta.(*Schema), params, nil
 }
 
-// Canonical returns the byte-stable encoding of a spec: the canonical
-// schema name followed by every parameter — defaults resolved — in schema
-// declaration order, values in canonical string form. Two specs that
-// denote the same policy configuration (alias vs canonical name, omitted
-// vs explicit defaults, "4500ms" vs "4.5s", any param-map ordering)
-// encode identically, and any parameter value change changes the
-// encoding. The job fingerprint (v4) hashes these encodings.
-func (r *Registry) Canonical(role Role, sp Spec) (string, error) {
-	return r.reg(role).Canonical(sp)
-}
-
-// Label returns the human-readable short form of a spec: the canonical
-// name plus only the non-default parameters. Sweep summaries key schemes
-// by these, so "fixedtail(wait=2s)" and plain "fixedtail" (the 4.5 s
-// default) stay distinct and readable.
-func (r *Registry) Label(role Role, sp Spec) (string, error) {
-	return r.reg(role).Label(sp)
-}
-
 // Resolution is one resolution pass over a policy spec: the policy schema
 // (builders, capabilities), the resolved parameters, and both registry
-// encodings — byte-identical to Canonical and Label. Admission paths that
-// need the builder and the encodings resolve once instead of per product.
+// encodings (spec.Resolution). Canonical is what the job fingerprint (v4)
+// hashes; Label keys sweep summaries, so "fixedtail(wait=2s)" and plain
+// "fixedtail" (the 4.5 s default) stay distinct and readable.
 type Resolution struct {
 	Schema    *Schema
 	Params    Params

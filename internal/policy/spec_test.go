@@ -12,6 +12,17 @@ import (
 	"repro/internal/workload"
 )
 
+// canonical and label read a spec's encodings off its Resolution.
+func canonical(reg *Registry, role Role, sp Spec) (string, error) {
+	res, err := reg.Resolution(role, sp)
+	return res.Canonical, err
+}
+
+func label(reg *Registry, role Role, sp Spec) (string, error) {
+	res, err := reg.Resolution(role, sp)
+	return res.Label, err
+}
+
 func TestParseSpec(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -59,7 +70,7 @@ func TestCanonicalStability(t *testing.T) {
 		{Name: "4.5s"},
 		{Name: "4.5s", Params: map[string]any{"wait": "4.5s"}},
 	}
-	want, err := reg.Canonical(RoleDemote, equal[0])
+	want, err := canonical(reg, RoleDemote, equal[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +78,7 @@ func TestCanonicalStability(t *testing.T) {
 		t.Fatalf("canonical %q", want)
 	}
 	for i, s := range equal {
-		got, err := reg.Canonical(RoleDemote, s)
+		got, err := canonical(reg, RoleDemote, s)
 		if err != nil {
 			t.Fatalf("spec %d: %v", i, err)
 		}
@@ -75,7 +86,7 @@ func TestCanonicalStability(t *testing.T) {
 			t.Fatalf("spec %d canonical %q, want %q", i, got, want)
 		}
 	}
-	changed, err := reg.Canonical(RoleDemote, Spec{Name: "fixedtail", Params: map[string]any{"wait": "2s"}})
+	changed, err := canonical(reg, RoleDemote, Spec{Name: "fixedtail", Params: map[string]any{"wait": "2s"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +99,7 @@ func TestCanonicalStability(t *testing.T) {
 	// change moves the encoding.
 	base := map[string]any{"window": 200, "gridsteps": 50, "minsample": 20}
 	canon := func(p map[string]any) string {
-		c, err := reg.Canonical(RoleDemote, Spec{Name: "makeidle", Params: p})
+		c, err := canonical(reg, RoleDemote, Spec{Name: "makeidle", Params: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +144,7 @@ func TestLabelShowsOnlyNonDefaults(t *testing.T) {
 		{RoleActive, Spec{Name: "learn", Params: map[string]any{"maxdelay": "5s", "gamma": 0.008}}, "learn(maxdelay=5s)"},
 	}
 	for _, c := range cases {
-		got, err := reg.Label(c.role, c.spec)
+		got, err := label(reg, c.role, c.spec)
 		if err != nil {
 			t.Fatalf("%+v: %v", c.spec, err)
 		}
@@ -186,7 +197,7 @@ func TestLegacyAliases(t *testing.T) {
 		"makeidle":  "makeidle(window=100,gridsteps=40,minsample=10)",
 	}
 	for name, want := range demotes {
-		got, err := reg.Canonical(RoleDemote, Spec{Name: name})
+		got, err := canonical(reg, RoleDemote, Spec{Name: name})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -204,7 +215,7 @@ func TestLegacyAliases(t *testing.T) {
 		"fix":   "fix(burstgap=1s)",
 	}
 	for name, want := range actives {
-		got, err := reg.Canonical(RoleActive, Spec{Name: name})
+		got, err := canonical(reg, RoleActive, Spec{Name: name})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -21,45 +21,18 @@ type ProfileSpec struct {
 // Spec returns the underlying spec value.
 func (ps ProfileSpec) Spec() spec.Spec { return spec.Spec{Name: ps.Name, Params: ps.Params} }
 
-// ResolvedLabel returns the profile's axis label: the explicit Label, or
-// the registry-derived one.
-func (ps ProfileSpec) ResolvedLabel(r *Registry) (string, error) {
-	if ps.Label != "" {
-		return ps.Label, nil
-	}
-	return r.Label(ps.Spec())
-}
-
-// Canonical returns the byte-stable encoding of the profile axis value —
-// "label|canonicalProfile" — which feeds the v4 job fingerprint: stable
-// across alias spelling, param-map ordering and omitted defaults; changed
-// by any parameter value or label change.
-func (ps ProfileSpec) Canonical(r *Registry) (string, error) {
-	label, err := ps.ResolvedLabel(r)
-	if err != nil {
-		return "", err
-	}
-	canon, err := r.Canonical(ps.Spec())
-	if err != nil {
-		return "", err
-	}
-	return label + "|" + canon, nil
-}
-
-// Profile resolves and builds the validated Profile, named by the
-// resolved label.
+// Profile resolves and builds the validated Profile, named by the axis
+// label: the explicit Label, or the registry-derived one.
 func (ps ProfileSpec) Profile(r *Registry) (Profile, error) {
-	label, err := ps.ResolvedLabel(r)
-	if err != nil {
-		return Profile{}, err
-	}
-	return r.NamedProfile(ps.Spec(), label)
+	rp, err := ps.Resolution(r)
+	return rp.Profile, err
 }
 
 // ResolvedProfile is one resolution pass over a profile axis value: the
 // runnable Profile (named by the axis label), the label itself, and the
-// axis canonical encoding ("label|canonicalProfile") — each byte-identical
-// to Profile, ResolvedLabel and Canonical.
+// axis canonical encoding ("label|canonicalProfile"), which feeds the v4
+// job fingerprint: stable across alias spelling, param-map ordering and
+// omitted defaults; changed by any parameter value or label change.
 type ResolvedProfile struct {
 	Profile   Profile
 	Label     string

@@ -40,23 +40,6 @@ func NewRegistry() *Registry {
 	})}
 }
 
-// Resolve expands aliases and resolves a spec's parameters against the
-// profile schema (unknown parameters rejected, values coerced and
-// bounds-checked, omitted parameters filled from the carrier's measured
-// defaults).
-func (r *Registry) Resolve(s spec.Spec) (*spec.Schema, spec.Params, error) {
-	return r.reg.Resolve(s)
-}
-
-// Canonical returns the byte-stable encoding of a profile spec (canonical
-// name, every parameter in declaration order). The v4 job fingerprint
-// hashes these.
-func (r *Registry) Canonical(s spec.Spec) (string, error) { return r.reg.Canonical(s) }
-
-// Label returns the short human-readable form: canonical name plus only
-// the non-default parameters, e.g. "verizon-lte(t1=5s)".
-func (r *Registry) Label(s spec.Spec) (string, error) { return r.reg.Label(s) }
-
 // Names lists every accepted profile name — canonical and alias — sorted.
 func (r *Registry) Names() []string { return r.reg.Names() }
 
@@ -72,27 +55,6 @@ func (r *Registry) Describe() []spec.SchemaInfo { return r.reg.Describe() }
 
 // Usage renders the profile catalog for CLI error messages.
 func (r *Registry) Usage() string { return r.reg.Usage() }
-
-// Profile resolves a spec and builds the corresponding validated Profile.
-// The profile's Name is the registry label ("verizon-lte" or
-// "verizon-lte(t1=5s)"); use NamedProfile to override it (the legacy
-// display names flow through that path).
-func (r *Registry) Profile(s spec.Spec) (Profile, error) {
-	label, err := r.Label(s)
-	if err != nil {
-		return Profile{}, err
-	}
-	return r.NamedProfile(s, label)
-}
-
-// NamedProfile is Profile with an explicit report/summary name.
-func (r *Registry) NamedProfile(s spec.Spec, name string) (Profile, error) {
-	schema, params, err := r.Resolve(s)
-	if err != nil {
-		return Profile{}, err
-	}
-	return buildProfile(schema, params, name)
-}
 
 // buildProfile assembles and validates a Profile from a resolved schema.
 func buildProfile(schema *spec.Schema, params spec.Params, name string) (Profile, error) {
@@ -123,7 +85,9 @@ func buildProfile(schema *spec.Schema, params spec.Params, name string) (Profile
 
 // ProfileResolution is one resolution pass over a profile spec: the
 // validated Profile (named by the registry label) plus both registry
-// encodings, byte-identical to Canonical and Label.
+// encodings (spec.Resolution) — the canonical name with every parameter in
+// declaration order, which the v4 job fingerprint hashes, and the short
+// label with only the non-default parameters, e.g. "verizon-lte(t1=5s)".
 type ProfileResolution struct {
 	Profile   Profile
 	Canonical string

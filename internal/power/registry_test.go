@@ -8,6 +8,19 @@ import (
 	"repro/internal/spec"
 )
 
+// build resolves a profile spec and builds its Profile, named by the
+// registry label.
+func build(s spec.Spec) (Profile, error) {
+	res, err := Default().Resolution(s)
+	return res.Profile, err
+}
+
+// canonical reads a profile spec's canonical encoding off its Resolution.
+func canonical(r *Registry, s spec.Spec) (string, error) {
+	res, err := r.Resolution(s)
+	return res.Canonical, err
+}
+
 // TestProfileValidatePathological is the table-driven guard for custom
 // profiles: every malformed field pattern must be rejected, and the legal
 // oddities of Table 2 (t2 > t1, t2 = 0 with a dummy t2 power) must not.
@@ -79,7 +92,7 @@ func TestRegistryDefaultsMatchTable2Vars(t *testing.T) {
 		{"verizon-lte", VerizonLTE},
 	}
 	for _, c := range cases {
-		got, err := Default().NamedProfile(spec.Spec{Name: c.name}, c.want.Name)
+		got, err := ProfileSpec{Label: c.want.Name, Name: c.name}.Profile(Default())
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -125,7 +138,7 @@ func TestByNameShimAcceptsBothSpellings(t *testing.T) {
 // TestProfileKnobOverrides: every measured constant is an overridable,
 // bounds-checked knob, and overrides propagate into the built profile.
 func TestProfileKnobOverrides(t *testing.T) {
-	p, err := Default().Profile(spec.Spec{Name: "verizon-lte", Params: map[string]any{
+	p, err := build(spec.Spec{Name: "verizon-lte", Params: map[string]any{
 		"t1": "5s", "t1power": 1000, "dormancy": 0.2, "uplink": 4.0,
 	}})
 	if err != nil {
@@ -149,12 +162,12 @@ func TestProfileKnobOverrides(t *testing.T) {
 		{Name: "verizon-3g", Params: map[string]any{"sendmw": 100}},
 		{Name: "warp-radio"},
 	} {
-		if _, err := Default().Profile(bad); err == nil {
+		if _, err := build(bad); err == nil {
 			t.Errorf("spec %+v accepted", bad)
 		}
 	}
 	// 3G profiles do expose t2 — including t2 > t1, per Table 2.
-	p3, err := Default().Profile(spec.Spec{Name: "verizon-3g", Params: map[string]any{"t2": "12s"}})
+	p3, err := build(spec.Spec{Name: "verizon-3g", Params: map[string]any{"t2": "12s"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +184,7 @@ func TestProfileKnobOverrides(t *testing.T) {
 // change moves the encoding.
 func TestProfileCanonicalStability(t *testing.T) {
 	reg := Default()
-	want, err := reg.Canonical(spec.Spec{Name: "verizon-lte"})
+	want, err := canonical(reg, spec.Spec{Name: "verizon-lte"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +195,7 @@ func TestProfileCanonicalStability(t *testing.T) {
 		{Name: "Verizon LTE", Params: map[string]any{"uplink": 8}},
 	}
 	for i, s := range equal {
-		got, err := reg.Canonical(s)
+		got, err := canonical(reg, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +203,7 @@ func TestProfileCanonicalStability(t *testing.T) {
 			t.Errorf("equivalent spec %d encoded %q, want %q", i, got, want)
 		}
 	}
-	changed, err := reg.Canonical(spec.Spec{Name: "verizon-lte", Params: map[string]any{"t1": "5s"}})
+	changed, err := canonical(reg, spec.Spec{Name: "verizon-lte", Params: map[string]any{"t1": "5s"}})
 	if err != nil {
 		t.Fatal(err)
 	}

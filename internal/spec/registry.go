@@ -203,8 +203,7 @@ func (r *Registry) Resolve(spec Spec) (*Schema, Params, error) {
 	// Sorted iteration so that, with several bad parameters, WHICH error a
 	// caller sees is deterministic: validation errors are rendered into job
 	// responses, so even the failure bytes must not depend on map order.
-	// (Found by detrange; Resolve is memoized by jobs.axisCache, so the
-	// sort never lands on the hot path.)
+	// (Found by detrange.)
 	names := make([]string, 0, len(spec.Params))
 	for k := range spec.Params {
 		names = append(names, k)
@@ -229,45 +228,22 @@ func (r *Registry) Resolve(spec Spec) (*Schema, Params, error) {
 	return schema, resolved, nil
 }
 
-// Canonical returns the byte-stable encoding of a spec: the canonical
-// schema name followed by every parameter — defaults resolved — in schema
-// declaration order, values in canonical string form. Two specs that
-// denote the same configuration (alias vs canonical name, omitted vs
-// explicit defaults, "4500ms" vs "4.5s", any param-map ordering) encode
-// identically, and any parameter value change changes the encoding. The
-// job fingerprint (v4) hashes these encodings for every axis.
-func (r *Registry) Canonical(spec Spec) (string, error) {
-	schema, resolved, err := r.Resolve(spec)
-	if err != nil {
-		return "", err
-	}
-	return schema.Name + EncodeParams(schema.Params, resolved, nil), nil
-}
-
-// Label returns the human-readable short form of a spec: the canonical
-// name plus only the non-default parameters. Sweep summaries and grid
-// cells key axis values by these, so "verizon-lte(t1=5s)" and plain
-// "verizon-lte" stay distinct and readable.
-func (r *Registry) Label(spec Spec) (string, error) {
-	schema, resolved, err := r.Resolve(spec)
-	if err != nil {
-		return "", err
-	}
-	return schema.Name + labelParams(schema, resolved), nil
-}
-
-func labelParams(schema *Schema, resolved Params) string {
-	return EncodeParams(schema.Params, resolved, func(ps ParamSpec, formatted string) bool {
-		return formatted != ps.DefaultString()
-	})
-}
-
 // Resolution bundles everything one Resolve pass derives from a spec: the
-// schema, the fully resolved parameters, and both string encodings.
-// Canonical and Label are byte-identical to the same-named methods. Hot
-// admission paths that need several of these per axis value (the job
-// layer's validate/fingerprint/plan) pay one alias expansion and one
-// coercion pass instead of one per product.
+// schema, the fully resolved parameters, and both string encodings, the
+// only encoder of either.
+//
+// Canonical is the byte-stable encoding: the canonical schema name
+// followed by every parameter — defaults resolved — in schema declaration
+// order, values in canonical string form. Two specs that denote the same
+// configuration (alias vs canonical name, omitted vs explicit defaults,
+// "4500ms" vs "4.5s", any param-map ordering) encode identically, and any
+// parameter value change changes the encoding. The job fingerprint (v4)
+// hashes these encodings for every axis.
+//
+// Label is the human-readable short form: the canonical name plus only
+// the non-default parameters. Sweep summaries and grid cells key axis
+// values by these, so "verizon-lte(t1=5s)" and plain "verizon-lte" stay
+// distinct and readable.
 type Resolution struct {
 	Schema    *Schema
 	Params    Params
@@ -276,9 +252,8 @@ type Resolution struct {
 }
 
 // Resolution resolves a spec once and returns the full bundle. The two
-// encodings are built in a single pass — the label is the canonical
-// filtered to non-default parameters, so each value formats once — and
-// stay byte-identical to Canonical and Label.
+// encodings are built in a single pass: the label is the canonical
+// filtered to non-default parameters, so each value formats once.
 func (r *Registry) Resolution(spec Spec) (Resolution, error) {
 	schema, resolved, err := r.Resolve(spec)
 	if err != nil {
@@ -331,7 +306,7 @@ func closeParams(sb *strings.Builder, base int) string {
 }
 
 // ParamInfo is the serializable view of a ParamSpec, values in canonical
-// string form (the same forms Canonical uses).
+// string form (the same forms Resolution.Canonical uses).
 type ParamInfo struct {
 	Name    string    `json:"name"`
 	Kind    ParamKind `json:"kind"`
@@ -408,8 +383,8 @@ func (r *Registry) Usage() string {
 		}
 	}
 	for _, name := range r.Aliases() {
-		target, _ := r.Canonical(Spec{Name: name})
-		fmt.Fprintf(&sb, "  %-12s alias for %s\n", name, target)
+		target, _ := r.Resolution(Spec{Name: name})
+		fmt.Fprintf(&sb, "  %-12s alias for %s\n", name, target.Canonical)
 	}
 	return sb.String()
 }

@@ -305,34 +305,6 @@ func Parse(s string) (Spec, error) {
 	return spec, nil
 }
 
-// EncodeParams renders a resolved parameter set in schema declaration
-// order (a fixed order, so the encoding is byte-stable regardless of how
-// the caller's param map was built). keep filters which params appear; it
-// receives each value pre-formatted in canonical form, so filters that
-// compare encodings (the label path) don't format twice.
-func EncodeParams(params []ParamSpec, resolved Params, keep func(ParamSpec, string) bool) string {
-	var sb strings.Builder
-	for _, ps := range params {
-		formatted := ps.Kind.Format(resolved[ps.Name])
-		if keep != nil && !keep(ps, formatted) {
-			continue
-		}
-		if sb.Len() == 0 {
-			sb.WriteByte('(')
-		} else {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(ps.Name)
-		sb.WriteByte('=')
-		sb.WriteString(formatted)
-	}
-	if sb.Len() == 0 {
-		return ""
-	}
-	sb.WriteByte(')')
-	return sb.String()
-}
-
 // SortedNames returns map keys sorted, for deterministic error messages.
 func SortedNames[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))

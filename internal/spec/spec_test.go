@@ -95,12 +95,19 @@ func TestResolveCoercionAndBounds(t *testing.T) {
 	}
 }
 
-func TestCanonicalAndLabel(t *testing.T) {
-	r := testRegistry(t)
-	want, err := r.Canonical(Spec{Name: "gadget"})
+// resolution resolves a spec against r, failing the test on error.
+func resolution(t *testing.T, r *Registry, s Spec) Resolution {
+	t.Helper()
+	res, err := r.Resolution(s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+func TestCanonicalAndLabel(t *testing.T) {
+	r := testRegistry(t)
+	want := resolution(t, r, Spec{Name: "gadget"}).Canonical
 	if want != "gadget(wait=4.5s,q=0.95,n=10,on=true)" {
 		t.Fatalf("canonical %q", want)
 	}
@@ -109,36 +116,25 @@ func TestCanonicalAndLabel(t *testing.T) {
 		{Name: "gadget", Params: map[string]any{"wait": "4500ms"}},
 		{Name: "gadget", Params: map[string]any{"q": 0.95, "on": true}},
 	} {
-		got, err := r.Canonical(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
+		if got := resolution(t, r, s).Canonical; got != want {
 			t.Errorf("spec %d canonical %q, want %q", i, got, want)
 		}
 	}
 	// The alias layers its params under the caller's overrides.
-	got, err := r.Canonical(Spec{Name: "legacy name"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != "gadget(wait=4.5s,q=0.95,n=20,on=true)" {
+	if got := resolution(t, r, Spec{Name: "legacy name"}).Canonical; got != "gadget(wait=4.5s,q=0.95,n=20,on=true)" {
 		t.Fatalf("alias canonical %q", got)
 	}
-	got, err = r.Canonical(Spec{Name: "legacy name", Params: map[string]any{"n": 30}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := resolution(t, r, Spec{Name: "legacy name", Params: map[string]any{"n": 30}}).Canonical
 	if !strings.Contains(got, "n=30") {
 		t.Fatalf("override does not win over alias params: %q", got)
 	}
 	// Labels keep only the non-defaults.
-	label, err := r.Label(Spec{Name: "gadget", Params: map[string]any{"wait": "2s", "n": 10}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	label := resolution(t, r, Spec{Name: "gadget", Params: map[string]any{"wait": "2s", "n": 10}}).Label
 	if label != "gadget(wait=2s)" {
 		t.Fatalf("label %q", label)
+	}
+	if label := resolution(t, r, Spec{Name: "gadget"}).Label; label != "gadget" {
+		t.Fatalf("all-default label %q", label)
 	}
 }
 

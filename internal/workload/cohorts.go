@@ -70,15 +70,6 @@ func (r *CohortRegistry) Resolve(s spec.Spec) (*spec.Schema, spec.Params, error)
 	return r.reg.Resolve(s)
 }
 
-// Canonical returns the byte-stable encoding of a cohort spec (canonical
-// name, every parameter in declaration order). The v4 job fingerprint
-// hashes these.
-func (r *CohortRegistry) Canonical(s spec.Spec) (string, error) { return r.reg.Canonical(s) }
-
-// Label returns the short human-readable form: canonical name plus only
-// the non-default parameters, e.g. "study-3g(users=1000)".
-func (r *CohortRegistry) Label(s spec.Spec) (string, error) { return r.reg.Label(s) }
-
 // Names lists every accepted cohort name — canonical and alias — sorted.
 func (r *CohortRegistry) Names() []string { return r.reg.Names() }
 
@@ -120,8 +111,10 @@ func buildPlan(schema *spec.Schema, params spec.Params) (CohortPlan, error) {
 }
 
 // CohortResolution is one resolution pass over a cohort spec: the runnable
-// plan plus both registry encodings, byte-identical to Canonical and
-// Label.
+// plan plus both registry encodings (spec.Resolution) — the canonical name
+// with every parameter in declaration order, which the v4 job fingerprint
+// hashes, and the short label with only the non-default parameters, e.g.
+// "study-3g(users=1000)".
 type CohortResolution struct {
 	Plan      CohortPlan
 	Canonical string

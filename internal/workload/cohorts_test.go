@@ -71,15 +71,21 @@ func TestCohortRejections(t *testing.T) {
 	}
 }
 
+// canonical reads a cohort spec's canonical encoding off its Resolution.
+func canonical(r *CohortRegistry, s spec.Spec) (string, error) {
+	res, err := r.Resolution(s)
+	return res.Canonical, err
+}
+
 // TestCohortCanonicalStability: omitted defaults, param order and value
 // spellings encode identically; any knob change moves the encoding.
 func TestCohortCanonicalStability(t *testing.T) {
 	r := Cohorts()
-	want, err := r.Canonical(spec.Spec{Name: "study-3g", Params: map[string]any{"users": 50}})
+	want, err := canonical(r, spec.Spec{Name: "study-3g", Params: map[string]any{"users": 50}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	same, err := r.Canonical(spec.Spec{Name: "study-3g", Params: map[string]any{
+	same, err := canonical(r, spec.Spec{Name: "study-3g", Params: map[string]any{
 		"duration": "4h", "users": "50", "diurnal": true,
 	}})
 	if err != nil {
@@ -94,7 +100,7 @@ func TestCohortCanonicalStability(t *testing.T) {
 		{"users": 50, "diurnal": false},
 		{"users": 50, "seedstride": 2},
 	} {
-		got, err := r.Canonical(spec.Spec{Name: "study-3g", Params: mutated})
+		got, err := canonical(r, spec.Spec{Name: "study-3g", Params: mutated})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,8 @@
 # lint.sh is the single lint entry point, run identically by developers and
 # by the CI lint job — so the two can never drift. It runs, in order:
 #
-#   1. gofmt        (formatting; vendor/ excluded)
+#   1. gofmt        (formatting, the nested perfbench module included;
+#                    vendor/ excluded)
 #   2. go vet       (stock analyzers)
 #   3. rrclint      (the repo's determinism analyzers, via go vet -vettool;
 #                    see internal/analysis and docs/architecture.md)
@@ -26,7 +27,7 @@ strict="${RRC_LINT_STRICT:-0}"
 fail=0
 
 echo "==> gofmt"
-unformatted=$(gofmt -l ./*.go cmd internal examples)
+unformatted=$(gofmt -l ./*.go cmd internal examples perfbench)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed on:" >&2
     echo "$unformatted" >&2
