@@ -206,14 +206,16 @@ func statusQuoScheme() fleet.Scheme { return fleet.StatusQuoScheme() }
 // fleet cohorts.
 func sliceJob(tr trace.Trace, seed int64, prof power.Profile, s fleet.Scheme, opts *sim.Options) fleet.Job {
 	return fleet.Job{
-		Seed:     seed,
-		Source:   func(int64) trace.Source { return tr.Source() },
-		Profile:  prof,
-		Scheme:   s.Name,
-		Demote:   s.Demote,
-		Active:   s.Active,
-		FitTrace: s.FitTrace,
-		Opts:     opts,
+		Seed:      seed,
+		Source:    func(int64) trace.Source { return tr.Source() },
+		Profile:   prof,
+		Scheme:    s.Name,
+		Demote:    s.Demote,
+		Active:    s.Active,
+		Opts:      opts,
+		PolicyKey: s.PolicyKey,
+		DemoteFit: s.DemoteFit,
+		ActiveFit: s.ActiveFit,
 	}
 }
 

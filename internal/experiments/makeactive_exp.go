@@ -64,7 +64,8 @@ func delayTable(title string, users []workload.User, prof power.Profile, cfg Con
 			Active: func(trace.Trace, power.Profile) (policy.ActivePolicy, error) {
 				return policy.NewLearnedDelay(), nil
 			}},
-		{Name: "fixed", Demote: fleet.MakeIdleScheme().Demote, FitTrace: true,
+		{Name: "fixed", Demote: fleet.MakeIdleScheme().Demote,
+			FitTrace: true, ActiveFit: fleet.FitKey{Spec: "fix|burstgap=1s"},
 			Active: func(tr trace.Trace, prof power.Profile) (policy.ActivePolicy, error) {
 				return policy.NewFixedDelay(tr, &prof, time.Second), nil
 			}},

@@ -13,26 +13,29 @@ import (
 
 // Scheme couples a label with the policy factories that realize it. The
 // factories receive the profile, and factories get a nil trace unless
-// FitTrace is set: trace-fitted baselines (95% IAT, MakeActive-Fix) set it
-// so the worker materializes one fit pass for them (see Job.FitTrace).
-// Schemes whose policies learn online leave it unset and replay in O(1)
-// memory.
+// DemoteFit or ActiveFit names their half: trace-fitted baselines (95%
+// IAT, MakeActive-Fix) name it so the worker materializes one fit pass
+// for them (see Job.DemoteFit). Schemes whose policies learn online leave
+// both zero and replay in O(1) memory.
 type Scheme struct {
-	Name     string
-	Demote   func(tr trace.Trace, prof power.Profile) (policy.DemotePolicy, error)
-	Active   func(tr trace.Trace, prof power.Profile) (policy.ActivePolicy, error)
+	Name   string
+	Demote func(tr trace.Trace, prof power.Profile) (policy.DemotePolicy, error)
+	Active func(tr trace.Trace, prof power.Profile) (policy.ActivePolicy, error)
+	// FitTrace reports that DemoteFit or ActiveFit names a fitted half.
 	FitTrace bool
+	// WaitRule declares that the demote half decides by a wait rule
+	// (sim.Wait) under every profile: the registry schema's WaitRule
+	// capability, which the grid planner reads to build its WaitPlan.
+	WaitRule bool
 	// PolicyKey, when non-empty, marks the factories as pure functions of
 	// (key, fit trace, profile), letting workers reuse constructed
 	// policies across jobs (see Job.PolicyKey). ResolveScheme derives it
 	// from the registry's canonical encoding; hand-built schemes may
 	// leave it empty to always construct fresh.
 	PolicyKey string
-	// DemoteFit and ActiveFit name the trace-fitted halves for the trace
-	// cache's fit memo (see Job.DemoteFit and FitKey). ResolveScheme
-	// derives them from the registry's capabilities; a hand-built
-	// FitTrace scheme may leave both zero, and then fits both factories
-	// per job.
+	// DemoteFit and ActiveFit name the trace-fitted halves for the fit
+	// pass and the trace cache's fit memo (see Job.DemoteFit and FitKey).
+	// ResolveScheme derives them from the registry's capabilities.
 	DemoteFit, ActiveFit FitKey
 }
 
@@ -125,9 +128,9 @@ func (c *Cohort) buildSources() []func(int64) trace.Source {
 // profile. Jobs carry source constructors, not traces: each worker streams
 // its user's packets from the seed on demand, replays them once per
 // scheme, and never holds the trace — per-worker memory is independent of
-// c.Duration (except under FitTrace schemes, which materialize one pass to
-// fit, once per user and fitted half while the trace cache retains the
-// user's slab). Baselines are enabled so summaries get relative metrics.
+// c.Duration (except under trace-fitted schemes, which materialize one
+// pass to fit, once per user and fitted half while the trace cache retains
+// the user's slab). Baselines are enabled so summaries get relative metrics.
 func (c Cohort) Jobs(prof power.Profile, schemes []Scheme) []Job {
 	stride := c.SeedStride
 	if stride < 1 {
@@ -159,7 +162,6 @@ func (c Cohort) Jobs(prof power.Profile, schemes []Scheme) []Job {
 				Scheme:    s.Name,
 				Demote:    s.Demote,
 				Active:    s.Active,
-				FitTrace:  s.FitTrace,
 				Opts:      c.Opts,
 				Baseline:  true,
 				CacheKey:  cacheKey,

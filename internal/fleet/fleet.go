@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 
 	"repro/internal/policy"
@@ -110,7 +109,7 @@ type Job struct {
 	// The worker pulls packets on demand, so per-worker memory is
 	// independent of trace duration. Without a trace cache the constructor
 	// is invoked once per pass (the replay, plus the baseline and the fit
-	// pass when those are set), so it must be deterministic in Seed; with
+	// pass when those are needed), so it must be deterministic in Seed; with
 	// one, every pass reads the slab it generated once per CacheKey. A
 	// materialized trace adapts by returning a fresh cursor over the slice
 	// (trace.Trace.Source) from every call.
@@ -121,58 +120,29 @@ type Job struct {
 	Scheme string
 	// Demote constructs the demote policy for this job; it must return a
 	// fresh policy (jobs share nothing). Factories get a nil trace unless
-	// FitTrace is set.
+	// DemoteFit or ActiveFit names their half.
 	Demote func(tr trace.Trace, prof power.Profile) (policy.DemotePolicy, error)
 	// Active constructs the batching policy; a nil factory (or a nil
 	// policy from it) disables batching. Errors fail the job like Demote
 	// errors do.
 	Active func(tr trace.Trace, prof power.Profile) (policy.ActivePolicy, error)
-	// FitTrace marks policy factories that must see the materialized
-	// trace (95% IAT quantile fitting, MakeActive-Fix). The worker then
-	// collects one pass of the source into its reusable fit slice and runs
-	// the factories against it before replaying, so only the fit itself is
-	// O(trace) in memory and both replays stay O(1). The factories must
-	// neither modify nor retain the trace: the job's other passes over a
-	// cached slab replay it, and the worker's next fit overwrites it. When
-	// DemoteFit or ActiveFit names the fitted halves, only those see the
-	// trace, and the fit of a slab Options.TraceCache retains runs once
-	// per (half, slab) for every job sharing it; otherwise both factories
-	// fit per job.
-	FitTrace bool
 	// Opts are the simulation options for both the run and its baseline.
 	Opts *sim.Options
 	// Baseline also replays the trace under policy.StatusQuo so the fold
 	// can compute relative metrics (savings, switch ratio). The baseline
 	// depends only on the packets, Profile and Opts: it is the replay
-	// under the tail-clamped constant wait, so when the job's slab is
-	// retained by Options.TraceCache it comes from the slab's wait-rule
-	// memo, replayed once per (slab, Profile, Opts) and reused by every
-	// other job sharing them. runJob looks the baseline up before the
-	// job's own replay, so in a grid it is the baseline lookup that claims
-	// the Waits and FitWaits batch.
+	// under the tail-clamped constant wait, so it comes from the wait table
+	// of the job's Plan when Options.TraceCache retains the job's slab.
 	Baseline bool
-	// Waits lists, per profile, the wait rules (sim.Wait: constant waits
-	// and Oracle thresholds) that other jobs over the same packets and Opts
-	// replay, such as a grid's fixedtail axis and its Oracle on every
-	// carrier of the grid. The first memo lookup of a retained slab under
-	// Opts claims every (profile, rule) listed here, and every rule
-	// FitWaits fits to, that no one has claimed yet, with its own, and
-	// replays them all in one sim.Engine.RunWaits pass, so one decode
-	// serves every profile and the later jobs find their replay done. Both
-	// are purely a schedule: any lists, nil included, yield the same
-	// bytes. A set whose profile fails validation is left out of the
-	// pass, so it cannot fail the jobs of other profiles; its own jobs
-	// report the error. Jobs sharing one cohort may share the slices,
-	// which the runtime only reads.
-	Waits []sim.WaitSet
-	// FitWaits lists trace-fitted demote halves of other jobs over the
-	// same packets whose fitted policy is a wait rule, such as a grid's
-	// 95% IAT timer. The claiming lookup fits each through the trace
-	// cache's fit memo (so each is fitted once per slab, whoever asks
-	// first; a ProfileFree half once for every profile, other halves once
-	// per profile) and adds its rule under Profile and every profile of
-	// Waits to its pass, clamped to each profile's tail.
-	FitWaits []FitWait
+	// Plan, when non-nil, is the wait axis of the grid the job belongs to
+	// (see WaitPlan), shared read-only by every job of the grid. When
+	// Options.TraceCache retains the job's slab and the job's Opts are the
+	// plan's, the job reads its baseline, and its own Result when its
+	// demote policy is a wait rule (sim.WaitOf) with no batching half and
+	// no logs asked for, from the plan's wait table over the slab, built by
+	// the first job of the plan to reach it. It is purely a schedule: any
+	// plan, nil included, yields the same bytes.
+	Plan *WaitPlan
 	// CacheKey, when non-empty, lets Options.TraceCache memoize the job's
 	// packets. The key must determine the packet stream completely
 	// (generator config plus Seed); Cohort.Jobs derives one from the
@@ -183,16 +153,20 @@ type Job struct {
 	// key must determine the factories' output completely up to the trace
 	// and profile (the registry's canonical spec encoding qualifies).
 	// Workers reuse per (PolicyKey, Profile) the halves that are not
-	// trace-fitted: the whole pair of a non-FitTrace job, and the half
-	// DemoteFit/ActiveFit leave unnamed in a mixed pair. Fitted halves
-	// are shared through the trace cache's fit memo instead, and the
-	// pairs of FitTrace jobs naming neither half are never reused. Empty
-	// constructs fresh policies per job.
+	// trace-fitted; fitted halves are shared through the trace cache's fit
+	// memo instead. Empty constructs fresh policies per job.
 	PolicyKey string
-	// DemoteFit and ActiveFit name the trace-fitted halves of a FitTrace
-	// job's pair for the trace cache's fit memo (see FitKey); a zero
-	// FitKey marks a half that is not fitted. Cohort.Jobs copies them
-	// from the Scheme, which ResolveScheme derives from the registry.
+	// DemoteFit and ActiveFit name the trace-fitted halves of the job's
+	// pair (see FitKey); a zero FitKey marks a half that is not fitted.
+	// The worker collects one pass of the job's packets into its reusable
+	// fit slice and runs the named factories against it before replaying,
+	// so only the fit itself is O(trace) in memory and the replays stay
+	// O(1). The factories must neither modify nor retain the trace: the
+	// job's other passes over a cached slab replay it, and the worker's
+	// next fit overwrites it. The fit of a slab Options.TraceCache retains
+	// runs once per (half, slab) for every job sharing it. Cohort.Jobs
+	// copies them from the Scheme, which ResolveScheme derives from the
+	// registry.
 	DemoteFit, ActiveFit FitKey
 }
 
@@ -206,13 +180,6 @@ type Job struct {
 type FitKey struct {
 	Spec        string
 	ProfileFree bool
-}
-
-// FitWait is one trace-fitted demote half: its fit memo key and its
-// factory, which must meet FitKey's contract.
-type FitWait struct {
-	Key    FitKey
-	Demote func(tr trace.Trace, prof power.Profile) (policy.DemotePolicy, error)
 }
 
 // Outcome hands one finished job to the fold. Result is only valid during
@@ -232,9 +199,8 @@ type Outcome struct {
 
 // Baseline is all the fold reads of a job's StatusQuo replay: the total
 // energy and the promotion count, the denominators of the savings and
-// switch-ratio metrics. Holding just these two scalars is what lets the
-// trace cache share one baseline replay between every job of a (user,
-// profile, options), and replay it with every other profile's.
+// switch-ratio metrics. Holding just these two scalars is what lets every
+// job of a (user, profile, options) read one baseline from a wait table.
 type Baseline struct {
 	TotalJ     float64
 	Promotions int
@@ -304,13 +270,8 @@ type workerState struct {
 	fitFrom  []byte
 	slice    trace.SliceSource
 
-	// batch, results and flat are the wait-rule passes' scratch: the
-	// rules a memo lookup offers to claim under its own profile and the
-	// pass's Results (baselines included), carved from flat, which the
-	// memo copies out before the worker's next pass.
-	batch   []sim.Wait
-	results [][]sim.Result
-	flat    []sim.Result
+	// base is the reusable Result of baselines the job replays itself.
+	base sim.Result
 }
 
 // open starts one pass over the job's packets: the cached slab through the
@@ -368,81 +329,23 @@ func (ws *workerState) replay(job *Job, slab []byte, tc *TraceCache, slot *sim.R
 	return slot, nil
 }
 
-// waitPass replays one pass of the job's packets under every wait set
-// into the worker's wait results, from the fit trace when the job's fits
-// have just collected the slab (see open). Only a baseline replays under options
-// that ask for decision or episode logs, and it reads two scalars, which
-// the logs do not change, so the pass drops them.
-func (ws *workerState) waitPass(job *Job, slab []byte, tc *TraceCache, sets []sim.WaitSet) ([][]sim.Result, error) {
+// baseline replays the job's StatusQuo baseline itself, into the
+// worker's base slot. It reads two scalars, which per-policy logs do not
+// change, so it drops any the job's options ask for.
+func (ws *workerState) baseline(job *Job, slab []byte, tc *TraceCache) (Baseline, error) {
 	src, err := ws.open(job, slab, tc)
 	if err != nil {
-		return nil, err
-	}
-	n := 0
-	for _, s := range sets {
-		n += len(s.Rules)
-	}
-	ws.flat = slices.Grow(ws.flat[:0], n)[:n]
-	ws.results = ws.results[:0]
-	off := 0
-	for _, s := range sets {
-		end := off + len(s.Rules)
-		ws.results = append(ws.results, ws.flat[off:end:end])
-		off = end
+		return Baseline{}, err
 	}
 	opts := job.Opts
 	if records(opts) {
-		plain := sim.Options{BurstGap: opts.BurstGap}
+		plain := plainOpts(opts)
 		opts = &plain
 	}
-	if err = ws.engine.RunWaits(src, sets, opts, ws.results); err != nil {
-		return nil, err
+	if err := ws.engine.RunSourceInto(&ws.base, src, job.Profile, policy.StatusQuo{}, nil, opts); err != nil {
+		return Baseline{}, err
 	}
-	return ws.results, nil
-}
-
-// fitWaits resolves the job's FitWaits to their wait rules through tc's
-// fit memo, fitting on the worker's scratch trace where the memo misses,
-// one wait set per profile: the job's own, then each of Waits'. A
-// ProfileFree half is looked up once and its rule shared by every
-// profile; any other half is fitted per profile. A half whose fit fails
-// or whose policy is no wait rule adds nothing: its own job replays it,
-// and reports the error, as it would without the batch. It runs only on
-// a claiming miss, so the lists are allocated.
-func (ws *workerState) fitWaits(job *Job, slab []byte, tc *TraceCache) []sim.WaitSet {
-	sets := []sim.WaitSet{{Prof: job.Profile}}
-	for _, s := range job.Waits {
-		if !slices.ContainsFunc(sets, func(o sim.WaitSet) bool { return o.Prof == s.Prof }) {
-			sets = append(sets, sim.WaitSet{Prof: s.Prof})
-		}
-	}
-	resolve := func(fw *FitWait, prof power.Profile) (sim.Wait, bool) {
-		v, err := tc.fit(job.CacheKey, policy.RoleDemote, fw.Key, prof, func() (any, error) {
-			tr, err := ws.collect(job, slab, tc)
-			if err != nil {
-				return nil, err
-			}
-			return fw.Demote(tr, prof)
-		})
-		if d, ok := v.(policy.DemotePolicy); ok && err == nil {
-			return sim.WaitOf(d)
-		}
-		return sim.Wait{}, false
-	}
-	for i := range job.FitWaits {
-		fw := &job.FitWaits[i]
-		var r sim.Wait
-		var ok bool
-		for k := range sets {
-			if k == 0 || !fw.Key.ProfileFree {
-				r, ok = resolve(fw, sets[k].Prof)
-			}
-			if ok {
-				sets[k].Rules = append(sets[k].Rules, r)
-			}
-		}
-	}
-	return sets
+	return Baseline{TotalJ: ws.base.TotalJ(), Promotions: ws.base.Promotions}, nil
 }
 
 // records reports whether opts ask the engine for per-policy logs.
@@ -479,26 +382,17 @@ var workerPool = sync.Pool{New: func() any {
 // are not trace-fitted come from the worker's cache when PolicyKey is
 // set; the fitted halves named by DemoteFit/ActiveFit come from tc's fit
 // memo on the job's slab, or are fitted here when tc does not retain it.
-// A FitTrace job naming neither half fits both factories per job. A fit
-// collects one pass of the packets (from slab when non-nil) into the
-// worker's fit trace, shared by the pair's fitted halves and, over a
+// A fit collects one pass of the packets (from slab when non-nil) into
+// the worker's fit trace, shared by the pair's fitted halves and, over a
 // cached slab, by the job's replays (see open).
 func (ws *workerState) policyPair(job *Job, slab []byte, tc *TraceCache) (policy.DemotePolicy, policy.ActivePolicy, error) {
-	fitD := job.FitTrace && job.DemoteFit.Spec != ""
-	fitA := job.FitTrace && job.ActiveFit.Spec != "" && job.Active != nil
-	if job.FitTrace && !fitD && !fitA {
-		tr, err := ws.collect(job, slab, tc)
-		if err != nil {
-			return nil, nil, err
-		}
-		return buildPair(job, tr, true, true)
-	}
-
+	fitD := job.DemoteFit.Spec != ""
+	fitA := job.ActiveFit.Spec != "" && job.Active != nil
 	ck := policyCacheKey{key: job.PolicyKey, prof: job.Profile}
 	p, ok := ws.policies[ck]
 	if !ok || ck.key == "" {
 		var err error
-		if p.demote, p.active, err = buildPair(job, nil, !fitD, !fitA); err != nil {
+		if p.demote, p.active, err = buildPair(job, !fitD, !fitA); err != nil {
 			return nil, nil, err
 		}
 		if ck.key != "" {
@@ -561,16 +455,16 @@ func (ws *workerState) collect(job *Job, slab []byte, tc *TraceCache) (trace.Tra
 	return nil, fmt.Errorf("collecting source for fit: %w", err)
 }
 
-// buildPair runs the job's factories for the requested halves against tr
-// (nil unless fitting), leaving the other halves nil.
-func buildPair(job *Job, tr trace.Trace, demote, active bool) (d policy.DemotePolicy, a policy.ActivePolicy, err error) {
+// buildPair runs the job's factories for the requested halves, which are
+// not fitted, with a nil trace, leaving the other halves nil.
+func buildPair(job *Job, demote, active bool) (d policy.DemotePolicy, a policy.ActivePolicy, err error) {
 	if demote {
-		if d, err = job.Demote(tr, job.Profile); err != nil {
+		if d, err = job.Demote(nil, job.Profile); err != nil {
 			return nil, nil, err
 		}
 	}
 	if active && job.Active != nil {
-		if a, err = job.Active(tr, job.Profile); err != nil {
+		if a, err = job.Active(nil, job.Profile); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -871,19 +765,16 @@ func runShard[A any](jobs []Job, s, nshards int, ws *workerState, acc Accumulato
 // duplicate the generation), and every pass decodes zero-copy through the
 // worker's cursor. The retained slab's cache entry memoizes the user's
 // fitted policy halves under (spec, plus the profile when the fit reads
-// it) and its wait-rule replays under (options, profile, clamped rule).
-// The baseline is the tail-clamped replay, looked up first, and a job
-// whose demote policy sim.WaitOf recognizes (a constant wait or the
-// Oracle), with no batching policy and no logs asked for, takes its own
-// replay from the same memo, stamped with the policy's name exactly as
-// the engine stamps it. A miss claims the job's Waits, and the rules its
-// FitWaits fit to, with its own rule and replays them in one
-// sim.Engine.RunWaits pass, so one decode serves a grid's whole wait axis
-// on every profile for the user. Every other job opens a fresh source per
-// pass, fits and replays its own baseline, so worker memory stays bounded
-// by burst structure regardless of trace duration. The codec round-trips
-// exactly, a fit is a pure function of its key and RunWaits yields each
-// rule the scalars of its own replay bit for bit, so every choice is
+// it) and the wait table of the job's Plan. The baseline is the table's
+// tail-clamped rule, and a job whose demote policy sim.WaitOf recognizes
+// (a constant wait or the Oracle), with no batching policy and no logs
+// asked for, takes its own Result from the table too, stamped with the
+// policy's name exactly as the engine stamps it. Every other job, and
+// every job the table does not serve, opens a fresh source per pass,
+// fits and replays itself, so worker memory stays bounded by burst
+// structure regardless of trace duration. The codec round-trips exactly,
+// a fit is a pure function of its key and RunWaits yields each rule the
+// scalars of its own replay bit for bit, so every choice is
 // byte-identical. reuse (from Accumulator.Transient) routes the scheme
 // replay into the worker's Result slot; the Outcome then aliases worker
 // scratch and is valid only during the fold, exactly what Outcome's
@@ -902,26 +793,18 @@ func runJob(job *Job, index int, ws *workerState, tc *TraceCache, reuse bool) (O
 	if err != nil {
 		return out, err
 	}
-	rule, memo := sim.WaitOf(demote)
-	memo = memo && active == nil && !records(job.Opts) && slab != nil
-	pass := func(sets []sim.WaitSet) ([][]sim.Result, error) {
-		return ws.waitPass(job, slab, tc, sets)
-	}
-	// A job that logs replays no memoized scheme, so its baseline claims
-	// nothing for the others.
-	var batch waitBatch
-	if !records(job.Opts) {
-		batch.sets = job.Waits
-		if len(job.FitWaits) > 0 {
-			batch.fitted = func() []sim.WaitSet { return ws.fitWaits(job, slab, tc) }
+	rule, ruled := sim.WaitOf(demote)
+	ruled = ruled && active == nil && !records(job.Opts)
+	var t *waitTable
+	if job.Baseline || ruled {
+		if t, err = ws.table(job, slab, tc); err != nil {
+			return out, fmt.Errorf("wait table: %w", err)
 		}
 	}
 	if job.Baseline {
-		if memo {
-			ws.batch = append(ws.batch[:0], rule)
-			batch.rules = ws.batch
-		}
-		if out.Baseline, err = tc.baseline(job.CacheKey, job.Profile, job.Opts, batch, pass); err != nil {
+		if b := t.result(&job.Profile, sim.Wait{D: policy.Never}); b != nil {
+			out.Baseline = Baseline{TotalJ: b.TotalJ(), Promotions: b.Promotions}
+		} else if out.Baseline, err = ws.baseline(job, slab, tc); err != nil {
 			return out, fmt.Errorf("baseline: %w", err)
 		}
 	}
@@ -929,23 +812,15 @@ func runJob(job *Job, index int, ws *workerState, tc *TraceCache, reuse bool) (O
 	if reuse {
 		mainSlot = &ws.main
 	}
-	if !memo {
-		if out.Result, err = ws.replay(job, slab, tc, mainSlot, demote, active); err != nil {
-			return out, err
+	if r := t.result(&job.Profile, rule); ruled && r != nil {
+		if mainSlot == nil {
+			mainSlot = new(sim.Result)
 		}
+		*mainSlot = *r
+		mainSlot.Policy = demote.Name()
+		out.Result = mainSlot
 		return out, nil
 	}
-	ws.batch = append(ws.batch[:0], sim.Wait{D: policy.Never})
-	batch.rules = ws.batch
-	r, err := tc.ruleReplay(job.CacheKey, job.Profile, job.Opts, rule, batch, pass)
-	if err != nil {
-		return out, err
-	}
-	if mainSlot == nil {
-		mainSlot = new(sim.Result)
-	}
-	*mainSlot = r
-	mainSlot.Policy = demote.Name()
-	out.Result = mainSlot
-	return out, nil
+	out.Result, err = ws.replay(job, slab, tc, mainSlot, demote, active)
+	return out, err
 }

@@ -189,8 +189,8 @@ func TestExplicitTraceJobs(t *testing.T) {
 		Demote: func(tr trace.Trace, _ power.Profile) (policy.DemotePolicy, error) {
 			return policy.NewPercentileIAT(tr, 0.95), nil
 		},
-		FitTrace: true,
-		Baseline: true,
+		DemoteFit: FitKey{Spec: "pctiat(q=0.95)", ProfileFree: true},
+		Baseline:  true,
 	}}
 	s, err := RunSummary(jobs, Options{}, SummaryConfig{})
 	if err != nil {

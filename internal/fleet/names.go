@@ -54,9 +54,10 @@ type ResolvedScheme struct {
 
 // ResolveScheme resolves a SchemeSpec against a registry in one pass per
 // role: parameters are coerced and bounds-checked eagerly (so typos and
-// out-of-range sweeps fail before a fleet spins up), FitTrace is derived
-// from the schemas' trace-fitted capability instead of being hand-set,
-// and the policy factories close over the resolved parameters.
+// out-of-range sweeps fail before a fleet spins up), FitTrace, WaitRule
+// and the fit keys are derived from the schemas' capabilities instead of
+// being hand-set, and the policy factories close over the resolved
+// parameters.
 func ResolveScheme(reg *policy.Registry, ss SchemeSpec) (ResolvedScheme, error) {
 	d, err := reg.Resolution(policy.RoleDemote, ss.Policy)
 	if err != nil {
@@ -79,6 +80,7 @@ func ResolveScheme(reg *policy.Registry, ss SchemeSpec) (ResolvedScheme, error) 
 			return d.Schema.NewDemote(d.Params, tr, prof)
 		},
 		FitTrace: d.Schema.TraceFitted || a.Schema.TraceFitted,
+		WaitRule: d.Schema.WaitRule,
 	}
 	if a.Schema.Name != ActiveNone {
 		s.Active = func(tr trace.Trace, prof power.Profile) (policy.ActivePolicy, error) {

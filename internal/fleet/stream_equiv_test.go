@@ -100,7 +100,7 @@ func TestFitTraceSchemeStreams(t *testing.T) {
 	}
 }
 
-// TestFitPassSeesTraceThenReplayStreams: a FitTrace Source job hands its
+// TestFitPassSeesTraceThenReplayStreams: a fitted Source job hands its
 // policy factories the materialized trace exactly once (the fit pass) and
 // still produces results identical to a fully materialized run — the
 // factories must not rely on the trace surviving into the replay, because
@@ -109,12 +109,13 @@ func TestFitPassSeesTraceThenReplayStreams(t *testing.T) {
 	cohort := fleet.Cohort{Users: 3, Seed: 13, Duration: 20 * time.Minute, Mixes: workload.Verizon3GUsers()}
 	var fits, calls int
 	scheme := fleet.Scheme{
-		Name:     "recording-95iat",
-		FitTrace: true,
+		Name:      "recording-95iat",
+		FitTrace:  true,
+		DemoteFit: fleet.FitKey{Spec: "recording-95iat", ProfileFree: true},
 		Demote: func(tr trace.Trace, _ power.Profile) (policy.DemotePolicy, error) {
 			calls++
 			if tr == nil {
-				t.Error("FitTrace factory called with a nil trace")
+				t.Error("fitted factory called with a nil trace")
 			} else {
 				fits++
 			}

@@ -19,8 +19,8 @@ import (
 // contents record by record, so a scheduling-dependent byte anywhere in
 // the pipeline fails loudly. The reference runs with the trace cache off,
 // and every level runs with it on and off: with it on, which cell
-// replays a (user, profile) baseline first and which reuse it from the
-// memo is decided by scheduling. Run under -race this also exercises the
+// builds a user's wait table and which read it is decided by
+// scheduling. Run under -race this also exercises the
 // executor's synchronization.
 func TestCellParallelDeterminism(t *testing.T) {
 	spec := Spec{Seed: 11, Shards: 2,
@@ -57,7 +57,7 @@ func TestCellParallelDeterminism(t *testing.T) {
 }
 
 // cellParallelRun is one TestCellParallelDeterminism level: the spec run
-// on a worker budget of par tokens, with the baseline memo on or off,
+// on a worker budget of par tokens, with the wait tables on or off,
 // against the sequential reference's result and store.
 func cellParallelRun(t *testing.T, par int, memo bool, spec Spec, want *Result, refStore *store.Store) {
 	st, err := store.Open(store.Config{Dir: t.TempDir()})
@@ -78,8 +78,8 @@ func cellParallelRun(t *testing.T, par int, memo bool, spec Spec, want *Result, 
 	}
 	assertSameResult(t, want, got)
 	assertSameSummaries(t, want, got)
-	if hits := m.TraceCacheStats().BaselineHits; (hits > 0) != memo {
-		t.Fatalf("memo=%v but %d baselines were served from it", memo, hits)
+	if tables := m.TraceCacheStats().ReplayPasses; (tables > 0) != memo {
+		t.Fatalf("memo=%v but %d wait tables were built", memo, tables)
 	}
 	// The store must hold the same records the sequential run wrote: same
 	// keys, same bytes — completion-order writes are invisible.

@@ -4,12 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/policy"
 	"repro/internal/power"
 	"repro/internal/sim"
 )
@@ -43,11 +43,9 @@ type gridCell struct {
 	cohort  fleet.Cohort
 	profile power.Profile
 	scheme  fleet.Scheme
-	// waits are the wait rules of the grid's schemes under each of its
-	// profiles and fitWaits their fitted constant-wait halves (planWaits),
-	// shared by every cell of the grid and stamped into each job.
-	waits    []sim.WaitSet
-	fitWaits []fleet.FitWait
+	// plan is the grid's wait axis (planWaits), shared by every cell of
+	// the grid and stamped into each job.
+	plan *fleet.WaitPlan
 
 	// NumJobs and Shards are the cell's progress denominators: the fleet
 	// run's job count (one per user — each cell is a single scheme) and
@@ -56,56 +54,48 @@ type gridCell struct {
 	NumJobs, Shards int
 }
 
-// Jobs materializes the cell's fleet run. Every job carries every
-// profile's wait rules and the fitted constant-wait halves, so whichever
-// cell of a cohort first misses the trace cache's wait-rule memo for a
-// user replays the whole wait axis on every profile in one pass.
+// Jobs materializes the cell's fleet run. Every job carries the grid's
+// wait plan, so whichever cell of a cohort first reaches a user builds the
+// plan's wait table on every profile in one pass, and every other cell
+// reads it.
 func (c *gridCell) Jobs() []fleet.Job {
 	jobs := c.cohort.Jobs(c.profile, []fleet.Scheme{c.scheme})
 	for i := range jobs {
-		jobs[i].Waits, jobs[i].FitWaits = c.waits, c.fitWaits
+		jobs[i].Plan = c.plan
 	}
 	return jobs
 }
 
-// planWaits returns what the grid's jobs replay under each profile as
-// wait rules: per profile, the distinct clamped rules (sim.Wait.Clamped)
-// of the StatusQuo baseline every job replays (the tail-clamped wait,
-// first) and of the schemes with no trace-fitted and no batching half,
-// and the fitted
-// demote halves of the schemes with no batching half whose policy is a
-// wait rule under some profile. Each scheme builds its demote policy once
-// per profile with a nil trace (which gives the Oracle's threshold for
-// that profile), and sim.WaitOf says whether it is a wait rule. A scheme
-// whose factory fails contributes nothing; its cells fail on their own.
-func planWaits(schemes []fleet.ResolvedScheme, profs []power.ResolvedProfile) (waits []sim.WaitSet, fitted []fleet.FitWait) {
-	for _, pa := range profs {
-		set := sim.WaitSet{Prof: pa.Profile, Rules: []sim.Wait{{D: pa.Profile.Tail()}}}
+// planWaits returns the grid's wait plan: per profile, the StatusQuo
+// baseline every job replays (the tail-clamped wait, first) and the rule
+// of each scheme whose demote half declares the WaitRule capability and
+// has neither a fitted nor a batching half; and the fitted demote halves
+// of the WaitRule schemes with no batching half. Only those schemes build
+// a policy, once per profile with a nil trace (which gives the Oracle's
+// threshold for that profile). A scheme whose factory fails contributes
+// nothing; its cells fail on their own.
+func planWaits(schemes []fleet.ResolvedScheme, profs []power.ResolvedProfile, opts *sim.Options) *fleet.WaitPlan {
+	sets := make([]sim.WaitSet, len(profs))
+	for i, pa := range profs {
+		rules := append(make([]sim.Wait, 0, 1+len(schemes)), sim.Wait{D: policy.Never})
 		for _, rs := range schemes {
-			s := rs.Scheme
-			if s.Active != nil || (s.FitTrace && s.DemoteFit.Spec == "") {
-				continue
-			}
-			d, err := s.Demote(nil, set.Prof)
-			if err != nil {
-				continue
-			}
-			r, ok := sim.WaitOf(d)
-			switch {
-			case !ok:
-			case s.FitTrace:
-				if !slices.ContainsFunc(fitted, func(f fleet.FitWait) bool { return f.Key == s.DemoteFit }) {
-					fitted = append(fitted, fleet.FitWait{Key: s.DemoteFit, Demote: s.Demote})
-				}
-			default:
-				if r = r.Clamped(set.Prof.Tail()); !slices.Contains(set.Rules, r) {
-					set.Rules = append(set.Rules, r)
+			if s := rs.Scheme; s.WaitRule && s.Active == nil && s.DemoteFit.Spec == "" {
+				if d, err := s.Demote(nil, pa.Profile); err == nil {
+					if r, ok := sim.WaitOf(d); ok {
+						rules = append(rules, r)
+					}
 				}
 			}
 		}
-		waits = append(waits, set)
+		sets[i] = sim.WaitSet{Prof: pa.Profile, Rules: rules}
 	}
-	return waits, fitted
+	var fitted []fleet.FitWait
+	for _, rs := range schemes {
+		if s := rs.Scheme; s.WaitRule && s.Active == nil && s.DemoteFit.Spec != "" {
+			fitted = append(fitted, fleet.FitWait{Key: s.DemoteFit, Demote: s.Demote})
+		}
+	}
+	return fleet.NewWaitPlan(sets, fitted, opts)
 }
 
 // planFingerprint validates the normalized spec's axes, computes its v4
@@ -196,23 +186,22 @@ func (s Spec) planFingerprint(opts fleet.Options) ([]gridCell, string, error) {
 	sum := sha256.Sum256(b)
 	fp := hex.EncodeToString(sum[:])
 
-	waits, fitWaits := planWaits(sas, pas)
+	plan := planWaits(sas, pas, simOpts)
 	cells := make([]gridCell, 0, len(s.Schemes)*len(s.Profiles)*len(s.Cohorts))
 	for _, ca := range cas {
 		for _, pa := range pas {
 			for _, sa := range sas {
 				cells = append(cells, gridCell{
-					Scheme:   sa.Scheme.Name,
-					Profile:  pa.Profile.Name,
-					Cohort:   ca.Label,
-					Key:      cellKey(scalars, sa.Canonical, pa.Canonical, ca.Canonical),
-					cohort:   ca.Cohort,
-					profile:  pa.Profile,
-					scheme:   sa.Scheme,
-					waits:    waits,
-					fitWaits: fitWaits,
-					NumJobs:  ca.Cohort.Users,
-					Shards:   opts.NumShards(ca.Cohort.Users),
+					Scheme:  sa.Scheme.Name,
+					Profile: pa.Profile.Name,
+					Cohort:  ca.Label,
+					Key:     cellKey(scalars, sa.Canonical, pa.Canonical, ca.Canonical),
+					cohort:  ca.Cohort,
+					profile: pa.Profile,
+					scheme:  sa.Scheme,
+					plan:    plan,
+					NumJobs: ca.Cohort.Users,
+					Shards:  opts.NumShards(ca.Cohort.Users),
 				})
 			}
 		}

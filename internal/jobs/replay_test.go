@@ -15,10 +15,10 @@ import (
 	"repro/internal/sim"
 )
 
-// The constant-wait memo: each retained slab replays a grid's whole wait
-// axis (the fixedtail and statusquo schemes, the fitted 95iat timer and
-// the StatusQuo baseline) on every profile in one pass per options. These
-// tests pin its counts and that it never changes a byte.
+// The wait tables: each retained slab replays a grid's whole wait axis
+// (the fixedtail, statusquo and oracle schemes, the fitted 95iat timer
+// and the StatusQuo baseline) on every profile in one pass per plan.
+// These tests pin their counts and that they never change a byte.
 
 func fixedTailSpec(wait string) fleet.SchemeSpec {
 	return fleet.SchemeSpec{Policy: policy.Spec{Name: "fixedtail", Params: map[string]any{"wait": wait}}}
@@ -26,7 +26,7 @@ func fixedTailSpec(wait string) fleet.SchemeSpec {
 
 // paperShapedSchemes is the paper grid's scheme axis plus a fixed tail
 // beyond every carrier's tail: the statusquo scheme, the 30s tail and the
-// baseline all replay the tail-clamped wait, so they share one memo.
+// baseline all replay the tail-clamped wait, so they share one table entry.
 var paperShapedSchemes = []fleet.SchemeSpec{
 	{Policy: policy.Spec{Name: "statusquo"}},
 	fixedTailSpec("4.5s"),
@@ -40,12 +40,12 @@ var paperShapedSchemes = []fleet.SchemeSpec{
 // replays: over S schemes (fixed tails, statusquo, the Oracle and the
 // fitted 95iat timer, every one a wait rule) on C cohorts x P profiles x
 // U users, a fresh-seed grid runs exactly one pass per (cohort, user),
-// C·U, for all P profiles, claimed by the first baseline lookup, which
-// resolves the 95iat fit first; every other baseline lookup, C·P·U·S −
-// C·U, and every scheme replay, C·P·U·S, is a memo hit, so no scheme replay runs a
-// pass of its own or goes through the engine. The profile-free fit runs
-// once per (cohort, user), C·U. A resubmission served from the cell cache
-// runs nothing, and a second fresh-seed grid adds the same counts again,
+// C·U, for all P profiles: the user's first job builds the grid plan's
+// wait table, fitting 95iat first, and every baseline and every scheme
+// replay is read from it, so no scheme replay runs a pass of its own or
+// goes through the engine. The profile-free fit runs once per (cohort,
+// user), C·U. A resubmission served from the cell cache runs nothing, and
+// a second fresh-seed grid adds the same counts again,
 // at every worker budget (workersN: one token runs the cells one at a
 // time, four run four cells at once) and every shard count (parN: the
 // partitions each cell's users split into, which the budget's extra
@@ -58,9 +58,7 @@ func TestReplayMemoExactCounts(t *testing.T) {
 		return Spec{Seed: seed, Shards: shards, Schemes: schemes, Profiles: fitProfiles, Cohorts: resumeCohorts}
 	}
 	cu := uint64(len(resumeCohorts) * users)
-	keys := cu * uint64(len(fitProfiles))
-	want := fleet.TraceCacheStats{ReplayPasses: cu, ReplayHits: keys * uint64(len(schemes)),
-		BaselineMisses: cu, BaselineHits: keys*uint64(len(schemes)) - cu, FitMisses: cu}
+	want := fleet.TraceCacheStats{ReplayPasses: cu, FitMisses: cu}
 
 	for _, workers := range []int{1, 4} {
 		for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
@@ -74,9 +72,7 @@ func TestReplayMemoExactCounts(t *testing.T) {
 					st := m.TraceCacheStats()
 					got := fleet.TraceCacheStats{
 						ReplayPasses: st.ReplayPasses - last.ReplayPasses,
-						ReplayHits:   st.ReplayHits - last.ReplayHits, ReplayMisses: st.ReplayMisses - last.ReplayMisses,
-						BaselineHits: st.BaselineHits - last.BaselineHits, BaselineMisses: st.BaselineMisses - last.BaselineMisses,
-						FitMisses: st.FitMisses - last.FitMisses,
+						FitMisses:    st.FitMisses - last.FitMisses,
 					}
 					if got != want {
 						t.Fatalf("%s: added %+v, want %+v", label, got, want)
@@ -93,12 +89,12 @@ func TestReplayMemoExactCounts(t *testing.T) {
 
 // TestTraceCacheOneDecodePerUser pins the one-decode rule on a cold
 // tail-sweep-shaped grid (fixed tails, statusquo, the Oracle and the
-// fitted 95iat timer on four profiles, two cohorts): each (cohort,
-// user)'s claiming miss collects its slab once for the 95iat fit and
-// replays its wait-rule pass from the collected packets, so on one
+// fitted 95iat timer on four profiles, two cohorts): the job that builds
+// each (cohort, user)'s wait table collects its slab once for the 95iat
+// fit and replays the table's pass from the collected packets, so on one
 // worker token the grid decodes exactly one slab per pass, C·U of each,
 // and a resubmission decodes nothing. With four tokens a cell on another
-// worker may fit the user first; the claimer then decodes for its pass,
+// worker may fit the user first; the builder then decodes for its pass,
 // so a pass costs at most one decode beyond the fits.
 func TestTraceCacheOneDecodePerUser(t *testing.T) {
 	const users = 2 // each fixture cohort's population
@@ -132,11 +128,13 @@ func TestTraceCacheOneDecodePerUser(t *testing.T) {
 	}
 }
 
-// TestReplayMemoEquivalence: memo on and memo off render the same bytes
-// and DeepEqual summaries, on a paper-grid-shaped grid (where statusquo,
-// the 30s tail and the baseline share one memo) and on a grid partly
-// served from the cell cache, whose fresh cells replay against memos the
-// earlier grid left on the slabs.
+// TestReplayMemoEquivalence: wait tables on and off render the same
+// bytes and DeepEqual summaries, on a paper-grid-shaped grid (where
+// statusquo, the 30s tail and the baseline share one table entry) and on
+// a wider grid over the same cohort and seed, partly served from the cell
+// cache. The two grids' plans differ, so each builds its own tables over
+// the slabs the first generated: exactly one pass per (cohort, user) per
+// plan.
 func TestReplayMemoEquivalence(t *testing.T) {
 	paper := Spec{Seed: 83, Shards: 2, Schemes: paperShapedSchemes, Profiles: resumeProfiles, Cohorts: resumeCohorts[:1]}
 	wider := paper
@@ -157,11 +155,10 @@ func TestReplayMemoEquivalence(t *testing.T) {
 			assertSameResult(t, wantPaper, got)
 			assertSameSummaries(t, wantPaper, got)
 			const users = 2
-			keys := uint64(users * len(paper.Profiles))
-			// statusquo, 4.5s, 30s and the fitted 95iat timer all hit the
-			// pass of the user's first baseline, which covers both profiles.
-			if st := m.TraceCacheStats(); st.ReplayHits != 4*keys || st.ReplayMisses != 0 || st.ReplayPasses != users ||
-				st.BaselineMisses != users {
+			// statusquo, 4.5s, 30s, the fitted 95iat timer and every
+			// baseline read the table of the user's first job, which
+			// covers both profiles.
+			if st := m.TraceCacheStats(); st.ReplayPasses != users || st.FitMisses != users || st.Misses != users {
 				t.Fatalf("paper-shaped grid: %+v", st)
 			}
 
@@ -172,16 +169,21 @@ func TestReplayMemoEquivalence(t *testing.T) {
 			if served := uint64(len(got.Cells)) - (m.CellsExecuted() - before); served != uint64(len(wantPaper.Cells)) {
 				t.Fatalf("%d cells served from the cell cache, want %d", served, len(wantPaper.Cells))
 			}
+			// The wider plan builds its own table per user over the same
+			// slabs, and reuses each user's fit.
+			if st := m.TraceCacheStats(); st.ReplayPasses != 2*users || st.FitMisses != users || st.Misses != users {
+				t.Fatalf("wider grid: %+v", st)
+			}
 		})
 	}
 }
 
-// TestReplayMemoOrderIndependence is the who-claims-first property for
-// the constant-wait memo: on a one-token budget the first scheme in plan
-// order claims every (user, profile)'s batch, so each rotation of the
-// scheme axis hands the claim to another scheme — a constant wait, a
-// fitted one, or a MakeIdle cell that replays none itself. Every cell
-// must come out the same, matched by label, as in a memo-off run.
+// TestReplayMemoOrderIndependence is the who-builds-first property for
+// the wait tables: on a one-token budget the first scheme in plan order
+// builds every user's table, so each rotation of the scheme axis hands
+// the build to another scheme — a constant wait, a fitted one, or a
+// MakeIdle cell that reads nothing but its baseline. Every cell must come
+// out the same, matched by label, as in a run without tables.
 func TestReplayMemoOrderIndependence(t *testing.T) {
 	base := Spec{Seed: 89, Shards: 2, Schemes: paperShapedSchemes, Profiles: resumeProfiles, Cohorts: resumeCohorts[:1]}
 	label := func(c *CellResult) string { return c.Scheme + "|" + c.Profile + "|" + c.Cohort }
@@ -213,11 +215,11 @@ func TestReplayMemoOrderIndependence(t *testing.T) {
 					t.Fatal(err1, err2)
 				}
 				if c.Key != w.Key || !bytes.Equal(wj, gj) || !reflect.DeepEqual(w.Summary, c.Summary) {
-					t.Fatalf("cell %s differs when %s claims the batches", label(c), got.Cells[0].Scheme)
+					t.Fatalf("cell %s differs when %s builds the tables", label(c), got.Cells[0].Scheme)
 				}
 			}
-			if st := m.TraceCacheStats(); st.ReplayHits == 0 {
-				t.Fatalf("no replay was served from the memo: %+v", st)
+			if st := m.TraceCacheStats(); st.ReplayPasses != 2 {
+				t.Fatalf("want one table per user: %+v", st)
 			}
 		})
 	}
@@ -225,11 +227,13 @@ func TestReplayMemoOrderIndependence(t *testing.T) {
 
 // TestPlanWaits pins the plan-time wait axis: one clamped, deduplicated
 // rule list per profile, in the grid's profile order, from the schemes
-// with neither a fitted nor a batching half — here the statusquo scheme
-// and the 30s tail both clamp to the tail, and the Oracle's threshold is
-// the profile's t_threshold — and one list of fitted constant-wait
-// halves, the 95iat timer's; makeidle and makeidle+learn add nothing.
-// Every cell of the grid, whatever its profile, shares both lists.
+// that declare the WaitRule capability with neither a fitted nor a
+// batching half — here the statusquo scheme and the 30s tail both clamp
+// to the tail, and the Oracle's threshold is the profile's t_threshold —
+// and one list of fitted halves, the 95iat timer's; makeidle and
+// makeidle+learn add nothing. Every job of the grid, whatever its cell,
+// carries the one plan, and planning the spec again gives a plan with the
+// same key, while another profile axis gives another.
 func TestPlanWaits(t *testing.T) {
 	schemes := append(slices.Clone(paperShapedSchemes), fleet.SchemeSpec{Policy: policy.Spec{Name: "oracle"}})
 	spec := Spec{Seed: 1, Shards: 2, Schemes: schemes, Profiles: fitProfiles, Cohorts: resumeCohorts}.withDefaults()
@@ -244,26 +248,44 @@ func TestPlanWaits(t *testing.T) {
 	if len(fitProfiles) < 2 {
 		t.Fatal("the grid needs several profiles")
 	}
+	plan := cells[0].plan
+	if len(plan.Sets) != len(fitProfiles) {
+		t.Fatalf("%d wait sets, want one per profile", len(plan.Sets))
+	}
+	for k, set := range plan.Sets {
+		if set.Prof.Name != cells[k*len(schemes)].Profile {
+			t.Fatalf("wait set %d is %s's, want %s's", k, set.Prof.Name, cells[k*len(schemes)].Profile)
+		}
+		want := []sim.Wait{{D: set.Prof.Tail()}, {D: 4500 * time.Millisecond}, {Oracle: true, D: energy.Threshold(&set.Prof)}}
+		if !slices.Equal(set.Rules, want) {
+			t.Fatalf("%s waits %v, want %v", set.Prof.Name, set.Rules, want)
+		}
+	}
+	if len(plan.Fits) != 1 || plan.Fits[0].Key != iat.Scheme.DemoteFit {
+		t.Fatalf("fitted halves %+v, want the 95iat timer's %+v", plan.Fits, iat.Scheme.DemoteFit)
+	}
+	if plan.Opts != (sim.Options{BurstGap: time.Duration(spec.BurstGap)}) {
+		t.Fatalf("plan options %+v, want the spec's burst gap", plan.Opts)
+	}
 	for _, c := range cells {
-		if len(c.waits) != len(fitProfiles) {
-			t.Fatalf("cell %s/%s: %d wait sets, want one per profile", c.Scheme, c.Profile, len(c.waits))
-		}
-		for k, set := range c.waits {
-			if set.Prof.Name != cells[k*len(schemes)].Profile {
-				t.Fatalf("cell %s/%s: wait set %d is %s's, want %s's", c.Scheme, c.Profile, k, set.Prof.Name, cells[k*len(schemes)].Profile)
-			}
-			want := []sim.Wait{{D: set.Prof.Tail()}, {D: 4500 * time.Millisecond}, {Oracle: true, D: energy.Threshold(&set.Prof)}}
-			if !slices.Equal(set.Rules, want) {
-				t.Fatalf("cell %s/%s: %s waits %v, want %v", c.Scheme, c.Profile, set.Prof.Name, set.Rules, want)
-			}
-		}
-		if len(c.fitWaits) != 1 || c.fitWaits[0].Key != iat.Scheme.DemoteFit {
-			t.Fatalf("cell %s/%s: fitted halves %+v, want the 95iat timer's %+v", c.Scheme, c.Profile, c.fitWaits, iat.Scheme.DemoteFit)
-		}
 		for _, j := range c.Jobs() {
-			if &j.Waits[0] != &cells[0].waits[0] || &j.FitWaits[0] != &cells[0].fitWaits[0] {
-				t.Fatalf("cell %s/%s: job does not share the grid's rule lists", c.Scheme, c.Profile)
+			if j.Plan != plan {
+				t.Fatalf("cell %s/%s: job does not share the grid's plan", c.Scheme, c.Profile)
 			}
 		}
+	}
+
+	again, _, err := spec.planFingerprint(fleet.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := spec
+	other.Profiles = fitProfiles[1:]
+	narrower, _, err := other.planFingerprint(fleet.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again[0].plan == plan || again[0].plan.Key != plan.Key || narrower[0].plan.Key == plan.Key {
+		t.Fatalf("plan keys: %s, replanned %s, narrower %s", plan.Key, again[0].plan.Key, narrower[0].plan.Key)
 	}
 }

@@ -146,7 +146,7 @@ func TestResumeEquivalence(t *testing.T) {
 			superset.Schemes = resumeSchemes[:nsch+1]
 
 			// Reference: an uninterrupted manager with no store at all, and
-			// with the trace cache (and so the baseline memo) off, so every
+			// with the trace cache (and so the wait tables) off, so every
 			// resumed run below also compares memo on against memo off.
 			ref := NewManager(Config{Runners: 1, Workers: 2, TraceCacheBytes: -1})
 			refBase := runSpec(t, ref, base)
@@ -162,8 +162,8 @@ func TestResumeEquivalence(t *testing.T) {
 			}
 			assertSameResult(t, refBase, cold)
 			assertSameSummaries(t, refBase, cold)
-			if st := m1.TraceCacheStats(); st.BaselineMisses == 0 {
-				t.Fatalf("cold run never memoized a baseline: %+v", st)
+			if st := m1.TraceCacheStats(); st.ReplayPasses == 0 {
+				t.Fatalf("cold run never built a wait table: %+v", st)
 			}
 			m1.Close()
 			if err := st1.Close(); err != nil {

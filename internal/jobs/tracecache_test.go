@@ -32,9 +32,9 @@ var traceCacheSchemes = []fleet.SchemeSpec{
 // durable store contents record by record — and the enabled runs must
 // actually hit the cache, so the equality is between a replayed slab and
 // a regenerated stream, not between two identical code paths. The same
-// holds for the baseline memo the cache carries: the enabled runs must
-// serve baselines from it, and a cache too small to retain any slab (so
-// no memo either) must match too.
+// holds for the wait tables the cache carries: the enabled runs must
+// build one per user, and a cache too small to retain any slab (so no
+// table either) must match too.
 func TestTraceCacheEquivalence(t *testing.T) {
 	spec := Spec{Seed: 17, Shards: 2,
 		Schemes:  traceCacheSchemes, // 3, one trace-fitted
@@ -42,8 +42,6 @@ func TestTraceCacheEquivalence(t *testing.T) {
 		Cohorts:  resumeCohorts[:1], // x1 = 6 cells, one shared cohort
 	}
 	const users = 2 // study-3g fixture population
-	// Each user's first baseline lookup claims both profiles' baselines.
-	memoKeys := uint64(users * len(spec.Profiles))
 
 	refStore, err := store.Open(store.Config{Dir: t.TempDir()})
 	if err != nil {
@@ -81,10 +79,8 @@ func TestTraceCacheEquivalence(t *testing.T) {
 			if stats.Hits == 0 {
 				t.Fatalf("cached run never hit the trace cache: %+v", stats)
 			}
-			wantHits := memoKeys*uint64(len(spec.Schemes)) - users
-			if stats.BaselineMisses != users || stats.BaselineHits != wantHits {
-				t.Fatalf("baseline memo: want %d replays and %d reuses: %+v",
-					users, wantHits, stats)
+			if stats.ReplayPasses != users {
+				t.Fatalf("wait tables: want one per user (%d): %+v", users, stats)
 			}
 
 			if st.Len() != refStore.Len() {
@@ -104,7 +100,7 @@ func TestTraceCacheEquivalence(t *testing.T) {
 	}
 
 	// A one-byte budget generates every slab and retains none, so every
-	// job replays its own baseline: the memo is off with the cache on.
+	// job replays its own baseline: the tables are off with the cache on.
 	t.Run("slab-over-budget", func(t *testing.T) {
 		m := NewManager(Config{Runners: 1, Workers: 2,
 			CacheSize: -1, CellCacheSize: -1, TraceCacheBytes: 1})
@@ -112,19 +108,20 @@ func TestTraceCacheEquivalence(t *testing.T) {
 		got := runSpec(t, m, spec)
 		assertSameResult(t, want, got)
 		assertSameSummaries(t, want, got)
-		if st := m.TraceCacheStats(); st.Entries != 0 || st.BaselineHits != 0 || st.BaselineMisses != 0 {
+		if st := m.TraceCacheStats(); st.Entries != 0 || st.ReplayPasses != 0 {
 			t.Fatalf("over-budget slabs were retained or memoized: %+v", st)
 		}
 	})
 }
 
 // TestBaselineMemoExactCounts pins how often a grid replays baselines: a
-// fresh-seed grid of C cohorts x P profiles x S schemes x U users misses
-// once per (cohort, user), C·U, and that pass replays the user's baseline
-// on every profile, so every other baseline lookup of the cohort is a
-// hit, C·P·U·S − C·U, at every worker budget. A resubmission
-// served from the cell cache replays nothing, and a second fresh-seed
-// grid adds the same counts again.
+// fresh-seed grid of C cohorts x P profiles x S schemes x U users builds
+// one wait table per (cohort, user), C·U, whose pass replays the user's
+// baseline on every profile, and every one of the C·P·U·S jobs reads its
+// baseline from it, at every worker budget: the grid's slabs decode at
+// most once per table, per fit and per MakeIdle job, and never for a
+// baseline. A resubmission served from the cell cache replays
+// nothing, and a second fresh-seed grid adds the same counts again.
 func TestBaselineMemoExactCounts(t *testing.T) {
 	const users = 2 // each fixture cohort's population
 	spec := func(seed int64) Spec {
@@ -135,8 +132,7 @@ func TestBaselineMemoExactCounts(t *testing.T) {
 		}
 	}
 	cu := uint64(len(resumeCohorts) * users)
-	lookups := cu * uint64(len(resumeProfiles)*len(traceCacheSchemes))
-	wantMisses, wantHits := cu, lookups-cu
+	makeidle := cu * uint64(len(resumeProfiles)) // the replays of the makeidle jobs
 
 	// parN runs on a worker budget of N tokens: at most N cells in flight.
 	for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
@@ -144,28 +140,30 @@ func TestBaselineMemoExactCounts(t *testing.T) {
 			m := NewManager(Config{Runners: 1, Workers: par, CacheSize: -1})
 			defer m.Close()
 			var last fleet.TraceCacheStats
-			step := func(label string, seed int64, misses, hits uint64) {
+			step := func(label string, seed int64, passes, replays uint64) {
 				t.Helper()
 				runSpec(t, m, spec(seed))
 				st := m.TraceCacheStats()
-				if dm, dh := st.BaselineMisses-last.BaselineMisses, st.BaselineHits-last.BaselineHits; dm != misses || dh != hits {
-					t.Fatalf("%s: +%d misses and +%d hits, want +%d and +%d: %+v",
-						label, dm, dh, misses, hits, st)
+				dp, dd, df := st.ReplayPasses-last.ReplayPasses, st.SlabDecodes-last.SlabDecodes, st.FitMisses-last.FitMisses
+				if dp != passes || dd > dp+df+replays {
+					t.Fatalf("%s: +%d passes, +%d decodes and +%d fits, want +%d passes and at most %d decodes beyond passes and fits: %+v",
+						label, dp, dd, df, passes, replays, st)
 				}
 				last = st
 			}
-			step("fresh grid", 61, wantMisses, wantHits)
+			step("fresh grid", 61, cu, makeidle)
 			step("resubmission", 61, 0, 0)
-			step("second fresh grid", 62, wantMisses, wantHits)
+			step("second fresh grid", 62, cu, makeidle)
 		})
 	}
 }
 
 // TestBaselineMemoOrderIndependence is the who-computes-first property: on
-// a one-token budget the first scheme in plan order replays every (user,
-// profile) baseline and the later schemes reuse it, so reordering the
-// scheme axis changes which scheme's cell computes each baseline. Every
-// cell must come out the same, matched by label, as in a memo-off run.
+// a one-token budget the first scheme in plan order builds every user's
+// wait table, baselines included, and the later schemes read it, so
+// reordering the scheme axis changes which scheme's cell computes each
+// baseline. Every cell must come out the same, matched by label, as in a
+// run without tables.
 func TestBaselineMemoOrderIndependence(t *testing.T) {
 	base := Spec{Seed: 67, Shards: 2,
 		Schemes:  traceCacheSchemes,
@@ -205,8 +203,8 @@ func TestBaselineMemoOrderIndependence(t *testing.T) {
 					t.Fatalf("cell %s differs when %s computes the baselines", label(c), got.Cells[0].Scheme)
 				}
 			}
-			if st := m.TraceCacheStats(); st.BaselineHits == 0 {
-				t.Fatalf("no baseline was served from the memo: %+v", st)
+			if st := m.TraceCacheStats(); st.ReplayPasses != 2 {
+				t.Fatalf("want one wait table per user: %+v", st)
 			}
 		})
 	}
@@ -221,10 +219,10 @@ var fitProfiles = []power.ProfileSpec{
 // TestFitMemoExactCounts pins how often a grid fits trace-fitted
 // policies: the 95% IAT fit ignores the profile, so a fresh-seed 95iat
 // grid of C cohorts x P profiles x U users fits once per (cohort, user),
-// C·U fit-memo misses. Its timer is a constant wait, so each (cohort,
-// user)'s first baseline lookup, which claims the user's wait-rule pass
-// on every profile, resolves it through the memo once (the miss), and
-// each job looks it up again: all C·P·U jobs are hits.
+// C·U fit-memo misses. Its timer is a constant wait, so the job that
+// builds each (cohort, user)'s wait table resolves it through the memo
+// once, and each job looks it up for its own pair: C·U + C·P·U lookups,
+// all but the C·U fits hits.
 // MakeActive-Fix reads the profile, so makeidle+fix fits once per
 // (cohort, profile, user), C·P·U misses and no hits. A resubmission
 // served from the cell cache fits nothing. The counts hold at every

@@ -57,6 +57,13 @@ type Schema struct {
 	// GapLookahead marks clairvoyant policies (the Oracle): the simulator
 	// feeds them the next inter-arrival gap before each decision.
 	GapLookahead bool
+	// WaitRule declares that every policy the builder returns, under any
+	// profile, decides by a wait rule (sim.Wait): a constant wait or the
+	// Oracle's threshold. The planner reads it to put the scheme on a
+	// grid's wait axis, replayed for every profile in one pass per user,
+	// without building the policy to find out. sim.WaitOf must agree with
+	// it on every built policy (TestWaitRuleCapabilityMatchesWaitOf).
+	WaitRule bool
 
 	NewDemote func(p Params, tr trace.Trace, prof power.Profile) (DemotePolicy, error)
 	NewActive func(p Params, tr trace.Trace, prof power.Profile) (ActivePolicy, error)
@@ -268,14 +275,16 @@ func buildDefaultRegistry() *Registry {
 	}
 	mustRegister(&Schema{
 		Name: "statusquo", Role: RoleDemote,
-		Summary: "carrier inactivity timers only (the normalization baseline)",
+		Summary:  "carrier inactivity timers only (the normalization baseline)",
+		WaitRule: true,
 		NewDemote: func(Params, trace.Trace, power.Profile) (DemotePolicy, error) {
 			return StatusQuo{}, nil
 		},
 	})
 	mustRegister(&Schema{
 		Name: "fixedtail", Role: RoleDemote,
-		Summary: "fast dormancy a fixed wait after every packet (§6.2's 4.5-second tail)",
+		Summary:  "fast dormancy a fixed wait after every packet (§6.2's 4.5-second tail)",
+		WaitRule: true,
 		Params: []ParamSpec{{
 			Name: "wait", Kind: KindDuration, Default: 4500 * time.Millisecond,
 			Min: time.Millisecond, Max: 10 * time.Minute,
@@ -295,6 +304,7 @@ func buildDefaultRegistry() *Registry {
 		Summary:           "fast dormancy after a whole-trace inter-arrival percentile (§6.2's 95% IAT)",
 		TraceFitted:       true,
 		FitIgnoresProfile: true,
+		WaitRule:          true,
 		Params: []ParamSpec{{
 			Name: "q", Kind: KindFloat, Default: 0.95, Min: 0.01, Max: 0.999,
 			Help: "inter-arrival quantile the timer is fitted to",
@@ -307,6 +317,7 @@ func buildDefaultRegistry() *Registry {
 		Name: "oracle", Role: RoleDemote,
 		Summary:      "clairvoyant upper bound: demote iff the next gap exceeds the threshold (§6.2)",
 		GapLookahead: true,
+		WaitRule:     true,
 		Params: []ParamSpec{{
 			Name: "threshold", Kind: KindDuration, Default: time.Duration(0), Min: time.Duration(0),
 			Help: "demotion threshold; 0 derives t_threshold from the power profile",

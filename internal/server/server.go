@@ -169,10 +169,6 @@ func (s *Server) health(w http.ResponseWriter, r *http.Request) {
 		"trace_cache_misses":    traces.Misses,
 		"trace_cache_bytes":     traces.Bytes,
 		"trace_cache_evictions": traces.Evictions,
-		"baseline_memo_hits":    traces.BaselineHits,
-		"baseline_memo_misses":  traces.BaselineMisses,
-		"replay_memo_hits":      traces.ReplayHits,
-		"replay_memo_misses":    traces.ReplayMisses,
 		"replay_passes":         traces.ReplayPasses,
 		"fit_memo_hits":         traces.FitHits,
 		"fit_memo_misses":       traces.FitMisses,

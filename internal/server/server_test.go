@@ -334,12 +334,12 @@ func TestSubmitBodyLimit(t *testing.T) {
 // TestHealthzTraceCacheGauges pins the trace-cache health gauges: after a
 // grid whose cells share a cohort, /healthz must report the cache's
 // generations (misses), replays served from slabs (hits) and retained
-// bytes — nonzero each — plus the eviction counter, the baseline memo's
-// replays (misses) and reuses (hits), and the constant-wait memo's passes
-// and scheme-replay hits and misses. A second grid over the same
-// users adds the 95% IAT scheme on two profiles, and the fit memo must
-// report one fit per user (misses) and its reuse by the other profile and
-// by the passes that replay the fitted timer (hits).
+// bytes — nonzero each — plus the eviction counter, the wait tables built
+// (replay_passes) and the slab decodes. A second grid over the same
+// users adds the 95% IAT scheme on two profiles, a second plan with one
+// table per user, and the fit memo must report one fit per user (misses)
+// and its reuse by the other profile and by the tables that replay the
+// fitted timer (hits).
 func TestHealthzTraceCacheGauges(t *testing.T) {
 	ts, m := newTestServer(t)
 	spec := `{"seed": 31, "shards": 2,
@@ -383,26 +383,15 @@ func TestHealthzTraceCacheGauges(t *testing.T) {
 	if got := num("trace_cache_evictions"); got != 0 {
 		t.Fatalf("trace_cache_evictions = %v, want 0", got)
 	}
-	// Both schemes share one profile: one baseline replay per user, which
-	// the other scheme's cell reuses.
-	if got := num("baseline_memo_misses"); got != 2 {
-		t.Fatalf("baseline_memo_misses = %v, want 2 (one baseline per user)", got)
-	}
-	if got := num("baseline_memo_hits"); got != 2 {
-		t.Fatalf("baseline_memo_hits = %v, want 2", got)
-	}
 	if got, got2 := num("fit_memo_misses"), num("fit_memo_hits"); got != 0 || got2 != 0 {
 		t.Fatalf("fit memo = %v misses, %v hits before any trace-fitted scheme ran", got, got2)
 	}
-	// Whichever cell reaches a user first, its baseline lookup claims the
-	// baseline and the grid's one constant wait (fixedtail 2s) together:
-	// one pass per user, and the fixedtail cell's replay is a memo hit.
+	// Whichever cell reaches a user first builds the user's wait table:
+	// the baseline and the grid's one constant wait (fixedtail 2s)
+	// together, one pass per user, which the fixedtail cell reads.
 	firstPasses := num("replay_passes")
 	if firstPasses != 2 {
 		t.Fatalf("replay_passes = %v, want 2 (one pass per user)", firstPasses)
-	}
-	if got, got2 := num("replay_memo_misses"), num("replay_memo_hits"); got != 0 || got2 != 2 {
-		t.Fatalf("replay memo = %v misses, %v hits, want 0 and 2", got, got2)
 	}
 	// Each pass decodes its user's slab once, and so does each MakeIdle
 	// replay, which the memo does not serve.
@@ -426,11 +415,11 @@ func TestHealthzTraceCacheGauges(t *testing.T) {
 	if err := json.Unmarshal(hb, &health); err != nil {
 		t.Fatalf("healthz body: %v\n%s", err, hb)
 	}
-	// Each user's first baseline lookup claims one pass for both
-	// profiles. 95iat ignores the profile: one fit per user, reused by the
-	// user's other profile. Its timer is a wait rule, so every pass this
-	// grid claims resolves it through the memo too: the 4 jobs and the new
-	// passes look the fit up, and all but the 2 fits are hits.
+	// Each user's first job builds one table for both profiles of the new
+	// plan. 95iat ignores the profile: one fit per user, reused by the
+	// user's other profile. Its timer is a wait rule, so every table this
+	// grid builds resolves it through the memo too: the 4 jobs and the new
+	// tables look the fit up, and all but the 2 fits are hits.
 	if got := num("replay_passes") - firstPasses; got != 2 {
 		t.Fatalf("replay_passes grew by %v, want 2 (one pass per user for both profiles)", got)
 	}
@@ -440,8 +429,14 @@ func TestHealthzTraceCacheGauges(t *testing.T) {
 	if got, want := num("fit_memo_hits"), 4+num("replay_passes")-firstPasses-2; got != want {
 		t.Fatalf("fit_memo_hits = %v, want %v (the second profile and every pass reuse each fit)", got, want)
 	}
-	// Every miss, of a baseline or of a scheme replay, runs one pass.
-	if passes, misses := num("replay_passes"), num("baseline_memo_misses")+num("replay_memo_misses"); passes != misses {
-		t.Fatalf("replay_passes = %v, want baseline plus replay misses (%v)", passes, misses)
+	// One table, one pass, per (plan, user): the two grids replay the
+	// same slabs under two plans. No lookup counter rides along.
+	if passes, slabs := num("replay_passes"), num("trace_cache_misses"); passes != 2*slabs {
+		t.Fatalf("replay_passes = %v, want one per plan and user (2 x %v)", passes, slabs)
+	}
+	for _, key := range []string{"baseline_memo_hits", "baseline_memo_misses", "replay_memo_hits", "replay_memo_misses"} {
+		if _, ok := health[key]; ok {
+			t.Fatalf("healthz still reports %q", key)
+		}
 	}
 }

@@ -319,6 +319,38 @@ func TestRunWaitsRejects(t *testing.T) {
 	checkRunWaits(t, "after-rejects", tr, WaitSet{power.VerizonLTE, edgeWaits(power.VerizonLTE)}, sets[0])
 }
 
+// TestWaitRuleCapabilityMatchesWaitOf: every demote schema and alias of
+// the policy registry, built under every built-in profile and alias, is a
+// wait rule (WaitOf) exactly when its schema declares the WaitRule
+// capability, which the grid planner reads instead of building it.
+func TestWaitRuleCapabilityMatchesWaitOf(t *testing.T) {
+	tr := workload.Verizon3GUsers()[0].Generate(1, 10*time.Minute)
+	reg, profs := policy.Default(), power.Default()
+	for _, pname := range profs.Names() {
+		rp, err := power.ProfileSpec{Name: pname}.Resolution(profs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range reg.Names(policy.RoleDemote) {
+			schema, params, err := reg.Resolve(policy.RoleDemote, policy.Spec{Name: name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fit trace.Trace
+			if schema.TraceFitted {
+				fit = tr
+			}
+			d, err := schema.NewDemote(params, fit, rp.Profile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := WaitOf(d); ok != schema.WaitRule {
+				t.Errorf("%s under %s: WaitOf says %v, the schema's WaitRule %v", name, pname, ok, schema.WaitRule)
+			}
+		}
+	}
+}
+
 // TestWaitOf pins the recognized policies, the negative clamp of constant
 // waits, the Oracle's threshold taken as is, and that MakeIdle is no rule.
 func TestWaitOf(t *testing.T) {
