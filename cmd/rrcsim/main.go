@@ -7,7 +7,7 @@
 //	rrcsim -trace email.trc -carrier "Verizon 3G" -policy makeidle -active learn
 //	rrcsim -trace email.trc -policy all        # compare every scheme
 //	rrcsim -trace email.trc -policy 'fixedtail(wait=2s)'   # parameterized
-//	rrcsim -trace month.rrcstream -stream      # O(1)-memory streamed replay
+//	rrcsim -trace month.rrcstream              # O(1)-memory streamed replay
 //	rrcsim -users 1000 -policy makeidle -parallel 0   # synthetic fleet replay
 //
 // -policy and -active take policy specs resolved against the policy
@@ -37,11 +37,13 @@
 // study-lte, mix; see each family's users/duration/diurnal/seedstride and
 // app-weight knobs) and replaces the flat -users/-duration pair.
 //
-// With -stream the trace is pulled through the replay engine packet by
-// packet: rrcstream files — and pcap captures when -device-ip names the
-// phone — replay in memory independent of trace length; other formats
-// fall back to a single materializing decode. Trace-fitted policies
-// (pctiat/95iat, active=fix) need the whole trace and refuse -stream.
+// A -trace file is read in any of four formats: text, binary, pcap
+// (e.g. straight from tcpdump) or the framed rrcstream codec. rrcstream
+// files — and pcap captures when -device-ip names the phone — are pulled
+// through the replay engine packet by packet on every pass, in memory
+// independent of trace length; other formats are decoded once and
+// replayed from memory. -policy all and the trace-fitted policies
+// (pctiat/95iat, active=fix) collect one pass and fit on it.
 //
 // With -users N (no -trace) rrcsim replays an N-user synthetic diurnal
 // cohort, the one-cohort grid 'study-3g(users=N,duration=D,diurnal=true)'
@@ -56,6 +58,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/netip"
 	"os"
 	"strings"
@@ -86,13 +89,12 @@ func (s *specList) Set(v string) error {
 func main() {
 	var profileFlags, cohortFlags specList
 	var (
-		tracePath = flag.String("trace", "", "trace file (text or binary; required unless -users or -cohort is set)")
+		tracePath = flag.String("trace", "", "trace file: text, binary, pcap or rrcstream (required unless -users or -cohort is set)")
 		carrier   = flag.String("carrier", "", "carrier profile name (alias of a single -profile)")
 		polName   = flag.String("policy", "makeidle", "demote policy spec, e.g. makeidle, 4.5s, 'fixedtail(wait=2s)', or all")
 		actName   = flag.String("active", "none", "batching policy spec, e.g. none, learn, 'learn(maxdelay=5s)', fix")
 		burstGap  = flag.Duration("burstgap", time.Second, "session segmentation gap")
-		stream    = flag.Bool("stream", false, "pull the trace through the engine packet-by-packet (O(1) memory for rrcstream files, and for pcap with -device-ip)")
-		deviceIP  = flag.String("device-ip", "", "with -stream on a pcap capture: the device's IP address, enabling O(1)-memory pcap decode (otherwise the capture is materialized)")
+		deviceIP  = flag.String("device-ip", "", "for a pcap -trace: the device's IP address, which sets packet directions and decodes the in-order capture in O(1) memory (otherwise the device is inferred and the capture sorted in memory)")
 		users     = flag.Int("users", 0, "fleet mode: replay this many synthetic diurnal users instead of -trace")
 		duration  = flag.Duration("duration", 4*time.Hour, "fleet mode: per-user trace length")
 		seed      = flag.Int64("seed", 1, "fleet mode: cohort seed")
@@ -137,49 +139,150 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := &sim.Options{BurstGap: *burstGap}
-
 	if *tracePath == "" {
 		fatal(fmt.Errorf("-trace is required (or -users N / -cohort for fleet mode)"))
 	}
+	if err := replayTrace(os.Stdout, *tracePath, *deviceIP, prof, *polName, *actName, *burstGap); err != nil {
+		fatal(err)
+	}
+}
 
-	if *stream {
-		if err := runStreamed(*tracePath, *deviceIP, prof, *polName, *actName, *burstGap, opts); err != nil {
-			fatal(err)
+// replayTrace replays one trace file and writes the report to w: the
+// scheme comparison for -policy all, otherwise the chosen policy pair
+// against the status-quo baseline. Each replay is one pass over the file
+// (see traceFile); a trace-fitted policy is fitted on one more.
+func replayTrace(w io.Writer, path, deviceIP string, prof power.Profile, polName, actName string, burstGap time.Duration) error {
+	var pcapOpts *trace.PcapOptions
+	if deviceIP != "" {
+		addr, err := netip.ParseAddr(deviceIP)
+		if err != nil {
+			return fmt.Errorf("bad -device-ip: %w", err)
 		}
-		return
+		pcapOpts = &trace.PcapOptions{DeviceIP: addr}
 	}
-
-	tr, err := readTrace(*tracePath)
+	tf, err := probeTrace(path, pcapOpts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-
-	if *polName == "all" {
-		if err := compareAll(tr, prof, opts); err != nil {
-			fatal(err)
+	opts := &sim.Options{BurstGap: burstGap}
+	if polName == "all" {
+		tr, err := tf.collect()
+		if err != nil {
+			return err
 		}
-		return
+		return compareAll(w, tr, prof, opts)
 	}
 
-	demote, err := makeDemote(*polName, tr, prof)
+	// Only a trace-fitted half needs the whole trace.
+	dfit, err := traceFitted(policy.RoleDemote, polName)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	active, err := makeActive(*actName, tr, prof, *burstGap)
+	afit, err := traceFitted(policy.RoleActive, actName)
 	if err != nil {
-		fatal(err)
+		return err
 	}
+	var tr trace.Trace
+	if dfit || afit {
+		if tr, err = tf.collect(); err != nil {
+			return err
+		}
+	}
+	demote, err := makeDemote(polName, tr, prof)
+	if err != nil {
+		return err
+	}
+	active, err := makeActive(actName, tr, prof, burstGap)
+	if err != nil {
+		return err
+	}
+	sq, err := tf.replay(prof, policy.StatusQuo{}, nil, opts)
+	if err != nil {
+		return err
+	}
+	res, err := tf.replay(prof, demote, active, opts)
+	if err != nil {
+		return err
+	}
+	printResult(w, sq, res)
+	return nil
+}
 
-	sq, err := sim.Run(tr, prof, policy.StatusQuo{}, nil, opts)
-	if err != nil {
-		fatal(err)
+// traceFile is a probed trace file that hands out one trace.Source per
+// pass: an rrcstream file, or a pcap capture with a known device
+// address, is decoded afresh by decode on every pass, in memory
+// independent of its length; any other format was decoded once, by
+// readTrace, into tr.
+type traceFile struct {
+	path   string
+	decode func(io.Reader) (trace.Source, error)
+	tr     trace.Trace
+}
+
+// probeTrace sniffs the format of the file at path. pcapOpts, when set,
+// names the device of a pcap capture.
+func probeTrace(path string, pcapOpts *trace.PcapOptions) (*traceFile, error) {
+	decoders := []func(io.Reader) (trace.Source, error){
+		func(r io.Reader) (trace.Source, error) { return trace.NewStreamReader(r) },
 	}
-	res, err := sim.Run(tr, prof, demote, active, opts)
-	if err != nil {
-		fatal(err)
+	if pcapOpts != nil {
+		decoders = append(decoders, func(r io.Reader) (trace.Source, error) { return trace.NewPcapSource(r, pcapOpts) })
 	}
-	printResult(sq, res)
+	for _, decode := range decoders {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		_, err = decode(f)
+		f.Close()
+		if err == nil {
+			return &traceFile{path: path, decode: decode}, nil
+		}
+	}
+	tr, err := readTrace(path)
+	if err != nil {
+		return nil, err
+	}
+	return &traceFile{path: path, tr: tr}, nil
+}
+
+// pass hands fn a source over one pass of the file.
+func (tf *traceFile) pass(fn func(trace.Source) error) error {
+	if tf.decode == nil {
+		return fn(tf.tr.Source())
+	}
+	f, err := os.Open(tf.path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	src, err := tf.decode(f)
+	if err != nil {
+		return err
+	}
+	return fn(src)
+}
+
+// replay runs one pass under a policy pair.
+func (tf *traceFile) replay(prof power.Profile, demote policy.DemotePolicy, active policy.ActivePolicy, opts *sim.Options) (res *sim.Result, err error) {
+	err = tf.pass(func(src trace.Source) error {
+		res, err = sim.RunSource(src, prof, demote, active, opts)
+		return err
+	})
+	return res, err
+}
+
+// collect returns the whole trace: the slice a non-streaming format was
+// decoded into, or one pass of a streaming one.
+func (tf *traceFile) collect() (tr trace.Trace, err error) {
+	if tf.decode == nil {
+		return tf.tr, nil
+	}
+	err = tf.pass(func(src trace.Source) error {
+		tr, err = trace.Collect(src)
+		return err
+	})
+	return tr, err
 }
 
 // readTrace auto-detects the trace format: the binary container, the
@@ -214,125 +317,6 @@ func readTrace(path string) (trace.Trace, error) {
 		return nil, err
 	}
 	return trace.ReadText(f)
-}
-
-// runStreamed replays the trace file by pulling packets through the
-// engine's bounded lookahead: first the status-quo baseline, then the
-// chosen policy pair, each over a fresh source. rrcstream files — and
-// pcap captures when deviceIP names the phone — decode packet-by-packet
-// in O(1) memory; other formats are decoded once (they need the whole
-// file to sort or resolve directions) and replayed from the slice.
-// Results are byte-identical to the materialized path on the same file.
-func runStreamed(path, deviceIP string, prof power.Profile, polName, actName string, burstGap time.Duration, opts *sim.Options) error {
-	if polName == "all" {
-		return fmt.Errorf("-stream replays one policy pair; pick a policy")
-	}
-	if fitted, err := traceFitted(policy.RoleDemote, polName); err != nil {
-		return err
-	} else if fitted {
-		return fmt.Errorf("policy %q is fitted to the whole trace and cannot stream; drop -stream", polName)
-	}
-	if fitted, err := traceFitted(policy.RoleActive, actName); err != nil {
-		return err
-	} else if fitted {
-		return fmt.Errorf("active policy %q is fitted to the whole trace and cannot stream; drop -stream", actName)
-	}
-	var pcapOpts *trace.PcapOptions
-	if deviceIP != "" {
-		addr, err := netip.ParseAddr(deviceIP)
-		if err != nil {
-			return fmt.Errorf("bad -device-ip: %w", err)
-		}
-		pcapOpts = &trace.PcapOptions{DeviceIP: addr}
-	}
-
-	// Probe the format once; the fallback materializes once, not per replay.
-	open, err := probeStreamFormat(path, pcapOpts)
-	if err != nil {
-		return err
-	}
-	replay := func(demote policy.DemotePolicy, active policy.ActivePolicy) (*sim.Result, error) {
-		src, closeSrc, err := open()
-		if err != nil {
-			return nil, err
-		}
-		defer closeSrc()
-		return sim.RunSource(src, prof, demote, active, opts)
-	}
-	sq, err := replay(policy.StatusQuo{}, nil)
-	if err != nil {
-		return err
-	}
-	demote, err := makeDemote(polName, nil, prof)
-	if err != nil {
-		return err
-	}
-	active, err := makeActive(actName, nil, prof, burstGap)
-	if err != nil {
-		return err
-	}
-	res, err := replay(demote, active)
-	if err != nil {
-		return err
-	}
-	printResult(sq, res)
-	return nil
-}
-
-// probeStreamFormat decides how -stream will read the file and returns a
-// per-replay source opener: an rrcstream decoder, a streaming pcap
-// decoder (when pcapOpts carries the device address), or — for formats
-// that cannot stream — a slice source over one up-front decode.
-func probeStreamFormat(path string, pcapOpts *trace.PcapOptions) (func() (trace.Source, func() error, error), error) {
-	probe, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	_, serr := trace.NewStreamReader(probe)
-	probe.Close()
-	if serr == nil {
-		return func() (trace.Source, func() error, error) {
-			f, err := os.Open(path)
-			if err != nil {
-				return nil, nil, err
-			}
-			sr, err := trace.NewStreamReader(f)
-			if err != nil {
-				f.Close()
-				return nil, nil, err
-			}
-			return sr, f.Close, nil
-		}, nil
-	}
-	if pcapOpts != nil {
-		probe, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		_, perr := trace.NewPcapSource(probe, pcapOpts)
-		probe.Close()
-		if perr == nil {
-			return func() (trace.Source, func() error, error) {
-				f, err := os.Open(path)
-				if err != nil {
-					return nil, nil, err
-				}
-				ps, err := trace.NewPcapSource(f, pcapOpts)
-				if err != nil {
-					f.Close()
-					return nil, nil, err
-				}
-				return ps, f.Close, nil
-			}, nil
-		}
-	}
-	tr, err := readTrace(path)
-	if err != nil {
-		return nil, err
-	}
-	return func() (trace.Source, func() error, error) {
-		return tr.Source(), func() error { return nil }, nil
-	}, nil
 }
 
 // makeDemote resolves a demote policy spec string through the registry.
@@ -372,7 +356,7 @@ func withUsage(err error, role policy.Role) error {
 }
 
 // traceFitted reports whether a policy spec resolves to a trace-fitted
-// schema (the registry capability that forbids -stream).
+// schema, which needs the whole trace before the replay.
 func traceFitted(role policy.Role, name string) (bool, error) {
 	spec, err := policy.ParseSpec(name)
 	if err != nil {
@@ -385,7 +369,7 @@ func traceFitted(role policy.Role, name string) (bool, error) {
 	return schema.TraceFitted, nil
 }
 
-func printResult(sq, res *sim.Result) {
+func printResult(w io.Writer, sq, res *sim.Result) {
 	t := report.NewTable(fmt.Sprintf("%s on %s", res.Policy, res.Profile),
 		"Metric", "Value")
 	t.AddRowf("total energy (J)", res.TotalJ())
@@ -404,10 +388,10 @@ func printResult(sq, res *sim.Result) {
 		t.AddRowf("mean delay (s)", d.Mean.Seconds())
 		t.AddRowf("median delay (s)", d.Median.Seconds())
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(w, t.String())
 }
 
-func compareAll(tr trace.Trace, prof power.Profile, opts *sim.Options) error {
+func compareAll(w io.Writer, tr trace.Trace, prof power.Profile, opts *sim.Options) error {
 	sq, schemes, err := experiments.RunSchemes(tr, prof, opts)
 	if err != nil {
 		return err
@@ -418,7 +402,7 @@ func compareAll(tr trace.Trace, prof power.Profile, opts *sim.Options) error {
 	for _, s := range schemes {
 		t.AddRowf(s.Scheme, s.Result.TotalJ(), s.SavingsPct, s.SwitchRatio, s.SavedPerSwitchJ)
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(w, t.String())
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -71,7 +72,8 @@ func TestReadTraceTinyTextFile(t *testing.T) {
 }
 
 // TestReadTraceCorruptStream: a truncated rrcstream file must surface the
-// stream corruption diagnostic, not fall through to a text-parse error.
+// stream corruption diagnostic, not fall through to a text-parse error,
+// whether it is decoded whole or replayed.
 func TestReadTraceCorruptStream(t *testing.T) {
 	full := writeTempTrace(t, func(f *os.File) error {
 		return trace.WriteStream(f, workload.Generate(workload.Email(), 2, time.Hour))
@@ -88,6 +90,13 @@ func TestReadTraceCorruptStream(t *testing.T) {
 		t.Fatal("truncated stream accepted")
 	} else if !strings.Contains(err.Error(), "stream frame") {
 		t.Fatalf("got %v, want a stream-frame diagnostic", err)
+	}
+	for _, pol := range []string{"makeidle", "95iat", "all"} {
+		if err := replayTrace(io.Discard, trunc, "", power.Verizon3G, pol, "none", time.Second); err == nil {
+			t.Fatalf("%s: truncated stream accepted", pol)
+		} else if !strings.Contains(err.Error(), "stream frame") {
+			t.Fatalf("%s: got %v, want a stream-frame diagnostic", pol, err)
+		}
 	}
 }
 

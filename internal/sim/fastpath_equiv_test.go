@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -10,22 +11,23 @@ import (
 	"repro/internal/workload"
 )
 
-// These tests pin the devirtualization refactor's core promise: the
-// constant-wait fast path (one type switch per run instead of a Decide/
-// Observe interface call pair per packet) is an optimization, never a
-// behaviour change. forceGeneric is the test seam that disables the type
-// switch, so both paths replay the same policies over the same packets.
+// These tests pin the engine's fast paths to its generic one: a policy
+// WaitOf recognizes, replayed without batching or logs, runs as a
+// one-rule RunWaits pass, and any other policy without batching skips
+// burst assembly; both are optimizations, never a behaviour change.
+// forceGeneric is the test seam that disables them, so every policy
+// replays through Decide/Observe over the same packets.
 
 // TestFastPathMatchesGenericAllSchemes replays every registered demote
 // scheme — at default parameters — through a fast-path engine and a
-// forced-generic engine, and requires bit-identical Results including the
-// recorded decision and episode logs, with batching off and on. Iterating
-// the registry (not a hand-kept list) means a newly registered scheme is
-// covered the day it lands: if its policy type is ever added to the
-// fast-path switch incorrectly, this test is the tripwire.
+// forced-generic engine, and requires bit-identical Results, with and
+// without the decision and episode logs and with batching off and on.
+// Without logs or batching the wait-rule policies take the RunWaits pass.
+// Iterating the registry (not a hand-kept list) means a newly registered
+// scheme is covered the day it lands: if its policy type is ever added
+// to WaitOf incorrectly, this test is the tripwire.
 func TestFastPathMatchesGenericAllSchemes(t *testing.T) {
 	reg := policy.Default()
-	opts := &Options{RecordDecisions: true, RecordEpisodes: true}
 	for _, prof := range []power.Profile{power.Verizon3G, power.VerizonLTE} {
 		for _, schema := range reg.Schemas(policy.RoleDemote) {
 			u := workload.Verizon3GUsers()[1]
@@ -37,24 +39,22 @@ func TestFastPathMatchesGenericAllSchemes(t *testing.T) {
 				}
 				return d
 			}
-			// With a batching policy too: the recognized rules then decide
-			// on the burst arrival the window estimates, as Decide would.
-			for _, active := range []func() policy.ActivePolicy{
-				func() policy.ActivePolicy { return nil },
-				func() policy.ActivePolicy { return policy.NewLearnedDelay() },
-			} {
-				fast := NewEngine()
-				fastRes, err := fast.Run(tr, prof, mk(), active(), opts)
-				if err != nil {
-					t.Fatalf("%s/%s: fast path: %v", prof.Name, schema.Name, err)
+			for _, opts := range []*Options{nil, {RecordDecisions: true, RecordEpisodes: true}} {
+				for _, active := range []func() policy.ActivePolicy{
+					func() policy.ActivePolicy { return nil },
+					func() policy.ActivePolicy { return policy.NewLearnedDelay() },
+				} {
+					fastRes, err := NewEngine().Run(tr, prof, mk(), active(), opts)
+					if err != nil {
+						t.Fatalf("%s/%s: fast path: %v", prof.Name, schema.Name, err)
+					}
+					genRes, err := genericEngine().Run(tr, prof, mk(), active(), opts)
+					if err != nil {
+						t.Fatalf("%s/%s: generic path: %v", prof.Name, schema.Name, err)
+					}
+					label := fmt.Sprintf("%s/%s/%s/logs=%t", prof.Name, schema.Name, fastRes.Active, opts != nil)
+					assertSameResult(t, label, genRes, fastRes)
 				}
-				gen := NewEngine()
-				gen.forceGeneric = true
-				genRes, err := gen.Run(tr, prof, mk(), active(), opts)
-				if err != nil {
-					t.Fatalf("%s/%s: generic path: %v", prof.Name, schema.Name, err)
-				}
-				assertSameResult(t, prof.Name+"/"+schema.Name+"/"+fastRes.Active, genRes, fastRes)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/policy"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -42,4 +43,31 @@ type workloadTrace struct {
 	app  workload.AppModel
 	seed int64
 	dur  time.Duration
+}
+
+// TestRunWaitAllocs pins the allocations of a warm RunSourceInto of a
+// fixed tail from an rrcstream slab, as perfbench's allocs_per_replay
+// measures it: one, the policy's Name. The one-rule RunWaits pass this
+// replay takes must add none.
+func TestRunWaitAllocs(t *testing.T) {
+	slab, err := trace.EncodeStream(workload.Verizon3GUsers()[0].Stream(7, time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine()
+	var res Result
+	var src trace.BytesSource
+	ft := &policy.FixedTail{Wait: 4500 * time.Millisecond}
+	opts := &Options{BurstGap: time.Second}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := src.Reset(slab); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.RunSourceInto(&res, &src, prof(), ft, nil, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("warm fixed-tail replay made %v allocations, want at most 1", allocs)
+	}
 }

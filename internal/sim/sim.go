@@ -182,15 +182,9 @@ type Engine struct {
 	tx     txMemo
 	recDec bool // opts.recordDecisions(), hoisted out of the gap loop
 
-	// Devirtualized decision fast path: the built-in demote policies
-	// whose decisions are a wait rule (StatusQuo, FixedTail,
-	// PercentileIAT, the Oracle) are recognized once per run by WaitOf;
-	// every per-packet Decide/Observe/ObserveNextGap interface call is
-	// then skipped, and rule decides pending. forceGeneric (a test knob)
-	// disables this and the direct no-batching loop so equivalence tests
-	// can drive the generic interface path on demand.
-	ruled        bool
-	rule         Wait
+	// forceGeneric (a test knob) disables the wait-rule pass and the
+	// direct no-batching loop, so equivalence tests can drive every
+	// policy through the Decide/Observe interface path on demand.
 	forceGeneric bool //rrclint:testseam
 
 	started bool
@@ -271,6 +265,10 @@ func (e *Engine) RunSource(src trace.Source, prof power.Profile, demote policy.D
 // in a loop allocates no Result (and, steady-state, no slices) per run. The
 // fields are byte-identical to what RunSource would have returned. On error
 // res is left in an unspecified state.
+//
+// A demote policy WaitOf recognizes, replayed with no active policy and
+// no logs, runs as a one-rule RunWaits pass: its Decide and Observe are
+// never called.
 func (e *Engine) RunSourceInto(res *Result, src trace.Source, prof power.Profile, demote policy.DemotePolicy, active policy.ActivePolicy, opts *Options) error {
 	if err := prof.Validate(); err != nil {
 		return err
@@ -284,6 +282,14 @@ func (e *Engine) RunSourceInto(res *Result, src trace.Source, prof power.Profile
 	demote.Reset()
 	if active != nil {
 		active.Reset()
+	}
+	if w, ok := WaitOf(demote); ok && active == nil && !e.forceGeneric &&
+		!opts.recordDecisions() && !opts.recordEpisodes() {
+		if err := e.runWait(res, src, prof, w, opts); err != nil {
+			return err
+		}
+		res.Policy = demote.Name()
+		return nil
 	}
 
 	// Overwrite every field; truncation (not nil) keeps a reused Result's
@@ -309,11 +315,6 @@ func (e *Engine) RunSourceInto(res *Result, src trace.Source, prof power.Profile
 	e.lookahead, _ = demote.(policy.GapLookahead)
 	e.rates = newRates(&prof)
 	e.recDec = opts.recordDecisions()
-	// Devirtualize the wait-rule built-ins: one type switch here replaces
-	// the interface calls per packet.
-	if !e.forceGeneric {
-		e.rule, e.ruled = WaitOf(demote)
-	}
 	e.window.reset(src, opts.burstGap())
 	if err := e.run(); err != nil {
 		e.Reset()
@@ -351,15 +352,10 @@ func (e *Engine) ensureDecision(nextAt time.Duration) {
 	if nextAt != policy.Never {
 		gap = nextAt - e.lastT
 	}
-	var w time.Duration
-	if e.ruled {
-		w = e.rule.decide(gap)
-	} else {
-		if e.lookahead != nil {
-			e.lookahead.ObserveNextGap(gap)
-		}
-		w = e.demote.Decide(e.lastT)
+	if e.lookahead != nil {
+		e.lookahead.ObserveNextGap(gap)
 	}
+	w := e.demote.Decide(e.lastT)
 	if w < 0 {
 		w = 0
 	}
@@ -585,11 +581,7 @@ func (e *Engine) step(t time.Duration, p trace.Packet) {
 				At: e.lastT, Gap: gap, Wait: e.pending, Demoted: demoted,
 			})
 		}
-		if !e.ruled {
-			// The recognized wait-rule policies' Observe is a no-op;
-			// everything else gets the gap feed the interface promises.
-			e.demote.Observe(gap)
-		}
+		e.demote.Observe(gap)
 	}
 	tx, j := e.tx.tx(&e.prof, p)
 	e.dataJ += j

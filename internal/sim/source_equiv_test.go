@@ -54,14 +54,13 @@ func TestSourceSliceEquivalenceApps(t *testing.T) {
 	prof := power.Verizon3G
 	opts := &Options{RecordDecisions: true, RecordEpisodes: true}
 	for _, app := range workload.Apps() {
-		sm := app.(workload.StreamModel)
 		for _, pp := range policyPairs(t, prof) {
 			tr := workload.Generate(app, 21, time.Hour)
 			slice, err := Run(tr, prof, pp.demote(), pp.active(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			streamed, err := RunSource(workload.Stream(sm, 21, time.Hour), prof, pp.demote(), pp.active(), opts)
+			streamed, err := RunSource(workload.Stream(app, 21, time.Hour), prof, pp.demote(), pp.active(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}

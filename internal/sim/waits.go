@@ -36,8 +36,8 @@ type Wait struct {
 // Decide reads only the upcoming gap). A negative constant wait reads as
 // 0, the engine's clamp; a wait beyond the profile's tail is returned as
 // is (the accounting caps it at the tail; see Clamped). RunSourceInto
-// devirtualizes through it, and callers use it to route a policy to
-// RunWaits.
+// replays a recognized policy without batching or logs through RunWaits,
+// and callers use it to route many policies to one RunWaits pass.
 func WaitOf(d policy.DemotePolicy) (Wait, bool) {
 	switch d := d.(type) {
 	case policy.StatusQuo:
@@ -134,27 +134,51 @@ func (e *Engine) RunWaits(src trace.Source, sets []WaitSet, opts *Options, out [
 	}
 
 	e.Reset()
-	gs, rs := e.waitGroups[:0], e.rules[:0]
 	for i := range sets {
-		g := waitGroup{prof: sets[i].Prof, tx: newTxMemo(), lo: len(rs)}
-		g.rates = newRates(&g.prof)
-		for pos, r := range sets[i].Rules {
-			if !r.Oracle {
-				rs = append(rs, ruleTally{rule: r.Clamped(g.rates.tail), pos: pos})
-			}
-		}
-		slices.SortFunc(rs[g.lo:], func(a, b ruleTally) int { return cmp.Compare(a.rule.D, b.rule.D) })
-		g.mid = len(rs)
-		for pos, r := range sets[i].Rules {
-			if r.Oracle {
-				rs = append(rs, ruleTally{rule: r, pos: pos})
-			}
-		}
-		g.hi = len(rs)
-		gs = append(gs, g)
+		e.addWaitGroup(sets[i].Prof, sets[i].Rules)
 	}
-	e.waitGroups, e.rules = gs, rs
+	return e.replayWaits(src, opts, out)
+}
 
+// runWait replays src under one wait rule, as a one-rule RunWaits pass
+// into res; Policy is left for the caller to stamp. The caller has
+// checked what RunWaits checks.
+func (e *Engine) runWait(res *Result, src trace.Source, prof power.Profile, w Wait, opts *Options) error {
+	e.Reset()
+	e.addWaitGroup(prof, []Wait{w})
+	var out [1]Result
+	if err := e.replayWaits(src, opts, [][]Result{out[:]}); err != nil {
+		return err
+	}
+	*res = out[0]
+	return nil
+}
+
+// addWaitGroup appends one WaitSet's group and rule tallies to the
+// engine's RunWaits state.
+func (e *Engine) addWaitGroup(prof power.Profile, rules []Wait) {
+	rs := e.rules
+	g := waitGroup{prof: prof, tx: newTxMemo(), lo: len(rs)}
+	g.rates = newRates(&g.prof)
+	for pos, r := range rules {
+		if !r.Oracle {
+			rs = append(rs, ruleTally{rule: r.Clamped(g.rates.tail), pos: pos})
+		}
+	}
+	slices.SortFunc(rs[g.lo:], func(a, b ruleTally) int { return cmp.Compare(a.rule.D, b.rule.D) })
+	g.mid = len(rs)
+	for pos, r := range rules {
+		if r.Oracle {
+			rs = append(rs, ruleTally{rule: r, pos: pos})
+		}
+	}
+	g.hi = len(rs)
+	e.waitGroups, e.rules = append(e.waitGroups, g), rs
+}
+
+// replayWaits is the RunWaits pass over the groups addWaitGroup built.
+func (e *Engine) replayWaits(src trace.Source, opts *Options, out [][]Result) error {
+	gs, rs := e.waitGroups, e.rules
 	e.window.reset(src, opts.burstGap())
 	var (
 		started bool

@@ -19,8 +19,9 @@ import (
 )
 
 // The fused wait-rule pass (RunWaits) promises each rule exactly the
-// scalars of its own replay. These tests hold it to K separate
-// RunSourceInto calls, field by field and bit for bit.
+// scalars of its own replay. These tests hold it to K separate replays
+// on a forced-generic engine, which decides through each policy's
+// Decide rather than through RunWaits, field by field and bit for bit.
 
 var carriers = []power.Profile{power.TMobile3G, power.ATTHSPAPlus, power.Verizon3G, power.VerizonLTE}
 
@@ -44,12 +45,21 @@ func rulePolicy(r Wait) policy.DemotePolicy {
 	return &policy.FixedTail{Wait: r.D}
 }
 
-// checkRunWaits replays tr once per (set, rule) on an engine and once
-// through RunWaits, and requires the same scalars in every Result
-// (TotalJ compared by its bits too) or the same error at the same packet.
+// genericEngine returns an engine that replays every policy through its
+// Decide/Observe interface: the reference RunWaits is held to.
+func genericEngine() *Engine {
+	e := NewEngine()
+	e.forceGeneric = true
+	return e
+}
+
+// checkRunWaits replays tr once per (set, rule) on a forced-generic
+// engine and once through RunWaits, and requires the same scalars in
+// every Result (TotalJ compared by its bits too) or the same error at the
+// same packet.
 func checkRunWaits(t testing.TB, label string, tr trace.Trace, sets ...WaitSet) {
 	t.Helper()
-	e := NewEngine()
+	e := genericEngine()
 	want := make([][]Result, len(sets))
 	got := make([][]Result, len(sets))
 	for g, set := range sets {
@@ -67,7 +77,7 @@ func checkRunWaits(t testing.TB, label string, tr trace.Trace, sets ...WaitSet) 
 			break
 		}
 	}
-	err := e.RunWaits(tr.Source(), sets, nil, got)
+	err := NewEngine().RunWaits(tr.Source(), sets, nil, got)
 	if err != nil || wantErr != nil {
 		if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
 			t.Fatalf("%s: RunWaits error %v, replay error %v", label, err, wantErr)
@@ -244,7 +254,8 @@ func TestRunWaitsMatchesReplays(t *testing.T) {
 // then A again, through RunWaits and through RunSourceInto, over packets
 // whose sizes repeat across the runs: a memo that survived a run would
 // hand the next profile the previous one's transmission costs. Every
-// run must match a fresh engine's.
+// RunWaits pass must match a fresh engine's, and every replay a fresh
+// forced-generic engine's.
 func TestEngineReuseAcrossProfiles(t *testing.T) {
 	tr := mixedTrace(9, 300)
 	// Open and close with the same size in both directions, so a memo
@@ -268,14 +279,14 @@ func TestEngineReuseAcrossProfiles(t *testing.T) {
 		}
 		for _, r := range sets[0].Rules {
 			var want, got Result
-			if err := NewEngine().RunSourceInto(&want, tr.Source(), prof, rulePolicy(r), nil, nil); err != nil {
+			if err := genericEngine().RunSourceInto(&want, tr.Source(), prof, rulePolicy(r), nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			if err := e.RunSourceInto(&got, tr.Source(), prof, rulePolicy(r), nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("%s rule %+v: reused engine's replay differs from a fresh engine's", prof.Name, r)
+				t.Fatalf("%s rule %+v: reused engine's replay differs from a fresh generic engine's", prof.Name, r)
 			}
 		}
 	}
@@ -419,14 +430,14 @@ func fuzzTrace(data []byte) trace.Trace {
 	return tr
 }
 
-// FuzzRunWaits holds RunWaits to separate replays on arbitrary traces,
-// rules and carrier sets. Each rule takes three bytes: a kind byte whose
-// low bit picks the Oracle rule, then a signed count of 50 ms steps
-// (negative waits and thresholds included), with 0x7fff standing for
-// Never. The carrier byte picks one to four profiles: bits 2–3 give the
-// count minus one, and profile k is carriers[(c + k·(c>>4)) mod 4], so
-// the first is carriers[c mod 4] (a byte below 4 is one set on that
-// carrier, as before the byte picked a count) and duplicates occur.
+// FuzzRunWaits holds RunWaits to separate forced-generic replays on
+// arbitrary traces, rules and carrier sets. Each rule takes three bytes:
+// a kind byte whose low bit picks the Oracle rule, then a signed count of
+// 50 ms steps (negative waits and thresholds included), with 0x7fff
+// standing for Never. The carrier byte picks one to four profiles: bits
+// 2–3 give the count minus one, and profile k is carriers[(c + k·(c>>4))
+// mod 4], so the first is carriers[c mod 4] (a byte below 4 is one set on
+// that carrier, as before the byte picked a count) and duplicates occur.
 // Every profile replays the fuzzed rules followed by its StatusQuo wait,
 // its tail and the Oracle at its t_threshold, in an order shuffled per
 // set by a generator seeded from the input.

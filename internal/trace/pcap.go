@@ -80,34 +80,17 @@ func ReadPcap(r io.Reader, opts *PcapOptions) (Trace, error) {
 		parsed   bool
 	}
 	var pkts []rawPkt
-	var rec [16]byte
+	var rec pcapRecord
 	for {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, fmt.Errorf("trace: pcap record header: %w", err)
+		ok, err := rec.read(br, hdr, -1)
+		if err != nil {
+			return nil, err
 		}
-		sec := hdr.order.Uint32(rec[0:4])
-		frac := hdr.order.Uint32(rec[4:8])
-		caplen := hdr.order.Uint32(rec[8:12])
-		origlen := hdr.order.Uint32(rec[12:16])
-		const maxFrame = 256 * 1024
-		if caplen > maxFrame {
-			return nil, fmt.Errorf("trace: pcap caplen %d implausible", caplen)
+		if !ok {
+			break
 		}
-		buf := make([]byte, caplen)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("trace: pcap record body: %w", err)
-		}
-		ts := time.Duration(sec) * time.Second
-		if hdr.nanos {
-			ts += time.Duration(frac)
-		} else {
-			ts += time.Duration(frac) * time.Microsecond
-		}
-		src, dst, ok := parseNetwork(hdr.link, buf)
-		pkts = append(pkts, rawPkt{ts: ts, size: int(origlen), src: src, dst: dst, parsed: ok})
+		src, dst, parsed := parseNetwork(hdr.link, rec.body)
+		pkts = append(pkts, rawPkt{ts: rec.ts, size: rec.origlen, src: src, dst: dst, parsed: parsed})
 	}
 	if len(pkts) == 0 {
 		return Trace{}, nil
@@ -172,6 +155,58 @@ func readPcapHeader(br *bufio.Reader) (pcapHeader, error) {
 	}
 	hdr.link = hdr.order.Uint32(h[20:24])
 	return hdr, nil
+}
+
+// pcapRecord is one capture record: its timestamp, original length and
+// captured bytes. body is reused by the next read.
+type pcapRecord struct {
+	ts      time.Duration
+	origlen int
+	body    []byte
+}
+
+// read parses the next record from br into rec; ok is false at a clean
+// end of file. idx numbers the record in PcapSource's errors; ReadPcap's
+// errors, with idx < 0, carry no number.
+func (rec *pcapRecord) read(br *bufio.Reader, hdr pcapHeader, idx int) (ok bool, err error) {
+	var h [16]byte
+	if _, err := io.ReadFull(br, h[:]); err != nil {
+		if err == io.EOF {
+			return false, nil
+		}
+		if idx < 0 {
+			return false, fmt.Errorf("trace: pcap record header: %w", err)
+		}
+		return false, fmt.Errorf("trace: pcap record %d header: %w", idx, err)
+	}
+	sec := hdr.order.Uint32(h[0:4])
+	frac := hdr.order.Uint32(h[4:8])
+	caplen := hdr.order.Uint32(h[8:12])
+	const maxFrame = 256 * 1024
+	if caplen > maxFrame {
+		if idx < 0 {
+			return false, fmt.Errorf("trace: pcap caplen %d implausible", caplen)
+		}
+		return false, fmt.Errorf("trace: pcap record %d: caplen %d implausible", idx, caplen)
+	}
+	if cap(rec.body) < int(caplen) {
+		rec.body = make([]byte, caplen)
+	}
+	rec.body = rec.body[:caplen]
+	if _, err := io.ReadFull(br, rec.body); err != nil {
+		if idx < 0 {
+			return false, fmt.Errorf("trace: pcap record body: %w", err)
+		}
+		return false, fmt.Errorf("trace: pcap record %d body: %w", idx, err)
+	}
+	rec.ts = time.Duration(sec) * time.Second
+	if hdr.nanos {
+		rec.ts += time.Duration(frac)
+	} else {
+		rec.ts += time.Duration(frac) * time.Microsecond
+	}
+	rec.origlen = int(hdr.order.Uint32(h[12:16]))
+	return true, nil
 }
 
 // parseNetwork walks the link layer and extracts IP endpoints.
@@ -289,7 +324,7 @@ type PcapSource struct {
 	base   time.Duration
 	last   time.Duration
 	idx    int
-	body   []byte
+	rec    pcapRecord
 	err    error
 	done   bool
 }
@@ -314,35 +349,15 @@ func (ps *PcapSource) Next() (Packet, bool, error) {
 		if ps.done || ps.err != nil {
 			return Packet{}, false, ps.err
 		}
-		var rec [16]byte
-		if _, err := io.ReadFull(ps.br, rec[:]); err != nil {
-			if err == io.EOF {
-				ps.done = true
-				return Packet{}, false, nil
-			}
-			return ps.fail(fmt.Errorf("trace: pcap record %d header: %w", ps.idx, err))
+		ok, err := ps.rec.read(ps.br, ps.hdr, ps.idx)
+		if err != nil {
+			return ps.fail(err)
 		}
-		sec := ps.hdr.order.Uint32(rec[0:4])
-		frac := ps.hdr.order.Uint32(rec[4:8])
-		caplen := ps.hdr.order.Uint32(rec[8:12])
-		origlen := ps.hdr.order.Uint32(rec[12:16])
-		const maxFrame = 256 * 1024
-		if caplen > maxFrame {
-			return ps.fail(fmt.Errorf("trace: pcap record %d: caplen %d implausible", ps.idx, caplen))
+		if !ok {
+			ps.done = true
+			return Packet{}, false, nil
 		}
-		if cap(ps.body) < int(caplen) {
-			ps.body = make([]byte, caplen)
-		}
-		body := ps.body[:caplen]
-		if _, err := io.ReadFull(ps.br, body); err != nil {
-			return ps.fail(fmt.Errorf("trace: pcap record %d body: %w", ps.idx, err))
-		}
-		ts := time.Duration(sec) * time.Second
-		if ps.hdr.nanos {
-			ts += time.Duration(frac)
-		} else {
-			ts += time.Duration(frac) * time.Microsecond
-		}
+		ts := ps.rec.ts
 		if !ps.based {
 			ps.base, ps.based = ts, true
 		}
@@ -350,7 +365,7 @@ func (ps *PcapSource) Next() (Packet, bool, error) {
 			return ps.fail(fmt.Errorf("trace: pcap record %d out of order (%v after %v); streaming decode needs an in-order capture, use ReadPcap", ps.idx, ts-ps.base, ps.last))
 		}
 		ps.idx++
-		src, _, parsed := parseNetwork(ps.hdr.link, body)
+		src, _, parsed := parseNetwork(ps.hdr.link, ps.rec.body)
 		if !parsed && !ps.keep {
 			continue
 		}
@@ -358,7 +373,7 @@ func (ps *PcapSource) Next() (Packet, bool, error) {
 		if parsed && src == ps.device {
 			dir = Out
 		}
-		size := int(origlen)
+		size := ps.rec.origlen
 		if !parsed {
 			size = 0
 		}

@@ -38,15 +38,10 @@ type Diurnal struct {
 // Name implements AppModel.
 func (d Diurnal) Name() string { return d.Model.Name() + "+diurnal" }
 
-// Generate implements AppModel by draining Stream.
-func (d Diurnal) Generate(r *rand.Rand, duration time.Duration) trace.Trace {
-	return collect(d.Stream(r, duration))
-}
-
 // span is one day's awake window.
 type span struct{ from, to time.Duration }
 
-// Stream implements StreamModel: the day mask is applied burst-by-burst as
+// Stream implements AppModel: the day mask is applied burst-by-burst as
 // the underlying stream flows, buffering only the burst in flight. The
 // day-boundary jitters are drawn up front (one pair per simulated day);
 // the per-burst night-survival draws interleave with the base stream in
@@ -61,7 +56,7 @@ func (d Diurnal) Stream(r *rand.Rand, duration time.Duration) trace.Source {
 	}
 	if wake >= sleep {
 		// Degenerate mask: pass everything through.
-		return streamModel(d.Model).Stream(r, duration)
+		return d.Model.Stream(r, duration)
 	}
 
 	days := int(duration/(24*time.Hour)) + 1
@@ -78,7 +73,7 @@ func (d Diurnal) Stream(r *rand.Rand, duration time.Duration) trace.Source {
 		awake[day] = span{from: start, to: end}
 	}
 	return &diurnalSource{
-		base:  streamModel(d.Model).Stream(r, duration),
+		base:  d.Model.Stream(r, duration),
 		r:     r,
 		awake: awake,
 		night: d.NightFraction,

@@ -244,7 +244,7 @@ func oldUserStream(t testing.TB, u User, seed int64, d time.Duration) trace.Sour
 	m := &scanMergeSource{heads: make([]trace.Packet, n), have: make([]bool, n), done: make([]bool, n)}
 	for i, a := range u.Apps {
 		r := rand.New(rand.NewSource(seed + int64(i)*1_000_003))
-		s, ok := streamModel(a).Stream(r, d).(*stepSource)
+		s, ok := a.Stream(r, d).(*stepSource)
 		if !ok {
 			t.Fatalf("%s streams through no step source", a.Name())
 		}

@@ -13,9 +13,9 @@ import (
 // User mixes) can emit its traffic as a lazy trace.Source, synthesizing
 // packets on demand from the seeded RNG instead of materializing a slice.
 //
-// The slice API is defined on top of the streams — each model's Generate
-// is exactly Collect(Stream) — so materialized and streamed replays of the
-// same seed see the same packets by construction, which is the determinism
+// The slice API is defined on top of the streams — Generate is exactly
+// Collect(Stream) — so materialized and streamed replays of the same seed
+// see the same packets by construction, which is the determinism
 // invariant the fleet's equivalence tests enforce.
 //
 // # How streaming preserves the sorted order
@@ -33,20 +33,10 @@ import (
 // for packet. The buffer holds only the packets of wake-ups still
 // overlapping the floor — O(burst), never O(duration).
 
-// StreamModel is an AppModel that can emit its traffic lazily. All models
-// in this package implement it; Generate is Collect(Stream) for each.
-type StreamModel interface {
-	AppModel
-	// Stream returns a source yielding the same packets Generate returns
-	// for the same RNG, in the same order, without materializing them.
-	Stream(r *rand.Rand, duration time.Duration) trace.Source
-}
-
 // Stream runs a model's lazy emission with a fresh deterministic RNG for
-// the seed — the streaming counterpart of Generate. Models that do not
-// implement StreamModel are generated eagerly and streamed from the slice.
+// the seed — the streaming counterpart of Generate.
 func Stream(m AppModel, seed int64, duration time.Duration) trace.Source {
-	return streamModel(m).Stream(rand.New(rand.NewSource(seed)), duration)
+	return m.Stream(rand.New(rand.NewSource(seed)), duration)
 }
 
 // collect materializes a generator stream. Generator sources never error
@@ -138,7 +128,7 @@ func (s *stepSource) enqueue(batch trace.Trace) {
 // order among equal timestamps.
 func byTime(a, b trace.Packet) int { return cmp.Compare(a.T, b.T) }
 
-// Stream implements StreamModel: one poll exchange per step.
+// Stream implements AppModel: one poll exchange per step.
 func (p Periodic) Stream(r *rand.Rand, duration time.Duration) trace.Source {
 	t := jittered(r, p.Period, p.Jitter)
 	return newStepSource(func(buf trace.Trace) (trace.Trace, time.Duration, bool) {
@@ -156,7 +146,7 @@ func (p Periodic) Stream(r *rand.Rand, duration time.Duration) trace.Source {
 	})
 }
 
-// Stream implements StreamModel: one heartbeat interval per step.
+// Stream implements AppModel: one heartbeat interval per step.
 func (h Heartbeat) Stream(r *rand.Rand, duration time.Duration) trace.Source {
 	period := func() time.Duration {
 		span := h.MaxPeriod - h.MinPeriod
@@ -180,7 +170,7 @@ func (h Heartbeat) Stream(r *rand.Rand, duration time.Duration) trace.Source {
 	})
 }
 
-// Stream implements StreamModel: one exchange per step, sessions tracked
+// Stream implements AppModel: one exchange per step, sessions tracked
 // across steps.
 func (s Interactive) Stream(r *rand.Rand, duration time.Duration) trace.Source {
 	actions := s.ActionsMax
@@ -212,7 +202,7 @@ func (s Interactive) Stream(r *rand.Rand, duration time.Duration) trace.Source {
 	})
 }
 
-// Stream implements StreamModel: one tick per step.
+// Stream implements AppModel: one tick per step.
 func (tk Ticker) Stream(r *rand.Rand, duration time.Duration) trace.Source {
 	t := jittered(r, tk.Period, tk.Jitter)
 	return newStepSource(func(buf trace.Trace) (trace.Trace, time.Duration, bool) {
@@ -314,25 +304,7 @@ func (u User) Stream(seed int64, duration time.Duration) trace.Source {
 	srcs := make([]trace.Source, 0, len(u.Apps))
 	for i, a := range u.Apps {
 		r := rand.New(rand.NewSource(seed + int64(i)*1_000_003))
-		srcs = append(srcs, streamModel(a).Stream(r, duration))
+		srcs = append(srcs, a.Stream(r, duration))
 	}
 	return newMergeSource(srcs)
-}
-
-// streamModel asserts that a model supports lazy emission. Every model in
-// this package does; a custom slice-only AppModel is wrapped to generate
-// eagerly and stream the slice (correct, but not O(1) in memory).
-func streamModel(a AppModel) StreamModel {
-	if sm, ok := a.(StreamModel); ok {
-		return sm
-	}
-	return sliceOnly{a}
-}
-
-// sliceOnly adapts a Generate-only AppModel to StreamModel by
-// materializing.
-type sliceOnly struct{ AppModel }
-
-func (s sliceOnly) Stream(r *rand.Rand, duration time.Duration) trace.Source {
-	return s.Generate(r, duration).Source()
 }

@@ -59,13 +59,9 @@ func TestGeneratorGolden(t *testing.T) {
 // two paths ever drifting apart again).
 func TestStreamMatchesGenerate(t *testing.T) {
 	for _, app := range Apps() {
-		sm, ok := app.(StreamModel)
-		if !ok {
-			t.Fatalf("%s does not implement StreamModel", app.Name())
-		}
 		for _, seed := range []int64{1, 42, 9999} {
 			want := Generate(app, seed, time.Hour)
-			got, err := trace.Collect(Stream(sm, seed, time.Hour))
+			got, err := trace.Collect(Stream(app, seed, time.Hour))
 			if err != nil {
 				t.Fatalf("%s: %v", app.Name(), err)
 			}
@@ -109,7 +105,7 @@ func TestDayUserStreamMatchesGenerate(t *testing.T) {
 // timestamp order without any terminal sort.
 func TestStreamIsSorted(t *testing.T) {
 	for _, app := range Apps() {
-		src := Stream(app.(StreamModel), 5, time.Hour)
+		src := Stream(app, 5, time.Hour)
 		var last time.Duration
 		n := 0
 		for {
@@ -146,20 +142,5 @@ func TestStreamDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("user stream not deterministic")
-	}
-}
-
-// TestSliceOnlyFallback: a custom AppModel without native Stream support
-// still streams via the materializing adapter, identically to Generate.
-func TestSliceOnlyFallback(t *testing.T) {
-	m := Periodic{Label: "custom", Period: time.Minute, Shape: BurstShape{RespBytes: 500}}
-	wrapped := sliceOnly{m}
-	got, err := trace.Collect(Stream(wrapped, 3, 20*time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Generate(m, 3, 20*time.Minute)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("slice-only adapter diverges from Generate")
 	}
 }

@@ -28,9 +28,10 @@ import (
 type AppModel interface {
 	// Name identifies the model (matches the paper's Fig. 9 x-axis).
 	Name() string
-	// Generate produces a trace covering [0, duration] using r as the
-	// sole source of randomness.
-	Generate(r *rand.Rand, duration time.Duration) trace.Trace
+	// Stream returns a sorted source of the packets covering [0,
+	// duration], synthesized lazily using r as the sole source of
+	// randomness.
+	Stream(r *rand.Rand, duration time.Duration) trace.Source
 }
 
 // secsDur converts float seconds to a Duration.
@@ -179,12 +180,6 @@ type Periodic struct {
 // Name implements AppModel.
 func (p Periodic) Name() string { return p.Label }
 
-// Generate implements AppModel by draining Stream: the slice and streaming
-// paths share one emission sequence.
-func (p Periodic) Generate(r *rand.Rand, duration time.Duration) trace.Trace {
-	return collect(p.Stream(r, duration))
-}
-
 // Heartbeat models keep-alive traffic: a tiny uplink packet answered by a
 // tiny downlink packet on a uniformly random period in [MinPeriod,
 // MaxPeriod] — the paper's IM category ("every 5 to 20 seconds").
@@ -199,11 +194,6 @@ type Heartbeat struct {
 
 // Name implements AppModel.
 func (h Heartbeat) Name() string { return h.Label }
-
-// Generate implements AppModel by draining Stream.
-func (h Heartbeat) Generate(r *rand.Rand, duration time.Duration) trace.Trace {
-	return collect(h.Stream(r, duration))
-}
 
 // Interactive models foreground use: sessions arrive after Pareto think
 // times; within a session the user performs several exchanges separated by
@@ -225,11 +215,6 @@ type Interactive struct {
 // Name implements AppModel.
 func (s Interactive) Name() string { return s.Label }
 
-// Generate implements AppModel by draining Stream.
-func (s Interactive) Generate(r *rand.Rand, duration time.Duration) trace.Trace {
-	return collect(s.Stream(r, duration))
-}
-
 // Ticker models high-frequency foreground updates (the paper's Finance
 // category: "updates roughly once per second").
 type Ticker struct {
@@ -241,11 +226,6 @@ type Ticker struct {
 
 // Name implements AppModel.
 func (tk Ticker) Name() string { return tk.Label }
-
-// Generate implements AppModel by draining Stream.
-func (tk Ticker) Generate(r *rand.Rand, duration time.Duration) trace.Trace {
-	return collect(tk.Stream(r, duration))
-}
 
 // The seven application categories of §6.1. Parameters follow the paper's
 // descriptions (IM heartbeats every 5-20 s, email sync every 5 min, ad bar
@@ -351,9 +331,10 @@ func AppByName(name string) (AppModel, bool) {
 	return nil, false
 }
 
-// Generate runs a model with a fresh deterministic RNG for the seed.
+// Generate runs a model with a fresh deterministic RNG for the seed and
+// materializes its stream.
 func Generate(m AppModel, seed int64, duration time.Duration) trace.Trace {
-	return m.Generate(rand.New(rand.NewSource(seed)), duration)
+	return collect(Stream(m, seed, duration))
 }
 
 // User describes one synthetic study participant: a named mix of
